@@ -51,26 +51,25 @@ def _json_text(obj) -> str:
     return json.dumps(obj, sort_keys=True, indent=2) + "\n"
 
 
-def _analysis(od: OrientedDiagram, rank_cap: int, assert_two_bridge: bool) -> dict:
-    bundle = invariant_bundle(od)
-    table = (
-        thin_hfk(bundle.alexander, bundle.signature)
-        if bundle.speciality.is_alternating
-        else None
-    )
+def _analysis(
+    od: OrientedDiagram, rank_cap: int, assert_two_bridge: bool
+) -> tuple[dict, InvariantBundle]:
+    """The report of one diagram and its invariant bundle.  The certificate
+    runs first, so an over-cap lattice is refused before any invariant work."""
     cert = band_prime_certificate(od, rank_cap=rank_cap)
     ev = minimality_evidence(od, assert_two_bridge=assert_two_bridge)
-    return {
+    rep = {
         "schema": SCHEMA,
         "kind": "analysis",
         "pd": od.diagram.pd_text(),
         "pd_sha256": cert.pd_sha256,
-        "speciality": bundle.speciality.to_json(),
-        "invariants": bundle.to_json(),
-        "hfk": table.to_json() if table is not None else None,
+        "speciality": ev.bundle.speciality.to_json(),
+        "invariants": ev.bundle.to_json(),
+        "hfk": ev.hfk.to_json() if ev.hfk is not None else None,
         "band_primeness": cert.to_json(),
         "minimality": ev.to_json(),
     }
+    return rep, ev.bundle
 
 
 def _yesno(v) -> str:
@@ -94,7 +93,7 @@ def _analysis_text(rep: dict) -> str:
         lines.append(
             f"special alternating: no (alternating: {_yesno(sp['is_alternating'])})"
         )
-    genus_tag = "exact" if inv["genus_is_exact"] else "lower bound"
+    genus_tag = "exact" if inv["genus_is_exact"] else "upper bound"
     lines.append(
         f"signature: {inv['signature']}   determinant: {inv['determinant']}   "
         f"genus: {inv['genus']} ({genus_tag})"
@@ -139,7 +138,7 @@ def cmd_analyze(args) -> int:
     else:
         pd_text = args.pd
     od = orient(parse_pd(pd_text))
-    rep = _analysis(od, args.rank_cap, args.assert_two_bridge)
+    rep, _bundle = _analysis(od, args.rank_cap, args.assert_two_bridge)
     out = _json_text(rep) if args.json else _analysis_text(rep)
     if args.out:
         outdir = Path(args.out)
@@ -154,21 +153,25 @@ def cmd_analyze(args) -> int:
     return EXIT_OK
 
 
-def _expected_mismatches(entry_row: dict, bundle: InvariantBundle) -> list[str]:
+# optional corpus columns: (column, InvariantBundle attribute, parser)
+_STORED_COLUMNS = (
+    ("sigma", "signature", int),
+    ("det", "determinant", int),
+    ("alexander", "alexander", LaurentPolynomial.from_string),
+    ("genus", "genus", int),
+)
+
+
+def _stored_values(row: dict) -> list[tuple[str, str, object]]:
+    """(column, bundle attribute, parsed value) for each stored value of a
+    corpus row; ValueError, naming the column, if one does not parse."""
     out = []
-    if entry_row.get("sigma") not in (None, ""):
-        if bundle.signature != int(entry_row["sigma"]):
-            out.append(f"sigma: stored {entry_row['sigma']}, computed {bundle.signature}")
-    if entry_row.get("det") not in (None, ""):
-        if bundle.determinant != int(entry_row["det"]):
-            out.append(f"det: stored {entry_row['det']}, computed {bundle.determinant}")
-    if entry_row.get("alexander") not in (None, ""):
-        stored = LaurentPolynomial.from_string(str(entry_row["alexander"]))
-        if bundle.alexander != stored:
-            out.append(f"alexander: stored {stored}, computed {bundle.alexander}")
-    if entry_row.get("genus") not in (None, ""):
-        if bundle.genus != int(entry_row["genus"]):
-            out.append(f"genus: stored {entry_row['genus']}, computed {bundle.genus}")
+    for column, attr, parse in _STORED_COLUMNS:
+        if row.get(column) not in (None, ""):
+            try:
+                out.append((column, attr, parse(str(row[column]))))
+            except ValueError as ex:
+                raise ValueError(f"bad stored {column} {row[column]!r}: {ex}") from None
     return out
 
 
@@ -190,6 +193,8 @@ def _run_batch(path: Path, args) -> int:
     try:
         if path.suffix.lower() == ".json":
             rows = json.loads(path.read_text("utf-8"))
+            if not isinstance(rows, list):
+                raise ValueError("a JSON corpus must be a list of objects")
         else:
             with path.open(newline="") as fh:
                 rows = list(csv.DictReader(fh))
@@ -203,48 +208,54 @@ def _run_batch(path: Path, args) -> int:
 
     results = []
     counts: dict[str, int] = {}
-    failures = 0
-    inconsistent = 0
+
+    def give_up(name: str, status: str, ex: Exception) -> None:
+        counts[status] = counts.get(status, 0) + 1
+        results.append({"name": name, "status": status, "error": str(ex)})
+        level = "error" if status == "inconsistency" else "warning"
+        print(f"{level}: {name}: {ex}", file=sys.stderr)
+
     for row in rows:
-        name = (row.get("name") or "").strip() or f"entry{len(results)}"
+        name = f"entry{len(results)}"
         try:
-            od = orient(parse_pd(row.get("pd") or ""))
-            rep = _analysis(od, args.rank_cap, False)
-            mism = _expected_mismatches(row, invariant_bundle(od))
+            if not isinstance(row, dict):
+                raise ValueError(f"corpus row is not an object: {row!r}")
+            name = str(row.get("name") or "").strip() or name
+            stored = _stored_values(row)
+        except ValueError as ex:
+            give_up(name, "failed", ex)
+            continue
+        try:
+            od = orient(parse_pd(str(row.get("pd") or "")))
+            rep, bundle = _analysis(od, args.rank_cap, False)
+            mism = [
+                f"{column}: stored {value}, computed {getattr(bundle, attr)}"
+                for column, attr, value in stored
+                if value != getattr(bundle, attr)
+            ]
             status = rep["band_primeness"]["verdict"]
             if mism:
                 status = "inconsistency"
                 rep["expected_mismatches"] = mism
             rep["name"] = name
             rep["status"] = status
-            if status == "inconsistency":
-                inconsistent += 1
             counts[status] = counts.get(status, 0) + 1
             results.append(rep)
             if outdir is not None:
                 (outdir / f"{name}.json").write_text(_json_text(rep), "utf-8")
         except (PDSyntaxError, DiagramError, ClassificationError) as ex:
-            failures += 1
-            counts["failed"] = counts.get("failed", 0) + 1
-            results.append({"name": name, "status": "failed", "error": str(ex)})
-            print(f"warning: {name}: {ex}", file=sys.stderr)
+            give_up(name, "failed", ex)
         except RankCapExceededError as ex:
-            failures += 1
-            counts["rank_capped"] = counts.get("rank_capped", 0) + 1
-            results.append({"name": name, "status": "rank_capped", "error": str(ex)})
-            print(f"warning: {name}: {ex}", file=sys.stderr)
+            give_up(name, "rank_capped", ex)
         except InconsistencyError as ex:
-            inconsistent += 1
-            counts["inconsistency"] = counts.get("inconsistency", 0) + 1
-            results.append({"name": name, "status": "inconsistency", "error": str(ex)})
-            print(f"error: {name}: {ex}", file=sys.stderr)
+            give_up(name, "inconsistency", ex)
 
     summary = {
         "schema": SCHEMA,
         "kind": "batch_summary",
         "entries": len(results),
         "counts": dict(sorted(counts.items())),
-        "failures": failures,
+        "failures": counts.get("failed", 0) + counts.get("rank_capped", 0),
     }
     if args.json:
         sys.stdout.write(_json_text(summary))
@@ -254,7 +265,7 @@ def _run_batch(path: Path, args) -> int:
             print(f"  {k}: {v}")
         if outdir is not None:
             print(f"reports written to {outdir}")
-    return EXIT_INCONSISTENT if inconsistent else EXIT_OK
+    return EXIT_INCONSISTENT if counts.get("inconsistency") else EXIT_OK
 
 
 def cmd_pair(args) -> int:
@@ -262,8 +273,10 @@ def cmd_pair(args) -> int:
     up_od = orient(parse_pd(args.upper))
     lo = invariant_bundle(lo_od)
     up = invariant_bundle(up_od)
-    lo_h = thin_hfk(lo.alexander, lo.signature) if lo.speciality.is_alternating else None
-    up_h = thin_hfk(up.alexander, up.signature) if up.speciality.is_alternating else None
+    lo_h, up_h = (
+        thin_hfk(b.alexander, b.signature) if b.speciality.is_alternating else None
+        for b in (lo, up)
+    )
     upper_special = up.speciality.is_special and up.speciality.is_alternating
     findings = concordance_pair_obstructions(lo, lo_h, up, up_h, upper_special)
     rep = {
@@ -331,7 +344,7 @@ def build_parser() -> argparse.ArgumentParser:
     q = sub.add_parser("pair", help="obstructions to 'lower under upper' concordance")
     q.add_argument("--lower", required=True, help="PD text of the candidate smaller knot")
     q.add_argument("--upper", required=True, help="PD text of the candidate larger knot")
-    common(q)
+    q.add_argument("--json", action="store_true", help="emit JSON")
     q.set_defaults(func=cmd_pair)
     return p
 

@@ -37,12 +37,26 @@ from __future__ import annotations
 import functools
 import json
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import ClassificationError, DiagramError, InconsistencyError, PDSyntaxError
 
 Crossing = tuple[int, int, int, int]
 HalfEdge = tuple[int, int]  # (crossing index, slot 0..3)
+
+
+def cached_on_instance(fn):
+    """Memoise fn(obj) in the frozen instance obj's own ``__dict__``, so the
+    result is freed with obj; equal but distinct instances do not share it."""
+    key = f"_cached_{fn.__name__}"
+
+    @functools.wraps(fn)
+    def wrapper(obj):
+        if key not in obj.__dict__:
+            obj.__dict__[key] = fn(obj)
+        return obj.__dict__[key]
+
+    return wrapper
 
 
 @dataclass(frozen=True)
@@ -160,7 +174,7 @@ def _validate(d: Diagram):
         )
 
 
-@functools.lru_cache(maxsize=None)
+@cached_on_instance
 def _occurrences(d: Diagram) -> dict[int, tuple[HalfEdge, HalfEdge]]:
     occ: dict[int, list[HalfEdge]] = {}
     for ci, c in enumerate(d.crossings):
@@ -176,7 +190,7 @@ def _mate(d: Diagram, he: HalfEdge) -> HalfEdge:
     return v if he == u else u
 
 
-@functools.lru_cache(maxsize=None)
+@cached_on_instance
 def _trace_faces(d: Diagram) -> tuple[tuple[HalfEdge, ...], ...]:
     """Faces of the underlying 4-valent plane graph.
 
@@ -215,15 +229,6 @@ class Checkerboard:
     colors: tuple[int, ...]
     face_at_corner: tuple[tuple[int, int, int, int], ...]
 
-    def color_classes(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
-        c0 = tuple(i for i, c in enumerate(self.colors) if c == 0)
-        c1 = tuple(i for i, c in enumerate(self.colors) if c == 1)
-        return c0, c1
-
-    def color_counts(self) -> tuple[int, int]:
-        a, b = self.color_classes()
-        return len(a), len(b)
-
     def corner_pair_of_color(self, ci: int, color: int) -> tuple[int, int]:
         """The two opposite corners of crossing ci whose faces carry `color`.
 
@@ -242,7 +247,7 @@ class Checkerboard:
         return frozenset(d.crossings[ci][slot] for ci, slot in self.faces[face_idx])
 
 
-@functools.lru_cache(maxsize=None)
+@cached_on_instance
 def checkerboard(d: Diagram) -> Checkerboard:
     """2-color the faces so that faces sharing an arc get opposite colors."""
     faces = _trace_faces(d)
@@ -305,20 +310,8 @@ class OrientedDiagram:
     def writhe(self) -> int:
         return sum(self.signs)
 
-    def under_in_arc(self, ci: int) -> int:
-        return self.diagram.crossings[ci][0]
 
-    def under_out_arc(self, ci: int) -> int:
-        return self.diagram.crossings[ci][2]
-
-    def over_in_arc(self, ci: int) -> int:
-        return self.diagram.crossings[ci][self.over_in_slot[ci]]
-
-    def over_out_arc(self, ci: int) -> int:
-        return self.diagram.crossings[ci][4 - self.over_in_slot[ci]]
-
-
-@functools.lru_cache(maxsize=None)
+@cached_on_instance
 def orient(d: Diagram) -> OrientedDiagram:
     """Propagate strand orientations.
 
@@ -500,7 +493,6 @@ class SpecialityReport:
     is_special: bool
     orientable_color: int | None
     uniform_sign: int | None
-    mirror_applied: bool = False
 
     def to_json(self) -> dict:
         return {
@@ -508,10 +500,10 @@ class SpecialityReport:
             "is_special": self.is_special,
             "orientable_color": self.orientable_color,
             "uniform_sign": self.uniform_sign,
-            "mirror_applied": self.mirror_applied,
         }
 
 
+@cached_on_instance
 def classify_special(od: OrientedDiagram) -> SpecialityReport:
     """Is the diagram special (Seifert circles = one color class's faces)?
 

@@ -14,13 +14,12 @@ Everything here is exact integer / rational arithmetic:
   derived from it.
 
 Polynomial determinants are computed by exact interpolation: evaluate the
-matrix at enough rational points, take fraction Gaussian elimination, and
-Lagrange-interpolate the coefficients.
+matrix at enough integer points, take fraction-free (Bareiss) determinants,
+and Lagrange-interpolate the coefficients.
 """
 
 from __future__ import annotations
 
-import functools
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -28,15 +27,16 @@ from fractions import Fraction
 from .diagram import (
     OrientedDiagram,
     SpecialityReport,
+    cached_on_instance,
     checkerboard,
     classify_special,
     seifert_stats,
     smoothing_corner_pair,
 )
-from .errors import ClassificationError, InconsistencyError
+from .errors import InconsistencyError
 from .lattice import GramForm, Matrix, det_int
 from .lattice import signature as form_signature
-from .tait import CycleBasis, TaitGraph, flow_lattice, tait_graph
+from .tait import TaitGraph, orientable_flow_lattice
 
 # ---------------------------------------------------------------------------
 # Laurent polynomials over the integers
@@ -193,28 +193,7 @@ class LaurentPolynomial:
 # exact linear algebra helpers
 
 
-def _det_fraction(rows: list[list[Fraction]]) -> Fraction:
-    n = len(rows)
-    m = [row[:] for row in rows]
-    det = Fraction(1)
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if m[r][col]), None)
-        if pivot is None:
-            return Fraction(0)
-        if pivot != col:
-            m[col], m[pivot] = m[pivot], m[col]
-            det = -det
-        det *= m[col][col]
-        inv = 1 / m[col][col]
-        for r in range(col + 1, n):
-            if m[r][col]:
-                f = m[r][col] * inv
-                for c in range(col, n):
-                    m[r][c] -= f * m[col][c]
-    return det
-
-
-def _interpolate_int_poly(xs: list[int], ys: list[Fraction]) -> list[int]:
+def _interpolate_int_poly(xs: list[int], ys: list[int]) -> list[int]:
     """Integer coefficients (ascending degree) of the polynomial through the points.
 
     Plain Lagrange interpolation over Fractions; the values must come from a
@@ -290,6 +269,7 @@ def _correction_term(od: OrientedDiagram, surface_color: int) -> int:
     return mu
 
 
+@cached_on_instance
 def gl_signature(od: OrientedDiagram) -> int:
     """Signature of the knot: sig(Goeritz of the other color) minus the correction.
 
@@ -315,13 +295,11 @@ def gl_signature(od: OrientedDiagram) -> int:
 
 @dataclass(frozen=True)
 class SeifertData:
-    """Seifert matrix of a special diagram plus the basis it was built on."""
+    """Seifert matrix of a special diagram plus the flow-lattice form of the
+    cycle basis it was built on."""
 
     matrix: Matrix
-    surface_color: int
     gram: GramForm
-    tait: TaitGraph
-    basis: CycleBasis
 
 
 def _bipartition(g: TaitGraph) -> tuple[int, ...]:
@@ -369,16 +347,11 @@ def seifert_matrix_special(od: OrientedDiagram) -> SeifertData:
     in the bipartition); V is half of (band part + disk part), which is
     integral exactly when the diagram is special.
     """
-    rep = classify_special(od)
-    if not rep.is_special:
-        raise ClassificationError("Seifert matrix construction requires a special diagram")
     d = od.diagram
-    cb = checkerboard(d)
-    g = tait_graph(cb, rep.orientable_color)
-    gram, basis = flow_lattice(g)
+    g, gram, basis = orientable_flow_lattice(od)  # ClassificationError unless special
     r = len(basis.vectors)
     if r == 0:
-        return SeifertData((), rep.orientable_color, gram, g, basis)
+        return SeifertData((), gram)
 
     # Being special means the orientable color occupies the smoothing corner
     # pair at every crossing, which is the same as each edge sign matching
@@ -467,7 +440,7 @@ def seifert_matrix_special(od: OrientedDiagram) -> SeifertData:
         raise InconsistencyError(
             "Seifert pairing is not unimodularly skew: the surface basis is broken"
         )
-    return SeifertData(V, rep.orientable_color, gram, g, basis)
+    return SeifertData(V, gram)
 
 
 # ---------------------------------------------------------------------------
@@ -501,10 +474,10 @@ def alexander_via_seifert(od: OrientedDiagram) -> LaurentPolynomial:
     ys = []
     for x in xs:
         rows = [
-            [Fraction(x * sd.matrix[i][j] - sd.matrix[j][i]) for j in range(r)]
+            [x * sd.matrix[i][j] - sd.matrix[j][i] for j in range(r)]
             for i in range(r)
         ]
-        ys.append(_det_fraction(rows))
+        ys.append(det_int(rows))
     coeffs = _interpolate_int_poly(xs, ys)
     raw = LaurentPolynomial.from_dict({k: c for k, c in enumerate(coeffs)})
     return _normalize_alexander(raw, "seifert backend")
@@ -569,12 +542,12 @@ def alexander_via_wirtinger(od: OrientedDiagram) -> LaurentPolynomial:
     xs = list(range(2, 2 + size + 1))
     ys = []
     for x in xs:
-        fx = Fraction(x)
+        # entries have exponents 0 and 1 only, so their values are integers
         mat = [
-            [rows[i].get(j, LaurentPolynomial(()))(fx) for j in range(size)]
+            [int(rows[i].get(j, LaurentPolynomial(()))(x)) for j in range(size)]
             for i in range(size)
         ]
-        ys.append(_det_fraction(mat))
+        ys.append(det_int(mat))
     coeffs = _interpolate_int_poly(xs, ys)
     raw = LaurentPolynomial.from_dict({k: c for k, c in enumerate(coeffs)})
     return _normalize_alexander(raw, "wirtinger backend")
@@ -659,7 +632,7 @@ def invariant_bundle(od: OrientedDiagram) -> InvariantBundle:
             raise InconsistencyError(
                 f"Alexander span {span} exceeds twice the surface genus {surface_genus}"
             )
-    if rep.is_special and not (abs(sig) == 2 * genus == span):
+    if rep.is_special and rep.is_alternating and not (abs(sig) == 2 * genus == span):
         raise InconsistencyError(
             f"special diagram with |signature| {abs(sig)}, genus {genus}, span {span}"
         )

@@ -548,6 +548,8 @@ def isometric(
     if not rec(0):
         return False, None
     u_cols = transpose(chosen)  # columns = images
-    assert congruence(u_cols, g1) == [list(r) for r in target]
-    assert abs(det_int(u_cols)) == 1
+    if congruence(u_cols, g1) != [list(r) for r in target]:
+        raise InconsistencyError("isometry witness does not carry one form to the other")
+    if abs(det_int(u_cols)) != 1:
+        raise InconsistencyError("isometry witness is not unimodular")
     return True, tuple(tuple(row) for row in u_cols)

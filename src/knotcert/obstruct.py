@@ -31,7 +31,6 @@ from typing import Optional
 from .diagram import (
     OrientedDiagram,
     SpecialityReport,
-    checkerboard,
     classify_special,
     connected_sum_factors,
     orient,
@@ -46,9 +45,9 @@ from .lattice import (
     definiteness,
     indecomposable_summands,
 )
-from .tait import TaitGraph, blocks, flow_lattice, tait_graph
+from .tait import TaitGraph, blocks, orientable_flow_lattice
 
-SCHEMA = "knotcert-report/1"
+SCHEMA = "knotcert-report/2"
 
 
 def _pd_hash(pd_text: str) -> str:
@@ -138,13 +137,19 @@ def band_prime_certificate(
         why = "not alternating" if not rep.is_alternating else "alternating but not special"
         return CertificateReport(sha, rep, (), 0, "not_applicable", (why,))
 
+    # The whole-diagram lattice comes first: its rank bounds every factor's,
+    # so an over-cap input is refused before any factor or invariant work.
+    g_full, gram_full, _ = orientable_flow_lattice(od)
+    dec_full = indecomposable_summands(gram_full, rank_cap=rank_cap)
+
     notes: list[str] = []
     problems: list[str] = []
     factors: list[FactorRecord] = []
     trivial = 0
 
     for f in connected_sum_factors(d):
-        fod = orient(f)
+        # a prime diagram is its own single factor: reuse the whole's lattice
+        fod = od if f is d else orient(f)
         frep = classify_special(fod)
         if not frep.is_special:
             problems.append(f"factor {f.pd_text()!r} is not special")
@@ -154,8 +159,7 @@ def band_prime_certificate(
                 f"factor sign {frep.uniform_sign} differs from diagram sign {rep.uniform_sign}"
             )
             continue
-        g = tait_graph(checkerboard(f), frep.orientable_color)
-        gram, _basis = flow_lattice(g)
+        g, gram, _ = orientable_flow_lattice(fod)
         rank = gram.rank
         if rank == 0:
             trivial += 1
@@ -164,7 +168,7 @@ def band_prime_certificate(
             problems.append(f"factor {f.pd_text()!r} has odd flow rank {rank}")
             continue
         kind = definiteness(gram)
-        dec = indecomposable_summands(gram, rank_cap=rank_cap)
+        dec = dec_full if fod is od else indecomposable_summands(gram, rank_cap=rank_cap)
         sig = gl_signature(fod)
         record = FactorRecord(
             pd=f.pd_text(),
@@ -200,9 +204,6 @@ def band_prime_certificate(
 
     # whole-diagram cross-check: summands of the full flow lattice match the
     # number of nontrivial factors
-    g_full = tait_graph(checkerboard(d), rep.orientable_color)
-    gram_full, _ = flow_lattice(g_full)
-    dec_full = indecomposable_summands(gram_full, rank_cap=rank_cap)
     if len(dec_full.summands) != len(factors):
         problems.append(
             f"whole-diagram lattice has {len(dec_full.summands)} summands "

@@ -18,11 +18,16 @@ acceptance suite leans on that cross-check.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
-from .diagram import Checkerboard
-from .errors import DiagramError, InconsistencyError
+from .diagram import (
+    Checkerboard,
+    OrientedDiagram,
+    cached_on_instance,
+    checkerboard,
+    classify_special,
+)
+from .errors import ClassificationError, DiagramError, InconsistencyError
 from .lattice import GramForm
 
 Dart = tuple[int, int]  # (edge index, end 0 or 1)
@@ -196,7 +201,7 @@ class CycleBasis:
     walks: tuple[tuple[tuple[int, int], ...], ...]
 
 
-@functools.lru_cache(maxsize=None)
+@cached_on_instance
 def fundamental_cycles(g: TaitGraph) -> CycleBasis:
     nv = g.num_vertices
     parent: list[tuple[int, int, int] | None] = [None] * nv  # (vertex, edge, dir)
@@ -285,3 +290,14 @@ def flow_lattice(g: TaitGraph) -> tuple[GramForm, CycleBasis]:
     )
     form = GramForm(gram, provenance=f"flow lattice of color-{g.color} Tait graph")
     return form, basis
+
+
+@cached_on_instance
+def orientable_flow_lattice(od: OrientedDiagram) -> tuple[TaitGraph, GramForm, CycleBasis]:
+    """Tait graph of a special diagram's orientable color (the faces of its
+    Seifert surface), with the flow lattice and cycle basis of that graph."""
+    rep = classify_special(od)
+    if not rep.is_special:
+        raise ClassificationError("only a special diagram has an orientable color")
+    g = tait_graph(checkerboard(od.diagram), rep.orientable_color)
+    return (g, *flow_lattice(g))

@@ -7,6 +7,7 @@ from __future__ import annotations
 import random
 
 from knotcert.lattice import identity, mat_mul, transpose
+from knotcert.medial import PlaneGraph
 
 
 def random_unimodular(n: int, rng: random.Random, steps: int = 12,
@@ -118,6 +119,16 @@ def canonical_pd(d):
     return best
 
 
+def theta(k):
+    """Two vertices joined by k parallel edges, nested planar rotation.
+
+    Its medial diagram is the torus knot or link T(2,k)."""
+    return PlaneGraph(
+        tuple(((0, 1),) * k),
+        (tuple((e, 0) for e in range(k)), tuple((e, 1) for e in reversed(range(k)))),
+    )
+
+
 def plane_graph_from_multigraph(n_vertices, edges):
     """Embed a connected multigraph in the plane; None if nonplanar.
 
@@ -126,8 +137,6 @@ def plane_graph_from_multigraph(n_vertices, edges):
     embedding through the midpoint vertices.
     """
     import networkx as nx
-
-    from knotcert.medial import PlaneGraph
 
     g = nx.Graph()
     g.add_nodes_from(range(n_vertices))

@@ -1,9 +1,14 @@
 """CLI behavior: subcommands, exit statuses, determinism, batch handling."""
 
 import json
+import sys
 
+import pytest
+
+from helpers import theta
 from knotcert.cli import main
 from knotcert.corpus import corpus_entry
+from knotcert.medial import medial_diagram
 
 TREFOIL = "X(1,4,2,3) X(3,6,4,5) X(5,2,6,1)"
 HOPF = "X(4,1,3,2) X(2,3,1,4)"
@@ -22,7 +27,7 @@ def test_analyze_trefoil_json(capsys):
     assert rep["band_primeness"]["verdict"] == "band_prime_certified"
     assert rep["minimality"]["verdict"] == "minimal_certified"
     assert rep["invariants"]["determinant"] == 3
-    assert rep["schema"] == "knotcert-report/1"
+    assert rep["schema"] == "knotcert-report/2"
 
 
 def test_analyze_unknot(capsys):
@@ -50,6 +55,54 @@ def test_analyze_rank_cap_exit_3(capsys):
     code, _, err = run(capsys, "analyze", "--pd", granny, "--rank-cap", "3")
     assert code == 3
     assert "cap" in err
+
+
+def test_analyze_special_non_alternating_is_not_applicable(capsys):
+    # |signature| = 2 genus = span holds for special alternating diagrams
+    # only; this special, non-alternating unknot diagram has genus bound 1.
+    pd = "X(6,4,3,1) X(2,5,6,1) X(4,5,2,3)"
+    code, out, _ = run(capsys, "analyze", "--pd", pd)
+    assert code == 0
+    assert "genus: 1 (upper bound)" in out
+    assert "band primeness: not_applicable" in out
+
+
+def _count_calls(monkeypatch, *qualnames):
+    """Count calls of knotcert functions, patched wherever a module binds them."""
+    counts = dict.fromkeys(qualnames, 0)
+    modules = [m for n, m in sys.modules.items() if n.split(".")[0] == "knotcert"]
+    for qualname in qualnames:
+        module, attr = qualname.rsplit(".", 1)
+        fn = getattr(sys.modules[f"knotcert.{module}"], attr)
+
+        def counted(*args, _fn=fn, _name=qualname, **kwargs):
+            counts[_name] += 1
+            return _fn(*args, **kwargs)
+
+        for mod in modules:
+            for name, obj in list(vars(mod).items()):
+                if obj is fn:
+                    monkeypatch.setattr(mod, name, counted)
+    return counts
+
+
+def test_analyze_computes_each_piece_once(monkeypatch, capsys):
+    names = (
+        "invariants.invariant_bundle",
+        "hfk.thin_hfk",
+        "lattice.indecomposable_summands",
+    )
+    counts = _count_calls(monkeypatch, *names)
+    code, _, _ = run(capsys, "analyze", "--pd", TREFOIL, "--json")
+    assert code == 0
+    assert counts == dict.fromkeys(names, 1)
+
+    # an over-cap diagram is refused before any invariant work
+    counts = _count_calls(monkeypatch, "invariants.invariant_bundle")
+    t213, _ = medial_diagram(theta(13), 1)
+    code, _, err = run(capsys, "analyze", "--pd", t213.pd_text(), "--rank-cap", "4")
+    assert code == 3 and "cap" in err
+    assert counts == {"invariants.invariant_bundle": 0}
 
 
 def test_json_output_is_byte_identical(capsys):
@@ -100,6 +153,26 @@ def test_batch_malformed_entry_warns_and_continues(tmp_path, capsys):
     assert summary["counts"]["band_prime_certified"] == 1
 
 
+@pytest.mark.parametrize(
+    "filename, text, bad_name",
+    [
+        ("c.csv", f'name,pd,sigma\nbad,"{TREFOIL}",abc\ngood,"{TREFOIL}",\n', "bad"),
+        ("c.csv", f'name,pd,alexander\nbad,"{TREFOIL}",2x + 1\ngood,"{TREFOIL}",\n', "bad"),
+        ("c.json", json.dumps(["not an object", {"name": "good", "pd": TREFOIL}]), "entry0"),
+    ],
+    ids=["bad-sigma", "bad-alexander", "json-row-not-object"],
+)
+def test_batch_malformed_row_fails_only_that_entry(tmp_path, capsys, filename, text, bad_name):
+    f = tmp_path / filename
+    f.write_text(text)
+    code, out, err = run(capsys, "batch", str(f), "--json")
+    assert code == 0
+    assert f"warning: {bad_name}:" in err
+    summary = json.loads(out)
+    assert summary["failures"] == 1
+    assert summary["counts"] == {"band_prime_certified": 1, "failed": 1}
+
+
 def test_batch_stored_value_mismatch_is_inconsistency(tmp_path, capsys):
     f = tmp_path / "c.csv"
     f.write_text('name,pd,det\nwrong,"X(1,4,2,5) X(3,6,4,1) X(5,2,6,3)",99\n')
@@ -136,6 +209,15 @@ def test_pair_no_obstruction(capsys):
     code, out, _ = run(capsys, "pair", "--lower", TREFOIL, "--upper", TREFOIL)
     assert code == 0
     assert "no obstruction found" in out
+
+
+@pytest.mark.parametrize(
+    "flag", [["--rank-cap", "5"], ["--out", "reports"]], ids=["rank-cap", "out"]
+)
+def test_pair_rejects_lattice_flags(capsys, flag):
+    with pytest.raises(SystemExit) as ex:
+        main(["pair", "--lower", "", "--upper", TREFOIL, *flag])
+    assert ex.value.code == 2
 
 
 def test_pair_parse_error(capsys):

@@ -12,7 +12,6 @@ from knotcert.diagram import mirror_diagram, orient, parse_pd
 from knotcert.errors import ClassificationError, InconsistencyError
 from knotcert.invariants import (
     LaurentPolynomial,
-    _det_fraction,
     _interpolate_int_poly,
     alexander,
     alexander_via_seifert,
@@ -94,14 +93,6 @@ def test_laurent_to_json():
 
 # ---------------------------------------------------------------------------
 # exact helpers
-
-
-def test_det_fraction_matches_det_int():
-    rng = random.Random(5)
-    for _ in range(30):
-        n = rng.randint(1, 5)
-        m = [[rng.randint(-4, 4) for _ in range(n)] for _ in range(n)]
-        assert _det_fraction([[Fraction(x) for x in row] for row in m]) == det_int(m)
 
 
 def test_interpolation_roundtrip():

@@ -7,7 +7,8 @@ import random
 import pytest
 
 from helpers import congruent_scramble, random_unimodular
-from knotcert.errors import DegenerateFormError, RankCapExceededError
+import knotcert.lattice
+from knotcert.errors import DegenerateFormError, InconsistencyError, RankCapExceededError
 from knotcert.lattice import (
     Decomposition,
     GramForm,
@@ -164,6 +165,13 @@ def test_isometric_examples():
 
     ok, witness = isometric(A2, GramForm(((1, 0), (0, 3))))
     assert not ok and witness is None
+
+
+def test_isometric_rejects_a_wrong_witness(monkeypatch):
+    # the witness check must hold under python -O too, so it is no assert
+    monkeypatch.setattr(knotcert.lattice, "congruence", lambda u, g: [[0, 0], [0, 0]])
+    with pytest.raises(InconsistencyError):
+        isometric(A2, GramForm(((2, -1), (-1, 2))))
 
 
 def test_isometric_rank_mismatch_and_empty():

@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from helpers import canonical_pd, plane_graph_from_multigraph, spanning_tree_count
+from helpers import canonical_pd, plane_graph_from_multigraph, spanning_tree_count, theta
 from knotcert.diagram import (
     classify_special,
     connected_sum_factors,
@@ -21,14 +21,6 @@ from knotcert.medial import PlaneGraph, medial_diagram, rebuild_factors, subgrap
 
 RIGHT_TREFOIL_ROTATED = "X(1,4,2,3) X(3,6,4,5) X(5,2,6,1)"
 GRANNY = "X(9,1,10,12) X(1,11,2,10) X(11,3,12,2) X(3,7,4,6) X(7,5,8,4) X(5,9,6,8)"
-
-
-def theta(k):
-    """Two vertices joined by k parallel edges, nested planar rotation."""
-    return PlaneGraph(
-        tuple(((0, 1),) * k),
-        (tuple((e, 0) for e in range(k)), tuple((e, 1) for e in reversed(range(k)))),
-    )
 
 
 BOUQUET = PlaneGraph(

@@ -99,7 +99,7 @@ def test_certificate_json_is_deterministic():
     b = json.dumps(band_prime_certificate(_od(LEFT_TREFOIL)).to_json(), sort_keys=True)
     assert a == b
     j = json.loads(a)
-    assert j["schema"] == "knotcert-report/1"
+    assert j["schema"] == "knotcert-report/2"
     assert j["kind"] == "band_prime_certificate"
     assert j["verdict"] == "band_prime_certified"
 
