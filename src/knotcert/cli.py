@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -221,6 +222,10 @@ def _run_batch(path: Path, args) -> int:
             if not isinstance(row, dict):
                 raise ValueError(f"corpus row is not an object: {row!r}")
             name = str(row.get("name") or "").strip() or name
+            if name in (".", "..") or any(
+                sep and sep in name for sep in ("/", os.sep, os.altsep, "\0")
+            ):
+                raise ValueError(f"entry name {name!r} is not a plain file name")
             stored = _stored_values(row)
         except ValueError as ex:
             give_up(name, "failed", ex)

@@ -40,6 +40,7 @@ import re
 from dataclasses import dataclass
 
 from .errors import ClassificationError, DiagramError, InconsistencyError, PDSyntaxError
+from .lattice import connected_classes
 
 Crossing = tuple[int, int, int, int]
 HalfEdge = tuple[int, int]  # (crossing index, slot 0..3)
@@ -389,21 +390,9 @@ def orient(d: Diagram) -> OrientedDiagram:
             )
         over_in.append(1 if in1 else 3)
         signs.append(1 if in3 else -1)
-    # strand components: union arcs joined through crossings
-    parent = {a: a for a in occ}
-
-    def find(a):
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    for ci, c in enumerate(d.crossings):
-        for x, y in ((c[0], c[2]), (c[1], c[3])):
-            rx, ry = find(x), find(y)
-            if rx != ry:
-                parent[rx] = ry
-    components = len({find(a) for a in occ})
+    # strand components: arcs joined through crossings
+    strands = [(c[k] - 1, c[k + 2] - 1) for c in d.crossings for k in (0, 1)]
+    components = 1 + max(connected_classes(2 * n, strands))
     arc_head = tuple(head[a] for a in range(1, 2 * n + 1))
     return OrientedDiagram(d, arc_head, tuple(over_in), tuple(signs), components)
 
@@ -444,29 +433,18 @@ def seifert_circle_partition(od: OrientedDiagram) -> frozenset[frozenset[int]]:
     d = od.diagram
     if d.n == 0:
         return frozenset()
-    parent = {a: a for a in range(1, 2 * d.n + 1)}
-
-    def find(a):
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    def union(x, y):
-        rx, ry = find(x), find(y)
-        if rx != ry:
-            parent[rx] = ry
-
+    # channels through corners 0 and 2 when the over-strand enters at slot 3,
+    # through corners 1 and 3 otherwise
+    pairs = []
     for ci, c in enumerate(d.crossings):
         if od.over_in_slot[ci] == 3:
-            union(c[0], c[1])  # channels through corners 0 and 2
-            union(c[3], c[2])
+            pairs += [(c[0], c[1]), (c[3], c[2])]
         else:
-            union(c[0], c[3])  # channels through corners 1 and 3
-            union(c[1], c[2])
+            pairs += [(c[0], c[3]), (c[1], c[2])]
+    labels = connected_classes(2 * d.n, ((x - 1, y - 1) for x, y in pairs))
     groups: dict[int, set[int]] = {}
-    for a in parent:
-        groups.setdefault(find(a), set()).add(a)
+    for a, label in enumerate(labels, 1):
+        groups.setdefault(label, set()).add(a)
     return frozenset(frozenset(g) for g in groups.values())
 
 

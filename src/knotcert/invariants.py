@@ -15,7 +15,9 @@ Everything here is exact integer / rational arithmetic:
 
 Polynomial determinants are computed by exact interpolation: evaluate the
 matrix at enough integer points, take fraction-free (Bareiss) determinants,
-and Lagrange-interpolate the coefficients.
+and recover the coefficients by Newton divided differences, all in integer
+arithmetic.  Fox-matrix entries are linear in t and are stored as integer
+pairs, so the matrix at a point is filled with plain integers.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .diagram import (
+    Diagram,
     OrientedDiagram,
     SpecialityReport,
     cached_on_instance,
@@ -34,7 +37,7 @@ from .diagram import (
     smoothing_corner_pair,
 )
 from .errors import InconsistencyError
-from .lattice import GramForm, Matrix, det_int
+from .lattice import GramForm, Matrix, connected_classes, det_int
 from .lattice import signature as form_signature
 from .tait import TaitGraph, orientable_flow_lattice
 
@@ -196,32 +199,31 @@ class LaurentPolynomial:
 def _interpolate_int_poly(xs: list[int], ys: list[int]) -> list[int]:
     """Integer coefficients (ascending degree) of the polynomial through the points.
 
-    Plain Lagrange interpolation over Fractions; the values must come from a
-    polynomial of degree < len(xs) with integer coefficients, otherwise this
-    raises InconsistencyError.
+    Newton divided differences at distinct integer points, then Horner
+    expansion of the Newton form.  The divided differences are integers
+    exactly when the values come from an integer polynomial of degree
+    < len(xs); a division with a remainder raises InconsistencyError.
     """
     n = len(xs)
-    acc = [Fraction(0)] * n
-    for i in range(n):
-        numer = [Fraction(1)]
-        denom = Fraction(1)
-        for j in range(n):
-            if j == i:
-                continue
-            new = [Fraction(0)] * (len(numer) + 1)
-            for k, c in enumerate(numer):
-                new[k] -= xs[j] * c
-                new[k + 1] += c
-            numer = new
-            denom *= xs[i] - xs[j]
-        scale = ys[i] / denom
-        for k, c in enumerate(numer):
-            acc[k] += scale * c
-    out = []
-    for c in acc:
-        if c.denominator != 1:
-            raise InconsistencyError(f"interpolated coefficient {c} is not an integer")
-        out.append(int(c))
+    dd = list(ys)
+    for k in range(1, n):
+        for i in range(n - 1, k - 1, -1):
+            q, r = divmod(dd[i] - dd[i - 1], xs[i] - xs[i - k])
+            if r:
+                raise InconsistencyError(
+                    f"divided difference {dd[i] - dd[i - 1]}/{xs[i] - xs[i - k]} "
+                    "is not an integer"
+                )
+            dd[i] = q
+    out = dd[-1:]
+    for k in range(n - 2, -1, -1):
+        # out <- out * (t - xs[k]) + dd[k]
+        x = xs[k]
+        out = (
+            [dd[k] - x * out[0]]
+            + [out[j - 1] - x * out[j] for j in range(1, len(out))]
+            + [out[-1]]
+        )
     while out and out[-1] == 0:
         out.pop()
     return out
@@ -237,26 +239,34 @@ def goeritz_matrix(od_or_diagram, color: int) -> GramForm:
     in the corner pair (0, 2) counts +1, in (1, 3) counts -1; off-diagonal
     entries are minus those counts and diagonal entries make rows sum to zero.
     The symmetric matrix on all faces is singular, so the row and column of
-    the highest-index face are dropped.
+    the highest-index face are dropped.  Both colors are built once per
+    diagram.
     """
-    d = getattr(od_or_diagram, "diagram", od_or_diagram)
+    return _goeritz_matrices(getattr(od_or_diagram, "diagram", od_or_diagram))[color]
+
+
+@cached_on_instance
+def _goeritz_matrices(d: Diagram) -> tuple[GramForm, GramForm]:
     cb = checkerboard(d)
-    verts = [fi for fi in range(len(cb.faces)) if cb.colors[fi] == color]
-    idx = {fi: i for i, fi in enumerate(verts)}
-    m = len(verts)
-    full = [[0] * m for _ in range(m)]
-    for ci in range(d.n):
-        pair = cb.corner_pair_of_color(ci, color)
-        u = idx[cb.face_at_corner[ci][pair[0]]]
-        v = idx[cb.face_at_corner[ci][pair[1]]]
-        eta = 1 if pair == (0, 2) else -1
-        if u != v:
-            full[u][v] -= eta
-            full[v][u] -= eta
-    for i in range(m):
-        full[i][i] = -sum(full[i][j] for j in range(m) if j != i)
-    reduced = tuple(tuple(row[: m - 1]) for row in full[: m - 1])
-    return GramForm(reduced, provenance=f"Goeritz matrix on color-{color} faces")
+    out = []
+    for color in (0, 1):
+        verts = [fi for fi in range(len(cb.faces)) if cb.colors[fi] == color]
+        idx = {fi: i for i, fi in enumerate(verts)}
+        m = len(verts)
+        full = [[0] * m for _ in range(m)]
+        for ci in range(d.n):
+            pair = cb.corner_pair_of_color(ci, color)
+            u = idx[cb.face_at_corner[ci][pair[0]]]
+            v = idx[cb.face_at_corner[ci][pair[1]]]
+            eta = 1 if pair == (0, 2) else -1
+            if u != v:
+                full[u][v] -= eta
+                full[v][u] -= eta
+        for i in range(m):
+            full[i][i] = -sum(full[i][j] for j in range(m) if j != i)
+        reduced = tuple(tuple(row[: m - 1]) for row in full[: m - 1])
+        out.append(GramForm(reduced, provenance=f"Goeritz matrix on color-{color} faces"))
+    return out[0], out[1]
 
 
 def _correction_term(od: OrientedDiagram, surface_color: int) -> int:
@@ -483,6 +493,12 @@ def alexander_via_seifert(od: OrientedDiagram) -> LaurentPolynomial:
     return _normalize_alexander(raw, "seifert backend")
 
 
+# Fox derivatives (as c0 + c1 t) of a crossing's Wirtinger relation by its
+# overstrand, incoming and outgoing understrand, per crossing sign.  Rows of
+# negative crossings are premultiplied by t to stay polynomial (a unit).
+_FOX_ROW = {1: ((1, -1), (0, 1), (-1, 0)), -1: ((-1, 1), (1, 0), (0, -1))}
+
+
 def alexander_via_wirtinger(od: OrientedDiagram) -> LaurentPolynomial:
     """Fox derivative matrix of the Wirtinger presentation, one row and one
     column deleted, determinant by interpolation."""
@@ -491,49 +507,20 @@ def alexander_via_wirtinger(od: OrientedDiagram) -> LaurentPolynomial:
     if n == 0:
         return LaurentPolynomial.one()
 
-    parent = list(range(2 * n + 1))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for ci in range(n):
-        c = d.crossings[ci]
-        a, b = find(c[1]), find(c[3])
-        if a != b:
-            parent[a] = b
-    reps = sorted({find(a) for a in range(1, 2 * n + 1)})
-    if len(reps) != n:
+    # overstrands: arcs joined through the over-slots of each crossing
+    col = connected_classes(2 * n, ((c[1] - 1, c[3] - 1) for c in d.crossings))
+    if max(col) + 1 != n:
         raise InconsistencyError(
-            f"expected {n} overstrands for a knot diagram, found {len(reps)}"
+            f"expected {n} overstrands for a knot diagram, found {max(col) + 1}"
         )
-    col = {rep: i for i, rep in enumerate(reps)}
-
-    # Row for each crossing, as integer polynomials in t.  Negative-crossing
-    # rows are premultiplied by t to stay polynomial (a unit, so harmless).
-    rows: list[dict[int, LaurentPolynomial]] = []
-    t = LaurentPolynomial.from_dict({1: 1})
-    onep = LaurentPolynomial.one()
-    for ci in range(n):
-        c = d.crossings[ci]
-        over = col[find(c[1])]
-        inc = col[find(c[0])]
-        out = col[find(c[2])]
-        row: dict[int, LaurentPolynomial] = {}
-
-        def add(j: int, p: LaurentPolynomial) -> None:
-            row[j] = row.get(j, LaurentPolynomial(())) + p
-
-        if od.signs[ci] == 1:
-            add(over, onep - t)
-            add(inc, t)
-            add(out, -onep)
-        else:
-            add(over, t - onep)
-            add(inc, onep)
-            add(out, -t)
+    # Row for each crossing: column -> [c0, c1] for the entry c0 + c1 t.
+    rows: list[dict[int, list[int]]] = []
+    for ci, c in enumerate(d.crossings):
+        row: dict[int, list[int]] = {}
+        for arc, (c0, c1) in zip((c[1], c[0], c[2]), _FOX_ROW[od.signs[ci]]):
+            entry = row.setdefault(col[arc - 1], [0, 0])
+            entry[0] += c0
+            entry[1] += c1
         rows.append(row)
 
     size = n - 1
@@ -542,11 +529,11 @@ def alexander_via_wirtinger(od: OrientedDiagram) -> LaurentPolynomial:
     xs = list(range(2, 2 + size + 1))
     ys = []
     for x in xs:
-        # entries have exponents 0 and 1 only, so their values are integers
-        mat = [
-            [int(rows[i].get(j, LaurentPolynomial(()))(x)) for j in range(size)]
-            for i in range(size)
-        ]
+        mat = [[0] * size for _ in range(size)]
+        for mrow, row in zip(mat, rows):
+            for j, (c0, c1) in row.items():
+                if j < size:
+                    mrow[j] = c0 + c1 * x
         ys.append(det_int(mat))
     coeffs = _interpolate_int_poly(xs, ys)
     raw = LaurentPolynomial.from_dict({k: c for k, c in enumerate(coeffs)})

@@ -12,6 +12,9 @@ answers are exact.  The two nontrivial operations are
   indecomposable vectors of norm <= B span the lattice whenever B bounds the
   norms of some basis.  Grouping indecomposable vectors by the transitive
   closure of "non-orthogonal" yields exactly the indecomposable summands.
+  Since x.(v - x) = x.v - |x|^2, v is decomposable exactly when some x with
+  |x|^2 < |v|^2 has x.v = |x|^2; with G x computed once per short vector,
+  each such test (and each orthogonality test of the grouping) is O(n).
 
 * `isometric` -- decide whether two definite forms are equivalent over the
   integers, by backtracking over images of basis vectors among short vectors
@@ -24,6 +27,7 @@ before being handed back.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
 import math
@@ -119,7 +123,8 @@ def mat_mul(a, b) -> list[list]:
 
 
 def det_int(m) -> int:
-    """Determinant of an integer matrix by fraction-free Bareiss elimination."""
+    """Determinant of an integer matrix by fraction-free Bareiss elimination,
+    a row at a time; after step k, rows keep only the columns right of k."""
     n = len(m)
     if n == 0:
         return 1
@@ -127,18 +132,51 @@ def det_int(m) -> int:
     sign = 1
     prev = 1
     for k in range(n - 1):
-        if a[k][k] == 0:
-            pivot = next((i for i in range(k + 1, n) if a[i][k] != 0), None)
+        if a[k][0] == 0:
+            pivot = next((i for i in range(k + 1, n) if a[i][0] != 0), None)
             if pivot is None:
                 return 0
             a[k], a[pivot] = a[pivot], a[k]
             sign = -sign
+        rest = a[k]
+        p = rest.pop(0)
         for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-            a[i][k] = 0
-        prev = a[k][k]
-    return sign * a[n - 1][n - 1]
+            row = a[i]
+            f = row.pop(0)
+            if f:
+                a[i] = [(x * p - f * y) // prev for x, y in zip(row, rest)]
+            elif p != prev:
+                a[i] = [x * p // prev for x in row]
+        prev = p
+    return sign * a[n - 1][0]
+
+
+def connected_classes(n: int, pairs) -> list[int]:
+    """Union-find over 0..n-1 joined along `pairs`; returns each element's
+    class label, labels numbered 0, 1, ... by first appearance."""
+    parent = list(range(n))
+
+    def find(x: int) -> int:
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for x, y in pairs:
+        rx, ry = find(x), find(y)
+        if rx != ry:
+            parent[rx] = ry
+    labels: dict[int, int] = {}
+    return [labels.setdefault(find(x), len(labels)) for x in range(n)]
+
+
+def gram_image(gram, v) -> tuple[int, ...]:
+    """G v; the form's value on (v, w) is then dot(G v, w)."""
+    return tuple(sum(g * x for g, x in zip(row, v)) for row in gram)
+
+
+def dot(a, b) -> int:
+    return sum(x * y for x, y in zip(a, b))
 
 
 def congruence(u_cols, gram) -> list[list[int]]:
@@ -276,7 +314,8 @@ def greedy_reduce(gram) -> tuple[list[list[int]], list[list[int]]]:
 
 
 # ---------------------------------------------------------------------------
-# short vector enumeration (Fincke-Pohst on an exact LDL^T factorization)
+# short vector enumeration (Fincke-Pohst on an exact LDL^T factorization,
+# enumerated in integer arithmetic)
 
 
 def _ldl(gram) -> tuple[list[list[Fraction]], list[Fraction]]:
@@ -301,33 +340,34 @@ def short_vectors(gram, bound: int) -> list[tuple[tuple[int, ...], int]]:
     if n == 0 or bound <= 0:
         return []
     L, d = _ldl(gram)
+    # The norm is sum_i d_i (x_i + c_i)^2 with c_i = sum_{j>i} L_ji x_j.  In
+    # integers: x_i + c_i = z_i / den_i with z_i = x_i den_i + sum num_ij x_j,
+    # and scale * norm = sum_i w_i z_i^2.
+    den = [math.lcm(*(L[j][i].denominator for j in range(i + 1, n))) for i in range(n)]
+    num = [[int(L[j][i] * den[i]) for j in range(n)] for i in range(n)]
+    weights = [d[i] / den[i] ** 2 for i in range(n)]
+    scale = math.lcm(*(wi.denominator for wi in weights))
+    w = [int(wi * scale) for wi in weights]
     out: list[tuple[tuple[int, ...], int]] = []
     x = [0] * n
 
-    def norm_of(v) -> int:
-        return sum(v[i] * gram[i][j] * v[j] for i in range(n) for j in range(n))
-
-    def rec(i: int, remaining: Fraction):
+    def rec(i: int, remaining: int):
         if i < 0:
             if any(x):
                 v = tuple(x)
                 if v > tuple(-c for c in v):
-                    out.append((v, norm_of(v)))
+                    out.append((v, bound - remaining // scale))
             return
-        c = sum(L[j][i] * x[j] for j in range(i + 1, n))
-        # d[i] * (x_i + c)^2 <= remaining
-        r2 = remaining / d[i]
-        r_approx = math.sqrt(float(r2)) if r2 > 0 else 0.0
-        lo = math.floor(-float(c) - r_approx) - 1
-        hi = math.ceil(-float(c) + r_approx) + 1
-        for xi in range(lo, hi + 1):
-            term = d[i] * (xi + c) ** 2
-            if term <= remaining:
-                x[i] = xi
-                rec(i - 1, remaining - term)
+        s = sum(num[i][j] * x[j] for j in range(i + 1, n))
+        # w_i z_i^2 <= remaining  <=>  |z_i| <= t, since z_i is an integer
+        t = math.isqrt(remaining // w[i])
+        for xi in range(-((t + s) // den[i]), (t - s) // den[i] + 1):
+            z = xi * den[i] + s
+            x[i] = xi
+            rec(i - 1, remaining - w[i] * z * z)
         x[i] = 0
 
-    rec(n - 1, Fraction(bound))
+    rec(n - 1, bound * scale)
     out.sort(key=lambda p: (p[1], p[0]))
     return out
 
@@ -376,6 +416,22 @@ def lattice_row_basis(vectors) -> list[list[int]]:
 # indecomposable orthogonal summands
 
 
+def indecomposable_vectors(gram, shorts):
+    """(v, G v) for each v of `shorts` (short_vectors output, sorted by norm)
+    that is not x + y with x, y nonzero and orthogonal.
+
+    Such a split has x.v = |x|^2 and |x|^2 < |v|^2, so testing the shorter
+    vectors (and, through the absolute value, their negatives) is exhaustive.
+    """
+    images = [gram_image(gram, v) for v, _ in shorts]
+    norms = [nv for _, nv in shorts]
+    return [
+        (v, images[k])
+        for k, (v, nv) in enumerate(shorts)
+        if not any(abs(dot(images[i], v)) == norms[i] for i in range(bisect_left(norms, nv)))
+    ]
+
+
 def _check_rank_cap(rank: int, rank_cap: int):
     if rank > rank_cap:
         raise RankCapExceededError(rank, rank_cap)
@@ -406,48 +462,20 @@ def indecomposable_summands(
 
     g_red, u_red = greedy_reduce(g0)
     bound = max(g_red[i][i] for i in range(n))
-    shorts = short_vectors(g_red, bound)
-
-    def dot(a, b) -> int:
-        return sum(a[i] * g_red[i][j] * b[j] for i in range(n) for j in range(n))
-
-    # filter to indecomposable vectors: v is decomposable iff v = x + (v-x)
-    # with both parts nonzero and orthogonal; then |x|^2 < |v|^2, so testing
-    # x over the (sign-expanded) short list is exhaustive.
-    signed = [v for v, _ in shorts] + [tuple(-c for c in v) for v, _ in shorts]
-    indec: list[tuple[int, ...]] = []
-    for v, nv in shorts:
-        decomposable = False
-        for x in signed:
-            nx = dot(x, x)
-            if nx >= nv:
-                continue
-            y = tuple(v[i] - x[i] for i in range(n))
-            if any(y) and dot(x, y) == 0:
-                decomposable = True
-                break
-        if not decomposable:
-            indec.append(v)
-
-    # union-find clustering by non-orthogonality
-    parent = list(range(len(indec)))
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    for i in range(len(indec)):
-        for j in range(i + 1, len(indec)):
-            if dot(indec[i], indec[j]) != 0:
-                ri, rj = find(i), find(j)
-                if ri != rj:
-                    parent[ri] = rj
-
+    indec = indecomposable_vectors(g_red, short_vectors(g_red, bound))
+    # cluster by the transitive closure of non-orthogonality
+    labels = connected_classes(
+        len(indec),
+        (
+            (i, j)
+            for i, (_, gv) in enumerate(indec)
+            for j in range(i + 1, len(indec))
+            if dot(gv, indec[j][0]) != 0
+        ),
+    )
     clusters: dict[int, list[tuple[int, ...]]] = {}
-    for i, v in enumerate(indec):
-        clusters.setdefault(find(i), []).append(v)
+    for label, (v, _) in zip(labels, indec):
+        clusters.setdefault(label, []).append(v)
     ordered = sorted(clusters.values(), key=lambda c: min(c))
 
     new_rows: list[list[int]] = []
@@ -524,21 +552,20 @@ def isometric(
     target = q2.matrix
     bound = max(target[i][i] for i in range(n))
     shorts = short_vectors(g1, bound)
-    by_norm: dict[int, list[tuple[int, ...]]] = {}
+    # candidates of each norm, both signs, with G v precomputed
+    by_norm: dict[int, list[tuple[tuple[int, ...], tuple[int, ...]]]] = {}
     for v, nv in shorts:
-        by_norm.setdefault(nv, []).append(v)
-        by_norm[nv].append(tuple(-c for c in v))
-
-    def dot(a, b) -> int:
-        return sum(a[i] * g1[i][j] * b[j] for i in range(n) for j in range(n))
+        gv = gram_image(g1, v)
+        by_norm.setdefault(nv, []).append((v, gv))
+        by_norm[nv].append((tuple(-c for c in v), tuple(-c for c in gv)))
 
     chosen: list[tuple[int, ...]] = []
 
     def rec(k: int) -> bool:
         if k == n:
             return True
-        for cand in by_norm.get(target[k][k], ()):
-            if all(dot(cand, chosen[j]) == target[k][j] for j in range(k)):
+        for cand, gcand in by_norm.get(target[k][k], ()):
+            if all(dot(gcand, chosen[j]) == target[k][j] for j in range(k)):
                 chosen.append(cand)
                 if rec(k + 1):
                     return True

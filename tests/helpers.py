@@ -230,3 +230,91 @@ def block_partition_oracle(n_vertices, edges):
         assert len(keys) >= 1
         groups.setdefault(frozenset().union(*keys), set()).add(ei)
     return sorted(tuple(sorted(s)) for s in groups.values())
+
+
+def necklace(sides):
+    """A cycle whose i-th side is a bundle of sides[i] parallel edges, with
+    the bundles nested as in `theta`."""
+    m = len(sides)
+    edges, bundles = [], []
+    for i, p in enumerate(sides):
+        bundles.append(range(len(edges), len(edges) + p))
+        edges.extend((i, (i + 1) % m) for _ in range(p))
+    rotations = tuple(
+        tuple((e, 0) for e in bundles[i]) + tuple((e, 1) for e in reversed(bundles[i - 1]))
+        for i in range(m)
+    )
+    return PlaneGraph(tuple(edges), rotations)
+
+
+# ---------------------------------------------------------------------------
+# independent reference implementations of the exact kernels
+
+
+def poly_value(coeffs, x):
+    """Value at x of the polynomial with ascending coefficients `coeffs`."""
+    return sum(c * x**k for k, c in enumerate(coeffs))
+
+
+def det_fraction(m):
+    """Determinant by Gaussian elimination over Fractions."""
+    from fractions import Fraction
+
+    a = [[Fraction(x) for x in row] for row in m]
+    n = len(a)
+    det = Fraction(1)
+    for k in range(n):
+        pivot = next((i for i in range(k, n) if a[i][k] != 0), None)
+        if pivot is None:
+            return 0
+        if pivot != k:
+            a[k], a[pivot] = a[pivot], a[k]
+            det = -det
+        det *= a[k][k]
+        for i in range(k + 1, n):
+            f = a[i][k] / a[k][k]
+            for j in range(k, n):
+                a[i][j] -= f * a[k][j]
+    assert det.denominator == 1
+    return int(det)
+
+
+def decomposable_bruteforce(gram, shorts):
+    """The vectors of `shorts` that split as v = x + y with x, y nonzero and
+    x.y = 0, by the definition: x over every short vector of either sign
+    with |x|^2 < |v|^2 (full quadratic-form evaluations, no precomputation)."""
+    n = len(gram)
+
+    def form(a, b):
+        return sum(a[i] * gram[i][j] * b[j] for i in range(n) for j in range(n))
+
+    signed = [v for v, _ in shorts] + [tuple(-c for c in v) for v, _ in shorts]
+    out = []
+    for v, nv in shorts:
+        for x in signed:
+            y = tuple(a - b for a, b in zip(v, x))
+            if form(x, x) < nv and any(y) and form(x, y) == 0:
+                out.append(v)
+                break
+    return out
+
+
+def short_vectors_bruteforce(gram, bound):
+    """short_vectors by scanning a box: for positive definite G,
+    x^T G x <= bound forces x_i^2 <= bound * (G^-1)_ii."""
+    import itertools
+    import math
+
+    n = len(gram)
+    det = det_fraction(gram)
+    ranges = []
+    for i in range(n):
+        minor = [[gram[r][c] for c in range(n) if c != i] for r in range(n) if r != i]
+        k = math.isqrt(bound * det_fraction(minor) // det)
+        ranges.append(range(-k, k + 1))
+    out = []
+    for v in itertools.product(*ranges):
+        norm = sum(v[i] * gram[i][j] * v[j] for i in range(n) for j in range(n))
+        if any(v) and norm <= bound and v > tuple(-c for c in v):
+            out.append((v, norm))
+    return sorted(out, key=lambda p: (p[1], p[0]))

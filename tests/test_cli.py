@@ -173,6 +173,19 @@ def test_batch_malformed_row_fails_only_that_entry(tmp_path, capsys, filename, t
     assert summary["counts"] == {"band_prime_certified": 1, "failed": 1}
 
 
+def test_batch_names_that_are_not_file_names_fail_only_that_entry(tmp_path, capsys):
+    f = tmp_path / "c.csv"
+    f.write_text(f'name,pd\na/b,"{TREFOIL}"\n../x,"{TREFOIL}"\ntrefoil,"{TREFOIL}"\n')
+    outdir = tmp_path / "box" / "out"
+    code, out, err = run(capsys, "batch", str(f), "--json", "--out", str(outdir))
+    assert code == 0
+    assert "warning: a/b:" in err and "warning: ../x:" in err
+    assert json.loads(out)["counts"] == {"band_prime_certified": 1, "failed": 2}
+    assert sorted(p.name for p in outdir.iterdir()) == ["trefoil.json"]
+    assert sorted(p.name for p in (tmp_path / "box").iterdir()) == ["out"]
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["box", "c.csv"]
+
+
 def test_batch_stored_value_mismatch_is_inconsistency(tmp_path, capsys):
     f = tmp_path / "c.csv"
     f.write_text('name,pd,det\nwrong,"X(1,4,2,5) X(3,6,4,1) X(5,2,6,3)",99\n')

@@ -1,0 +1,75 @@
+"""Seeded fuzz of `knotcert analyze`: random PD texts (mostly invalid, some
+near-valid mutations of corpus diagrams) and medial diagrams of random plane
+graphs.  Every input must end in a report or a documented error: only
+KnotCertError subclasses may escape the library, and a diagram that parses
+must never trigger an InconsistencyError (exit 1 of the CLI)."""
+
+from __future__ import annotations
+
+import random
+
+from helpers import plane_graph_from_multigraph, random_connected_multigraph
+from knotcert.cli import _analysis
+from knotcert.corpus import load_corpus
+from knotcert.diagram import orient, parse_pd
+from knotcert.errors import InconsistencyError, KnotCertError
+from knotcert.medial import medial_diagram
+
+
+def _random_pd(rng: random.Random) -> str:
+    n = rng.randint(1, 6)
+    labels = [a for a in range(1, 2 * n + 1) for _ in (0, 1)]
+    rng.shuffle(labels)
+    return " ".join("X({},{},{},{})".format(*labels[4 * i: 4 * i + 4]) for i in range(n))
+
+
+def _mutated_pd(rng: random.Random, crossings) -> str:
+    """A corpus diagram with one crossing rotated, reversed or relabelled."""
+    cs = [list(c) for c in crossings]
+    c = rng.choice(cs)
+    op = rng.randrange(3)
+    if op == 0:
+        k = rng.randint(1, 3)
+        c[:] = c[k:] + c[:k]
+    elif op == 1:
+        c.reverse()
+    else:
+        i = rng.randrange(4)
+        c[i] = rng.randint(1, 2 * len(cs))
+    rng.shuffle(cs)
+    return " ".join("X({},{},{},{})".format(*c) for c in cs)
+
+
+def _outcome(text: str) -> str:
+    try:
+        d = parse_pd(text)
+    except KnotCertError:
+        return "rejected"
+    try:
+        _analysis(orient(d), 6, False)
+    except InconsistencyError as ex:
+        raise AssertionError(f"inconsistency on valid diagram {text!r}: {ex}") from ex
+    except KnotCertError:
+        return "error"
+    return "report"
+
+
+def test_fuzz_analyze_only_documented_errors():
+    rng = random.Random(20261018)
+    corpus = [parse_pd(e.pd).crossings for e in load_corpus() if e.pd]
+    texts = [_random_pd(rng) for _ in range(250)]
+    texts += [_mutated_pd(rng, rng.choice(corpus)) for _ in range(250)]
+    graphs = 0
+    while graphs < 60:
+        n, edges = random_connected_multigraph(rng, max_edges=8)
+        g = plane_graph_from_multigraph(n, edges) if edges else None
+        if g is None:
+            continue
+        graphs += 1
+        texts.append(medial_diagram(g, rng.choice((1, -1)))[0].pd_text())
+    seen = {}
+    for text in texts:
+        out = _outcome(text)
+        seen[out] = seen.get(out, 0) + 1
+    # the fuzz reaches every outcome, so it exercises the whole pipeline
+    assert set(seen) == {"rejected", "error", "report"}, seen

@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import plane_graph_from_multigraph, random_connected_multigraph
+from helpers import plane_graph_from_multigraph, poly_value, random_connected_multigraph
 from knotcert.diagram import mirror_diagram, orient, parse_pd
 from knotcert.errors import ClassificationError, InconsistencyError
 from knotcert.invariants import (
@@ -107,6 +107,34 @@ def test_interpolation_roundtrip():
         while want and want[-1] == 0:
             want.pop()
         assert got == want
+
+
+def test_interpolation_roundtrip_high_degree_large_coefficients():
+    rng = random.Random(40)
+    for deg in (0, 1, 7, 20, 40):
+        coeffs = [rng.randint(-10**12, 10**12) for _ in range(deg)] + [rng.choice((-1, 1)) * 10**15]
+        xs = list(range(2, 2 + deg + 1))
+        got = _interpolate_int_poly(xs, [poly_value(coeffs, x) for x in xs])
+        assert got == coeffs and all(type(c) is int for c in got)
+
+
+def test_interpolation_on_negative_and_non_consecutive_points():
+    rng = random.Random(41)
+    for _ in range(50):
+        deg = rng.randint(0, 12)
+        coeffs = [rng.randint(-50, 50) for _ in range(deg + 1)]
+        xs = rng.sample(range(-40, 40), deg + 1 + rng.randint(0, 3))
+        want = coeffs[:]
+        while want and want[-1] == 0:
+            want.pop()
+        assert _interpolate_int_poly(xs, [poly_value(coeffs, x) for x in xs]) == want
+
+
+def test_interpolation_rejects_values_of_a_non_integer_polynomial():
+    # t(t - 1)/2 is integer-valued but has non-integer coefficients
+    xs = [-3, 1, 4]
+    with pytest.raises(InconsistencyError):
+        _interpolate_int_poly(xs, [x * (x - 1) // 2 for x in xs])
 
 
 def test_interpolation_rejects_non_integer():

@@ -6,8 +6,17 @@ import random
 
 import pytest
 
-from helpers import congruent_scramble, random_unimodular
+from helpers import (
+    congruent_scramble,
+    decomposable_bruteforce,
+    det_fraction,
+    necklace,
+    random_unimodular,
+    short_vectors_bruteforce,
+    theta,
+)
 import knotcert.lattice
+from knotcert.diagram import orient
 from knotcert.errors import DegenerateFormError, InconsistencyError, RankCapExceededError
 from knotcert.lattice import (
     Decomposition,
@@ -17,12 +26,17 @@ from knotcert.lattice import (
     det_int,
     greedy_reduce,
     indecomposable_summands,
+    indecomposable_vectors,
     inertia,
     isometric,
     lattice_row_basis,
+    mat_mul,
     short_vectors,
     signature,
+    transpose,
 )
+from knotcert.medial import medial_diagram
+from knotcert.tait import orientable_flow_lattice
 
 A2 = GramForm(((2, 1), (1, 2)))
 
@@ -221,3 +235,103 @@ def test_decomposition_json_roundtrippable():
     assert isinstance(dec, Decomposition)
     assert blob["summands"][0]["matrix"] == [[3]]
     assert blob["summands"][0]["provenance"] == "demo"
+
+
+# ---------------------------------------------------------------------------
+# kernels against independent reference implementations (tests/helpers.py)
+
+
+def _random_int_matrix(rng, n, density, lo=-9, hi=9):
+    return [[rng.randint(lo, hi) if rng.random() < density else 0 for _ in range(n)]
+            for _ in range(n)]
+
+
+def test_det_int_matches_fraction_elimination():
+    rng = random.Random(2024)
+    for trial in range(300):
+        n = rng.randint(1, 9)
+        m = _random_int_matrix(rng, n, rng.choice((0.2, 0.5, 1.0)))
+        if trial % 3 == 0 and n > 1:  # zero leading pivot: forces a row swap
+            m[0][0] = 0
+        if trial % 5 == 0 and n > 2:  # rank deficient
+            m[-1] = [a + b for a, b in zip(m[0], m[1])]
+        assert det_int(m) == det_fraction(m), m
+
+
+def test_det_int_on_sparse_fox_like_rows():
+    """Rows with three nonzero entries c0 + c1 x at a point x, like a Fox
+    matrix evaluated at an integer, and with large entries."""
+    rng = random.Random(7)
+    for _ in range(60):
+        n = rng.randint(2, 14)
+        x = rng.choice((2, 5, 41, 10**6))
+        m = [[0] * n for _ in range(n)]
+        for row in m:
+            for j, (c0, c1) in zip(rng.sample(range(n), 3 if n >= 3 else n),
+                                   ((1, -1), (0, 1), (-1, 0))):
+                row[j] += c0 + c1 * x
+        assert det_int(m) == det_fraction(m)
+
+
+def _random_definite(rng, n):
+    """B^T B for a random nonsingular integer B, or an orthogonal sum of
+    A_k blocks scrambled by a unimodular change of basis."""
+    if rng.random() < 0.5:
+        while True:
+            b = _random_int_matrix(rng, n, 0.6, -2, 2)
+            if det_fraction(b):
+                return [list(r) for r in mat_mul(transpose(b), b)]
+    blocks, left = [], n
+    while left:
+        k = rng.randint(1, left)
+        blocks.append(k)
+        left -= k
+    g = [[0] * n for _ in range(n)]
+    off = 0
+    for k in blocks:
+        for i in range(k):
+            g[off + i][off + i] = 2
+            if i:
+                g[off + i][off + i - 1] = g[off + i - 1][off + i] = -1
+        off += k
+    return congruent_scramble(g, rng)[0]
+
+
+def test_short_vectors_match_box_scan():
+    rng = random.Random(12)
+    for _ in range(40):
+        gram = _random_definite(rng, rng.randint(1, 4))
+        bound = rng.randint(1, max(gram[i][i] for i in range(len(gram))))
+        assert short_vectors(gram, bound) == short_vectors_bruteforce(gram, bound)
+
+
+def _filter_agrees(gram):
+    g_red, _ = greedy_reduce(gram)
+    shorts = short_vectors(g_red, max(g_red[i][i] for i in range(len(g_red))))
+    kept = [v for v, _ in indecomposable_vectors(g_red, shorts)]
+    dropped = decomposable_bruteforce(g_red, shorts)
+    assert sorted(kept + dropped) == sorted(v for v, _ in shorts)
+    assert not set(kept) & set(dropped)
+    for v, gv in indecomposable_vectors(g_red, shorts):
+        assert list(gv) == [sum(r * x for r, x in zip(row, v)) for row in g_red]
+    return len(kept), len(dropped)
+
+
+def test_indecomposable_filter_matches_definition_on_random_forms():
+    rng = random.Random(31)
+    dropped_any = False
+    for _ in range(40):
+        _kept, dropped = _filter_agrees(_random_definite(rng, rng.randint(1, 6)))
+        dropped_any |= dropped > 0
+    assert dropped_any
+
+
+@pytest.mark.parametrize(
+    "graph",
+    [theta(k) for k in (3, 5, 9, 13)] + [necklace(s) for s in ([3, 3, 3], [3, 5, 3], [3, 3, 3, 3, 3])],
+    ids=lambda g: f"{g.num_edges}edges-{g.num_vertices}vertices",
+)
+def test_indecomposable_filter_matches_definition_on_knot_lattices(graph):
+    od = orient(medial_diagram(graph, 1)[0])
+    _g, gram, _basis = orientable_flow_lattice(od)
+    _filter_agrees([list(r) for r in gram.matrix])
