@@ -40,7 +40,7 @@ import re
 from dataclasses import dataclass
 
 from .errors import ClassificationError, DiagramError, InconsistencyError, PDSyntaxError
-from .lattice import connected_classes
+from .lattice import connected_classes, two_coloring
 
 Crossing = tuple[int, int, int, int]
 HalfEdge = tuple[int, int]  # (crossing index, slot 0..3)
@@ -140,10 +140,7 @@ def _validate(d: Diagram):
     n = d.n
     if n == 0:
         return
-    counts: dict[int, list[HalfEdge]] = {}
-    for ci, c in enumerate(d.crossings):
-        for slot, a in enumerate(c):
-            counts.setdefault(a, []).append((ci, slot))
+    counts = _occurrences(d)
     expected = set(range(1, 2 * n + 1))
     if set(counts) != expected:
         bad = sorted(set(counts) ^ expected)
@@ -152,20 +149,7 @@ def _validate(d: Diagram):
         if len(occ) != 2:
             raise DiagramError(f"arc {a} appears {len(occ)} times (want 2)")
     # connectivity of the 4-valent graph
-    seen = {0}
-    stack = [0]
-    adj: dict[int, set[int]] = {ci: set() for ci in range(n)}
-    for occ in counts.values():
-        (c1, _), (c2, _) = occ
-        adj[c1].add(c2)
-        adj[c2].add(c1)
-    while stack:
-        ci = stack.pop()
-        for cj in adj[ci]:
-            if cj not in seen:
-                seen.add(cj)
-                stack.append(cj)
-    if len(seen) != n:
+    if max(connected_classes(n, ((c1, c2) for (c1, _), (c2, _) in counts.values()))):
         raise DiagramError("diagram is disconnected")
     # Euler check: tracing faces of the rotation system must give n + 2
     if len(_trace_faces(d)) != n + 2:
@@ -259,29 +243,15 @@ def checkerboard(d: Diagram) -> Checkerboard:
         for he in face:
             owner[he] = fi
     # adjacency across arcs: the two half-edges of an arc see its two sides
-    colors: dict[int, int] = {0: 0}
-    queue = [0]
-    adj: dict[int, set[int]] = {fi: set() for fi in range(len(faces))}
-    for a, (h1, h2) in _occurrences(d).items():
-        adj[owner[h1]].add(owner[h2])
-        adj[owner[h2]].add(owner[h1])
-    while queue:
-        fi = queue.pop()
-        for fj in adj[fi]:
-            if fj not in colors:
-                colors[fj] = 1 - colors[fi]
-                queue.append(fj)
-            elif colors[fj] == colors[fi]:
-                raise DiagramError("faces are not checkerboard 2-colorable")
+    colors = two_coloring(
+        len(faces), ((owner[h1], owner[h2]) for h1, h2 in _occurrences(d).values())
+    )
+    if colors is None:
+        raise DiagramError("faces are not checkerboard 2-colorable")
     face_at_corner = tuple(
         tuple(owner[(ci, (k + 1) % 4)] for k in range(4)) for ci in range(d.n)
     )
-    cb = Checkerboard(
-        d,
-        faces,
-        tuple(colors[fi] for fi in range(len(faces))),
-        face_at_corner,
-    )
+    cb = Checkerboard(d, faces, tuple(colors), face_at_corner)
     for ci in range(d.n):
         cb.corner_pair_of_color(ci, 0)  # validates the 2+2 corner pattern
     return cb

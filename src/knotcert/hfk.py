@@ -85,9 +85,9 @@ def thin_hfk(delta: LaurentPolynomial, sigma: int) -> HfkTable:
     if table.euler_characteristic() != delta:
         raise InconsistencyError("graded Euler characteristic failed to rebuild input")
     det = delta(-1)
-    if table.total_rank() != abs(int(det)):
+    if table.total_rank() != abs(det):
         raise InconsistencyError(
-            f"total rank {table.total_rank()} differs from determinant {abs(int(det))}"
+            f"total rank {table.total_rank()} differs from determinant {abs(det)}"
         )
     return table
 

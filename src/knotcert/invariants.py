@@ -13,16 +13,20 @@ Everything here is exact integer / rational arithmetic:
   Wirtinger-Fox calculus), with determinant, genus and fiberedness data
   derived from it.
 
-Polynomial determinants are computed by exact interpolation: evaluate the
-matrix at enough integer points, take fraction-free (Bareiss) determinants,
-and recover the coefficients by Newton divided differences, all in integer
-arithmetic.  Fox-matrix entries are linear in t and are stored as integer
-pairs, so the matrix at a point is filled with plain integers.
+Polynomial determinants are computed by exact interpolation: shift each row
+to a polynomial, bound the determinant's degree by the sum of the row spans,
+evaluate at that many plus one integer points, take fraction-free (Bareiss)
+determinants, and recover the coefficients by Newton divided differences, all
+in integer arithmetic.  The Fox matrix is first Tietze-reduced over
+Z[t, t^-1]: every Wirtinger row has unit entries +-t^e, and eliminating on
+them (least Markowitz cost first) changes the determinant by a unit only, so
+what is left to interpolate is sized by the knot, not by the crossing count.
 """
 
 from __future__ import annotations
 
 import re
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -37,9 +41,9 @@ from .diagram import (
     smoothing_corner_pair,
 )
 from .errors import InconsistencyError
-from .lattice import GramForm, Matrix, connected_classes, det_int
+from .lattice import GramForm, Matrix, connected_classes, det_int, two_coloring
 from .lattice import signature as form_signature
-from .tait import TaitGraph, orientable_flow_lattice
+from .tait import orientable_flow_lattice
 
 # ---------------------------------------------------------------------------
 # Laurent polynomials over the integers
@@ -122,7 +126,10 @@ class LaurentPolynomial:
 
     __rmul__ = __mul__
 
-    def __call__(self, x) -> Fraction:
+    def __call__(self, x):
+        """Value at x: an int at x = +-1, where t^-1 = t, a Fraction elsewhere."""
+        if x in (1, -1):
+            return sum(c * x ** (e % 2) for e, c in self.coeffs)
         x = Fraction(x)
         return sum((c * x**e for e, c in self.coeffs), Fraction(0))
 
@@ -135,20 +142,15 @@ class LaurentPolynomial:
             return not other.coeffs
         if not other.coeffs:
             return True
-        num = [Fraction(other.coefficient(e)) for e in range(other.min_exp(), other.max_exp() + 1)]
-        den = [Fraction(self.coefficient(e)) for e in range(self.min_exp(), self.max_exp() + 1)]
-        if len(num) < len(den):
-            return False
-        quot = [Fraction(0)] * (len(num) - len(den) + 1)
-        rem = list(num)
-        for k in range(len(quot) - 1, -1, -1):
-            q = rem[k + len(den) - 1] / den[-1]
-            quot[k] = q
+        rem = [other.coefficient(e) for e in range(other.min_exp(), other.max_exp() + 1)]
+        den = [self.coefficient(e) for e in range(self.min_exp(), self.max_exp() + 1)]
+        for k in range(len(rem) - len(den), -1, -1):
+            q, r = divmod(rem[k + len(den) - 1], den[-1])
+            if r:
+                return False
             for i, dc in enumerate(den):
                 rem[k + i] -= q * dc
-        if any(rem):
-            return False
-        return all(q.denominator == 1 for q in quot)
+        return not any(rem)
 
     def __str__(self) -> str:
         if not self.coeffs:
@@ -312,28 +314,6 @@ class SeifertData:
     gram: GramForm
 
 
-def _bipartition(g: TaitGraph) -> tuple[int, ...]:
-    """Two-color the vertices across edges; raises if an odd cycle exists."""
-    cls = [-1] * g.num_vertices
-    cls[0] = 0
-    queue = [0]
-    adj: dict[int, list[int]] = {v: [] for v in range(g.num_vertices)}
-    for u, v in g.edges:
-        adj[u].append(v)
-        adj[v].append(u)
-    while queue:
-        u = queue.pop()
-        for v in adj[u]:
-            if cls[v] == -1:
-                cls[v] = 1 - cls[u]
-                queue.append(v)
-            elif cls[v] == cls[u]:
-                raise InconsistencyError(
-                    "checkerboard graph of the orientable color is not bipartite"
-                )
-    return tuple(cls)
-
-
 def _chord_cross_sign(n_slots: int, a1: int, b1: int, a2: int, b2: int) -> int:
     """0 if the chords a1->b1 and a2->b2 of a circle with n_slots marked
     points do not interleave; otherwise +1 when the counterclockwise order
@@ -373,7 +353,9 @@ def seifert_matrix_special(od: OrientedDiagram) -> SeifertData:
                 f"edge {e} of the orientable color has sign {g.edge_signs[e]} "
                 f"but the crossing smooths along {smoothing_corner_pair(od.signs[e])}"
             )
-    cls = _bipartition(g)
+    cls = two_coloring(g.num_vertices, g.edges)
+    if cls is None:
+        raise InconsistencyError("checkerboard graph of the orientable color is not bipartite")
 
     # Band part: crossings shared by two basis curves.
     tau = [-od.signs[e] for e in range(d.n)]
@@ -474,23 +456,52 @@ def _normalize_alexander(raw: LaurentPolynomial, source: str) -> LaurentPolynomi
     return centered
 
 
-def alexander_via_seifert(od: OrientedDiagram) -> LaurentPolynomial:
-    """det(t V - V^T), centered; only available for special diagrams."""
-    sd = seifert_matrix_special(od)
-    r = len(sd.matrix)
-    if r == 0:
-        return LaurentPolynomial.one()
-    xs = list(range(2, 2 + r + 1))
+def _laurent_det(m) -> LaurentPolynomial:
+    """Determinant, up to a unit, of a square matrix of Laurent entries
+    ({exponent: coefficient}, zeros dropped) by interpolation.
+
+    Each row is shifted to a polynomial (each column instead, by transposing,
+    when the column spans sum to less); the sum of the spans then bounds the
+    degree of the determinant, so that many plus one integer points suffice.
+    """
+    def spans(rows):
+        exps = [[k for e in row for k in e] for row in rows]
+        if not all(exps):
+            raise InconsistencyError("polynomial matrix has a zero row or column")
+        return [(min(x), max(x)) for x in exps]
+
+    cols = [list(c) for c in zip(*m)]
+    row_spans, col_spans = spans(m), spans(cols)
+    if sum(b - a for a, b in col_spans) < sum(b - a for a, b in row_spans):
+        m, row_spans = cols, col_spans
+    # each row as its coefficient rows of t^hi, ..., t^lo, for Horner's rule
+    layers = []
+    for row, (lo, hi) in zip(m, row_spans):
+        layers.append([[e.get(k, 0) for e in row] for k in range(hi, lo - 1, -1)])
+    degree = sum(b - a for a, b in row_spans)
+    # points 0, 1, -1, 2, -2, ... keep the evaluated entries small
+    xs = [(k + 1) // 2 * (1 if k % 2 else -1) for k in range(degree + 1)]
     ys = []
     for x in xs:
-        rows = [
-            [x * sd.matrix[i][j] - sd.matrix[j][i] for j in range(r)]
-            for i in range(r)
-        ]
-        ys.append(det_int(rows))
-    coeffs = _interpolate_int_poly(xs, ys)
-    raw = LaurentPolynomial.from_dict({k: c for k, c in enumerate(coeffs)})
-    return _normalize_alexander(raw, "seifert backend")
+        mat = []
+        for top, *rest in layers:
+            for layer in rest:
+                top = [v * x + c for v, c in zip(top, layer)]
+            mat.append(top)
+        ys.append(det_int(mat))
+    return LaurentPolynomial.from_dict(dict(enumerate(_interpolate_int_poly(xs, ys))))
+
+
+def alexander_via_seifert(od: OrientedDiagram) -> LaurentPolynomial:
+    """det(t V - V^T), centered; only available for special diagrams."""
+    v = seifert_matrix_special(od).matrix
+    if not v:
+        return LaurentPolynomial.one()
+    m = [
+        [{k: c for k, c in ((1, vij), (0, -vji)) if c} for vij, vji in zip(row, col)]
+        for row, col in zip(v, zip(*v))
+    ]
+    return _normalize_alexander(_laurent_det(m), "seifert backend")
 
 
 # Fox derivatives (as c0 + c1 t) of a crossing's Wirtinger relation by its
@@ -499,45 +510,79 @@ def alexander_via_seifert(od: OrientedDiagram) -> LaurentPolynomial:
 _FOX_ROW = {1: ((1, -1), (0, 1), (-1, 0)), -1: ((-1, 1), (1, 0), (0, -1))}
 
 
-def alexander_via_wirtinger(od: OrientedDiagram) -> LaurentPolynomial:
-    """Fox derivative matrix of the Wirtinger presentation, one row and one
-    column deleted, determinant by interpolation."""
+def _fox_residue(od: OrientedDiagram) -> list[list[dict[int, int]]]:
+    """The Fox matrix of the Wirtinger presentation with its last row and
+    column deleted, after Tietze reduction, as rows of Laurent entries
+    ({exponent: coefficient}, {} for zero).
+
+    While some entry is a unit +-t^e, the one of least Markowitz cost (ties to
+    the least (row, column)) clears its column and its row and column are
+    dropped; that changes the determinant by a unit only.
+    """
     d = od.diagram
     n = d.n
-    if n == 0:
-        return LaurentPolynomial.one()
-
     # overstrands: arcs joined through the over-slots of each crossing
     col = connected_classes(2 * n, ((c[1] - 1, c[3] - 1) for c in d.crossings))
     if max(col) + 1 != n:
         raise InconsistencyError(
             f"expected {n} overstrands for a knot diagram, found {max(col) + 1}"
         )
-    # Row for each crossing: column -> [c0, c1] for the entry c0 + c1 t.
-    rows: list[dict[int, list[int]]] = []
-    for ci, c in enumerate(d.crossings):
-        row: dict[int, list[int]] = {}
+    rows: list[dict[int, dict[int, int]]] = []
+    for ci, c in enumerate(d.crossings[: n - 1]):
+        row: dict[int, dict[int, int]] = {}
         for arc, (c0, c1) in zip((c[1], c[0], c[2]), _FOX_ROW[od.signs[ci]]):
-            entry = row.setdefault(col[arc - 1], [0, 0])
+            entry = row.setdefault(col[arc - 1], {0: 0, 1: 0})
             entry[0] += c0
             entry[1] += c1
-        rows.append(row)
+        row.pop(n - 1, None)  # the deleted column
+        entries = {j: {k: x for k, x in e.items() if x} for j, e in row.items()}
+        rows.append({j: e for j, e in entries.items() if e})
+    col_count = Counter(j for row in rows for j in row)
+    while rows:
+        best = min(
+            (
+                ((len(row) - 1) * (col_count[j] - 1), i, j)
+                for i, row in enumerate(rows)
+                for j, e in row.items()
+                if len(e) == 1 and abs(*e.values()) == 1
+            ),
+            default=None,
+        )
+        if best is None:
+            break
+        _, i, j = best
+        col_count.subtract(rows[i].keys())
+        pivot_row = rows.pop(i)
+        ((lo, u),) = pivot_row.pop(j).items()
+        for row in rows:
+            f = row.pop(j, None)
+            if f is None:
+                continue
+            # row -= f (u t^lo)^-1 pivot_row
+            col_count.subtract(row.keys())
+            for k, g in pivot_row.items():
+                e = row.setdefault(k, {})
+                for a, x in f.items():
+                    for b, y in g.items():
+                        e[a + b - lo] = e.get(a + b - lo, 0) - u * x * y
+                e = {a: x for a, x in e.items() if x}
+                if e:
+                    row[k] = e
+                else:
+                    del row[k]
+            col_count.update(row.keys())
+    cols = sorted({j for row in rows for j in row})
+    return [[row.get(j, {}) for j in cols] for row in rows]
 
-    size = n - 1
-    if size == 0:
+
+def alexander_via_wirtinger(od: OrientedDiagram) -> LaurentPolynomial:
+    """Determinant of the Tietze-reduced Fox matrix (`_fox_residue`)."""
+    m = _fox_residue(od) if od.diagram.n else []
+    if not m:
         return LaurentPolynomial.one()
-    xs = list(range(2, 2 + size + 1))
-    ys = []
-    for x in xs:
-        mat = [[0] * size for _ in range(size)]
-        for mrow, row in zip(mat, rows):
-            for j, (c0, c1) in row.items():
-                if j < size:
-                    mrow[j] = c0 + c1 * x
-        ys.append(det_int(mat))
-    coeffs = _interpolate_int_poly(xs, ys)
-    raw = LaurentPolynomial.from_dict({k: c for k, c in enumerate(coeffs)})
-    return _normalize_alexander(raw, "wirtinger backend")
+    if any(len(row) != len(m) for row in m):
+        raise InconsistencyError(f"Tietze residue of {len(m)} rows is not square")
+    return _normalize_alexander(_laurent_det(m), "wirtinger backend")
 
 
 def alexander(od: OrientedDiagram) -> LaurentPolynomial:
@@ -587,10 +632,7 @@ def invariant_bundle(od: OrientedDiagram) -> InvariantBundle:
     sig = gl_signature(od)
     alex = alexander(od)
 
-    det_val = alex(-1)
-    if det_val.denominator != 1:
-        raise InconsistencyError("determinant evaluation left a fraction")
-    det = abs(int(det_val))
+    det = abs(alex(-1))
     for color in (0, 1):
         gm = goeritz_matrix(od.diagram, color)
         gdet = abs(det_int(gm.matrix))

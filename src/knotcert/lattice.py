@@ -1,8 +1,10 @@
 """Exact arithmetic for integral quadratic forms.
 
 Everything here works on small Gram matrices (rank <= 12 by default) with
-integer entries, using `fractions.Fraction` wherever division shows up, so all
-answers are exact.  The two nontrivial operations are
+integer entries, so all answers are exact: determinants and inertia use
+fraction-free (Bareiss) elimination, whose divisions are exact, and only the
+LDL^T factorization behind short-vector enumeration uses `fractions.Fraction`.
+The two nontrivial operations are
 
 * `indecomposable_summands` -- split a definite lattice into its orthogonally
   indecomposable summands.  By Eichler's uniqueness theorem this decomposition
@@ -151,9 +153,11 @@ def det_int(m) -> int:
     return sign * a[n - 1][0]
 
 
-def connected_classes(n: int, pairs) -> list[int]:
+def connected_classes(n: int, pairs, linked=None) -> list[int]:
     """Union-find over 0..n-1 joined along `pairs`; returns each element's
-    class label, labels numbered 0, 1, ... by first appearance."""
+    class label, labels numbered 0, 1, ... by first appearance.  With
+    `linked`, a pair joins only if linked(x, y) holds, which is asked only
+    for pairs not yet in one class."""
     parent = list(range(n))
 
     def find(x: int) -> int:
@@ -164,10 +168,32 @@ def connected_classes(n: int, pairs) -> list[int]:
 
     for x, y in pairs:
         rx, ry = find(x), find(y)
-        if rx != ry:
+        if rx != ry and (linked is None or linked(x, y)):
             parent[rx] = ry
     labels: dict[int, int] = {}
     return [labels.setdefault(find(x), len(labels)) for x in range(n)]
+
+
+def two_coloring(n: int, edges) -> list[int] | None:
+    """Colors 0/1 of the vertices 0..n-1 of a connected graph, vertex 0
+    colored 0, such that every edge joins two colors; None when an odd cycle
+    (a loop included) makes that impossible."""
+    adj: list[list[int]] = [[] for _ in range(n)]
+    for u, v in edges:
+        adj[u].append(v)
+        adj[v].append(u)
+    colors = [-1] * n
+    colors[0] = 0
+    stack = [0]
+    while stack:
+        u = stack.pop()
+        for v in adj[u]:
+            if colors[v] < 0:
+                colors[v] = 1 - colors[u]
+                stack.append(v)
+            elif colors[v] == colors[u]:
+                return None
+    return colors
 
 
 def gram_image(gram, v) -> tuple[int, ...]:
@@ -192,58 +218,43 @@ def congruence(u_cols, gram) -> list[list[int]]:
 def inertia(matrix) -> tuple[int, int, int]:
     """(positive, negative, zero) eigenvalue counts of a symmetric matrix.
 
-    Computed by congruence diagonalization over the rationals (Sylvester's law
-    of inertia), never numerically.
+    Symmetric fraction-free (Bareiss) elimination, a row at a time as in
+    `det_int`, never numerically.  Pivot p_k is a leading principal minor of
+    a congruent matrix, so the k-th diagonal entry of its LDL^T has the sign
+    of p_k p_{k-1} (p_0 = 1; Sylvester's law of inertia).  A zero pivot is
+    swapped symmetrically with a later nonzero diagonal entry; when the whole
+    remaining diagonal vanishes, e_i += e_j on a nonzero entry (i, j) makes
+    one.  Both are unimodular congruences on the uneliminated indices, so
+    every entry stays a bordered minor and each division stays exact.  An
+    all-zero remaining block is the kernel.
     """
-    n = len(matrix)
-    a = [[Fraction(x) for x in row] for row in matrix]
-    pos = neg = zero = 0
-    k = 0
-    while k < n:
-        if a[k][k] == 0:
-            swap = next((i for i in range(k + 1, n) if a[i][i] != 0), None)
-            if swap is not None:
-                a[k], a[swap] = a[swap], a[k]
-                for row in a:
-                    row[k], row[swap] = row[swap], row[k]
-            else:
-                # all remaining diagonal entries vanish; manufacture a pivot
-                # from an off-diagonal entry via e_i += e_j, or conclude the
-                # rest of the form is zero.
-                found = None
-                for i in range(k, n):
-                    for j in range(i + 1, n):
-                        if a[i][j] != 0:
-                            found = (i, j)
-                            break
-                    if found:
-                        break
-                if found is None:
-                    zero += n - k
-                    break
-                i, j = found
-                for col in range(n):
-                    a[i][col] += a[j][col]
-                for row in a:
-                    row[i] += row[j]
-                if i != k:
-                    a[k], a[i] = a[i], a[k]
-                    for row in a:
-                        row[k], row[i] = row[i], row[k]
-        d = a[k][k]
-        if d > 0:
+    a = [list(row) for row in matrix]
+    pos = neg = 0
+    prev = 1
+    while a:
+        k = next((i for i, row in enumerate(a) if row[i]), None)
+        if k is None:
+            m = len(a)
+            ij = next(((i, j) for i in range(m) for j in range(i + 1, m) if a[i][j]), None)
+            if ij is None:
+                break
+            k, j = ij
+            for row in a:
+                row[k] += row[j]
+            a[k] = [x + y for x, y in zip(a[k], a[j])]
+        if k:
+            a[0], a[k] = a[k], a[0]
+            for row in a:
+                row[0], row[k] = row[k], row[0]
+        p = a[0][0]
+        if (p > 0) == (prev > 0):
             pos += 1
         else:
             neg += 1
-        for i in range(k + 1, n):
-            if a[i][k] != 0:
-                f = a[i][k] / d
-                for col in range(n):
-                    a[i][col] -= f * a[k][col]
-                for row in a:
-                    row[i] -= f * row[k]
-        k += 1
-    return pos, neg, zero
+        rest = a[0][1:]
+        a = [[(x * p - row[0] * y) // prev for x, y in zip(row[1:], rest)] for row in a[1:]]
+        prev = p
+    return pos, neg, len(a)
 
 
 def definiteness(q: GramForm) -> str:
@@ -273,6 +284,14 @@ def signature(q: GramForm) -> int:
 # basis reduction
 
 
+def round_div(a: int, b: int) -> int:
+    """round(Fraction(a, b)) in integers: the nearest integer, ties to even."""
+    if b < 0:
+        a, b = -a, -b
+    q, r = divmod(a, b)
+    return q + (2 * r > b or (2 * r == b and q % 2 == 1))
+
+
 def greedy_reduce(gram) -> tuple[list[list[int]], list[list[int]]]:
     """Greedy pairwise size reduction of a positive definite Gram matrix.
 
@@ -296,7 +315,7 @@ def greedy_reduce(gram) -> tuple[list[list[int]], list[list[int]]]:
             for j in range(n):
                 if i == j or g[i][i] == 0:
                     continue
-                t = -round(Fraction(g[i][j], g[i][i]))
+                t = -round_div(g[i][j], g[i][i])
                 if t == 0:
                     continue
                 new_jj = g[j][j] + 2 * t * g[i][j] + t * t * g[i][i]
@@ -466,12 +485,8 @@ def indecomposable_summands(
     # cluster by the transitive closure of non-orthogonality
     labels = connected_classes(
         len(indec),
-        (
-            (i, j)
-            for i, (_, gv) in enumerate(indec)
-            for j in range(i + 1, len(indec))
-            if dot(gv, indec[j][0]) != 0
-        ),
+        ((i, j) for i in range(len(indec)) for j in range(i + 1, len(indec))),
+        lambda i, j: dot(indec[i][1], indec[j][0]) != 0,
     )
     clusters: dict[int, list[tuple[int, ...]]] = {}
     for label, (v, _) in zip(labels, indec):
@@ -495,28 +510,15 @@ def indecomposable_summands(
     final = congruence(u_cols, q.matrix)
 
     # verify block-diagonal structure and carve out the summands
+    block_of = [b for b, size in enumerate(sizes) for _ in range(size)]
+    if any(final[i][j] for i in range(n) for j in range(n) if block_of[i] != block_of[j]):
+        raise InconsistencyError("summands are not orthogonal")  # pragma: no cover
     summands = []
     offset = 0
     for size in sizes:
-        block = tuple(
-            tuple(final[offset + i][offset + j] for j in range(size))
-            for i in range(size)
-        )
+        block = tuple(tuple(row[offset : offset + size]) for row in final[offset : offset + size])
         summands.append(GramForm(block, provenance=q.provenance))
         offset += size
-    offset_i = 0
-    for bi, si in enumerate(sizes):
-        offset_j = 0
-        for bj, sj in enumerate(sizes):
-            if bi != bj:
-                for i in range(si):
-                    for j in range(sj):
-                        if final[offset_i + i][offset_j + j] != 0:
-                            raise InconsistencyError(
-                                "summands are not orthogonal"
-                            )  # pragma: no cover
-            offset_j += sj
-        offset_i += si
 
     witness = tuple(tuple(row) for row in u_cols)
     return Decomposition(summands=tuple(summands), witness=witness)

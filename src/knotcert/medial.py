@@ -22,6 +22,7 @@ from dataclasses import dataclass
 
 from .diagram import Diagram, build_diagram, checkerboard, is_alternating, orient
 from .errors import DiagramError, InconsistencyError
+from .lattice import connected_classes
 
 Dart = tuple[int, int]
 
@@ -63,24 +64,9 @@ class PlaneGraph:
                 seen.add(dart)
         if len(seen) != 2 * self.num_edges:
             raise DiagramError("rotation system does not cover all edge ends")
-        if self.num_edges:
-            reach = {self.edges[0][0]}
-            frontier = [self.edges[0][0]]
-            adj: dict[int, set[int]] = {}
-            for (u, v) in self.edges:
-                adj.setdefault(u, set()).add(v)
-                adj.setdefault(v, set()).add(u)
-            while frontier:
-                u = frontier.pop()
-                for w in adj.get(u, ()):
-                    if w not in reach:
-                        reach.add(w)
-                        frontier.append(w)
-            if len(reach) != self.num_vertices:
-                raise DiagramError("plane graph is disconnected")
-        else:
-            if self.num_vertices > 1:
-                raise DiagramError("plane graph is disconnected")
+        if max(connected_classes(self.num_vertices, self.edges), default=0):
+            raise DiagramError("plane graph is disconnected")
+        if not self.num_edges:
             return  # a lone vertex: nothing else to check
         if self.num_vertices - self.num_edges + self._face_count() != 2:
             raise DiagramError("rotation system is not spherical")

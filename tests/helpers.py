@@ -318,3 +318,94 @@ def short_vectors_bruteforce(gram, bound):
         if any(v) and norm <= bound and v > tuple(-c for c in v):
             out.append((v, norm))
     return sorted(out, key=lambda p: (p[1], p[0]))
+
+
+def inertia_fraction(matrix):
+    """(positive, negative, zero) counts by congruence diagonalization over
+    Fractions: a symmetric pivot swap, or e_i += e_j when the remaining
+    diagonal vanishes."""
+    from fractions import Fraction
+
+    n = len(matrix)
+    a = [[Fraction(x) for x in row] for row in matrix]
+    pos = neg = zero = 0
+    k = 0
+    while k < n:
+        if a[k][k] == 0:
+            swap = next((i for i in range(k + 1, n) if a[i][i] != 0), None)
+            if swap is not None:
+                a[k], a[swap] = a[swap], a[k]
+                for row in a:
+                    row[k], row[swap] = row[swap], row[k]
+            else:
+                found = next(
+                    ((i, j) for i in range(k, n) for j in range(i + 1, n) if a[i][j] != 0),
+                    None,
+                )
+                if found is None:
+                    zero += n - k
+                    break
+                i, j = found
+                for col in range(n):
+                    a[i][col] += a[j][col]
+                for row in a:
+                    row[i] += row[j]
+                if i != k:
+                    a[k], a[i] = a[i], a[k]
+                    for row in a:
+                        row[k], row[i] = row[i], row[k]
+        d = a[k][k]
+        if d > 0:
+            pos += 1
+        else:
+            neg += 1
+        for i in range(k + 1, n):
+            if a[i][k] != 0:
+                f = a[i][k] / d
+                for col in range(n):
+                    a[i][col] -= f * a[k][col]
+                for row in a:
+                    row[i] -= f * row[k]
+        k += 1
+    return pos, neg, zero
+
+
+def alexander_dense_wirtinger(od):
+    """Alexander polynomial from the dense (n-1)x(n-1) Fox matrix of the
+    Wirtinger presentation (last row and column deleted), one determinant per
+    interpolation point."""
+    from knotcert.invariants import (
+        _FOX_ROW,
+        LaurentPolynomial,
+        _interpolate_int_poly,
+        _normalize_alexander,
+    )
+    from knotcert.lattice import connected_classes, det_int
+
+    d = od.diagram
+    n = d.n
+    if n <= 1:
+        return LaurentPolynomial.one()
+    col = connected_classes(2 * n, ((c[1] - 1, c[3] - 1) for c in d.crossings))
+    assert max(col) + 1 == n
+    rows = []
+    for ci, c in enumerate(d.crossings):
+        row = {}
+        for arc, (c0, c1) in zip((c[1], c[0], c[2]), _FOX_ROW[od.signs[ci]]):
+            entry = row.setdefault(col[arc - 1], [0, 0])
+            entry[0] += c0
+            entry[1] += c1
+        rows.append(row)
+    size = n - 1
+    xs = list(range(2, 2 + size + 1))
+    ys = []
+    for x in xs:
+        mat = [[0] * size for _ in range(size)]
+        for mrow, row in zip(mat, rows):
+            for j, (c0, c1) in row.items():
+                if j < size:
+                    mrow[j] = c0 + c1 * x
+        ys.append(det_int(mat))
+    coeffs = _interpolate_int_poly(xs, ys)
+    raw = LaurentPolynomial.from_dict(dict(enumerate(coeffs)))
+    return _normalize_alexander(raw, "dense wirtinger")

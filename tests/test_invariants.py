@@ -7,11 +7,20 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import plane_graph_from_multigraph, poly_value, random_connected_multigraph
-from knotcert.diagram import mirror_diagram, orient, parse_pd
+from helpers import (
+    alexander_dense_wirtinger,
+    necklace,
+    plane_graph_from_multigraph,
+    poly_value,
+    random_connected_multigraph,
+    theta,
+)
+from knotcert.corpus import load_corpus
+from knotcert.diagram import build_diagram, mirror_diagram, orient, parse_pd
 from knotcert.errors import ClassificationError, InconsistencyError
 from knotcert.invariants import (
     LaurentPolynomial,
+    _fox_residue,
     _interpolate_int_poly,
     alexander,
     alexander_via_seifert,
@@ -61,6 +70,7 @@ def test_laurent_arithmetic():
     assert str(a * a) == "t^2 - 2t + 3 - 2t^-1 + t^-2"
     assert a - a == L("0")
     assert (-a)(1) == -1
+    assert a(-1) == -3 and type(a(-1)) is int and type(a(1)) is int
     assert a(Fraction(2)) == Fraction(3, 2)
     assert a.shift(2) == L("t^3 - t^2 + t")
     assert a.reciprocal() == a and a.is_symmetric()
@@ -253,6 +263,78 @@ def test_alexander_is_mirror_invariant():
         od = od_of(text)
         odm = orient(mirror_diagram(od.diagram))
         assert alexander(odm) == alexander(od)
+
+
+def _crossing_changed(d, rng):
+    """The diagram with a random nonempty set of crossings switched, each
+    rotated so that its old over-strand becomes the incoming under-strand."""
+    od = orient(d)
+    flip = set(rng.sample(range(d.n), rng.randint(1, d.n)))
+    out = []
+    for ci, c in enumerate(d.crossings):
+        k = od.over_in_slot[ci] if ci in flip else 0
+        out.append(c[k:] + c[:k])
+    return build_diagram(out)
+
+
+def _torus_alexander(k):
+    return LaurentPolynomial.from_dict({e: (-1) ** (k // 2 - e) for e in range(-(k // 2), k // 2 + 1)})
+
+
+def test_wirtinger_matches_dense_on_corpus_and_mirrors():
+    for entry in load_corpus():
+        od = orient(parse_pd(entry.pd))
+        for o in (od, orient(mirror_diagram(od.diagram))):
+            assert alexander_via_wirtinger(o) == alexander_dense_wirtinger(o), entry.name
+
+
+def test_wirtinger_matches_closed_form_on_torus_knots():
+    for k in range(3, 42, 2):
+        for sign in (1, -1):
+            od = orient(medial_diagram(theta(k), sign)[0])
+            want = _torus_alexander(k)
+            assert alexander_via_wirtinger(od) == want, k
+            if k <= 15:
+                assert alexander_dense_wirtinger(od) == want
+
+
+def test_wirtinger_matches_dense_on_necklaces():
+    for sides in ([3, 3, 3], [3, 5, 7], [3, 3, 3, 3, 3], [5, 7, 9], [9, 3, 5, 3, 7], [3, 11, 5, 7, 3]):
+        for sign in (1, -1):
+            d, comps = medial_diagram(necklace(sides), sign)
+            assert comps == 1
+            od = orient(d)
+            assert alexander_via_wirtinger(od) == alexander_dense_wirtinger(od), sides
+
+
+def test_wirtinger_matches_dense_on_random_and_non_alternating_diagrams():
+    rng = random.Random(404)
+    checked = non_alternating = 0
+    while checked < 60:
+        n, edges = random_connected_multigraph(rng, max_edges=9)
+        g = plane_graph_from_multigraph(n, edges) if edges else None
+        if g is None:
+            continue
+        d, comps = medial_diagram(g, rng.choice((1, -1)))
+        if comps != 1 or d.n == 0:
+            continue
+        for dd in (d, _crossing_changed(d, rng)):
+            od = orient(dd)
+            assert alexander_via_wirtinger(od) == alexander_dense_wirtinger(od), dd.pd_text()
+            non_alternating += len(set(od.signs)) == 2
+        checked += 1
+    assert non_alternating >= 20
+
+
+def test_wirtinger_residue_is_sized_by_the_knot():
+    """A 41-crossing necklace reduces to a residue of at most 6 rows (the
+    dense minor has 40); a fallback to dense elimination fails here."""
+    for sign in (1, -1):
+        od = orient(medial_diagram(necklace([5, 7, 9, 11, 9]), sign)[0])
+        assert od.diagram.n == 41
+        residue = _fox_residue(od)
+        assert 1 <= len(residue) <= 6
+        assert all(len(row) == len(residue) for row in residue)
 
 
 # ---------------------------------------------------------------------------

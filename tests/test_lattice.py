@@ -10,6 +10,7 @@ from helpers import (
     congruent_scramble,
     decomposable_bruteforce,
     det_fraction,
+    inertia_fraction,
     necklace,
     random_unimodular,
     short_vectors_bruteforce,
@@ -22,6 +23,7 @@ from knotcert.lattice import (
     Decomposition,
     GramForm,
     congruence,
+    connected_classes,
     definiteness,
     det_int,
     greedy_reduce,
@@ -31,9 +33,11 @@ from knotcert.lattice import (
     isometric,
     lattice_row_basis,
     mat_mul,
+    round_div,
     short_vectors,
     signature,
     transpose,
+    two_coloring,
 )
 from knotcert.medial import medial_diagram
 from knotcert.tait import orientable_flow_lattice
@@ -335,3 +339,104 @@ def test_indecomposable_filter_matches_definition_on_knot_lattices(graph):
     od = orient(medial_diagram(graph, 1)[0])
     _g, gram, _basis = orientable_flow_lattice(od)
     _filter_agrees([list(r) for r in gram.matrix])
+
+
+def _random_symmetric(rng, n, kind):
+    """A seeded symmetric integer matrix of one of five kinds."""
+    big = 10**6 if kind == "large" else 6
+    m = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            if rng.random() < 0.6:
+                m[i][j] = m[j][i] = rng.randint(-big, big)
+    if kind == "zero-diagonal":
+        for i in range(n):
+            m[i][i] = 0
+    elif kind == "hyperbolic":
+        # hyperbolic planes, +-1 and 0 summands, scrambled by a congruence
+        m = [[0] * n for _ in range(n)]
+        i = 0
+        while i < n:
+            if i + 1 < n and rng.random() < 0.6:
+                m[i][i + 1] = m[i + 1][i] = rng.choice((1, -1, 2))
+                i += 2
+            else:
+                m[i][i] = rng.choice((1, -1, 0))
+                i += 1
+        m = congruent_scramble(m, rng)[0]
+    elif kind == "rank-deficient":
+        # C^T D C with C of k < n rows
+        k = rng.randint(0, max(0, n - 1))
+        c = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(k)]
+        dc = [[rng.choice((1, -1, 2)) * x for x in row] for row in c]
+        m = mat_mul(transpose(c), dc) if k else [[0] * n for _ in range(n)]
+    return m
+
+
+def test_inertia_matches_fraction_elimination():
+    rng = random.Random(4)
+    kinds = ("dense", "zero-diagonal", "hyperbolic", "rank-deficient", "large")
+    seen_kernel = seen_swap = 0
+    for trial in range(2000):
+        kind = kinds[trial % len(kinds)]
+        m = _random_symmetric(rng, rng.randint(0, 7), kind)
+        got = inertia(m)
+        assert got == inertia_fraction(m), (kind, m)
+        assert sum(got) == len(m)
+        seen_kernel += got[2] > 0
+        seen_swap += bool(m) and m[0][0] == 0
+    assert seen_kernel > 300 and seen_swap > 300
+
+
+def test_inertia_needs_e_i_plus_e_j_midway():
+    # after one pivot the remaining diagonal vanishes but the block does not
+    m = [[1, 1, 1], [1, 1, 2], [1, 2, 1]]
+    assert inertia(m) == inertia_fraction(m) == (2, 1, 0)
+
+
+def test_round_div_matches_fraction_rounding():
+    from fractions import Fraction
+
+    for a in range(-60, 61):
+        for b in range(1, 61):
+            assert round_div(a, b) == round(Fraction(a, b)), (a, b)
+            assert round_div(a, -b) == round(Fraction(a, -b)), (a, -b)
+
+
+def test_connected_classes_asks_linked_only_across_classes():
+    asked = []
+
+    def linked(x, y):
+        asked.append((x, y))
+        return True
+
+    pairs = [(i, j) for i in range(5) for j in range(i + 1, 5)]
+    assert connected_classes(5, pairs, linked) == [0] * 5
+    # a spanning tree's worth of questions: every later pair is already joined
+    assert asked == [(0, 1), (0, 2), (0, 3), (0, 4)]
+    assert connected_classes(4, [(0, 1), (2, 3)], lambda x, y: x == 2) == [0, 1, 2, 2]
+
+
+def test_indecomposable_summands_skips_joined_pairs(monkeypatch):
+    """T(2,9)'s flow lattice is A_8: its 36 roots form one class, so the
+    clustering asks about far fewer than all 630 pairs."""
+    od = orient(medial_diagram(theta(9), 1)[0])
+    _g, gram, _basis = orientable_flow_lattice(od)
+    calls = []
+    real_dot = knotcert.lattice.dot
+
+    def counting_dot(a, b):
+        calls.append(1)
+        return real_dot(a, b)
+
+    monkeypatch.setattr(knotcert.lattice, "dot", counting_dot)
+    dec = indecomposable_summands(gram)
+    assert len(dec.summands) == 1
+    assert len(calls) < 36 * 35 // 4, len(calls)
+
+
+def test_two_coloring():
+    assert two_coloring(4, [(0, 1), (1, 2), (2, 3), (3, 0)]) == [0, 1, 0, 1]
+    assert two_coloring(3, [(0, 1), (1, 2), (2, 0)]) is None
+    assert two_coloring(2, [(0, 1), (1, 1)]) is None  # a loop
+    assert two_coloring(1, []) == [0]
