@@ -207,17 +207,15 @@ def _run_batch(path: Path, args) -> int:
     if outdir is not None:
         outdir.mkdir(parents=True, exist_ok=True)
 
-    results = []
     counts: dict[str, int] = {}
 
     def give_up(name: str, status: str, ex: Exception) -> None:
         counts[status] = counts.get(status, 0) + 1
-        results.append({"name": name, "status": status, "error": str(ex)})
         level = "error" if status == "inconsistency" else "warning"
         print(f"{level}: {name}: {ex}", file=sys.stderr)
 
-    for row in rows:
-        name = f"entry{len(results)}"
+    for i, row in enumerate(rows):
+        name = f"entry{i}"
         try:
             if not isinstance(row, dict):
                 raise ValueError(f"corpus row is not an object: {row!r}")
@@ -245,7 +243,6 @@ def _run_batch(path: Path, args) -> int:
             rep["name"] = name
             rep["status"] = status
             counts[status] = counts.get(status, 0) + 1
-            results.append(rep)
             if outdir is not None:
                 (outdir / f"{name}.json").write_text(_json_text(rep), "utf-8")
         except (PDSyntaxError, DiagramError, ClassificationError) as ex:
@@ -258,14 +255,14 @@ def _run_batch(path: Path, args) -> int:
     summary = {
         "schema": SCHEMA,
         "kind": "batch_summary",
-        "entries": len(results),
+        "entries": len(rows),
         "counts": dict(sorted(counts.items())),
         "failures": counts.get("failed", 0) + counts.get("rank_capped", 0),
     }
     if args.json:
         sys.stdout.write(_json_text(summary))
     else:
-        print(f"entries: {len(results)}")
+        print(f"entries: {len(rows)}")
         for k, v in sorted(counts.items()):
             print(f"  {k}: {v}")
         if outdir is not None:

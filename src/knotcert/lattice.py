@@ -1,9 +1,9 @@
 """Exact arithmetic for integral quadratic forms.
 
 Everything here works on small Gram matrices (rank <= 12 by default) with
-integer entries, so all answers are exact: determinants and inertia use
-fraction-free (Bareiss) elimination, whose divisions are exact, and only the
-LDL^T factorization behind short-vector enumeration uses `fractions.Fraction`.
+integer entries, so all answers are exact: determinants, inertia and the
+factorization behind short-vector enumeration use fraction-free (Bareiss)
+elimination, whose divisions are exact, and nothing here uses `Fraction`.
 The two nontrivial operations are
 
 * `indecomposable_summands` -- split a definite lattice into its orthogonally
@@ -31,8 +31,8 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass, field
-from fractions import Fraction
 import math
+from operator import mul
 
 from .errors import (
     DegenerateFormError,
@@ -60,14 +60,10 @@ class GramForm:
     def __post_init__(self):
         m = tuple(tuple(int(x) for x in row) for row in self.matrix)
         object.__setattr__(self, "matrix", m)
-        n = len(m)
-        for row in m:
-            if len(row) != n:
-                raise ValueError("Gram matrix must be square")
-        for i in range(n):
-            for j in range(i):
-                if m[i][j] != m[j][i]:
-                    raise ValueError("Gram matrix must be symmetric")
+        if any(len(row) != len(m) for row in m):
+            raise ValueError("Gram matrix must be square")
+        if m != tuple(zip(*m)):
+            raise ValueError("Gram matrix must be symmetric")
 
     @property
     def rank(self) -> int:
@@ -117,11 +113,8 @@ def transpose(m) -> list[list]:
 def mat_mul(a, b) -> list[list]:
     if not a or not b:
         return []
-    cols = len(b[0])
-    return [
-        [sum(a[i][k] * b[k][j] for k in range(len(b))) for j in range(cols)]
-        for i in range(len(a))
-    ]
+    b_cols = list(zip(*b))
+    return [[sum(map(mul, row, col)) for col in b_cols] for row in a]
 
 
 def det_int(m) -> int:
@@ -198,38 +191,33 @@ def two_coloring(n: int, edges) -> list[int] | None:
 
 def gram_image(gram, v) -> tuple[int, ...]:
     """G v; the form's value on (v, w) is then dot(G v, w)."""
-    return tuple(sum(g * x for g, x in zip(row, v)) for row in gram)
+    return tuple(sum(map(mul, row, v)) for row in gram)
 
 
 def dot(a, b) -> int:
-    return sum(x * y for x, y in zip(a, b))
+    return sum(map(mul, a, b))
 
 
 def congruence(u_cols, gram) -> list[list[int]]:
     """U^T G U where the columns of `u_cols` are the new basis vectors."""
-    ut = transpose(u_cols)
-    return mat_mul(mat_mul(ut, [list(r) for r in gram]), u_cols)
+    return mat_mul(mat_mul(transpose(u_cols), gram), u_cols)
 
 
 # ---------------------------------------------------------------------------
 # inertia / definiteness / signature
 
 
-def inertia(matrix) -> tuple[int, int, int]:
-    """(positive, negative, zero) eigenvalue counts of a symmetric matrix.
-
-    Symmetric fraction-free (Bareiss) elimination, a row at a time as in
-    `det_int`, never numerically.  Pivot p_k is a leading principal minor of
-    a congruent matrix, so the k-th diagonal entry of its LDL^T has the sign
-    of p_k p_{k-1} (p_0 = 1; Sylvester's law of inertia).  A zero pivot is
-    swapped symmetrically with a later nonzero diagonal entry; when the whole
-    remaining diagonal vanishes, e_i += e_j on a nonzero entry (i, j) makes
-    one.  Both are unimodular congruences on the uneliminated indices, so
-    every entry stays a bordered minor and each division stays exact.  An
-    all-zero remaining block is the kernel.
-    """
+def _symmetric_bareiss(matrix):
+    """Symmetric fraction-free (Bareiss) elimination a row at a time, as in
+    `det_int`; yields each pivot p_k, a leading principal minor of a congruent
+    matrix, with the entries b_ik below it: its LDL^T has d_k = p_k / p_{k-1}
+    and L_ik = b_ik / p_k (p_{-1} = 1).  A zero pivot is swapped symmetrically
+    with a later nonzero diagonal entry, or made by e_i += e_j when the whole
+    remaining diagonal vanishes: unimodular congruences on the uneliminated
+    indices, so every division stays exact, and never needed when every
+    leading principal minor is nonzero.  An all-zero remaining block (the
+    kernel) ends the steps."""
     a = [list(row) for row in matrix]
-    pos = neg = 0
     prev = 1
     while a:
         k = next((i for i, row in enumerate(a) if row[i]), None)
@@ -237,7 +225,7 @@ def inertia(matrix) -> tuple[int, int, int]:
             m = len(a)
             ij = next(((i, j) for i in range(m) for j in range(i + 1, m) if a[i][j]), None)
             if ij is None:
-                break
+                return
             k, j = ij
             for row in a:
                 row[k] += row[j]
@@ -247,14 +235,24 @@ def inertia(matrix) -> tuple[int, int, int]:
             for row in a:
                 row[0], row[k] = row[k], row[0]
         p = a[0][0]
+        yield p, [row[0] for row in a[1:]]
+        rest = a[0][1:]
+        a = [[(x * p - row[0] * y) // prev for x, y in zip(row[1:], rest)] for row in a[1:]]
+        prev = p
+
+
+def inertia(matrix) -> tuple[int, int, int]:
+    """(positive, negative, zero) eigenvalue counts of a symmetric matrix:
+    d_k of `_symmetric_bareiss` has the sign of p_k p_{k-1} (Sylvester)."""
+    pos = neg = 0
+    prev = 1
+    for p, _ in _symmetric_bareiss(matrix):
         if (p > 0) == (prev > 0):
             pos += 1
         else:
             neg += 1
-        rest = a[0][1:]
-        a = [[(x * p - row[0] * y) // prev for x, y in zip(row[1:], rest)] for row in a[1:]]
         prev = p
-    return pos, neg, len(a)
+    return pos, neg, len(matrix) - pos - neg
 
 
 def definiteness(q: GramForm) -> str:
@@ -333,22 +331,8 @@ def greedy_reduce(gram) -> tuple[list[list[int]], list[list[int]]]:
 
 
 # ---------------------------------------------------------------------------
-# short vector enumeration (Fincke-Pohst on an exact LDL^T factorization,
+# short vector enumeration (Fincke-Pohst on a fraction-free LDL^T,
 # enumerated in integer arithmetic)
-
-
-def _ldl(gram) -> tuple[list[list[Fraction]], list[Fraction]]:
-    n = len(gram)
-    a = [[Fraction(x) for x in row] for row in gram]
-    L = [[Fraction(1) if i == j else Fraction(0) for j in range(n)] for i in range(n)]
-    d = [Fraction(0)] * n
-    for k in range(n):
-        d[k] = a[k][k] - sum(L[k][j] * L[k][j] * d[j] for j in range(k))
-        if d[k] <= 0:
-            raise ValueError("LDL^T requires a positive definite matrix")
-        for i in range(k + 1, n):
-            L[i][k] = (a[i][k] - sum(L[i][j] * L[k][j] * d[j] for j in range(k))) / d[k]
-    return L, d
 
 
 def short_vectors(gram, bound: int) -> list[tuple[tuple[int, ...], int]]:
@@ -358,35 +342,38 @@ def short_vectors(gram, bound: int) -> list[tuple[tuple[int, ...], int]]:
     n = len(gram)
     if n == 0 or bound <= 0:
         return []
-    L, d = _ldl(gram)
-    # The norm is sum_i d_i (x_i + c_i)^2 with c_i = sum_{j>i} L_ji x_j.  In
-    # integers: x_i + c_i = z_i / den_i with z_i = x_i den_i + sum num_ij x_j,
-    # and scale * norm = sum_i w_i z_i^2.
-    den = [math.lcm(*(L[j][i].denominator for j in range(i + 1, n))) for i in range(n)]
-    num = [[int(L[j][i] * den[i]) for j in range(n)] for i in range(n)]
-    weights = [d[i] / den[i] ** 2 for i in range(n)]
-    scale = math.lcm(*(wi.denominator for wi in weights))
-    w = [int(wi * scale) for wi in weights]
+    steps = list(_symmetric_bareiss(gram))
+    pivots = [p for p, _ in steps]
+    if len(pivots) < n or min(pivots) <= 0:
+        raise ValueError("short_vectors requires a positive definite matrix")
+    # x^T G x = sum_k z_k^2 / (p_{k-1} p_k) with z_k = p_k x_k + sum_{i>k} b_ik x_i;
+    # times scale = lcm(p_{k-1} p_k) that is sum_k w_k z_k^2, all in integers.
+    # cols[k] holds b_ik at index i and zeros up to k, where x is still 0.
+    dens = [p * q for p, q in zip([1] + pivots, pivots)]
+    scale = math.lcm(*dens)
+    w = [scale // d for d in dens]
+    cols = [[0] * (k + 1) + col for k, (_, col) in enumerate(steps)]
     out: list[tuple[tuple[int, ...], int]] = []
     x = [0] * n
 
-    def rec(i: int, remaining: int):
+    def rec(i: int, remaining: int, top: bool):
+        # top: x_j = 0 for all j > i, so x_i >= 0 visits each +-pair once
         if i < 0:
-            if any(x):
-                v = tuple(x)
-                if v > tuple(-c for c in v):
-                    out.append((v, bound - remaining // scale))
+            if not top:
+                v = tuple(x) if next(filter(None, x)) > 0 else tuple(-c for c in x)
+                out.append((v, bound - remaining // scale))
             return
-        s = sum(num[i][j] * x[j] for j in range(i + 1, n))
+        s = sum(map(mul, cols[i], x))
+        p = pivots[i]
         # w_i z_i^2 <= remaining  <=>  |z_i| <= t, since z_i is an integer
         t = math.isqrt(remaining // w[i])
-        for xi in range(-((t + s) // den[i]), (t - s) // den[i] + 1):
-            z = xi * den[i] + s
+        for xi in range(0 if top else -((t + s) // p), (t - s) // p + 1):
+            z = xi * p + s
             x[i] = xi
-            rec(i - 1, remaining - w[i] * z * z)
+            rec(i - 1, remaining - w[i] * z * z, top and not xi)
         x[i] = 0
 
-    rec(n - 1, bound * scale)
+    rec(n - 1, bound * scale, True)
     out.sort(key=lambda p: (p[1], p[0]))
     return out
 
@@ -451,7 +438,8 @@ def indecomposable_vectors(gram, shorts):
     ]
 
 
-def _check_rank_cap(rank: int, rank_cap: int):
+def check_rank_cap(rank: int, rank_cap: int):
+    """Refuse a lattice of rank above `rank_cap` (RankCapExceededError)."""
     if rank > rank_cap:
         raise RankCapExceededError(rank, rank_cap)
 
@@ -468,7 +456,7 @@ def indecomposable_summands(
     are not definite and RankCapExceededError above the cap.
     """
     n = q.rank
-    _check_rank_cap(n, rank_cap)
+    check_rank_cap(n, rank_cap)
     if n == 0:
         return Decomposition(summands=(), witness=())
     kind = definiteness(q)
@@ -541,7 +529,7 @@ def isometric(
     n1, n2 = q1.rank, q2.rank
     if n1 != n2:
         return False, None
-    _check_rank_cap(n1, rank_cap)
+    check_rank_cap(n1, rank_cap)
     if n1 == 0:
         return True, ()
     if definiteness(q1) != "positive_definite" or definiteness(q2) != "positive_definite":

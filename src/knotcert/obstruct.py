@@ -42,10 +42,11 @@ from .lattice import (
     DEFAULT_RANK_CAP,
     Decomposition,
     GramForm,
+    check_rank_cap,
     definiteness,
     indecomposable_summands,
 )
-from .tait import TaitGraph, blocks, orientable_flow_lattice
+from .tait import TaitGraph, blocks, orientable_flow_lattice, orientable_tait_graph
 
 SCHEMA = "knotcert-report/2"
 
@@ -137,8 +138,9 @@ def band_prime_certificate(
         why = "not alternating" if not rep.is_alternating else "alternating but not special"
         return CertificateReport(sha, rep, (), 0, "not_applicable", (why,))
 
-    # The whole-diagram lattice comes first: its rank bounds every factor's,
-    # so an over-cap input is refused before any factor or invariant work.
+    # The whole diagram's cycle rank bounds every factor's, so an over-cap
+    # input is refused before any lattice, factor or invariant work.
+    check_rank_cap(orientable_tait_graph(od).cycle_rank(), rank_cap)
     g_full, gram_full, _ = orientable_flow_lattice(od)
     dec_full = indecomposable_summands(gram_full, rank_cap=rank_cap)
 

@@ -282,22 +282,33 @@ def fundamental_cycles(g: TaitGraph) -> CycleBasis:
 def flow_lattice(g: TaitGraph) -> tuple[GramForm, CycleBasis]:
     """Gram form of the cycle space in the edge basis, plus the basis used."""
     basis = fundamental_cycles(g)
-    vecs = basis.vectors
-    r = len(vecs)
-    gram = tuple(
-        tuple(sum(vecs[i][e] * vecs[j][e] for e in range(g.num_edges)) for j in range(r))
-        for i in range(r)
-    )
+    # A simple cycle's walk lists its vector's support, so entry (i, j) sums
+    # over the edges that cycles i and j share.
+    through: list[list[tuple[int, int]]] = [[] for _ in range(g.num_edges)]
+    for i, walk in enumerate(basis.walks):
+        for e, s in walk:
+            through[e].append((i, s))
+    gram = [[0] * len(basis.walks) for _ in basis.walks]
+    for cycles in through:
+        for i, si in cycles:
+            for j, sj in cycles:
+                gram[i][j] += si * sj
     form = GramForm(gram, provenance=f"flow lattice of color-{g.color} Tait graph")
     return form, basis
 
 
 @cached_on_instance
-def orientable_flow_lattice(od: OrientedDiagram) -> tuple[TaitGraph, GramForm, CycleBasis]:
+def orientable_tait_graph(od: OrientedDiagram) -> TaitGraph:
     """Tait graph of a special diagram's orientable color (the faces of its
-    Seifert surface), with the flow lattice and cycle basis of that graph."""
+    Seifert surface)."""
     rep = classify_special(od)
     if not rep.is_special:
         raise ClassificationError("only a special diagram has an orientable color")
-    g = tait_graph(checkerboard(od.diagram), rep.orientable_color)
+    return tait_graph(checkerboard(od.diagram), rep.orientable_color)
+
+
+@cached_on_instance
+def orientable_flow_lattice(od: OrientedDiagram) -> tuple[TaitGraph, GramForm, CycleBasis]:
+    """`orientable_tait_graph` with its flow lattice and cycle basis."""
+    g = orientable_tait_graph(od)
     return (g, *flow_lattice(g))

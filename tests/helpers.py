@@ -320,6 +320,54 @@ def short_vectors_bruteforce(gram, bound):
     return sorted(out, key=lambda p: (p[1], p[0]))
 
 
+def short_vectors_fraction(gram, bound):
+    """short_vectors with its LDL^T over Fractions and both signs of every
+    vector enumerated, keeping the lexicographically larger one."""
+    import math
+    from fractions import Fraction
+
+    n = len(gram)
+    if n == 0 or bound <= 0:
+        return []
+    a = [[Fraction(x) for x in row] for row in gram]
+    L = [[Fraction(1) if i == j else Fraction(0) for j in range(n)] for i in range(n)]
+    d = [Fraction(0)] * n
+    for k in range(n):
+        d[k] = a[k][k] - sum(L[k][j] * L[k][j] * d[j] for j in range(k))
+        assert d[k] > 0, "not positive definite"
+        for i in range(k + 1, n):
+            L[i][k] = (a[i][k] - sum(L[i][j] * L[k][j] * d[j] for j in range(k))) / d[k]
+    # The norm is sum_i d_i (x_i + c_i)^2 with c_i = sum_{j>i} L_ji x_j.  In
+    # integers: x_i + c_i = z_i / den_i with z_i = x_i den_i + sum num_ij x_j,
+    # and scale * norm = sum_i w_i z_i^2.
+    den = [math.lcm(*(L[j][i].denominator for j in range(i + 1, n))) for i in range(n)]
+    num = [[int(L[j][i] * den[i]) for j in range(n)] for i in range(n)]
+    weights = [d[i] / den[i] ** 2 for i in range(n)]
+    scale = math.lcm(*(wi.denominator for wi in weights))
+    w = [int(wi * scale) for wi in weights]
+    out = []
+    x = [0] * n
+
+    def rec(i, remaining):
+        if i < 0:
+            if any(x):
+                v = tuple(x)
+                if v > tuple(-c for c in v):
+                    out.append((v, bound - remaining // scale))
+            return
+        s = sum(num[i][j] * x[j] for j in range(i + 1, n))
+        t = math.isqrt(remaining // w[i])
+        for xi in range(-((t + s) // den[i]), (t - s) // den[i] + 1):
+            z = xi * den[i] + s
+            x[i] = xi
+            rec(i - 1, remaining - w[i] * z * z)
+        x[i] = 0
+
+    rec(n - 1, bound * scale)
+    out.sort(key=lambda p: (p[1], p[0]))
+    return out
+
+
 def inertia_fraction(matrix):
     """(positive, negative, zero) counts by congruence diagonalization over
     Fractions: a symmetric pivot swap, or e_i += e_j when the remaining

@@ -1,7 +1,9 @@
 """CLI behavior: subcommands, exit statuses, determinism, batch handling."""
 
+import gc
 import json
 import sys
+import tracemalloc
 
 import pytest
 
@@ -97,12 +99,13 @@ def test_analyze_computes_each_piece_once(monkeypatch, capsys):
     assert code == 0
     assert counts == dict.fromkeys(names, 1)
 
-    # an over-cap diagram is refused before any invariant work
-    counts = _count_calls(monkeypatch, "invariants.invariant_bundle")
+    # an over-cap diagram is refused before its lattice or any invariant work
+    names = ("invariants.invariant_bundle", "tait.flow_lattice", "tait.fundamental_cycles")
+    counts = _count_calls(monkeypatch, *names)
     t213, _ = medial_diagram(theta(13), 1)
     code, _, err = run(capsys, "analyze", "--pd", t213.pd_text(), "--rank-cap", "4")
     assert code == 3 and "cap" in err
-    assert counts == {"invariants.invariant_bundle": 0}
+    assert counts == dict.fromkeys(names, 0)
 
 
 def test_json_output_is_byte_identical(capsys):
@@ -137,6 +140,32 @@ def test_batch_empty_corpus(tmp_path, capsys):
     code, out, _ = run(capsys, "batch", str(f))
     assert code == 0
     assert "entries: 0" in out
+
+
+def _batch_peak(tmp_path, capsys, rows):
+    """Exit code and tracemalloc peak of `batch --json` on `rows` trefoils."""
+    f = tmp_path / f"trefoils{rows}.csv"
+    f.write_text("name,pd\n" + "".join(f't{i},"{TREFOIL}"\n' for i in range(rows)))
+    gc.collect()
+    tracemalloc.start()
+    try:
+        code, _, _ = run(capsys, "batch", str(f), "--json")
+        return code, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_batch_runs_in_bounded_memory(tmp_path, capsys):
+    """A batch keeps a count, not its reports.  A kept trefoil report costs
+    about 9 KB, so 180 more rows would add about 1.7 MB to the peak; the
+    margin leaves room for the reference cycles of the per-diagram caches,
+    which the garbage collector frees in its own time (about 0.5 MB)."""
+    _batch_peak(tmp_path, capsys, 20)  # lazy imports and first-use caches
+    assert _batch_peak(tmp_path, capsys, 20)[0] == 0
+    small = _batch_peak(tmp_path, capsys, 20)[1]
+    code, big = _batch_peak(tmp_path, capsys, 200)
+    assert code == 0
+    assert big - small < 1_000_000, (small, big)
 
 
 def test_batch_malformed_entry_warns_and_continues(tmp_path, capsys):

@@ -14,6 +14,7 @@ from helpers import (
     necklace,
     random_unimodular,
     short_vectors_bruteforce,
+    short_vectors_fraction,
     theta,
 )
 import knotcert.lattice
@@ -39,8 +40,10 @@ from knotcert.lattice import (
     transpose,
     two_coloring,
 )
+from knotcert.corpus import load_corpus
+from knotcert.diagram import checkerboard, parse_pd
 from knotcert.medial import medial_diagram
-from knotcert.tait import orientable_flow_lattice
+from knotcert.tait import flow_lattice, orientable_flow_lattice, tait_graph
 
 A2 = GramForm(((2, 1), (1, 2)))
 
@@ -307,6 +310,84 @@ def test_short_vectors_match_box_scan():
         gram = _random_definite(rng, rng.randint(1, 4))
         bound = rng.randint(1, max(gram[i][i] for i in range(len(gram))))
         assert short_vectors(gram, bound) == short_vectors_bruteforce(gram, bound)
+
+
+def _root_lattice(kind, n):
+    """Cartan matrix of A_n, D_n or E_8: 2 on the diagonal, -1 per edge of
+    the Dynkin diagram."""
+    edges = [(i, i + 1) for i in range(n - 1)]
+    if kind == "D":
+        edges[-1] = (n - 3, n - 1)
+    elif kind == "E":
+        edges = [(0, 2), (2, 3), (3, 4), (4, 5), (5, 6), (6, 7), (1, 3)]
+    g = [[2 * (i == j) for j in range(n)] for i in range(n)]
+    for i, j in edges:
+        g[i][j] = g[j][i] = -1
+    return g
+
+
+def _random_form_and_bound(rng, trial):
+    """A seeded positive definite form of rank 1-12 with an enumeration
+    bound: a scrambled orthogonal sum of A_n/D_n/E_8 blocks (bound 2, the
+    roots, above rank 6, and 1-4 below), B^T B (bound near its least
+    diagonal entry), or B^T B times c plus a diagonal perturbation below c,
+    so that entries reach 10^6."""
+    n = rng.randint(1, 12)
+    if trial % 3 == 0:
+        g = [[0] * n for _ in range(n)]
+        off = 0
+        while off < n:
+            left = n - off
+            kind = rng.choice("A" + "D" * (left >= 4) + "E" * (left >= 8))
+            k = 8 if kind == "E" else rng.randint(4 if kind == "D" else 1, left)
+            for i, row in enumerate(_root_lattice(kind, k)):
+                g[off + i][off:off + k] = row
+            off += k
+        bound = 2 if n > 6 else rng.randint(1, 4)
+    else:
+        g = _random_definite(rng, n)
+        least = min(g[i][i] for i in range(n))
+        bound = rng.randint(max(1, least - 2), least + 1)
+    if trial % 3 == 2:
+        c = rng.randint(1, 10**6 // max(max(map(abs, row)) for row in g))
+        g = [[c * x + (i == j) * rng.randrange(c) for j, x in enumerate(row)]
+             for i, row in enumerate(g)]
+        bound = c * (bound + 1) + rng.randrange(c)
+    elif trial % 3 == 0:
+        g = congruent_scramble(g, rng)[0]
+    return g, bound
+
+
+def test_short_vectors_match_fraction_ldl_on_random_forms():
+    rng = random.Random(5)
+    ranks, largest = set(), 0
+    for trial in range(540):
+        gram, bound = _random_form_and_bound(rng, trial)
+        ranks.add(len(gram))
+        largest = max(largest, *(abs(x) for row in gram for x in row))
+        assert short_vectors(gram, bound) == short_vectors_fraction(gram, bound), (gram, bound)
+    assert ranks == set(range(1, 13)) and largest >= 10**5
+
+
+def _knot_flow_lattices():
+    """Flow lattices of both Tait graphs of every bundled diagram, of the
+    orientable color of T(2,k), k = 3..25, and of necklaces."""
+    for entry in load_corpus():
+        cb = checkerboard(parse_pd(entry.pd))
+        for color in (0, 1):
+            yield flow_lattice(tait_graph(cb, color))[0]
+    for g in [theta(k) for k in range(3, 26, 2)] + [necklace(s) for s in ([3, 3, 3], [3, 5, 7], [3, 3, 3, 3, 3], [9, 3, 5, 3, 7])]:
+        yield orientable_flow_lattice(orient(medial_diagram(g, 1)[0]))[1]
+
+
+def test_short_vectors_match_fraction_ldl_on_knot_lattices():
+    for form in _knot_flow_lattices():
+        gram = [list(r) for r in form.matrix]
+        if not gram:
+            continue
+        for g in (gram, greedy_reduce(gram)[0]):
+            bound = max(g[i][i] for i in range(len(g)))
+            assert short_vectors(g, bound) == short_vectors_fraction(g, bound)
 
 
 def _filter_agrees(gram):
