@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+from json.encoder import encode_basestring_ascii as _quote
 import os
 import sys
 from pathlib import Path
@@ -48,8 +49,35 @@ EXIT_INPUT = 2
 EXIT_RESOURCE = 3
 
 
+def _json(o, nl: str) -> str:
+    """The text of `json.dumps(o, sort_keys=True, indent=2)` with `nl` as
+    its line break and indentation; TypeError on anything but dicts with str
+    keys, lists, str, int, bool and None."""
+    t = type(o)
+    if t is str:
+        return _quote(o)
+    if t is int:
+        return int.__repr__(o)
+    if o is None or t is bool:
+        return "null" if o is None else "true" if o else "false"
+    inner = nl + "  "
+    if t is list:
+        items = [_json(v, inner) for v in o]
+        return "[" + inner + ("," + inner).join(items) + nl + "]" if o else "[]"
+    if t is dict and all(type(k) is str for k in o):
+        items = [_quote(k) + ": " + _json(v, inner) for k, v in sorted(o.items())]
+        return "{" + inner + ("," + inner).join(items) + nl + "}" if o else "{}"
+    raise TypeError(t)
+
+
 def _json_text(obj) -> str:
-    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+    """`json.dumps(obj, sort_keys=True, indent=2)` and a newline.  With an
+    indent, `json` uses its pure-Python encoder, so plain report data is
+    written here instead, with its C string quoting."""
+    try:
+        return _json(obj, "\n") + "\n"
+    except TypeError:
+        return json.dumps(obj, sort_keys=True, indent=2) + "\n"
 
 
 def _analysis(

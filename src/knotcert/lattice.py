@@ -2,21 +2,26 @@
 
 Everything here works on small Gram matrices (rank <= 12 by default) with
 integer entries, so all answers are exact: determinants, inertia and the
-factorization behind short-vector enumeration use fraction-free (Bareiss)
+factorization behind Fincke-Pohst enumeration use fraction-free (Bareiss)
 elimination, whose divisions are exact, and nothing here uses `Fraction`.
 The two nontrivial operations are
 
-* `indecomposable_summands` -- split a definite lattice into its orthogonally
-  indecomposable summands.  By Eichler's uniqueness theorem this decomposition
-  is unique up to reordering, and it can be computed from short vectors alone:
-  call a nonzero vector v *decomposable* if v = x + y with x, y nonzero and
-  x.y = 0.  Decomposable vectors split into strictly shorter pieces, so the
-  indecomposable vectors of norm <= B span the lattice whenever B bounds the
-  norms of some basis.  Grouping indecomposable vectors by the transitive
-  closure of "non-orthogonal" yields exactly the indecomposable summands.
-  Since x.(v - x) = x.v - |x|^2, v is decomposable exactly when some x with
-  |x|^2 < |v|^2 has x.v = |x|^2; with G x computed once per short vector,
-  each such test (and each orthogonality test of the grouping) is O(n).
+* `indecomposable_summands` -- split a definite lattice L into its
+  orthogonally indecomposable summands.  Call a nonzero v *decomposable* if
+  v = x + y with x, y nonzero and x.y = 0.  Then u = x - y lies in the coset
+  v + 2L and |u|^2 = |x|^2 + |y|^2 = |v|^2; conversely any u != +-v in that
+  coset with |u|^2 = |v|^2 gives x = (v + u)/2, y = (v - u)/2 in L with
+  4 x.y = |v|^2 - |u|^2 = 0.  So one integer Fincke-Pohst search over
+  u = v (mod 2L) with bound |v|^2 decides v, and every search on L shares the
+  weights of one `_symmetric_bareiss` run.  Starting from the greedy-reduced
+  basis, each vector that splits is replaced by its two strictly shorter
+  parts, which ends in a generating set of indecomposable vectors.  By
+  Eichler's theorem L is the orthogonal sum of unique indecomposable
+  summands and each indecomposable vector lies in one of them, so the
+  classes of the transitive closure of "non-orthogonal" among the
+  generators span exactly those summands (two classes in one summand would
+  split it).  Each summand's basis is the Hermite normal form of its
+  sublattice, so the output does not depend on which generators were found.
 
 * `isometric` -- decide whether two definite forms are equivalent over the
   integers, by backtracking over images of basis vectors among short vectors
@@ -29,7 +34,6 @@ before being handed back.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass, field
 import math
 from operator import mul
@@ -296,8 +300,8 @@ def greedy_reduce(gram) -> tuple[list[list[int]], list[list[int]]]:
     Repeatedly replaces b_j by b_j + t*b_i (t the nearest integer to
     -G_ij/G_ii) whenever that strictly shrinks |b_j|^2.  Returns
     (reduced_gram, u_cols) with reduced = U^T G U; U unimodular by
-    construction.  Not LLL -- just enough to make the max diagonal entry a
-    reasonable enumeration bound.
+    construction.  Not LLL -- just enough to start the decomposition from
+    short vectors, which keeps its coset searches small.
     """
     n = len(gram)
     g = [list(row) for row in gram]
@@ -331,90 +335,107 @@ def greedy_reduce(gram) -> tuple[list[list[int]], list[list[int]]]:
 
 
 # ---------------------------------------------------------------------------
-# short vector enumeration (Fincke-Pohst on a fraction-free LDL^T,
-# enumerated in integer arithmetic)
+# Fincke-Pohst enumeration on a fraction-free LDL^T, in integer arithmetic
+
+
+def _fincke_pohst(gram):
+    """The enumeration data (pivots, weights, scale, columns) of a positive
+    definite Gram matrix, from one `_symmetric_bareiss` run."""
+    steps = list(_symmetric_bareiss(gram))
+    pivots = [p for p, _ in steps]
+    if len(pivots) < len(gram) or min(pivots) <= 0:
+        raise ValueError("Fincke-Pohst enumeration requires a positive definite matrix")
+    # x^T G x = sum_k z_k^2 / (p_{k-1} p_k) with z_k = p_k x_k + sum_{i>k} b_ik x_i;
+    # times scale = lcm(p_{k-1} p_k) that is sum_k w_k z_k^2, all in integers.
+    # cols[k] holds b_ik at index i and zeros up to k, where x is still 0.
+    dens = [p * q for p, q in zip([1] + pivots, pivots)]
+    scale = math.lcm(*dens)
+    cols = [[0] * (k + 1) + col for k, (_, col) in enumerate(steps)]
+    return pivots, [scale // d for d in dens], scale, cols
+
+
+def _enumerate(fp, bound: int, leaf, parity=None) -> bool:
+    """Call leaf(x, scale * (bound - x^T G x)) on each nonzero x with
+    x^T G x <= bound, one of every +-pair (its last nonzero coordinate
+    positive), and with x = parity (mod 2) when `parity` is given; stop, and
+    return True, as soon as leaf returns a true value.  `x` is reused."""
+    pivots, w, scale, cols = fp
+    n = len(pivots)
+    x = [0] * n
+
+    def rec(i: int, remaining: int, top: bool) -> bool:
+        # top: x_j = 0 for all j > i, so x_i >= 0 visits each +-pair once
+        if i < 0:
+            return not top and leaf(x, remaining)
+        s = sum(map(mul, cols[i], x))
+        p = pivots[i]
+        # w_i z_i^2 <= remaining  <=>  |z_i| <= t, since z_i is an integer
+        t = math.isqrt(remaining // w[i])
+        lo = 0 if top else -((t + s) // p)
+        step = 1
+        if parity is not None:
+            lo += (lo - parity[i]) % 2
+            step = 2
+        for xi in range(lo, (t - s) // p + 1, step):
+            z = xi * p + s
+            x[i] = xi
+            if rec(i - 1, remaining - w[i] * z * z, top and not xi):
+                return True
+        x[i] = 0
+        return False
+
+    return rec(n - 1, bound * scale, True)
 
 
 def short_vectors(gram, bound: int) -> list[tuple[tuple[int, ...], int]]:
     """All nonzero vectors x (up to sign) with x^T G x <= bound, G positive
     definite.  Returns (vector, norm) pairs sorted by (norm, vector); of every
     +-pair only the lexicographically larger representative is kept."""
-    n = len(gram)
-    if n == 0 or bound <= 0:
+    if not gram or bound <= 0:
         return []
-    steps = list(_symmetric_bareiss(gram))
-    pivots = [p for p, _ in steps]
-    if len(pivots) < n or min(pivots) <= 0:
-        raise ValueError("short_vectors requires a positive definite matrix")
-    # x^T G x = sum_k z_k^2 / (p_{k-1} p_k) with z_k = p_k x_k + sum_{i>k} b_ik x_i;
-    # times scale = lcm(p_{k-1} p_k) that is sum_k w_k z_k^2, all in integers.
-    # cols[k] holds b_ik at index i and zeros up to k, where x is still 0.
-    dens = [p * q for p, q in zip([1] + pivots, pivots)]
-    scale = math.lcm(*dens)
-    w = [scale // d for d in dens]
-    cols = [[0] * (k + 1) + col for k, (_, col) in enumerate(steps)]
+    fp = _fincke_pohst(gram)
+    scale = fp[2]
     out: list[tuple[tuple[int, ...], int]] = []
-    x = [0] * n
 
-    def rec(i: int, remaining: int, top: bool):
-        # top: x_j = 0 for all j > i, so x_i >= 0 visits each +-pair once
-        if i < 0:
-            if not top:
-                v = tuple(x) if next(filter(None, x)) > 0 else tuple(-c for c in x)
-                out.append((v, bound - remaining // scale))
-            return
-        s = sum(map(mul, cols[i], x))
-        p = pivots[i]
-        # w_i z_i^2 <= remaining  <=>  |z_i| <= t, since z_i is an integer
-        t = math.isqrt(remaining // w[i])
-        for xi in range(0 if top else -((t + s) // p), (t - s) // p + 1):
-            z = xi * p + s
-            x[i] = xi
-            rec(i - 1, remaining - w[i] * z * z, top and not xi)
-        x[i] = 0
+    def leaf(x, remaining):
+        v = tuple(x) if next(filter(None, x)) > 0 else tuple(-c for c in x)
+        out.append((v, bound - remaining // scale))
 
-    rec(n - 1, bound * scale, True)
+    _enumerate(fp, bound, leaf)
     out.sort(key=lambda p: (p[1], p[0]))
     return out
 
 
 # ---------------------------------------------------------------------------
-# integer row space (Hermite-style) basis
+# Hermite normal form
 
 
 def lattice_row_basis(vectors) -> list[list[int]]:
-    """Basis of the sublattice of Z^n generated by `vectors`, as echelon rows.
-
-    Plain integer row reduction with gcd pivoting; fine at this scale.
-    """
+    """Basis of the sublattice of Z^n generated by `vectors`, as the rows of
+    its Hermite normal form: echelon rows with positive pivots, and every
+    entry above a pivot in [0, pivot).  The form is unique, so equal
+    sublattices give equal rows."""
     rows = [list(v) for v in vectors if any(v)]
-    if not rows:
-        return []
-    n = len(rows[0])
     basis: list[list[int]] = []
-    col = 0
-    while rows and col < n:
-        # Euclid on the column until at most one nonzero entry survives.
-        while True:
-            nz = [r for r in rows if r[col] != 0]
-            if len(nz) <= 1:
-                break
-            nz.sort(key=lambda r: abs(r[col]))
-            p = nz[0]
-            for r in nz[1:]:
-                q = r[col] // p[col]
-                for k in range(n):
-                    r[k] -= q * p[k]
-            rows = [r for r in rows if any(r)]
-        nz = [r for r in rows if r[col] != 0]
-        if nz:
-            p = nz[0]
-            if p[col] < 0:
-                for k in range(n):
-                    p[k] = -p[k]
-            basis.append(p)
-            rows = [r for r in rows if r is not p]
-        col += 1
+    for col in range(len(rows[0]) if rows else 0):
+        nz = [r for r in rows if r[col]]
+        if not nz:
+            continue
+        while len(nz) > 1:  # Euclid on the column
+            p = min(nz, key=lambda r: abs(r[col]))
+            for r in nz:
+                if r is not p:
+                    q = r[col] // p[col]
+                    r[:] = [a - q * b for a, b in zip(r, p)]
+            nz = [r for r in nz if r[col]]
+        p = nz[0]
+        rows = [r for r in rows if r is not p and any(r)]
+        if p[col] < 0:
+            p[:] = [-a for a in p]
+        for r in basis:
+            q = r[col] // p[col]
+            r[:] = [a - q * b for a, b in zip(r, p)]
+        basis.append(p)
     return basis
 
 
@@ -422,20 +443,47 @@ def lattice_row_basis(vectors) -> list[list[int]]:
 # indecomposable orthogonal summands
 
 
-def indecomposable_vectors(gram, shorts):
-    """(v, G v) for each v of `shorts` (short_vectors output, sorted by norm)
-    that is not x + y with x, y nonzero and orthogonal.
+def _orthogonal_split(fp, gram, v):
+    """(x, y) with x + y = v, x.y = 0 and x, y nonzero, from a u != +-v in
+    v + 2L with |u|^2 = |v|^2 (module docstring); None if v is indecomposable."""
+    nv = dot(gram_image(gram, v), v)
+    neg = [-c for c in v]
+    found: list[int] = []
 
-    Such a split has x.v = |x|^2 and |x|^2 < |v|^2, so testing the shorter
-    vectors (and, through the absolute value, their negatives) is exhaustive.
-    """
-    images = [gram_image(gram, v) for v, _ in shorts]
-    norms = [nv for _, nv in shorts]
-    return [
-        (v, images[k])
-        for k, (v, nv) in enumerate(shorts)
-        if not any(abs(dot(images[i], v)) == norms[i] for i in range(bisect_left(norms, nv)))
-    ]
+    def leaf(u, remaining):
+        if remaining == 0 and u != v and u != neg:
+            found.extend(u)
+            return True
+        return False
+
+    if not _enumerate(fp, nv, leaf, parity=v):
+        return None
+    return [(a + b) // 2 for a, b in zip(v, found)], [(a - b) // 2 for a, b in zip(v, found)]
+
+
+def _indecomposable_generators(gram) -> list[tuple[int, ...]]:
+    """Orthogonally indecomposable vectors that generate the lattice of a
+    positive definite Gram matrix, one of each +-pair (first nonzero
+    coordinate positive).  Starting from the unit vectors, every vector that
+    splits is replaced by its two strictly shorter parts, so this ends; all
+    coset searches share one set of Fincke-Pohst weights."""
+    fp = _fincke_pohst(gram)
+    n = len(gram)
+    todo = [[int(i == j) for j in range(n)] for i in range(n)]
+    seen: set[tuple[int, ...]] = set()
+    kept: list[tuple[int, ...]] = []
+    while todo:
+        v = todo.pop()
+        key = tuple(v) if next(filter(None, v)) > 0 else tuple(-c for c in v)
+        if key in seen:
+            continue
+        seen.add(key)
+        parts = _orthogonal_split(fp, gram, v)
+        if parts is None:
+            kept.append(key)
+        else:
+            todo.extend(parts)
+    return kept
 
 
 def check_rank_cap(rank: int, rank_cap: int):
@@ -452,8 +500,12 @@ def indecomposable_summands(
     Accepts positive or negative definite input (the latter is negated
     internally and the summands are negated back).  The returned witness U is
     unimodular and satisfies: U^T Q U is block diagonal with the summand
-    blocks in order.  Raises DegenerateFormError / ValueError on forms that
-    are not definite and RankCapExceededError above the cap.
+    blocks in order.  Each summand's basis is the Hermite normal form of its
+    sublattice in the coordinates of `greedy_reduce`'s basis, and the
+    summands are ordered by those forms, so a form with one summand has
+    `greedy_reduce`'s U as its witness.  Raises DegenerateFormError /
+    ValueError on forms that are not definite and RankCapExceededError above
+    the cap.
     """
     n = q.rank
     check_rank_cap(n, rank_cap)
@@ -468,31 +520,25 @@ def indecomposable_summands(
     g0 = [[sign * x for x in row] for row in q.matrix]
 
     g_red, u_red = greedy_reduce(g0)
-    bound = max(g_red[i][i] for i in range(n))
-    indec = indecomposable_vectors(g_red, short_vectors(g_red, bound))
-    # cluster by the transitive closure of non-orthogonality
+    gens = _indecomposable_generators(g_red)
+    images = [gram_image(g_red, v) for v in gens]
+    # the Eichler summands: classes of the transitive closure of non-orthogonality
     labels = connected_classes(
-        len(indec),
-        ((i, j) for i in range(len(indec)) for j in range(i + 1, len(indec))),
-        lambda i, j: dot(indec[i][1], indec[j][0]) != 0,
+        len(gens),
+        ((i, j) for i in range(len(gens)) for j in range(i + 1, len(gens))),
+        lambda i, j: dot(images[i], gens[j]) != 0,
     )
-    clusters: dict[int, list[tuple[int, ...]]] = {}
-    for label, (v, _) in zip(labels, indec):
-        clusters.setdefault(label, []).append(v)
-    ordered = sorted(clusters.values(), key=lambda c: min(c))
-
-    new_rows: list[list[int]] = []
-    sizes: list[int] = []
-    for cluster in ordered:
-        basis = lattice_row_basis(cluster)
-        sizes.append(len(basis))
-        new_rows.extend(basis)
+    classes: dict[int, list[tuple[int, ...]]] = {}
+    for label, v in zip(labels, gens):
+        classes.setdefault(label, []).append(v)
+    bases = sorted(lattice_row_basis(c) for c in classes.values())
+    sizes = [len(b) for b in bases]
     if sum(sizes) != n:  # pragma: no cover - guarded by the theory
         raise InconsistencyError(
             f"indecomposable vectors span rank {sum(sizes)} != {n}"
         )
 
-    u_cols = mat_mul(u_red, transpose(new_rows))  # columns = final basis
+    u_cols = mat_mul(u_red, transpose([row for b in bases for row in b]))  # columns = final basis
     if abs(det_int(u_cols)) != 1:  # pragma: no cover - guarded by the theory
         raise InconsistencyError("decomposition witness is not unimodular")
     final = congruence(u_cols, q.matrix)

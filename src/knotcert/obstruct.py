@@ -35,7 +35,6 @@ from .diagram import (
     connected_sum_factors,
     orient,
 )
-from .errors import InconsistencyError
 from .hfk import HfkTable, hfk_isomorphic, thin_hfk
 from .invariants import InvariantBundle, gl_signature, invariant_bundle
 from .lattice import (
@@ -48,7 +47,7 @@ from .lattice import (
 )
 from .tait import TaitGraph, blocks, orientable_flow_lattice, orientable_tait_graph
 
-SCHEMA = "knotcert-report/2"
+SCHEMA = "knotcert-report/3"
 
 
 def _pd_hash(pd_text: str) -> str:
@@ -143,6 +142,7 @@ def band_prime_certificate(
     check_rank_cap(orientable_tait_graph(od).cycle_rank(), rank_cap)
     g_full, gram_full, _ = orientable_flow_lattice(od)
     dec_full = indecomposable_summands(gram_full, rank_cap=rank_cap)
+    blocks_full = _positive_rank_blocks(g_full)
 
     notes: list[str] = []
     problems: list[str] = []
@@ -191,7 +191,7 @@ def band_prime_certificate(
             problems.append(
                 f"factor flow lattice split into {len(dec.summands)} summands"
             )
-        nblocks = _positive_rank_blocks(g)
+        nblocks = blocks_full if fod is od else _positive_rank_blocks(g)
         if nblocks != 1:
             problems.append(
                 f"factor graph has {nblocks} positive-rank blocks, expected 1"
@@ -211,7 +211,7 @@ def band_prime_certificate(
             f"whole-diagram lattice has {len(dec_full.summands)} summands "
             f"but {len(factors)} nontrivial factors"
         )
-    if _positive_rank_blocks(g_full) != len(factors):
+    if blocks_full != len(factors):
         problems.append("whole-diagram block count disagrees with factor count")
 
     if problems:
@@ -312,6 +312,7 @@ def minimality_evidence(
         if bundle.speciality.is_alternating
         else None
     )
+    # invariant_bundle has already checked |sigma| = span on special alternating input
     aniso = anisotropy_check(bundle)
     ppl = _is_prime_power(abs(bundle.leading_coefficient))
     special = bundle.speciality.is_special and bundle.speciality.is_alternating
@@ -321,10 +322,6 @@ def minimality_evidence(
         verdict = "minimal_certified"
     else:
         verdict = "evidence_only"
-    if special and not aniso.holds:
-        raise InconsistencyError(
-            f"special alternating knot with |sigma| {abs(bundle.signature)} != span {aniso.span}"
-        )
     return MinimalityEvidence(
         pd_sha256=_pd_hash(od.diagram.pd_text()),
         bundle=bundle,

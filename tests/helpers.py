@@ -279,6 +279,70 @@ def det_fraction(m):
     return int(det)
 
 
+def indecomposable_vectors(gram, shorts):
+    """(v, G v) for each v of `shorts` (short_vectors output, sorted by norm)
+    that is not x + y with x, y nonzero and orthogonal.
+
+    Such a split has x.v = |x|^2, and one of the two parts has at most half
+    the norm of v, so testing the vectors x with |x|^2 <= |v|^2 / 2 (and,
+    through the absolute value, their negatives) is exhaustive.
+    """
+    from bisect import bisect_right
+
+    from knotcert.lattice import dot, gram_image
+
+    images = [gram_image(gram, v) for v, _ in shorts]
+    norms = [nv for _, nv in shorts]
+    return [
+        (v, images[k])
+        for k, (v, nv) in enumerate(shorts)
+        if not any(abs(dot(images[i], v)) == norms[i] for i in range(bisect_right(norms, nv // 2)))
+    ]
+
+
+def summand_sublattices_shortvectors(gram):
+    """The indecomposable summands of a positive definite form, each as the
+    Hermite normal form of its sublattice (rows, original coordinates), in
+    sorted order, by the short-vector route: every indecomposable vector up
+    to the largest diagonal entry of the greedy-reduced basis (those vectors
+    span the lattice), grouped by the transitive closure of non-orthogonality."""
+    from knotcert.lattice import dot, greedy_reduce, lattice_row_basis, short_vectors
+
+    g_red, u_red = greedy_reduce(gram)
+    bound = max(g_red[i][i] for i in range(len(g_red)))
+    classes = []  # lists of (v, G v)
+    for v, gv in indecomposable_vectors(g_red, short_vectors(g_red, bound)):
+        apart, joined = [], [(v, gv)]
+        for c in classes:
+            if any(dot(gv, w) for w, _ in c):
+                joined += c
+            else:
+                apart.append(c)
+        classes = apart + [joined]
+    return sorted(
+        lattice_row_basis([[dot(row, v) for row in u_red] for v, _ in c]) for c in classes
+    )
+
+
+def inverse_fraction(m):
+    """Inverse of a nonsingular matrix by Gauss-Jordan elimination over
+    Fractions; entries are ints when m is unimodular."""
+    from fractions import Fraction
+
+    n = len(m)
+    a = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
+         for i, row in enumerate(m)]
+    for k in range(n):
+        p = next(i for i in range(k, n) if a[i][k])
+        a[k], a[p] = a[p], a[k]
+        a[k] = [x / a[k][k] for x in a[k]]
+        for i in range(n):
+            if i != k and a[i][k]:
+                f = a[i][k]
+                a[i] = [x - f * y for x, y in zip(a[i], a[k])]
+    return [[int(x) if x.denominator == 1 else x for x in row[n:]] for row in a]
+
+
 def decomposable_bruteforce(gram, shorts):
     """The vectors of `shorts` that split as v = x + y with x, y nonzero and
     x.y = 0, by the definition: x over every short vector of either sign

@@ -8,7 +8,7 @@ import tracemalloc
 import pytest
 
 from helpers import theta
-from knotcert.cli import main
+from knotcert.cli import _json_text, main
 from knotcert.corpus import corpus_entry
 from knotcert.medial import medial_diagram
 
@@ -29,7 +29,7 @@ def test_analyze_trefoil_json(capsys):
     assert rep["band_primeness"]["verdict"] == "band_prime_certified"
     assert rep["minimality"]["verdict"] == "minimal_certified"
     assert rep["invariants"]["determinant"] == 3
-    assert rep["schema"] == "knotcert-report/2"
+    assert rep["schema"] == "knotcert-report/3"
 
 
 def test_analyze_unknot(capsys):
@@ -106,6 +106,66 @@ def test_analyze_computes_each_piece_once(monkeypatch, capsys):
     code, _, err = run(capsys, "analyze", "--pd", t213.pd_text(), "--rank-cap", "4")
     assert code == 3 and "cap" in err
     assert counts == dict.fromkeys(names, 0)
+
+
+def test_analyze_counts_graph_blocks_once(monkeypatch, capsys):
+    """A prime diagram is its own single factor: one block count of its
+    orientable Tait graph serves the factor and the whole-diagram check."""
+    counts = _count_calls(monkeypatch, "obstruct._positive_rank_blocks")
+    code, _, _ = run(capsys, "analyze", "--pd", TREFOIL, "--json")
+    assert code == 0
+    assert counts == {"obstruct._positive_rank_blocks": 1}
+
+
+def _dumps(obj) -> str:
+    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+
+
+def test_json_text_matches_json_dumps_on_bundled_reports(tmp_path, capsys):
+    code, out, _ = run(capsys, "batch", "bundled", "--json", "--out", str(tmp_path))
+    assert code == 0
+    assert out == _dumps(json.loads(out))
+    files = sorted(tmp_path.glob("*.json"))
+    assert len(files) == 34
+    for f in files:
+        text = f.read_text("utf-8")
+        obj = json.loads(text)
+        assert text == _dumps(obj) == _json_text(obj), f.name
+
+
+class _Int(int):
+    pass
+
+
+class _Str(str):
+    pass
+
+
+@pytest.mark.parametrize(
+    "obj",
+    [
+        {},
+        [],
+        {"a": {}, "b": [], "c": [[], {}]},
+        "na\u00efve \u2713 \u2028 \x00 \"q\" \\ \n\t",
+        {"\u043a\u043b\u044e\u0447": "\u00e9", "z": ["\U0001f600"]},
+        -(10**40),
+        [10**30, -1, 0, 7],
+        True,
+        False,
+        None,
+        {"t": True, "f": False, "n": None, "i": -3, "s": ""},
+        [[[[{"deep": [1, [2, [3]]]}]]]],
+        # outside the plain types: the whole object goes through json.dumps
+        (1, [2, 3]),
+        {"x": 1.5, "y": [0.1, -2e30]},
+        {1: "int key", 2: []},
+        {"k": (1, {"t": ()})},
+        [_Int(5), _Str("s"), True],
+    ],
+)
+def test_json_text_matches_json_dumps_on_edge_cases(obj):
+    assert _json_text(obj) == _dumps(obj)
 
 
 def test_json_output_is_byte_identical(capsys):

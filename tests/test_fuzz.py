@@ -6,10 +6,11 @@ must never trigger an InconsistencyError (exit 1 of the CLI)."""
 
 from __future__ import annotations
 
+import json
 import random
 
 from helpers import plane_graph_from_multigraph, random_connected_multigraph
-from knotcert.cli import _analysis
+from knotcert.cli import _analysis, _json_text
 from knotcert.corpus import load_corpus
 from knotcert.diagram import orient, parse_pd
 from knotcert.errors import InconsistencyError, KnotCertError
@@ -46,11 +47,13 @@ def _outcome(text: str) -> str:
     except KnotCertError:
         return "rejected"
     try:
-        _analysis(orient(d), 6, False)
+        rep, _bundle = _analysis(orient(d), 6, False)
     except InconsistencyError as ex:
         raise AssertionError(f"inconsistency on valid diagram {text!r}: {ex}") from ex
     except KnotCertError:
         return "error"
+    # the report writer gives json.dumps's bytes
+    assert _json_text(rep) == json.dumps(rep, sort_keys=True, indent=2) + "\n"
     return "report"
 
 

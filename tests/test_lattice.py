@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from collections import Counter
 
 import pytest
 
@@ -10,11 +11,14 @@ from helpers import (
     congruent_scramble,
     decomposable_bruteforce,
     det_fraction,
+    indecomposable_vectors,
     inertia_fraction,
+    inverse_fraction,
     necklace,
     random_unimodular,
     short_vectors_bruteforce,
     short_vectors_fraction,
+    summand_sublattices_shortvectors,
     theta,
 )
 import knotcert.lattice
@@ -26,10 +30,11 @@ from knotcert.lattice import (
     congruence,
     connected_classes,
     definiteness,
+    dot,
     det_int,
     greedy_reduce,
+    _indecomposable_generators,
     indecomposable_summands,
-    indecomposable_vectors,
     inertia,
     isometric,
     lattice_row_basis,
@@ -43,7 +48,7 @@ from knotcert.lattice import (
 from knotcert.corpus import load_corpus
 from knotcert.diagram import checkerboard, parse_pd
 from knotcert.medial import medial_diagram
-from knotcert.tait import flow_lattice, orientable_flow_lattice, tait_graph
+from knotcert.tait import TaitGraph, flow_lattice, orientable_flow_lattice, tait_graph
 
 A2 = GramForm(((2, 1), (1, 2)))
 
@@ -422,6 +427,139 @@ def test_indecomposable_filter_matches_definition_on_knot_lattices(graph):
     _filter_agrees([list(r) for r in gram.matrix])
 
 
+# ---------------------------------------------------------------------------
+# the coset-enumerated decomposition against the short-vector route, the
+# graph's cycles and the Hermite normal form
+
+
+def _summand_sublattices(gram):
+    """The summands of `indecomposable_summands`, each as the Hermite normal
+    form of its witness columns (original coordinates), sorted."""
+    dec = indecomposable_summands(GramForm(tuple(map(tuple, gram))), rank_cap=len(gram))
+    cols = transpose(dec.witness)
+    out, off = [], 0
+    for s in dec.summands:
+        out.append(lattice_row_basis(cols[off:off + s.rank]))
+        off += s.rank
+    return sorted(out)
+
+
+def test_summands_match_short_vector_route_on_random_forms():
+    rng = random.Random(17)
+    several = 0
+    for trial in range(510):
+        gram, _bound = _random_form_and_bound(rng, trial)
+        want = summand_sublattices_shortvectors(gram)
+        assert _summand_sublattices(gram) == want, gram
+        several += len(want) > 1
+    assert several > 150, several
+
+
+def test_summands_match_short_vector_route_on_knot_lattices():
+    for form in _knot_flow_lattices():
+        if form.rank:
+            want = summand_sublattices_shortvectors(form.matrix)
+            assert _summand_sublattices(form.matrix) == want
+
+
+def _is_hermite(rows):
+    """Echelon rows with positive pivots, each entry above a pivot in [0, pivot)."""
+    pivots = [next(j for j, x in enumerate(r) if x) for r in rows]
+    return (
+        all(a < b for a, b in zip(pivots, pivots[1:]))
+        and all(r[p] > 0 for r, p in zip(rows, pivots))
+        and all(0 <= rows[i][p] < rows[k][p] for k, p in enumerate(pivots) for i in range(k))
+    )
+
+
+def test_lattice_row_basis_is_the_hermite_normal_form():
+    rng = random.Random(41)
+    for _ in range(300):
+        n, m = rng.randint(1, 6), rng.randint(1, 8)
+        vecs = [[rng.randint(-6, 6) for _ in range(n)] for _ in range(m)]
+        h = lattice_row_basis(vecs)
+        assert _is_hermite(h), h
+        # unique: the same rows for the same sublattice from other generators
+        assert lattice_row_basis(h) == h
+        assert lattice_row_basis(h + vecs) == h
+        assert lattice_row_basis(mat_mul(transpose(random_unimodular(m, rng)), vecs)) == h
+
+
+def test_summand_bases_are_hermite_normal_forms_in_the_reduced_basis():
+    rng = random.Random(23)
+    for trial in range(150):
+        gram, _bound = _random_form_and_bound(rng, trial)
+        dec = indecomposable_summands(GramForm(tuple(map(tuple, gram))))
+        _g_red, u_red = greedy_reduce(gram)
+        rows = transpose(mat_mul(inverse_fraction(u_red), [list(r) for r in dec.witness]))
+        blocks, off = [], 0
+        for s in dec.summands:
+            blocks.append(rows[off:off + s.rank])
+            off += s.rank
+        assert all(_is_hermite(b) for b in blocks), blocks
+        assert blocks == sorted(blocks)
+
+
+def test_one_summand_witness_is_the_reduced_basis():
+    seen = 0
+    for form in _knot_flow_lattices():
+        dec = indecomposable_summands(form, rank_cap=max(form.rank, 1))
+        if len(dec.summands) == 1:
+            g_red, u_red = greedy_reduce(form.matrix)
+            assert [list(r) for r in dec.witness] == u_red
+            assert [list(r) for r in dec.summands[0].matrix] == g_red
+            seen += 1
+    assert seen > 40, seen
+
+
+def _is_simple_cycle(g, vec):
+    """vec, over the edges of g, is +-1 on the edges of one simple cycle and 0
+    elsewhere (a loop is a cycle of length one)."""
+    if any(abs(c) > 1 for c in vec):
+        return False
+    support = [g.edges[e] for e, c in enumerate(vec) if c]
+    degree = Counter(v for edge in support for v in edge)
+    verts = {v: i for i, v in enumerate(degree)}
+    return set(degree.values()) == {2} and set(
+        connected_classes(len(verts), ((verts[a], verts[b]) for a, b in support))
+    ) == {0}
+
+
+def _cycle_oracle_graphs():
+    """Tait graphs of the bundled diagrams, T(2,k) and necklaces, and random
+    connected multigraphs with loops and parallel edges (the rotation system
+    plays no part in the cycle space, so those need not be planar)."""
+    for entry in load_corpus():
+        cb = checkerboard(parse_pd(entry.pd))
+        yield from (tait_graph(cb, color) for color in (0, 1))
+    for g in [theta(k) for k in (3, 9, 25)] + [necklace(s) for s in ([3, 5, 7], [9, 3, 5, 3, 7])]:
+        yield orientable_flow_lattice(orient(medial_diagram(g, 1)[0]))[0]
+    rng = random.Random(2)
+    for _ in range(250):
+        nv = rng.randint(1, 9)
+        edges = [(rng.randrange(v), v) for v in range(1, nv)]
+        edges += [(rng.randrange(nv), rng.randrange(nv)) for _ in range(rng.randint(0, 14))]
+        yield TaitGraph(0, tuple(range(nv)), tuple(edges), (1,) * len(edges), ())
+
+
+def test_kept_generators_are_simple_cycles_of_the_graph():
+    """The irreducible flows of a graph are its cycles (Greene, "Lattices,
+    graphs, and Conway mutation", 2013); every generator that the coset
+    search keeps is one, in edge coordinates."""
+    kept = 0
+    for g in _cycle_oracle_graphs():
+        gram, basis = flow_lattice(g)
+        if not gram.rank:
+            continue
+        g_red, u_red = greedy_reduce(gram.matrix)
+        for v in _indecomposable_generators(g_red):
+            coeffs = [dot(row, v) for row in u_red]
+            edge_vec = [dot(coeffs, col) for col in zip(*basis.vectors)]
+            assert _is_simple_cycle(g, edge_vec), (g.edges, edge_vec)
+            kept += 1
+    assert kept > 1500, kept
+
+
 def _random_symmetric(rng, n, kind):
     """A seeded symmetric integer matrix of one of five kinds."""
     big = 10**6 if kind == "large" else 6
@@ -499,8 +637,8 @@ def test_connected_classes_asks_linked_only_across_classes():
 
 
 def test_indecomposable_summands_skips_joined_pairs(monkeypatch):
-    """T(2,9)'s flow lattice is A_8: its 36 roots form one class, so the
-    clustering asks about far fewer than all 630 pairs."""
+    """T(2,9)'s flow lattice is A_8: its reduced basis is 8 indecomposable
+    roots in one class, so the clustering asks about few of their pairs."""
     od = orient(medial_diagram(theta(9), 1)[0])
     _g, gram, _basis = orientable_flow_lattice(od)
     calls = []

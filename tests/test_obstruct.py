@@ -99,7 +99,7 @@ def test_certificate_json_is_deterministic():
     b = json.dumps(band_prime_certificate(_od(LEFT_TREFOIL)).to_json(), sort_keys=True)
     assert a == b
     j = json.loads(a)
-    assert j["schema"] == "knotcert-report/2"
+    assert j["schema"] == "knotcert-report/3"
     assert j["kind"] == "band_prime_certificate"
     assert j["verdict"] == "band_prime_certified"
 
@@ -128,6 +128,23 @@ def test_anisotropy():
     b, _ = _bundle_hfk(FIG8)
     r = anisotropy_check(b)
     assert not r.holds and (r.sigma, r.span) == (0, 2)
+
+
+def test_anisotropy_reported_on_every_special_alternating_entry():
+    """invariant_bundle refuses a special alternating diagram whose |sigma|,
+    2g and span differ, so the anisotropy field of every such report holds."""
+    seen = 0
+    for e in load_corpus():
+        ev = minimality_evidence(_od(e.pd))
+        sp = ev.bundle.speciality
+        if sp.is_special and sp.is_alternating:
+            assert ev.to_json()["anisotropy"] == {
+                "holds": True,
+                "sigma": ev.bundle.signature,
+                "span": ev.bundle.alexander.span(),
+            }, e.name
+            seen += 1
+    assert seen == 29
 
 
 def test_prime_power_helper():
