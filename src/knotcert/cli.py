@@ -346,7 +346,7 @@ def build_parser() -> argparse.ArgumentParser:
             type=int,
             default=DEFAULT_RANK_CAP,
             metavar="N",
-            help="abort isometry searches above this lattice rank",
+            help="refuse the certificate's lattice work above this rank (exit 3)",
         )
         sp.add_argument("--out", metavar="DIR", help="directory for report files")
 

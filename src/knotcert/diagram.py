@@ -209,7 +209,6 @@ class Checkerboard:
     (corner k lies between slots k and k+1 mod 4); `colors[f]` is 0 or 1.
     """
 
-    diagram: Diagram
     faces: tuple[tuple[HalfEdge, ...], ...]
     colors: tuple[int, ...]
     face_at_corner: tuple[tuple[int, int, int, int], ...]
@@ -227,17 +226,13 @@ class Checkerboard:
             return (1, 3)
         raise InconsistencyError(f"corner colors at crossing {ci} not alternating")
 
-    def arcs_by_face(self, face_idx: int) -> frozenset[int]:
-        d = self.diagram
-        return frozenset(d.crossings[ci][slot] for ci, slot in self.faces[face_idx])
-
 
 @cached_on_instance
 def checkerboard(d: Diagram) -> Checkerboard:
     """2-color the faces so that faces sharing an arc get opposite colors."""
     faces = _trace_faces(d)
     if d.n == 0:
-        return Checkerboard(d, ((), ()), (0, 1), ())
+        return Checkerboard(((), ()), (0, 1), ())
     owner: dict[HalfEdge, int] = {}
     for fi, face in enumerate(faces):
         for he in face:
@@ -251,7 +246,7 @@ def checkerboard(d: Diagram) -> Checkerboard:
     face_at_corner = tuple(
         tuple(owner[(ci, (k + 1) % 4)] for k in range(4)) for ci in range(d.n)
     )
-    cb = Checkerboard(d, faces, tuple(colors), face_at_corner)
+    cb = Checkerboard(faces, tuple(colors), face_at_corner)
     for ci in range(d.n):
         cb.corner_pair_of_color(ci, 0)  # validates the 2+2 corner pattern
     return cb
@@ -282,7 +277,6 @@ class OrientedDiagram:
         return sum(self.signs)
 
 
-@cached_on_instance
 def orient(d: Diagram) -> OrientedDiagram:
     """Propagate strand orientations.
 
@@ -475,7 +469,7 @@ def classify_special(od: OrientedDiagram) -> SpecialityReport:
     orientable_color: int | None = None
     for color in (0, 1):
         faces_arcs = frozenset(
-            cb.arcs_by_face(fi)
+            frozenset(d.crossings[ci][slot] for ci, slot in cb.faces[fi])
             for fi in range(len(cb.faces))
             if cb.colors[fi] == color
         )

@@ -14,7 +14,6 @@ equals |Delta(-1)|.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .errors import InconsistencyError
 from .invariants import LaurentPolynomial
@@ -23,13 +22,12 @@ from .invariants import LaurentPolynomial
 @dataclass(frozen=True)
 class HfkTable:
     # (alexander grading, maslov grading) -> rank, sorted by alexander desc
-    entries: tuple[tuple[int, Fraction, int], ...]
-    delta_grading: Fraction
+    entries: tuple[tuple[int, int, int], ...]
+    delta_grading: int
 
-    def rank_at(self, alexander: int, maslov) -> int:
-        m = Fraction(maslov)
-        for a, mm, r in self.entries:
-            if a == alexander and mm == m:
+    def rank_at(self, alexander: int, maslov: int) -> int:
+        for a, m, r in self.entries:
+            if a == alexander and m == maslov:
                 return r
         return 0
 
@@ -39,20 +37,15 @@ class HfkTable:
     def euler_characteristic(self) -> LaurentPolynomial:
         coeffs: dict[int, int] = {}
         for a, m, r in self.entries:
-            if m.denominator != 1:
-                raise InconsistencyError("half-integer Maslov grading on a knot table")
-            sign = -1 if int(m) % 2 else 1
+            sign = -1 if m % 2 else 1
             coeffs[a] = coeffs.get(a, 0) + sign * r
         return LaurentPolynomial.from_dict(coeffs)
 
     def to_json(self) -> dict:
-        def enc(q: Fraction):
-            return int(q) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
-
         return {
-            "delta_grading": enc(self.delta_grading),
+            "delta_grading": self.delta_grading,
             "entries": [
-                {"alexander": a, "maslov": enc(m), "rank": r}
+                {"alexander": a, "maslov": m, "rank": r}
                 for a, m, r in self.entries
             ],
         }
@@ -73,15 +66,15 @@ def thin_hfk(delta: LaurentPolynomial, sigma: int) -> HfkTable:
     half = sigma // 2
     entries = []
     for s, a_s in delta.coeffs:
-        maslov = Fraction(s + half)
-        want_sign = -1 if (s + half) % 2 else 1
+        maslov = s + half
+        want_sign = -1 if maslov % 2 else 1
         if (1 if a_s > 0 else -1) != want_sign:
             raise InconsistencyError(
                 f"coefficient {a_s} t^{s} has the wrong sign for a thin knot "
                 f"with signature {sigma}"
             )
         entries.append((s, maslov, abs(a_s)))
-    table = HfkTable(tuple(entries), Fraction(half))
+    table = HfkTable(tuple(entries), half)
     if table.euler_characteristic() != delta:
         raise InconsistencyError("graded Euler characteristic failed to rebuild input")
     det = delta(-1)

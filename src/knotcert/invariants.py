@@ -13,14 +13,15 @@ Everything here is exact integer / rational arithmetic:
   Wirtinger-Fox calculus), with determinant, genus and fiberedness data
   derived from it.
 
-Polynomial determinants are computed by exact interpolation: shift each row
-to a polynomial, bound the determinant's degree by the sum of the row spans,
-evaluate at that many plus one integer points, take fraction-free (Bareiss)
-determinants, and recover the coefficients by Newton divided differences, all
-in integer arithmetic.  The Fox matrix is first Tietze-reduced over
-Z[t, t^-1]: every Wirtinger row has unit entries +-t^e, and eliminating on
-them (least Markowitz cost first) changes the determinant by a unit only, so
-what is left to interpolate is sized by the knot, not by the crossing count.
+Both backends take one Laurent determinant (`_laurent_det`), and it works in
+integer arithmetic.  The matrix (the Fox matrix, or t V - V^T) is first
+Tietze-reduced over Z[t, t^-1]: eliminating on its unit entries +-t^e (least
+Markowitz cost first) changes the determinant by a unit only, so what is left
+is sized by the knot, not by the crossing count or the genus.  That residue
+is interpolated exactly: shift each row to a polynomial, bound the
+determinant's degree by the sum of the row spans, evaluate at that many plus
+one integer points, take fraction-free (Bareiss) determinants, and recover
+the coefficients by Newton divided differences.
 """
 
 from __future__ import annotations
@@ -456,87 +457,15 @@ def _normalize_alexander(raw: LaurentPolynomial, source: str) -> LaurentPolynomi
     return centered
 
 
-def _laurent_det(m) -> LaurentPolynomial:
-    """Determinant, up to a unit, of a square matrix of Laurent entries
-    ({exponent: coefficient}, zeros dropped) by interpolation.
-
-    Each row is shifted to a polynomial (each column instead, by transposing,
-    when the column spans sum to less); the sum of the spans then bounds the
-    degree of the determinant, so that many plus one integer points suffice.
-    """
-    def spans(rows):
-        exps = [[k for e in row for k in e] for row in rows]
-        if not all(exps):
-            raise InconsistencyError("polynomial matrix has a zero row or column")
-        return [(min(x), max(x)) for x in exps]
-
-    cols = [list(c) for c in zip(*m)]
-    row_spans, col_spans = spans(m), spans(cols)
-    if sum(b - a for a, b in col_spans) < sum(b - a for a, b in row_spans):
-        m, row_spans = cols, col_spans
-    # each row as its coefficient rows of t^hi, ..., t^lo, for Horner's rule
-    layers = []
-    for row, (lo, hi) in zip(m, row_spans):
-        layers.append([[e.get(k, 0) for e in row] for k in range(hi, lo - 1, -1)])
-    degree = sum(b - a for a, b in row_spans)
-    # points 0, 1, -1, 2, -2, ... keep the evaluated entries small
-    xs = [(k + 1) // 2 * (1 if k % 2 else -1) for k in range(degree + 1)]
-    ys = []
-    for x in xs:
-        mat = []
-        for top, *rest in layers:
-            for layer in rest:
-                top = [v * x + c for v, c in zip(top, layer)]
-            mat.append(top)
-        ys.append(det_int(mat))
-    return LaurentPolynomial.from_dict(dict(enumerate(_interpolate_int_poly(xs, ys))))
-
-
-def alexander_via_seifert(od: OrientedDiagram) -> LaurentPolynomial:
-    """det(t V - V^T), centered; only available for special diagrams."""
-    v = seifert_matrix_special(od).matrix
-    if not v:
-        return LaurentPolynomial.one()
-    m = [
-        [{k: c for k, c in ((1, vij), (0, -vji)) if c} for vij, vji in zip(row, col)]
-        for row, col in zip(v, zip(*v))
-    ]
-    return _normalize_alexander(_laurent_det(m), "seifert backend")
-
-
-# Fox derivatives (as c0 + c1 t) of a crossing's Wirtinger relation by its
-# overstrand, incoming and outgoing understrand, per crossing sign.  Rows of
-# negative crossings are premultiplied by t to stay polynomial (a unit).
-_FOX_ROW = {1: ((1, -1), (0, 1), (-1, 0)), -1: ((-1, 1), (1, 0), (0, -1))}
-
-
-def _fox_residue(od: OrientedDiagram) -> list[list[dict[int, int]]]:
-    """The Fox matrix of the Wirtinger presentation with its last row and
-    column deleted, after Tietze reduction, as rows of Laurent entries
-    ({exponent: coefficient}, {} for zero).
+def _unit_residue(rows: list[dict[int, dict[int, int]]]) -> list[list[dict[int, int]]]:
+    """Tietze-reduce a square matrix of Laurent entries, given as sparse rows
+    {column: {exponent: coefficient}} (zeros dropped, consumed), to the
+    dense square matrix left over.
 
     While some entry is a unit +-t^e, the one of least Markowitz cost (ties to
     the least (row, column)) clears its column and its row and column are
     dropped; that changes the determinant by a unit only.
     """
-    d = od.diagram
-    n = d.n
-    # overstrands: arcs joined through the over-slots of each crossing
-    col = connected_classes(2 * n, ((c[1] - 1, c[3] - 1) for c in d.crossings))
-    if max(col) + 1 != n:
-        raise InconsistencyError(
-            f"expected {n} overstrands for a knot diagram, found {max(col) + 1}"
-        )
-    rows: list[dict[int, dict[int, int]]] = []
-    for ci, c in enumerate(d.crossings[: n - 1]):
-        row: dict[int, dict[int, int]] = {}
-        for arc, (c0, c1) in zip((c[1], c[0], c[2]), _FOX_ROW[od.signs[ci]]):
-            entry = row.setdefault(col[arc - 1], {0: 0, 1: 0})
-            entry[0] += c0
-            entry[1] += c1
-        row.pop(n - 1, None)  # the deleted column
-        entries = {j: {k: x for k, x in e.items() if x} for j, e in row.items()}
-        rows.append({j: e for j, e in entries.items() if e})
     col_count = Counter(j for row in rows for j in row)
     while rows:
         best = min(
@@ -572,17 +501,93 @@ def _fox_residue(od: OrientedDiagram) -> list[list[dict[int, int]]]:
                     del row[k]
             col_count.update(row.keys())
     cols = sorted({j for row in rows for j in row})
+    if len(cols) != len(rows) or not all(rows):
+        raise InconsistencyError(
+            f"Laurent residue of {len(rows)} rows on {len(cols)} columns "
+            "is not square or has a zero row"
+        )
     return [[row.get(j, {}) for j in cols] for row in rows]
 
 
+def _laurent_det(rows: list[dict[int, dict[int, int]]]) -> LaurentPolynomial:
+    """Determinant, up to a unit, of a square matrix of Laurent entries given
+    as sparse rows (`_unit_residue`); the empty matrix has determinant 1.
+
+    The unit residue is interpolated: each row is shifted to a polynomial
+    (each column instead, by transposing, when the column spans sum to less);
+    the sum of the spans then bounds the degree of the determinant, so that
+    many plus one integer points suffice.
+    """
+    def spans(rows):
+        exps = [[k for e in row for k in e] for row in rows]
+        return [(min(x), max(x)) for x in exps]
+
+    m = _unit_residue(rows)
+    cols = [list(c) for c in zip(*m)]
+    row_spans, col_spans = spans(m), spans(cols)
+    if sum(b - a for a, b in col_spans) < sum(b - a for a, b in row_spans):
+        m, row_spans = cols, col_spans
+    # each row as its coefficient rows of t^hi, ..., t^lo, for Horner's rule
+    layers = []
+    for row, (lo, hi) in zip(m, row_spans):
+        layers.append([[e.get(k, 0) for e in row] for k in range(hi, lo - 1, -1)])
+    degree = sum(b - a for a, b in row_spans)
+    # points 0, 1, -1, 2, -2, ... keep the evaluated entries small
+    xs = [(k + 1) // 2 * (1 if k % 2 else -1) for k in range(degree + 1)]
+    ys = []
+    for x in xs:
+        mat = []
+        for top, *rest in layers:
+            for layer in rest:
+                top = [v * x + c for v, c in zip(top, layer)]
+            mat.append(top)
+        ys.append(det_int(mat))
+    return LaurentPolynomial.from_dict(dict(enumerate(_interpolate_int_poly(xs, ys))))
+
+
+def alexander_via_seifert(od: OrientedDiagram) -> LaurentPolynomial:
+    """det(t V - V^T), centered; only available for special diagrams."""
+    v = seifert_matrix_special(od).matrix
+    rows = []
+    for row, col in zip(v, zip(*v)):
+        entries = ({k: c for k, c in ((1, a), (0, -b)) if c} for a, b in zip(row, col))
+        rows.append({j: e for j, e in enumerate(entries) if e})
+    return _normalize_alexander(_laurent_det(rows), "seifert backend")
+
+
+# Fox derivatives (as c0 + c1 t) of a crossing's Wirtinger relation by its
+# overstrand, incoming and outgoing understrand, per crossing sign.  Rows of
+# negative crossings are premultiplied by t to stay polynomial (a unit).
+_FOX_ROW = {1: ((1, -1), (0, 1), (-1, 0)), -1: ((-1, 1), (1, 0), (0, -1))}
+
+
+def _fox_rows(od: OrientedDiagram) -> list[dict[int, dict[int, int]]]:
+    """The Fox matrix of the Wirtinger presentation with its last row and
+    column deleted, as sparse rows {overstrand: {exponent: coefficient}}."""
+    d = od.diagram
+    n = d.n
+    # overstrands: arcs joined through the over-slots of each crossing
+    col = connected_classes(2 * n, ((c[1] - 1, c[3] - 1) for c in d.crossings))
+    if max(col, default=-1) + 1 != n:
+        raise InconsistencyError(
+            f"expected {n} overstrands for a knot diagram, found {max(col) + 1}"
+        )
+    rows: list[dict[int, dict[int, int]]] = []
+    for ci, c in enumerate(d.crossings[: n - 1]):
+        row: dict[int, dict[int, int]] = {}
+        for arc, (c0, c1) in zip((c[1], c[0], c[2]), _FOX_ROW[od.signs[ci]]):
+            entry = row.setdefault(col[arc - 1], {0: 0, 1: 0})
+            entry[0] += c0
+            entry[1] += c1
+        row.pop(n - 1, None)  # the deleted column
+        entries = {j: {k: x for k, x in e.items() if x} for j, e in row.items()}
+        rows.append({j: e for j, e in entries.items() if e})
+    return rows
+
+
 def alexander_via_wirtinger(od: OrientedDiagram) -> LaurentPolynomial:
-    """Determinant of the Tietze-reduced Fox matrix (`_fox_residue`)."""
-    m = _fox_residue(od) if od.diagram.n else []
-    if not m:
-        return LaurentPolynomial.one()
-    if any(len(row) != len(m) for row in m):
-        raise InconsistencyError(f"Tietze residue of {len(m)} rows is not square")
-    return _normalize_alexander(_laurent_det(m), "wirtinger backend")
+    """Determinant of the Fox matrix (`_fox_rows`)."""
+    return _normalize_alexander(_laurent_det(_fox_rows(od)), "wirtinger backend")
 
 
 def alexander(od: OrientedDiagram) -> LaurentPolynomial:

@@ -384,7 +384,10 @@ def _enumerate(fp, bound: int, leaf, parity=None) -> bool:
         x[i] = 0
         return False
 
-    return rec(n - 1, bound * scale, True)
+    try:
+        return rec(n - 1, bound * scale, True)
+    finally:
+        del rec  # the closure refers to itself: free it without the cyclic collector
 
 
 def short_vectors(gram, bound: int) -> list[tuple[tuple[int, ...], int]]:
@@ -509,13 +512,13 @@ def indecomposable_summands(
     """
     n = q.rank
     check_rank_cap(n, rank_cap)
-    if n == 0:
-        return Decomposition(summands=(), witness=())
     kind = definiteness(q)
     if kind == "degenerate":
         raise DegenerateFormError("cannot decompose a degenerate form")
     if kind == "indefinite":
         raise ValueError("indecomposable_summands requires a definite form")
+    if n == 0:
+        return Decomposition(summands=(), witness=())
     sign = 1 if kind == "positive_definite" else -1
     g0 = [[sign * x for x in row] for row in q.matrix]
 

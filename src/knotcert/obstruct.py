@@ -42,7 +42,6 @@ from .lattice import (
     Decomposition,
     GramForm,
     check_rank_cap,
-    definiteness,
     indecomposable_summands,
 )
 from .tait import TaitGraph, blocks, orientable_flow_lattice, orientable_tait_graph
@@ -169,8 +168,10 @@ def band_prime_certificate(
         if rank % 2:
             problems.append(f"factor {f.pd_text()!r} has odd flow rank {rank}")
             continue
-        kind = definiteness(gram)
         dec = dec_full if fod is od else indecomposable_summands(gram, rank_cap=rank_cap)
+        # indecomposable_summands refuses a form that is not definite, and a
+        # definite form's diagonal entries all carry its sign
+        kind = "positive_definite" if dec.summands[0].matrix[0][0] > 0 else "negative_definite"
         sig = gl_signature(fod)
         record = FactorRecord(
             pd=f.pd_text(),

@@ -57,7 +57,7 @@ class TaitGraph:
 
 
 def tait_graph(cb: Checkerboard, color: int) -> TaitGraph:
-    d = cb.diagram
+    n = len(cb.face_at_corner)  # one entry per crossing
     vertex_faces = tuple(
         fi for fi in range(len(cb.faces)) if cb.colors[fi] == color
     )
@@ -65,7 +65,7 @@ def tait_graph(cb: Checkerboard, color: int) -> TaitGraph:
     edges = []
     signs = []
     end_corner = []  # per edge: (corner of end 0, corner of end 1)
-    for ci in range(d.n):
+    for ci in range(n):
         k0, k1 = cb.corner_pair_of_color(ci, color)
         f0 = cb.face_at_corner[ci][k0]
         f1 = cb.face_at_corner[ci][k1]
@@ -90,8 +90,8 @@ def tait_graph(cb: Checkerboard, color: int) -> TaitGraph:
     for rot in g.rotations:
         for dart in rot:
             dart_count[dart] = dart_count.get(dart, 0) + 1
-    if d.n and (
-        len(dart_count) != 2 * d.n or any(v != 1 for v in dart_count.values())
+    if n and (
+        len(dart_count) != 2 * n or any(v != 1 for v in dart_count.values())
     ):
         raise InconsistencyError("Tait rotation system does not cover each edge end once")
     return g

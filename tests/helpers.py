@@ -521,3 +521,24 @@ def alexander_dense_wirtinger(od):
     coeffs = _interpolate_int_poly(xs, ys)
     raw = LaurentPolynomial.from_dict(dict(enumerate(coeffs)))
     return _normalize_alexander(raw, "dense wirtinger")
+
+
+def alexander_dense_seifert(od):
+    """Alexander polynomial det(t V - V^T) of a special diagram from its dense
+    Seifert matrix V, one determinant per interpolation point."""
+    from knotcert.invariants import (
+        LaurentPolynomial,
+        _interpolate_int_poly,
+        _normalize_alexander,
+        seifert_matrix_special,
+    )
+    from knotcert.lattice import det_int
+
+    v = seifert_matrix_special(od).matrix
+    xs = list(range(2, 2 + len(v) + 1))
+    ys = [
+        det_int([[x * a - b for a, b in zip(row, col)] for row, col in zip(v, zip(*v))])
+        for x in xs
+    ]
+    raw = LaurentPolynomial.from_dict(dict(enumerate(_interpolate_int_poly(xs, ys))))
+    return _normalize_alexander(raw, "dense seifert")

@@ -9,7 +9,7 @@ import pytest
 
 from helpers import theta
 from knotcert.cli import _json_text, main
-from knotcert.corpus import corpus_entry
+from knotcert.corpus import corpus_entry, load_corpus
 from knotcert.medial import medial_diagram
 
 TREFOIL = "X(1,4,2,3) X(3,6,4,5) X(5,2,6,1)"
@@ -117,6 +117,15 @@ def test_analyze_counts_graph_blocks_once(monkeypatch, capsys):
     assert counts == {"obstruct._positive_rank_blocks": 1}
 
 
+def test_analyze_computes_each_factor_inertia_once(monkeypatch, capsys):
+    """The certificate reads a factor's definiteness off its decomposition,
+    which has just computed it."""
+    counts = _count_calls(monkeypatch, "lattice.definiteness")
+    code, _, _ = run(capsys, "analyze", "--pd", TREFOIL, "--json")
+    assert code == 0
+    assert counts == {"lattice.definiteness": 1}
+
+
 def _dumps(obj) -> str:
     return json.dumps(obj, sort_keys=True, indent=2) + "\n"
 
@@ -218,14 +227,41 @@ def _batch_peak(tmp_path, capsys, rows):
 def test_batch_runs_in_bounded_memory(tmp_path, capsys):
     """A batch keeps a count, not its reports.  A kept trefoil report costs
     about 9 KB, so 180 more rows would add about 1.7 MB to the peak; the
-    margin leaves room for the reference cycles of the per-diagram caches,
-    which the garbage collector frees in its own time (about 0.5 MB)."""
+    rows themselves, read before the first entry runs, add about 0.43 MB."""
     _batch_peak(tmp_path, capsys, 20)  # lazy imports and first-use caches
     assert _batch_peak(tmp_path, capsys, 20)[0] == 0
     small = _batch_peak(tmp_path, capsys, 20)[1]
     code, big = _batch_peak(tmp_path, capsys, 200)
     assert code == 0
     assert big - small < 1_000_000, (small, big)
+
+
+def _batch_cyclic_garbage(tmp_path, capsys, copies):
+    """Objects the cyclic garbage collector finds after `batch` on `copies`
+    copies of the bundled corpus."""
+    f = tmp_path / f"corpus{copies}.csv"
+    f.write_text(
+        "name,pd\n"
+        + "".join(f'{e.name}~{k},"{e.pd}"\n' for k in range(copies) for e in load_corpus())
+    )
+    gc.collect()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        code, _, _ = run(capsys, "batch", str(f), "--json")
+        assert code == 0
+        gc.collect()
+        return len(gc.garbage)
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+
+
+def test_batch_entries_leave_no_reference_cycles(tmp_path, capsys):
+    """Each entry's diagram, orientation, checkerboard, lattice and enumeration
+    objects are freed by reference counting when the entry ends, so the
+    cyclic garbage of a batch does not grow with its number of rows."""
+    once = _batch_cyclic_garbage(tmp_path, capsys, 1)
+    assert _batch_cyclic_garbage(tmp_path, capsys, 3) == once
 
 
 def test_batch_malformed_entry_warns_and_continues(tmp_path, capsys):

@@ -8,6 +8,7 @@ from fractions import Fraction
 import pytest
 
 from helpers import (
+    alexander_dense_seifert,
     alexander_dense_wirtinger,
     necklace,
     plane_graph_from_multigraph,
@@ -15,13 +16,14 @@ from helpers import (
     random_connected_multigraph,
     theta,
 )
+from knotcert import invariants
 from knotcert.corpus import load_corpus
-from knotcert.diagram import build_diagram, mirror_diagram, orient, parse_pd
+from knotcert.diagram import build_diagram, classify_special, mirror_diagram, orient, parse_pd
 from knotcert.errors import ClassificationError, InconsistencyError
 from knotcert.invariants import (
     LaurentPolynomial,
-    _fox_residue,
     _interpolate_int_poly,
+    _laurent_det,
     alexander,
     alexander_via_seifert,
     alexander_via_wirtinger,
@@ -326,15 +328,66 @@ def test_wirtinger_matches_dense_on_random_and_non_alternating_diagrams():
     assert non_alternating >= 20
 
 
-def test_wirtinger_residue_is_sized_by_the_knot():
+def test_seifert_matches_dense_on_corpus_and_mirrors():
+    for entry in load_corpus():
+        od = orient(parse_pd(entry.pd))
+        if not classify_special(od).is_special:
+            continue
+        for o in (od, orient(mirror_diagram(od.diagram))):
+            assert alexander_via_seifert(o) == alexander_dense_seifert(o), entry.name
+
+
+def test_seifert_matches_closed_form_on_torus_knots():
+    for k in range(3, 42, 2):
+        for sign in (1, -1):
+            od = orient(medial_diagram(theta(k), sign)[0])
+            want = _torus_alexander(k)
+            assert alexander_via_seifert(od) == want, k
+            if k <= 15:
+                assert alexander_dense_seifert(od) == want
+
+
+def _residue_rows(monkeypatch, backend, od):
+    """Rows of the unit residue that `backend` interpolates for od."""
+    sizes = []
+
+    def spy(rows, _real=invariants._unit_residue):
+        m = _real(rows)
+        sizes.append(len(m))
+        return m
+
+    monkeypatch.setattr(invariants, "_unit_residue", spy)
+    backend(od)
+    monkeypatch.undo()
+    (size,) = sizes
+    return size
+
+
+def test_wirtinger_residue_is_sized_by_the_knot(monkeypatch):
     """A 41-crossing necklace reduces to a residue of at most 6 rows (the
     dense minor has 40); a fallback to dense elimination fails here."""
     for sign in (1, -1):
         od = orient(medial_diagram(necklace([5, 7, 9, 11, 9]), sign)[0])
         assert od.diagram.n == 41
-        residue = _fox_residue(od)
-        assert 1 <= len(residue) <= 6
-        assert all(len(row) == len(residue) for row in residue)
+        assert 1 <= _residue_rows(monkeypatch, alexander_via_wirtinger, od) <= 6
+
+
+def test_seifert_residue_is_sized_by_the_knot(monkeypatch):
+    """T(2,41) has a 40 x 40 Seifert matrix and a residue of one row."""
+    for sign in (1, -1):
+        od = orient(medial_diagram(theta(41), sign)[0])
+        assert _residue_rows(monkeypatch, alexander_via_seifert, od) == 1
+
+
+def test_laurent_det_of_empty_and_malformed_matrices():
+    assert _laurent_det([]) == LaurentPolynomial.one()
+    for rows in (
+        [{0: {1: 2}, 1: {1: 2}}, {}],  # a zero row
+        [{0: {1: 2}}, {0: {0: 2}}],  # a zero column
+        [{0: {1: 2}, 1: {0: 2}}],  # not square
+    ):
+        with pytest.raises(InconsistencyError):
+            _laurent_det(rows)
 
 
 # ---------------------------------------------------------------------------
@@ -412,6 +465,7 @@ def test_bundle_consistency_on_random_special_knots():
         knots += 1
         assert abs(b.signature) == 2 * b.genus == b.alexander.span()
         assert b.determinant >= 1
+        assert alexander_via_seifert(od) == alexander_dense_seifert(od)
         sd = seifert_matrix_special(od)
         s = b.speciality.uniform_sign
         r = len(sd.matrix)
