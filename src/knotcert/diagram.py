@@ -6,6 +6,8 @@ strand.  Arc labels run 1..2n and each label appears exactly twice.  The
 cyclic order at every crossing is a rotation system, so the code determines a
 4-valent graph embedded in the sphere; we validate that the induced face count
 satisfies Euler's formula (faces = crossings + 2) and reject anything else.
+Strands are oriented by one walk per component from the incoming
+under-strands (`_strands`); a code they cannot orient is rejected.
 
 Grammar for the text form (whitespace/comma separated, case-insensitive `X`)::
 
@@ -256,9 +258,44 @@ def checkerboard(d: Diagram) -> Checkerboard:
 # orientation
 
 
+@cached_on_instance
+def _strands(d: Diagram) -> tuple[tuple[HalfEdge, ...], ...]:
+    """The strand components, each as the half-edges through which it enters
+    its crossings, in travel order.
+
+    A walk entering through (c, s) leaves through (c, s + 2) and next enters
+    the mate of that half-edge.  Walks start at each unvisited slot 0 (an
+    incoming under-strand), so they follow the orientation the PD code fixes;
+    a component that passes under nowhere (only in a link) starts at its
+    highest unvisited half-edge.  Walks are orbits of a permutation, and a
+    walk's exits are the entries of its reverse, so walks close up without
+    meeting; the code cannot be oriented exactly when a walk enters an
+    under-strand at slot 2, which raises ClassificationError.
+    """
+    seen: set[HalfEdge] = set()
+    walks = []
+    half_edges = [(ci, s) for ci in range(d.n) for s in range(4)]
+    for start in half_edges[::4] + half_edges[::-1]:  # slots 0, then highest first
+        if start in seen:
+            continue
+        walk, cur = [], start
+        while True:
+            ci, s = cur
+            if s == 2:
+                raise ClassificationError(f"strand enters the under-strand of crossing {ci} at slot 2")
+            out = (ci, (s + 2) % 4)
+            walk.append(cur)
+            seen.update((cur, out))
+            cur = _mate(d, out)
+            if cur == start:
+                break
+        walks.append(tuple(walk))
+    return tuple(walks)
+
+
 @dataclass(frozen=True)
 class OrientedDiagram:
-    """A diagram with consistently propagated strand orientations.
+    """A diagram with the strand orientations its PD code fixes.
 
     `arc_head[a]` is the half-edge the arc points INTO. `over_in_slot[ci]` is
     1 or 3: the slot where the over-strand enters.  `signs[ci]` follows the
@@ -278,114 +315,30 @@ class OrientedDiagram:
 
 
 def orient(d: Diagram) -> OrientedDiagram:
-    """Propagate strand orientations.
+    """Orient the strands by walking them (`_strands`).
 
-    Under-slots fix absolute arc directions (slot 0 is incoming, slot 2
-    outgoing); over-strand directions follow by continuity.  Components that
-    never pass under anywhere (possible only for split-off unknotted circles,
-    which valid PD codes cannot encode, or over-only link components) get a
-    deterministic default direction.
+    Every entry of a walk is an arc head; the over-strand enters each
+    crossing at slot 1 or slot 3, and the walks are the components.
     """
-    n = d.n
-    if n == 0:
+    if d.n == 0:
         return OrientedDiagram(d, (), (), (), 1)
-    occ = _occurrences(d)
-    head: dict[int, HalfEdge] = {}
-
-    def set_head(a: int, he: HalfEdge):
-        if a in head:
-            if head[a] != he:
-                raise ClassificationError(
-                    f"arc {a} receives conflicting orientations"
-                )
-        else:
-            head[a] = he
-
-    # absolute constraints from the under-strand
-    for ci, c in enumerate(d.crossings):
-        set_head(c[0], (ci, 0))
-        u, v = occ[c[2]]
-        other = v if u == (ci, 2) else u
-        if other == (ci, 0) and c[0] == c[2]:  # pragma: no cover - degenerate
-            raise ClassificationError("arc is both under-in and under-out")
-        set_head(c[2], other)
-    # propagate across over-strands until stable
-    changed = True
-    while changed:
-        changed = False
-        for ci, c in enumerate(d.crossings):
-            a1, a3 = c[1], c[3]
-            in1 = head.get(a1) == (ci, 1)
-            out1 = a1 in head and head[a1] != (ci, 1) and (ci, 1) in occ[a1]
-            in3 = head.get(a3) == (ci, 3)
-            out3 = a3 in head and head[a3] != (ci, 3) and (ci, 3) in occ[a3]
-            # the over strand has exactly one incoming and one outgoing arc
-            if in1 and a3 not in head:
-                u, v = occ[a3]
-                set_head(a3, v if u == (ci, 3) else u)
-                changed = True
-            elif in3 and a1 not in head:
-                u, v = occ[a1]
-                set_head(a1, v if u == (ci, 1) else u)
-                changed = True
-            elif out1 and a3 not in head:
-                set_head(a3, (ci, 3))
-                changed = True
-            elif out3 and a1 not in head:
-                set_head(a1, (ci, 1))
-                changed = True
-    # deterministic default for any leftover (over-everywhere) components
-    for a in sorted(occ):
-        if a not in head:
-            head[a] = max(occ[a])
-    # verify per-crossing consistency and read off over direction / sign
-    over_in = []
-    signs = []
-    for ci, c in enumerate(d.crossings):
-        if head[c[0]] != (ci, 0):
-            raise ClassificationError(f"under-in arc at crossing {ci} misdirected")
-        if head[c[2]] == (ci, 2):
-            raise ClassificationError(f"under-out arc at crossing {ci} misdirected")
-        in1 = head[c[1]] == (ci, 1)
-        in3 = head[c[3]] == (ci, 3)
-        if in1 == in3:
-            raise ClassificationError(
-                f"over-strand at crossing {ci} lacks a consistent direction"
-            )
-        over_in.append(1 if in1 else 3)
-        signs.append(1 if in3 else -1)
-    # strand components: arcs joined through crossings
-    strands = [(c[k] - 1, c[k + 2] - 1) for c in d.crossings for k in (0, 1)]
-    components = 1 + max(connected_classes(2 * n, strands))
-    arc_head = tuple(head[a] for a in range(1, 2 * n + 1))
-    return OrientedDiagram(d, arc_head, tuple(over_in), tuple(signs), components)
+    walks = _strands(d)
+    head = [None] * d.arc_count
+    over_in = [0] * d.n
+    for ci, s in (he for walk in walks for he in walk):
+        head[d.crossings[ci][s] - 1] = (ci, s)
+        if s % 2:
+            over_in[ci] = s
+    signs = tuple(1 if s == 3 else -1 for s in over_in)
+    return OrientedDiagram(d, tuple(head), tuple(over_in), signs, len(walks))
 
 
 def is_alternating(d: Diagram) -> bool:
-    """True when every strand alternates over/under passages (cyclically).
-
-    Vacuously true for 0 or 1 crossings.
-    """
-    if d.n == 0:
-        return True
-    visited: set[HalfEdge] = set()
-    for ci in range(d.n):
-        for start_slot in range(4):
-            if (ci, start_slot) in visited:
-                continue
-            roles = []
-            cur = (ci, start_slot)  # entering the crossing through this slot
-            while cur not in visited:
-                visited.add(cur)
-                c, s = cur
-                out = (c, (s + 2) % 4)
-                visited.add(out)
-                roles.append(s % 2 == 0)  # True = under passage
-                cur = _mate(d, out)
-            for i in range(len(roles)):
-                if roles[i] == roles[(i + 1) % len(roles)]:
-                    return False
-    return True
+    """True when every strand alternates over/under passages (cyclically);
+    raises ClassificationError when the strands cannot be oriented."""
+    return all(
+        (walk[i - 1][1] - walk[i][1]) % 2 for walk in _strands(d) for i in range(len(walk))
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -489,7 +442,7 @@ def classify_special(od: OrientedDiagram) -> SpecialityReport:
         is_alternating=alt,
         is_special=special_a,
         orientable_color=orientable_color,
-        uniform_sign=uniform if special_a else uniform,
+        uniform_sign=uniform,
     )
 
 

@@ -44,7 +44,7 @@ from .diagram import (
 from .errors import InconsistencyError
 from .lattice import GramForm, Matrix, connected_classes, det_int, two_coloring
 from .lattice import signature as form_signature
-from .tait import orientable_flow_lattice
+from .tait import cycle_form, cycles_through, orientable_flow_lattice
 
 # ---------------------------------------------------------------------------
 # Laurent polynomials over the integers
@@ -359,28 +359,19 @@ def seifert_matrix_special(od: OrientedDiagram) -> SeifertData:
         raise InconsistencyError("checkerboard graph of the orientable color is not bipartite")
 
     # Band part: crossings shared by two basis curves.
-    tau = [-od.signs[e] for e in range(d.n)]
-    band = [
-        [
-            sum(tau[e] * basis.vectors[i][e] * basis.vectors[j][e] for e in range(d.n))
-            for j in range(r)
-        ]
-        for i in range(r)
-    ]
+    band = cycle_form(g, basis, [-sign for sign in od.signs])
 
     # Disk part: inside each disk the basis curves appear as chords between
     # band attachment slots.  Slots are ordered by the rotation system, with
     # the curves using an edge fanned out in basis order at both ends.
-    users = [
-        tuple(i for i in range(r) if basis.vectors[i][e] != 0) for e in range(d.n)
-    ]
+    users = cycles_through(g, basis)
     slot_pos: list[dict[tuple[int, int], int]] = []
     slot_count: list[int] = []
     for v in range(g.num_vertices):
         pos: dict[tuple[int, int], int] = {}
         k = 0
         for (e, end) in g.rotations[v]:
-            for cyc in users[e]:
+            for cyc, _ in users[e]:
                 pos[(e, cyc)] = k
                 k += 1
         slot_pos.append(pos)

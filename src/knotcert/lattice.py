@@ -611,8 +611,11 @@ def isometric(
                 chosen.pop()
         return False
 
-    if not rec(0):
-        return False, None
+    try:
+        if not rec(0):
+            return False, None
+    finally:
+        del rec  # the closure refers to itself: free it without the cyclic collector
     u_cols = transpose(chosen)  # columns = images
     if congruence(u_cols, g1) != [list(r) for r in target]:
         raise InconsistencyError("isometry witness does not carry one form to the other")

@@ -279,20 +279,34 @@ def fundamental_cycles(g: TaitGraph) -> CycleBasis:
     return basis
 
 
-def flow_lattice(g: TaitGraph) -> tuple[GramForm, CycleBasis]:
-    """Gram form of the cycle space in the edge basis, plus the basis used."""
-    basis = fundamental_cycles(g)
-    # A simple cycle's walk lists its vector's support, so entry (i, j) sums
-    # over the edges that cycles i and j share.
+def cycles_through(g: TaitGraph, basis: CycleBasis) -> list[list[tuple[int, int]]]:
+    """Per edge, the (cycle, direction) pairs of the basis cycles using it,
+    in basis order."""
     through: list[list[tuple[int, int]]] = [[] for _ in range(g.num_edges)]
     for i, walk in enumerate(basis.walks):
         for e, s in walk:
             through[e].append((i, s))
-    gram = [[0] * len(basis.walks) for _ in basis.walks]
-    for cycles in through:
+    return through
+
+
+def cycle_form(g: TaitGraph, basis: CycleBasis, weights) -> list[list[int]]:
+    """The form sum_e weights[e] x_i[e] x_j[e] on the basis cycles x_i.
+
+    A simple cycle's walk lists its vector's support, so entry (i, j) sums
+    over the edges that cycles i and j share.
+    """
+    form = [[0] * len(basis.walks) for _ in basis.walks]
+    for w, cycles in zip(weights, cycles_through(g, basis)):
         for i, si in cycles:
             for j, sj in cycles:
-                gram[i][j] += si * sj
+                form[i][j] += w * si * sj
+    return form
+
+
+def flow_lattice(g: TaitGraph) -> tuple[GramForm, CycleBasis]:
+    """Gram form of the cycle space in the edge basis, plus the basis used."""
+    basis = fundamental_cycles(g)
+    gram = cycle_form(g, basis, [1] * g.num_edges)
     form = GramForm(gram, provenance=f"flow lattice of color-{g.color} Tait graph")
     return form, basis
 

@@ -82,6 +82,16 @@ def is_planar_multigraph(n: int, edges) -> bool:
     return ok
 
 
+# Planar codes whose strands cannot be oriented: the trefoil and figure eight
+# with one crossing's tuple turned by a half turn, and two seeded fuzz codes.
+MISORIENTED = [
+    "X(2,5,1,4) X(3,6,4,1) X(5,2,6,3)",
+    "X(4,2,5,1) X(1,5,8,6) X(6,3,7,4) X(2,7,3,8)",
+    "X(4,1,3,3) X(2,4,1,2)",
+    "X(3,4,2,3) X(1,4,1,2)",
+]
+
+
 def canonical_pd(d):
     """Minimum relabeling of the PD tuples over all strand starts/directions.
 
@@ -117,6 +127,71 @@ def canonical_pd(d):
             if best is None or cand < best:
                 best = cand
     return best
+
+
+def orientable_by_parity(d) -> bool:
+    """Whether arc directions exist with every slot 0 incoming, every slot 2
+    outgoing and one over-strand end incoming at each crossing.
+
+    Independent of the strand walk: each arc's direction is a bit (which of
+    its two half-edges it points into), each crossing gives parity
+    constraints between those bits, and a parity union-find decides them.
+    """
+    occ = {}
+    for ci, c in enumerate(d.crossings):
+        for s, a in enumerate(c):
+            occ.setdefault(a, []).append((ci, s))
+    parent = {}  # node -> (parent, parity to parent); node 0 is the constant 0
+
+    def find(x):
+        p, par = parent.get(x, (x, 0))
+        if p == x:
+            return x, 0
+        root, rpar = find(p)
+        parent[x] = (root, par ^ rpar)
+        return root, par ^ rpar
+
+    def equate(x, y, parity):  # bit(x) ^ bit(y) == parity; False on conflict
+        (rx, px), (ry, py) = find(x), find(y)
+        if rx == ry:
+            return px ^ py == parity
+        parent[rx] = (ry, px ^ py ^ parity)
+        return True
+
+    def end(ci, s):  # the arc at (ci, s) and the bit value pointing into it
+        a = d.crossings[ci][s]
+        return a, occ[a].index((ci, s))
+
+    ok = True
+    for ci in range(d.n):
+        a0, b0 = end(ci, 0)
+        a2, b2 = end(ci, 2)
+        a1, b1 = end(ci, 1)
+        a3, b3 = end(ci, 3)
+        ok &= equate(a0, 0, b0)  # arc labels are >= 1, so 0 is free
+        ok &= equate(a2, 0, 1 - b2)
+        ok &= equate(a1, a3, 1 ^ b1 ^ b3)  # exactly one of them points in
+    return bool(ok)
+
+
+def check_orientation(od):
+    """Arc heads, over-strand slots and signs of `od` agree crossing by
+    crossing, and its component count matches a union-find over the strands."""
+    from knotcert.lattice import connected_classes
+
+    d = od.diagram
+    for ci, c in enumerate(d.crossings):
+        s = od.over_in_slot[ci]
+        assert s in (1, 3)
+        assert od.signs[ci] == (1 if s == 3 else -1)
+        # each incoming arc points into its in-slot, each outgoing one away
+        assert od.arc_head[c[0] - 1] == (ci, 0)
+        assert od.arc_head[c[s] - 1] == (ci, s)
+        assert od.arc_head[c[2] - 1] != (ci, 2)
+        assert od.arc_head[c[(s + 2) % 4] - 1] != (ci, (s + 2) % 4)
+    if d.n:
+        strands = [(c[k] - 1, c[k + 2] - 1) for c in d.crossings for k in (0, 1)]
+        assert od.components == 1 + max(connected_classes(2 * d.n, strands))
 
 
 def theta(k):

@@ -7,7 +7,7 @@ import tracemalloc
 
 import pytest
 
-from helpers import theta
+from helpers import MISORIENTED, theta
 from knotcert.cli import _json_text, main
 from knotcert.corpus import corpus_entry, load_corpus
 from knotcert.medial import medial_diagram
@@ -50,6 +50,13 @@ def test_analyze_link_rejected_exit_2(capsys):
     code, _, err = run(capsys, "analyze", "--pd", HOPF)
     assert code == 2
     assert "components" in err
+
+
+@pytest.mark.parametrize("pd", MISORIENTED)
+def test_analyze_misoriented_code_exit_2(capsys, pd):
+    code, out, err = run(capsys, "analyze", "--pd", pd, "--json")
+    assert code == 2 and out == ""
+    assert "slot 2" in err
 
 
 def test_analyze_rank_cap_exit_3(capsys):

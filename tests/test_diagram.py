@@ -2,9 +2,19 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
-from helpers import canonical_pd
+from helpers import (
+    MISORIENTED,
+    canonical_pd,
+    check_orientation,
+    orientable_by_parity,
+    plane_graph_from_multigraph,
+    random_connected_multigraph,
+)
+from knotcert.corpus import load_corpus
 from knotcert.diagram import (
     Diagram,
     checkerboard,
@@ -18,6 +28,7 @@ from knotcert.diagram import (
     seifert_stats,
 )
 from knotcert.errors import ClassificationError, DiagramError, PDSyntaxError
+from knotcert.medial import medial_diagram
 
 # Standard-table left trefoil and figure eight, in the usual conventions
 # (first entry = incoming understrand, then counterclockwise).
@@ -31,6 +42,7 @@ RIGHT_TREFOIL_ROTATED = "X(1,4,2,3) X(3,6,4,5) X(5,2,6,1)"
 # Granny knot (two right trefoils), produced by the medial construction.
 GRANNY = "X(9,1,10,12) X(1,11,2,10) X(11,3,12,2) X(3,7,4,6) X(7,5,8,4) X(5,9,6,8)"
 HOPF = "X(4,1,3,2) X(2,3,1,4)"
+OVER_ONLY_LINK = "X(4,2,3,1) X(3,2,4,1)"
 
 
 def test_parse_basic():
@@ -134,16 +146,44 @@ def test_orientation_signs_and_writhe():
     assert orient(parse_pd(KINK)).signs == (-1,)
 
 
+def _random_medial_diagrams(count=40):
+    rng = random.Random(8)
+    while count:
+        n, edges = random_connected_multigraph(rng, max_edges=9)
+        g = plane_graph_from_multigraph(n, edges) if edges else None
+        if g is not None:
+            count -= 1
+            yield medial_diagram(g, rng.choice((1, -1)))[0]  # knots and links
+
+
 def test_orientation_arc_heads_consistent():
-    od = orient(parse_pd(FIG8))
-    d = od.diagram
-    for ci in range(d.n):
-        c = d.crossings[ci]
-        s = od.over_in_slot[ci]
-        assert s in (1, 3)
-        # each incoming arc points into its in-slot
-        assert od.arc_head[c[0] - 1] == (ci, 0)
-        assert od.arc_head[c[s] - 1] == (ci, s)
+    diagrams = [parse_pd(t) for t in (FIG8, KINK, GRANNY, HOPF, OVER_ONLY_LINK)]
+    for e in load_corpus():
+        diagrams += [parse_pd(e.pd), mirror_diagram(parse_pd(e.pd))]
+    diagrams += _random_medial_diagrams()
+    for d in diagrams:
+        assert orientable_by_parity(d)
+        check_orientation(orient(d))
+
+
+@pytest.mark.parametrize("text", MISORIENTED)
+def test_misoriented_codes_are_rejected(text):
+    d = parse_pd(text)  # a valid planar code, whose strands cannot be oriented
+    assert not orientable_by_parity(d)
+    with pytest.raises(ClassificationError, match="slot 2"):
+        orient(d)
+    with pytest.raises(ClassificationError, match="slot 2"):
+        is_alternating(d)
+
+
+def test_over_only_component_is_oriented_as_a_link():
+    # the strand over arcs 1 and 2 passes under nowhere: its walk starts at
+    # its highest half-edge, and the code is a two-component link
+    od = orient(parse_pd(OVER_ONLY_LINK))
+    assert od.components == 2
+    assert od.arc_head[:2] == ((1, 3), (0, 1)) and od.over_in_slot == (1, 3)
+    with pytest.raises(ClassificationError, match="knot"):
+        classify_special(od)
 
 
 def test_hopf_link_is_rejected_for_knot_work():

@@ -9,11 +9,18 @@ from __future__ import annotations
 import json
 import random
 
-from helpers import plane_graph_from_multigraph, random_connected_multigraph
+import pytest
+
+from helpers import (
+    check_orientation,
+    orientable_by_parity,
+    plane_graph_from_multigraph,
+    random_connected_multigraph,
+)
 from knotcert.cli import _analysis, _json_text
 from knotcert.corpus import load_corpus
-from knotcert.diagram import orient, parse_pd
-from knotcert.errors import InconsistencyError, KnotCertError
+from knotcert.diagram import is_alternating, orient, parse_pd
+from knotcert.errors import ClassificationError, InconsistencyError, KnotCertError
 from knotcert.medial import medial_diagram
 
 
@@ -57,7 +64,7 @@ def _outcome(text: str) -> str:
     return "report"
 
 
-def test_fuzz_analyze_only_documented_errors():
+def _fuzz_texts() -> list[str]:
     rng = random.Random(20261018)
     corpus = [parse_pd(e.pd).crossings for e in load_corpus() if e.pd]
     texts = [_random_pd(rng) for _ in range(250)]
@@ -70,9 +77,35 @@ def test_fuzz_analyze_only_documented_errors():
             continue
         graphs += 1
         texts.append(medial_diagram(g, rng.choice((1, -1)))[0].pd_text())
+    return texts
+
+
+def test_fuzz_analyze_only_documented_errors():
     seen = {}
-    for text in texts:
+    for text in _fuzz_texts():
         out = _outcome(text)
         seen[out] = seen.get(out, 0) + 1
     # the fuzz reaches every outcome, so it exercises the whole pipeline
     assert set(seen) == {"rejected", "error", "report"}, seen
+
+
+def test_fuzz_orientation_matches_parity_oracle():
+    """On every fuzz text that parses, the strand walk orients the code
+    exactly when the parity oracle finds an orientation, and consistently."""
+    seen = {True: 0, False: 0}
+    for text in _fuzz_texts():
+        try:
+            d = parse_pd(text)
+        except KnotCertError:
+            continue
+        ok = orientable_by_parity(d)
+        seen[ok] += 1
+        if ok:
+            check_orientation(orient(d))
+            is_alternating(d)
+            continue
+        with pytest.raises(ClassificationError, match="slot 2"):
+            orient(d)
+        with pytest.raises(ClassificationError, match="slot 2"):
+            is_alternating(d)
+    assert seen[True] and seen[False], seen

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import gc
 import random
 from collections import Counter
 
@@ -191,6 +192,22 @@ def test_isometric_examples():
 
     ok, witness = isometric(A2, GramForm(((1, 0), (0, 3))))
     assert not ok and witness is None
+
+
+def test_isometric_leaves_no_reference_cycles():
+    """`isometric` frees its recursive closure, so calls that find an isometry
+    and calls that do not leave nothing for the cyclic collector."""
+    gc.collect()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        for k in range(10):
+            other = ((2, -1), (-1, 2)) if k % 2 else ((1, 0), (0, 3))
+            assert isometric(A2, GramForm(other))[0] == bool(k % 2)
+        gc.collect()
+        assert gc.garbage == []
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
 
 
 def test_isometric_rejects_a_wrong_witness(monkeypatch):
