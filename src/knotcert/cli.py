@@ -163,7 +163,10 @@ def _analysis_text(rep: dict) -> str:
 
 def cmd_analyze(args) -> int:
     if args.pd_file is not None:
-        pd_text = Path(args.pd_file).read_text("utf-8").strip()
+        try:
+            pd_text = Path(args.pd_file).read_text("utf-8").strip()
+        except UnicodeDecodeError as ex:
+            raise PDSyntaxError(f"{args.pd_file} is not UTF-8 text: {ex.reason}") from None
     else:
         pd_text = args.pd
     od = orient(parse_pd(pd_text))
@@ -225,7 +228,7 @@ def _run_batch(path: Path, args) -> int:
             if not isinstance(rows, list):
                 raise ValueError("a JSON corpus must be a list of objects")
         else:
-            with path.open(newline="") as fh:
+            with path.open(newline="", encoding="utf-8") as fh:
                 rows = list(csv.DictReader(fh))
     except (OSError, ValueError, csv.Error) as ex:
         print(f"error: cannot read corpus: {ex}", file=sys.stderr)
@@ -331,6 +334,13 @@ def cmd_pair(args) -> int:
     return EXIT_OK
 
 
+def nonnegative_int(text: str) -> int:
+    n = int(text)
+    if n < 0:
+        raise argparse.ArgumentTypeError(f"must not be negative: {n}")
+    return n
+
+
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="knotcert",
@@ -343,7 +353,7 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--json", action="store_true", help="emit JSON")
         sp.add_argument(
             "--rank-cap",
-            type=int,
+            type=nonnegative_int,
             default=DEFAULT_RANK_CAP,
             metavar="N",
             help="refuse the certificate's lattice work above this rank (exit 3)",

@@ -104,7 +104,7 @@ def parse_pd(text: str) -> Diagram:
         except json.JSONDecodeError as exc:
             raise PDSyntaxError(f"bad JSON PD code: {exc}") from exc
         if not isinstance(data, list) or not all(
-            isinstance(q, list) and len(q) == 4 and all(isinstance(x, int) for x in q)
+            isinstance(q, list) and len(q) == 4 and all(type(x) is int for x in q)
             for q in data
         ):
             raise PDSyntaxError("JSON PD code must be an array of [a,b,c,d] quadruples")
@@ -375,11 +375,6 @@ def seifert_stats(od: OrientedDiagram) -> tuple[int, int]:
     if num % 2:
         raise InconsistencyError("Seifert surface Euler characteristic is odd")
     return circles, num // 2
-
-
-def smoothing_corner_pair(sign: int) -> tuple[int, int]:
-    """Corners through which the oriented smoothing channels pass."""
-    return (0, 2) if sign == 1 else (1, 3)
 
 
 @dataclass(frozen=True)

@@ -36,15 +36,13 @@ from .diagram import (
     OrientedDiagram,
     SpecialityReport,
     cached_on_instance,
-    checkerboard,
     classify_special,
     seifert_stats,
-    smoothing_corner_pair,
 )
 from .errors import InconsistencyError
 from .lattice import GramForm, Matrix, connected_classes, det_int, two_coloring
 from .lattice import signature as form_signature
-from .tait import cycle_form, cycles_through, orientable_flow_lattice
+from .tait import cycle_form, cycles_through, orientable_flow_lattice, tait_graphs
 
 # ---------------------------------------------------------------------------
 # Laurent polynomials over the integers
@@ -238,48 +236,36 @@ def _interpolate_int_poly(xs: list[int], ys: list[int]) -> list[int]:
 def goeritz_matrix(od_or_diagram, color: int) -> GramForm:
     """Goeritz matrix of the faces of the given color (last face deleted).
 
-    Vertices are the faces of that color; each crossing where those faces sit
-    in the corner pair (0, 2) counts +1, in (1, 3) counts -1; off-diagonal
-    entries are minus those counts and diagonal entries make rows sum to zero.
-    The symmetric matrix on all faces is singular, so the row and column of
-    the highest-index face are dropped.  Both colors are built once per
-    diagram.
+    It is the signed Laplacian of that color's Tait graph, each edge weighted
+    by its sign and loops skipped.  The matrix on all faces is singular, so
+    the row and column of the last vertex are dropped.  Both colors are built
+    once per diagram.
     """
     return _goeritz_matrices(getattr(od_or_diagram, "diagram", od_or_diagram))[color]
 
 
 @cached_on_instance
 def _goeritz_matrices(d: Diagram) -> tuple[GramForm, GramForm]:
-    cb = checkerboard(d)
     out = []
-    for color in (0, 1):
-        verts = [fi for fi in range(len(cb.faces)) if cb.colors[fi] == color]
-        idx = {fi: i for i, fi in enumerate(verts)}
-        m = len(verts)
+    for g in tait_graphs(d):
+        m = g.num_vertices
         full = [[0] * m for _ in range(m)]
-        for ci in range(d.n):
-            pair = cb.corner_pair_of_color(ci, color)
-            u = idx[cb.face_at_corner[ci][pair[0]]]
-            v = idx[cb.face_at_corner[ci][pair[1]]]
-            eta = 1 if pair == (0, 2) else -1
+        for (u, v), eta in zip(g.edges, g.edge_signs):
             if u != v:
                 full[u][v] -= eta
                 full[v][u] -= eta
-        for i in range(m):
-            full[i][i] = -sum(full[i][j] for j in range(m) if j != i)
+                full[u][u] += eta
+                full[v][v] += eta
         reduced = tuple(tuple(row[: m - 1]) for row in full[: m - 1])
-        out.append(GramForm(reduced, provenance=f"Goeritz matrix on color-{color} faces"))
+        out.append(GramForm(reduced, provenance=f"Goeritz matrix on color-{g.color} faces"))
     return out[0], out[1]
 
 
 def _correction_term(od: OrientedDiagram, surface_color: int) -> int:
-    """Sum of signs of crossings whose smoothing disagrees with the surface color."""
-    cb = checkerboard(od.diagram)
-    mu = 0
-    for ci in range(od.diagram.n):
-        if cb.corner_pair_of_color(ci, surface_color) != smoothing_corner_pair(od.signs[ci]):
-            mu += od.signs[ci]
-    return mu
+    """Sum of signs of crossings whose smoothing disagrees with the surface
+    color, that is, whose sign differs from the color's Tait edge sign."""
+    edge_signs = tait_graphs(od.diagram)[surface_color].edge_signs
+    return sum(s for s, e in zip(od.signs, edge_signs) if s != e)
 
 
 @cached_on_instance
@@ -338,7 +324,6 @@ def seifert_matrix_special(od: OrientedDiagram) -> SeifertData:
     in the bipartition); V is half of (band part + disk part), which is
     integral exactly when the diagram is special.
     """
-    d = od.diagram
     g, gram, basis = orientable_flow_lattice(od)  # ClassificationError unless special
     r = len(basis.vectors)
     if r == 0:
@@ -347,13 +332,8 @@ def seifert_matrix_special(od: OrientedDiagram) -> SeifertData:
     # Being special means the orientable color occupies the smoothing corner
     # pair at every crossing, which is the same as each edge sign matching
     # the crossing sign.
-    for e in range(d.n):
-        expected = 1 if smoothing_corner_pair(od.signs[e]) == (0, 2) else -1
-        if g.edge_signs[e] != expected:
-            raise InconsistencyError(
-                f"edge {e} of the orientable color has sign {g.edge_signs[e]} "
-                f"but the crossing smooths along {smoothing_corner_pair(od.signs[e])}"
-            )
+    if g.edge_signs != od.signs:
+        raise InconsistencyError("orientable color's edge signs differ from the crossing signs")
     cls = two_coloring(g.num_vertices, g.edges)
     if cls is None:
         raise InconsistencyError("checkerboard graph of the orientable color is not bipartite")

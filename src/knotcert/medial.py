@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .diagram import Diagram, build_diagram, checkerboard, is_alternating, orient
+from .diagram import Diagram, build_diagram, is_alternating, orient
 from .errors import DiagramError, InconsistencyError
 from .lattice import connected_classes
 
@@ -197,19 +197,18 @@ def subgraph_plane(g_edges, g_rotations, edge_subset) -> tuple[PlaneGraph, dict[
 
 def rebuild_factors(d: Diagram) -> tuple[Diagram, ...]:
     """Diagrammatic prime factors of an alternating diagram via Tait blocks."""
-    from .tait import blocks, tait_graph
+    from .tait import blocks, tait_graphs
 
-    cb = checkerboard(d)
-    g = tait_graph(cb, 0)
+    g = tait_graphs(d)[0]
     sign0 = g.edge_signs[0]
     if any(s != sign0 for s in g.edge_signs):
         raise InconsistencyError("alternating diagram with non-constant edge sign")
-    dec = blocks(g)
-    if dec.is_prime:
+    parts = blocks(g)
+    if len(parts) <= 1:
         return (d,)
     od = orient(d)
     factors = []
-    for blk in dec.blocks:
+    for blk in parts:
         sub, old_edge = subgraph_plane(g.edges, g.rotations, blk)
         factor, comps = medial_diagram(sub, sign0)
         if comps != 1:

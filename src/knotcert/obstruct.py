@@ -54,14 +54,8 @@ def _pd_hash(pd_text: str) -> str:
 
 
 def _positive_rank_blocks(g: TaitGraph) -> int:
-    count = 0
-    for block in blocks(g).blocks:
-        verts = set()
-        for ei in block:
-            verts.update(g.edges[ei])
-        if len(block) - len(verts) + 1 > 0:
-            count += 1
-    return count
+    # a block's cycle rank, edges - vertices + 1, is positive when edges >= vertices
+    return sum(len(b) >= len({w for ei in b for w in g.edges[ei]}) for b in blocks(g))
 
 
 # ---------------------------------------------------------------------------

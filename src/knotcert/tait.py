@@ -8,7 +8,14 @@ multigraph and lets diagrams be rebuilt from subgraphs.
 
 Edge signs record where the color sits: +1 when the colored faces occupy the
 sweep pair {corner 0, corner 2}, -1 when they occupy {corner 1, corner 3}.
-An alternating diagram has constant edge sign for each color.
+An alternating diagram has constant edge sign for each color.  A crossing's
+edge sign equals its crossing sign exactly when the oriented smoothing runs
+through that color's corners.
+
+`tait_graphs` builds both colors' graphs once per diagram, memoised on it.
+The Goeritz matrices, the signature correction, the Seifert sign check and
+the connected-sum split (`blocks`, edge sets of the 2-connected blocks) all
+read them.
 
 The flow lattice of the graph is the integer cycle space with the Gram form
 inherited from the edge basis.  Its determinant equals the number of spanning
@@ -22,6 +29,7 @@ from dataclasses import dataclass
 
 from .diagram import (
     Checkerboard,
+    Diagram,
     OrientedDiagram,
     cached_on_instance,
     checkerboard,
@@ -85,37 +93,28 @@ def tait_graph(cb: Checkerboard, color: int) -> TaitGraph:
             else:  # pragma: no cover - contradicts corner_pair_of_color
                 raise InconsistencyError("face corner missing from its own edge")
         rotations.append(tuple(rot))
-    g = TaitGraph(color, vertex_faces, tuple(edges), tuple(signs), tuple(rotations))
-    dart_count: dict[Dart, int] = {}
-    for rot in g.rotations:
-        for dart in rot:
-            dart_count[dart] = dart_count.get(dart, 0) + 1
-    if n and (
-        len(dart_count) != 2 * n or any(v != 1 for v in dart_count.values())
-    ):
+    darts = sorted(dart for rot in rotations for dart in rot)
+    if darts != [(ei, end) for ei in range(n) for end in (0, 1)]:
         raise InconsistencyError("Tait rotation system does not cover each edge end once")
-    return g
+    return TaitGraph(color, vertex_faces, tuple(edges), tuple(signs), tuple(rotations))
+
+
+@cached_on_instance
+def tait_graphs(d: Diagram) -> tuple[TaitGraph, TaitGraph]:
+    """The Tait graphs of both colors, built once per diagram."""
+    cb = checkerboard(d)
+    return tait_graph(cb, 0), tait_graph(cb, 1)
 
 
 # ---------------------------------------------------------------------------
 # block (2-connected component) decomposition
 
 
-@dataclass(frozen=True)
-class BlockDecomposition:
-    blocks: tuple[tuple[int, ...], ...]  # edge indices per block
-    articulation_vertices: tuple[int, ...]
+def blocks(g: TaitGraph) -> tuple[tuple[int, ...], ...]:
+    """Blocks of the underlying multigraph, each as its sorted edge indices,
+    ordered by least edge.
 
-    @property
-    def is_prime(self) -> bool:
-        return len(self.blocks) <= 1
-
-
-def blocks(g: TaitGraph) -> BlockDecomposition:
-    """Blocks of the underlying multigraph.
-
-    Loop edges count as their own single-edge blocks; bridges likewise.  The
-    articulation list contains every vertex shared by two or more blocks.
+    Loop edges count as their own single-edge blocks; bridges likewise.
     """
     nv = g.num_vertices
     adj: list[list[tuple[int, int]]] = [[] for _ in range(nv)]
@@ -167,18 +166,7 @@ def blocks(g: TaitGraph) -> BlockDecomposition:
                         if ei == via_edge:
                             break
                     block_list.append(tuple(sorted(blk)))
-    all_blocks = sorted(block_list + loop_blocks, key=min)
-    seen_in: dict[int, int] = {}
-    cut = set()
-    for blk in all_blocks:
-        verts = set()
-        for ei in blk:
-            verts.update(g.edges[ei])
-        for v in verts:
-            seen_in[v] = seen_in.get(v, 0) + 1
-            if seen_in[v] > 1:
-                cut.add(v)
-    return BlockDecomposition(tuple(all_blocks), tuple(sorted(cut)))
+    return tuple(sorted(block_list + loop_blocks, key=min))
 
 
 # ---------------------------------------------------------------------------
@@ -311,14 +299,13 @@ def flow_lattice(g: TaitGraph) -> tuple[GramForm, CycleBasis]:
     return form, basis
 
 
-@cached_on_instance
 def orientable_tait_graph(od: OrientedDiagram) -> TaitGraph:
     """Tait graph of a special diagram's orientable color (the faces of its
     Seifert surface)."""
     rep = classify_special(od)
     if not rep.is_special:
         raise ClassificationError("only a special diagram has an orientable color")
-    return tait_graph(checkerboard(od.diagram), rep.orientable_color)
+    return tait_graphs(od.diagram)[rep.orientable_color]
 
 
 @cached_on_instance

@@ -617,3 +617,31 @@ def alexander_dense_seifert(od):
     ]
     raw = LaurentPolynomial.from_dict(dict(enumerate(_interpolate_int_poly(xs, ys))))
     return _normalize_alexander(raw, "dense seifert")
+
+
+def goeritz_by_corner_pairs(d, color):
+    """The reduced Goeritz matrix read straight off the checkerboard corners.
+
+    Vertices are the faces of `color` in face order; each crossing where
+    those faces sit in the corner pair (0, 2) counts +1, in (1, 3) counts -1;
+    off-diagonal entries are minus those counts, diagonal entries make rows
+    sum to zero, and the last face's row and column are dropped.
+    """
+    from knotcert.diagram import checkerboard
+
+    cb = checkerboard(d)
+    verts = [fi for fi in range(len(cb.faces)) if cb.colors[fi] == color]
+    idx = {fi: i for i, fi in enumerate(verts)}
+    m = len(verts)
+    full = [[0] * m for _ in range(m)]
+    for ci in range(d.n):
+        pair = cb.corner_pair_of_color(ci, color)
+        u = idx[cb.face_at_corner[ci][pair[0]]]
+        v = idx[cb.face_at_corner[ci][pair[1]]]
+        eta = 1 if pair == (0, 2) else -1
+        if u != v:
+            full[u][v] -= eta
+            full[v][u] -= eta
+    for i in range(m):
+        full[i][i] = -sum(full[i][j] for j in range(m) if j != i)
+    return tuple(tuple(row[: m - 1]) for row in full[: m - 1])

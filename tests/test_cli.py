@@ -1,18 +1,25 @@
 """CLI behavior: subcommands, exit statuses, determinism, batch handling."""
 
 import gc
+import hashlib
 import json
+import os
+import subprocess
 import sys
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
+import knotcert
 from helpers import MISORIENTED, theta
+from knotcert import tait
 from knotcert.cli import _json_text, main
 from knotcert.corpus import corpus_entry, load_corpus
 from knotcert.medial import medial_diagram
 
 TREFOIL = "X(1,4,2,3) X(3,6,4,5) X(5,2,6,1)"
+LEFT_TREFOIL = "X(1,4,2,5) X(3,6,4,1) X(5,2,6,3)"  # orientable color 0
 HOPF = "X(4,1,3,2) X(2,3,1,4)"
 
 
@@ -57,6 +64,27 @@ def test_analyze_misoriented_code_exit_2(capsys, pd):
     code, out, err = run(capsys, "analyze", "--pd", pd, "--json")
     assert code == 2 and out == ""
     assert "slot 2" in err
+
+
+def test_analyze_pd_file_not_utf8_exit_2(tmp_path, capsys):
+    f = tmp_path / "pd.txt"
+    f.write_bytes(b"\xff\xfeX(1,4,2,5) X(3,6,4,1) X(5,2,6,3)")
+    code, out, err = run(capsys, "analyze", "--pd-file", str(f))
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert str(f) in err
+
+
+@pytest.mark.parametrize(
+    "argv", [["analyze", "--pd", ""], ["batch", "bundled"]], ids=["analyze", "batch"]
+)
+def test_negative_rank_cap_is_rejected(capsys, argv):
+    with pytest.raises(SystemExit) as ex:
+        main([*argv, "--rank-cap", "-1"])
+    assert ex.value.code == 2
+    assert "--rank-cap" in capsys.readouterr().err
+    code, _, _ = run(capsys, "analyze", "--pd", "", "--rank-cap", "0")
+    assert code == 0
 
 
 def test_analyze_rank_cap_exit_3(capsys):
@@ -122,6 +150,25 @@ def test_analyze_counts_graph_blocks_once(monkeypatch, capsys):
     code, _, _ = run(capsys, "analyze", "--pd", TREFOIL, "--json")
     assert code == 0
     assert counts == {"obstruct._positive_rank_blocks": 1}
+
+
+def test_analyze_builds_each_tait_graph_once(monkeypatch, capsys):
+    """The Goeritz matrices, the signature correction, the Seifert sign check,
+    the certificate and the factor split all read one Tait graph per color.
+    On this trefoil the orientable color is 0, the color the factor split
+    also reads."""
+    built = []
+    real = tait.tait_graph
+
+    def spy(cb, color):
+        built.append(color)
+        return real(cb, color)
+
+    monkeypatch.setattr(tait, "tait_graph", spy)
+    code, out, _ = run(capsys, "analyze", "--pd", LEFT_TREFOIL, "--json")
+    assert code == 0
+    assert json.loads(out)["speciality"]["orientable_color"] == 0
+    assert sorted(built) == [0, 1]
 
 
 def test_analyze_computes_each_factor_inertia_once(monkeypatch, capsys):
@@ -208,6 +255,11 @@ def test_batch_bundled_corpus(tmp_path, capsys):
     assert summary["counts"]["not_applicable"] == 5
     assert summary["failures"] == 0
     assert len(list(tmp_path.glob("*.json"))) == 34
+    # the report bytes; a change that alters them on purpose updates this digest
+    blob = b"".join(p.name.encode() + b"\0" + p.read_bytes() for p in sorted(tmp_path.glob("*.json")))
+    assert hashlib.sha256(blob).hexdigest() == (
+        "3efc865e4c510681d962559420579428ac0f96a3ac42cae10bbc3310cefadd31"
+    )
 
 
 def test_batch_empty_corpus(tmp_path, capsys):
@@ -325,6 +377,26 @@ def test_batch_stored_value_mismatch_is_inconsistency(tmp_path, capsys):
     assert code == 1
     summary = json.loads(out)
     assert summary["counts"]["inconsistency"] == 1
+
+
+def test_batch_reads_csv_corpus_as_utf8(tmp_path):
+    """A CSV corpus is read as UTF-8, like a JSON corpus, whatever the locale:
+    here a C locale whose encoding is ASCII."""
+    f = tmp_path / "c.csv"
+    f.write_text(f'name,pd\ntr\u00e8fle,"{TREFOIL}"\n', "utf-8")
+    env = dict(os.environ, LC_ALL="C", PYTHONCOERCECLOCALE="0",
+               PYTHONPATH=str(Path(knotcert.__file__).resolve().parents[1]))
+    env.pop("PYTHONUTF8", None)
+    script = ("import locale, sys; from knotcert.cli import main; "
+              "print(locale.getpreferredencoding(False)); sys.exit(main(sys.argv[1:]))")
+    proc = subprocess.run(
+        [sys.executable, "-X", "utf8=0", "-c", script, "batch", str(f), "--json"],
+        env=env, capture_output=True, text=True, encoding="utf-8",
+    )
+    encoding, _, summary = proc.stdout.partition("\n")
+    assert encoding.lower().replace("-", "") != "utf8"  # the locale is not UTF-8
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(summary)["counts"] == {"band_prime_certified": 1}
 
 
 def test_batch_json_corpus_format(tmp_path, capsys):

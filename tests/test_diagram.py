@@ -71,7 +71,13 @@ def test_parse_case_and_whitespace():
 
 @pytest.mark.parametrize(
     "text",
-    ["X(1,2,3)", "X(1,2,3,4,5)", "waffle", "X(1,4,2,5) X(3,6,4,1) X(5,2,6,3) junk"],
+    [
+        "X(1,2,3)",
+        "X(1,2,3,4,5)",
+        "waffle",
+        "X(1,4,2,5) X(3,6,4,1) X(5,2,6,3) junk",
+        "[[true,4,2,5],[3,6,4,1],[5,2,6,3]]",
+    ],
 )
 def test_syntax_errors(text):
     with pytest.raises(PDSyntaxError):

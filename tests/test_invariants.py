@@ -10,6 +10,7 @@ import pytest
 from helpers import (
     alexander_dense_seifert,
     alexander_dense_wirtinger,
+    goeritz_by_corner_pairs,
     necklace,
     plane_graph_from_multigraph,
     poly_value,
@@ -171,6 +172,17 @@ def test_goeritz_determinants_match():
         d = parse_pd(text)
         for c in (0, 1):
             assert abs(det_int(goeritz_matrix(d, c).matrix)) == det
+
+
+def test_goeritz_matches_corner_pair_oracle():
+    """The Goeritz matrix is the reduced signed Laplacian of the Tait graph,
+    entry for entry the matrix read off the checkerboard's corner pairs."""
+    texts = ["", KINK, FIG8, GRANNY] + [entry.pd for entry in load_corpus()]
+    for text in texts:
+        d = parse_pd(text)
+        for dd in (d, mirror_diagram(d)):
+            for c in (0, 1):
+                assert goeritz_matrix(dd, c).matrix == goeritz_by_corner_pairs(dd, c), (text, c)
 
 
 def test_signature_anchors():

@@ -101,22 +101,16 @@ def test_blocks_granny_and_kink():
     rep = classify_special(od)
     g = tait_graph(checkerboard(od.diagram), rep.orientable_color)
     dec = blocks(g)
-    assert len(dec.blocks) == 2
-    assert not dec.is_prime
-    assert len(dec.articulation_vertices) == 1
-    assert sorted(len(b) for b in dec.blocks) == [3, 3]
+    assert len(dec) == 2
+    assert sorted(len(b) for b in dec) == [3, 3]
 
     for g in taits(KINK):
-        dec = blocks(g)
-        assert len(dec.blocks) == 1  # a single crossing is its own block
-        assert dec.is_prime
+        assert len(blocks(g)) == 1  # a single crossing is its own block
 
 
 def test_blocks_loop_bridge_triangle():
     g = make_tait(4, [(0, 0), (0, 1), (1, 2), (2, 3), (3, 1)])
-    dec = blocks(g)
-    assert sorted(tuple(sorted(b)) for b in dec.blocks) == [(0,), (1,), (2, 3, 4)]
-    assert set(dec.articulation_vertices) == {0, 1}
+    assert sorted(tuple(sorted(b)) for b in blocks(g)) == [(0,), (1,), (2, 3, 4)]
 
 
 def test_blocks_match_oracle_on_random_multigraphs():
@@ -125,7 +119,7 @@ def test_blocks_match_oracle_on_random_multigraphs():
         n, edges = random_connected_multigraph(rng, max_edges=9)
         if not edges:
             continue
-        mine = sorted(tuple(sorted(b)) for b in blocks(make_tait(n, edges)).blocks)
+        mine = sorted(tuple(sorted(b)) for b in blocks(make_tait(n, edges)))
         assert mine == block_partition_oracle(n, edges), (n, edges)
 
 
