@@ -24,7 +24,7 @@ import os
 import sys
 from pathlib import Path
 
-from .diagram import OrientedDiagram, orient, parse_pd
+from .diagram import Diagram, parse_pd
 from .errors import (
     ClassificationError,
     DiagramError,
@@ -80,17 +80,15 @@ def _json_text(obj) -> str:
         return json.dumps(obj, sort_keys=True, indent=2) + "\n"
 
 
-def _analysis(
-    od: OrientedDiagram, rank_cap: int, assert_two_bridge: bool
-) -> tuple[dict, InvariantBundle]:
+def _analysis(d: Diagram, rank_cap: int, assert_two_bridge: bool) -> tuple[dict, InvariantBundle]:
     """The report of one diagram and its invariant bundle.  The certificate
     runs first, so an over-cap lattice is refused before any invariant work."""
-    cert = band_prime_certificate(od, rank_cap=rank_cap)
-    ev = minimality_evidence(od, assert_two_bridge=assert_two_bridge)
+    cert = band_prime_certificate(d, rank_cap=rank_cap)
+    ev = minimality_evidence(d, assert_two_bridge=assert_two_bridge)
     rep = {
         "schema": SCHEMA,
         "kind": "analysis",
-        "pd": od.diagram.pd_text(),
+        "pd": d.pd_text(),
         "pd_sha256": cert.pd_sha256,
         "speciality": ev.bundle.speciality.to_json(),
         "invariants": ev.bundle.to_json(),
@@ -169,8 +167,7 @@ def cmd_analyze(args) -> int:
             raise PDSyntaxError(f"{args.pd_file} is not UTF-8 text: {ex.reason}") from None
     else:
         pd_text = args.pd
-    od = orient(parse_pd(pd_text))
-    rep, _bundle = _analysis(od, args.rank_cap, args.assert_two_bridge)
+    rep, _bundle = _analysis(parse_pd(pd_text), args.rank_cap, args.assert_two_bridge)
     out = _json_text(rep) if args.json else _analysis_text(rep)
     if args.out:
         outdir = Path(args.out)
@@ -255,13 +252,19 @@ def _run_batch(path: Path, args) -> int:
                 sep and sep in name for sep in ("/", os.sep, os.altsep, "\0")
             ):
                 raise ValueError(f"entry name {name!r} is not a plain file name")
+            if outdir is not None:
+                try:
+                    os.fsencode(name)
+                except UnicodeEncodeError:
+                    raise ValueError(
+                        f"entry name {name!r} cannot be encoded as a file name"
+                    ) from None
             stored = _stored_values(row)
         except ValueError as ex:
             give_up(name, "failed", ex)
             continue
         try:
-            od = orient(parse_pd(str(row.get("pd") or "")))
-            rep, bundle = _analysis(od, args.rank_cap, False)
+            rep, bundle = _analysis(parse_pd(str(row.get("pd") or "")), args.rank_cap, False)
             mism = [
                 f"{column}: stored {value}, computed {getattr(bundle, attr)}"
                 for column, attr, value in stored
@@ -302,10 +305,10 @@ def _run_batch(path: Path, args) -> int:
 
 
 def cmd_pair(args) -> int:
-    lo_od = orient(parse_pd(args.lower))
-    up_od = orient(parse_pd(args.upper))
-    lo = invariant_bundle(lo_od)
-    up = invariant_bundle(up_od)
+    lo_d = parse_pd(args.lower)
+    up_d = parse_pd(args.upper)
+    lo = invariant_bundle(lo_d)
+    up = invariant_bundle(up_d)
     lo_h, up_h = (
         thin_hfk(b.alexander, b.signature) if b.speciality.is_alternating else None
         for b in (lo, up)
@@ -315,8 +318,8 @@ def cmd_pair(args) -> int:
     rep = {
         "schema": SCHEMA,
         "kind": "pair_obstructions",
-        "lower": {"pd": lo_od.diagram.pd_text(), "invariants": lo.to_json()},
-        "upper": {"pd": up_od.diagram.pd_text(), "invariants": up.to_json()},
+        "lower": {"pd": lo_d.pd_text(), "invariants": lo.to_json()},
+        "upper": {"pd": up_d.pd_text(), "invariants": up.to_json()},
         "upper_is_special_alternating": upper_special,
         "findings": [f.to_json() for f in findings],
         "verdict": "obstructed" if findings else "no_obstruction_found",

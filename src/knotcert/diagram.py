@@ -7,7 +7,10 @@ cyclic order at every crossing is a rotation system, so the code determines a
 4-valent graph embedded in the sphere; we validate that the induced face count
 satisfies Euler's formula (faces = crossings + 2) and reject anything else.
 Strands are oriented by one walk per component from the incoming
-under-strands (`_strands`); a code they cannot orient is rejected.
+under-strands (`_strands`); a code they cannot orient is rejected.  The PD
+code fixes the orientation, so `orient(d)` is memoised on the diagram like its
+faces, checkerboard, Seifert circles and speciality: every layer takes the
+`Diagram` itself and derives each of these once.
 
 Grammar for the text form (whitespace/comma separated, case-insensitive `X`)::
 
@@ -294,16 +297,16 @@ def _strands(d: Diagram) -> tuple[tuple[HalfEdge, ...], ...]:
 
 
 @dataclass(frozen=True)
-class OrientedDiagram:
-    """A diagram with the strand orientations its PD code fixes.
+class Orientation:
+    """The strand orientations a diagram's PD code fixes.
 
     `arc_head[a]` is the half-edge the arc points INTO. `over_in_slot[ci]` is
     1 or 3: the slot where the over-strand enters.  `signs[ci]` follows the
     right-hand convention: +1 exactly when the over-strand runs from slot 3
-    to slot 1.
+    to slot 1.  It holds no reference to the diagram, so memoising it there
+    makes no reference cycle.
     """
 
-    diagram: Diagram
     arc_head: tuple[HalfEdge, ...]  # indexed by arc label - 1
     over_in_slot: tuple[int, ...]
     signs: tuple[int, ...]
@@ -314,14 +317,15 @@ class OrientedDiagram:
         return sum(self.signs)
 
 
-def orient(d: Diagram) -> OrientedDiagram:
+@cached_on_instance
+def orient(d: Diagram) -> Orientation:
     """Orient the strands by walking them (`_strands`).
 
     Every entry of a walk is an arc head; the over-strand enters each
     crossing at slot 1 or slot 3, and the walks are the components.
     """
     if d.n == 0:
-        return OrientedDiagram(d, (), (), (), 1)
+        return Orientation((), (), (), 1)
     walks = _strands(d)
     head = [None] * d.arc_count
     over_in = [0] * d.n
@@ -330,7 +334,7 @@ def orient(d: Diagram) -> OrientedDiagram:
         if s % 2:
             over_in[ci] = s
     signs = tuple(1 if s == 3 else -1 for s in over_in)
-    return OrientedDiagram(d, tuple(head), tuple(over_in), signs, len(walks))
+    return Orientation(tuple(head), tuple(over_in), signs, len(walks))
 
 
 def is_alternating(d: Diagram) -> bool:
@@ -345,16 +349,17 @@ def is_alternating(d: Diagram) -> bool:
 # Seifert smoothing and speciality
 
 
-def seifert_circle_partition(od: OrientedDiagram) -> frozenset[frozenset[int]]:
+@cached_on_instance
+def seifert_circle_partition(d: Diagram) -> frozenset[frozenset[int]]:
     """Partition of arcs into Seifert circles (oriented smoothing)."""
-    d = od.diagram
     if d.n == 0:
         return frozenset()
+    over_in_slot = orient(d).over_in_slot
     # channels through corners 0 and 2 when the over-strand enters at slot 3,
     # through corners 1 and 3 otherwise
     pairs = []
     for ci, c in enumerate(d.crossings):
-        if od.over_in_slot[ci] == 3:
+        if over_in_slot[ci] == 3:
             pairs += [(c[0], c[1]), (c[3], c[2])]
         else:
             pairs += [(c[0], c[3]), (c[1], c[2])]
@@ -365,13 +370,12 @@ def seifert_circle_partition(od: OrientedDiagram) -> frozenset[frozenset[int]]:
     return frozenset(frozenset(g) for g in groups.values())
 
 
-def seifert_stats(od: OrientedDiagram) -> tuple[int, int]:
+def seifert_stats(d: Diagram) -> tuple[int, int]:
     """(number of Seifert circles, genus of the Seifert-algorithm surface)."""
-    d = od.diagram
     if d.n == 0:
         return 1, 0
-    circles = len(seifert_circle_partition(od))
-    num = 2 + d.n - circles - od.components
+    circles = len(seifert_circle_partition(d))
+    num = 2 + d.n - circles - orient(d).components
     if num % 2:
         raise InconsistencyError("Seifert surface Euler characteristic is odd")
     return circles, num // 2
@@ -394,7 +398,7 @@ class SpecialityReport:
 
 
 @cached_on_instance
-def classify_special(od: OrientedDiagram) -> SpecialityReport:
+def classify_special(d: Diagram) -> SpecialityReport:
     """Is the diagram special (Seifert circles = one color class's faces)?
 
     Two independent routes are evaluated: (a) the Seifert circle partition is
@@ -403,17 +407,17 @@ def classify_special(od: OrientedDiagram) -> SpecialityReport:
     Disagreement raises InconsistencyError.  Multi-component input is
     rejected.
     """
-    d = od.diagram
-    if od.components != 1:
+    ori = orient(d)
+    if ori.components != 1:
         raise ClassificationError(
-            f"expected a knot, got {od.components} components"
+            f"expected a knot, got {ori.components} components"
         )
     alt = is_alternating(d)
     if d.n == 0:
         # 0-crossing unknot: special by convention, sign +1 by convention
         return SpecialityReport(True, True, 0, 1)
     cb = checkerboard(d)
-    seifert = seifert_circle_partition(od)
+    seifert = seifert_circle_partition(d)
     orientable_color: int | None = None
     for color in (0, 1):
         faces_arcs = frozenset(
@@ -425,7 +429,7 @@ def classify_special(od: OrientedDiagram) -> SpecialityReport:
             orientable_color = color
             break
     special_a = orientable_color is not None
-    uniform = od.signs[0] if all(s == od.signs[0] for s in od.signs) else None
+    uniform = ori.signs[0] if all(s == ori.signs[0] for s in ori.signs) else None
     if alt:
         special_b = uniform is not None
         if special_a != special_b:
@@ -451,10 +455,10 @@ def mirror_diagram(d: Diagram) -> Diagram:
     The tuple for each crossing is rotated so the old over-in arc becomes the
     new under-in arc; arc directions are preserved, all crossing signs flip.
     """
-    od = orient(d)
+    over_in_slot = orient(d).over_in_slot
     out = []
     for ci, c in enumerate(d.crossings):
-        k = od.over_in_slot[ci]
+        k = over_in_slot[ci]
         out.append((c[k], c[(k + 1) % 4], c[(k + 2) % 4], c[(k + 3) % 4]))
     return build_diagram(out)
 

@@ -33,10 +33,10 @@ from fractions import Fraction
 
 from .diagram import (
     Diagram,
-    OrientedDiagram,
     SpecialityReport,
     cached_on_instance,
     classify_special,
+    orient,
     seifert_stats,
 )
 from .errors import InconsistencyError
@@ -233,7 +233,7 @@ def _interpolate_int_poly(xs: list[int], ys: list[int]) -> list[int]:
 # ---------------------------------------------------------------------------
 # Goeritz matrices and the signature
 
-def goeritz_matrix(od_or_diagram, color: int) -> GramForm:
+def goeritz_matrix(d: Diagram, color: int) -> GramForm:
     """Goeritz matrix of the faces of the given color (last face deleted).
 
     It is the signed Laplacian of that color's Tait graph, each edge weighted
@@ -241,7 +241,7 @@ def goeritz_matrix(od_or_diagram, color: int) -> GramForm:
     the row and column of the last vertex are dropped.  Both colors are built
     once per diagram.
     """
-    return _goeritz_matrices(getattr(od_or_diagram, "diagram", od_or_diagram))[color]
+    return _goeritz_matrices(d)[color]
 
 
 @cached_on_instance
@@ -257,30 +257,30 @@ def _goeritz_matrices(d: Diagram) -> tuple[GramForm, GramForm]:
                 full[u][u] += eta
                 full[v][v] += eta
         reduced = tuple(tuple(row[: m - 1]) for row in full[: m - 1])
-        out.append(GramForm(reduced, provenance=f"Goeritz matrix on color-{g.color} faces"))
+        out.append(GramForm(reduced))
     return out[0], out[1]
 
 
-def _correction_term(od: OrientedDiagram, surface_color: int) -> int:
+def _correction_term(d: Diagram, surface_color: int) -> int:
     """Sum of signs of crossings whose smoothing disagrees with the surface
     color, that is, whose sign differs from the color's Tait edge sign."""
-    edge_signs = tait_graphs(od.diagram)[surface_color].edge_signs
-    return sum(s for s, e in zip(od.signs, edge_signs) if s != e)
+    edge_signs = tait_graphs(d)[surface_color].edge_signs
+    return sum(s for s, e in zip(orient(d).signs, edge_signs) if s != e)
 
 
 @cached_on_instance
-def gl_signature(od: OrientedDiagram) -> int:
+def gl_signature(d: Diagram) -> int:
     """Signature of the knot: sig(Goeritz of the other color) minus the correction.
 
     Computed for both choices of spanning-surface color; the two must agree.
     """
-    if od.diagram.n == 0:
+    if d.n == 0:
         return 0
     results = []
     for surface_color in (0, 1):
-        gm = goeritz_matrix(od.diagram, 1 - surface_color)
+        gm = goeritz_matrix(d, 1 - surface_color)
         sig = form_signature(gm)
-        results.append(sig - _correction_term(od, surface_color))
+        results.append(sig - _correction_term(d, surface_color))
     if results[0] != results[1]:
         raise InconsistencyError(
             f"signature routes disagree: {results[0]} (white surface) vs {results[1]} (black surface)"
@@ -312,7 +312,7 @@ def _chord_cross_sign(n_slots: int, a1: int, b1: int, a2: int, b2: int) -> int:
     return 1 if p < u else -1
 
 
-def seifert_matrix_special(od: OrientedDiagram) -> SeifertData:
+def seifert_matrix_special(d: Diagram) -> SeifertData:
     """Seifert matrix of a special diagram on its checkerboard Seifert surface.
 
     The surface is the orientable checkerboard color: its faces are the disks
@@ -324,7 +324,7 @@ def seifert_matrix_special(od: OrientedDiagram) -> SeifertData:
     in the bipartition); V is half of (band part + disk part), which is
     integral exactly when the diagram is special.
     """
-    g, gram, basis = orientable_flow_lattice(od)  # ClassificationError unless special
+    g, gram, basis = orientable_flow_lattice(d)  # ClassificationError unless special
     r = len(basis.vectors)
     if r == 0:
         return SeifertData((), gram)
@@ -332,14 +332,15 @@ def seifert_matrix_special(od: OrientedDiagram) -> SeifertData:
     # Being special means the orientable color occupies the smoothing corner
     # pair at every crossing, which is the same as each edge sign matching
     # the crossing sign.
-    if g.edge_signs != od.signs:
+    signs = orient(d).signs
+    if g.edge_signs != signs:
         raise InconsistencyError("orientable color's edge signs differ from the crossing signs")
     cls = two_coloring(g.num_vertices, g.edges)
     if cls is None:
         raise InconsistencyError("checkerboard graph of the orientable color is not bipartite")
 
     # Band part: crossings shared by two basis curves.
-    band = cycle_form(g, basis, [-sign for sign in od.signs])
+    band = cycle_form(g, basis, [-sign for sign in signs])
 
     # Disk part: inside each disk the basis curves appear as chords between
     # band attachment slots.  Slots are ordered by the rotation system, with
@@ -516,9 +517,9 @@ def _laurent_det(rows: list[dict[int, dict[int, int]]]) -> LaurentPolynomial:
     return LaurentPolynomial.from_dict(dict(enumerate(_interpolate_int_poly(xs, ys))))
 
 
-def alexander_via_seifert(od: OrientedDiagram) -> LaurentPolynomial:
+def alexander_via_seifert(d: Diagram) -> LaurentPolynomial:
     """det(t V - V^T), centered; only available for special diagrams."""
-    v = seifert_matrix_special(od).matrix
+    v = seifert_matrix_special(d).matrix
     rows = []
     for row, col in zip(v, zip(*v)):
         entries = ({k: c for k, c in ((1, a), (0, -b)) if c} for a, b in zip(row, col))
@@ -532,11 +533,11 @@ def alexander_via_seifert(od: OrientedDiagram) -> LaurentPolynomial:
 _FOX_ROW = {1: ((1, -1), (0, 1), (-1, 0)), -1: ((-1, 1), (1, 0), (0, -1))}
 
 
-def _fox_rows(od: OrientedDiagram) -> list[dict[int, dict[int, int]]]:
+def _fox_rows(d: Diagram) -> list[dict[int, dict[int, int]]]:
     """The Fox matrix of the Wirtinger presentation with its last row and
     column deleted, as sparse rows {overstrand: {exponent: coefficient}}."""
-    d = od.diagram
     n = d.n
+    signs = orient(d).signs
     # overstrands: arcs joined through the over-slots of each crossing
     col = connected_classes(2 * n, ((c[1] - 1, c[3] - 1) for c in d.crossings))
     if max(col, default=-1) + 1 != n:
@@ -546,7 +547,7 @@ def _fox_rows(od: OrientedDiagram) -> list[dict[int, dict[int, int]]]:
     rows: list[dict[int, dict[int, int]]] = []
     for ci, c in enumerate(d.crossings[: n - 1]):
         row: dict[int, dict[int, int]] = {}
-        for arc, (c0, c1) in zip((c[1], c[0], c[2]), _FOX_ROW[od.signs[ci]]):
+        for arc, (c0, c1) in zip((c[1], c[0], c[2]), _FOX_ROW[signs[ci]]):
             entry = row.setdefault(col[arc - 1], {0: 0, 1: 0})
             entry[0] += c0
             entry[1] += c1
@@ -556,17 +557,17 @@ def _fox_rows(od: OrientedDiagram) -> list[dict[int, dict[int, int]]]:
     return rows
 
 
-def alexander_via_wirtinger(od: OrientedDiagram) -> LaurentPolynomial:
+def alexander_via_wirtinger(d: Diagram) -> LaurentPolynomial:
     """Determinant of the Fox matrix (`_fox_rows`)."""
-    return _normalize_alexander(_laurent_det(_fox_rows(od)), "wirtinger backend")
+    return _normalize_alexander(_laurent_det(_fox_rows(d)), "wirtinger backend")
 
 
-def alexander(od: OrientedDiagram) -> LaurentPolynomial:
+def alexander(d: Diagram) -> LaurentPolynomial:
     """Alexander polynomial; on special diagrams both backends run and must agree."""
-    rep = classify_special(od)
-    aw = alexander_via_wirtinger(od)
+    rep = classify_special(d)
+    aw = alexander_via_wirtinger(d)
     if rep.is_special:
-        asf = alexander_via_seifert(od)
+        asf = alexander_via_seifert(d)
         if asf != aw:
             raise InconsistencyError(
                 f"Alexander backends disagree: seifert {asf} vs wirtinger {aw}"
@@ -603,14 +604,14 @@ class InvariantBundle:
         }
 
 
-def invariant_bundle(od: OrientedDiagram) -> InvariantBundle:
-    rep = classify_special(od)
-    sig = gl_signature(od)
-    alex = alexander(od)
+def invariant_bundle(d: Diagram) -> InvariantBundle:
+    rep = classify_special(d)
+    sig = gl_signature(d)
+    alex = alexander(d)
 
     det = abs(alex(-1))
     for color in (0, 1):
-        gm = goeritz_matrix(od.diagram, color)
+        gm = goeritz_matrix(d, color)
         gdet = abs(det_int(gm.matrix))
         if gdet != det:
             raise InconsistencyError(
@@ -618,7 +619,7 @@ def invariant_bundle(od: OrientedDiagram) -> InvariantBundle:
                 f"but the Alexander polynomial gives {det}"
             )
 
-    _circles, surface_genus = seifert_stats(od)
+    _circles, surface_genus = seifert_stats(d)
     span = alex.span()
     if span % 2:
         raise InconsistencyError(f"Alexander span {span} is odd")

@@ -34,7 +34,7 @@ before being handed back.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 import math
 from operator import mul
 
@@ -51,15 +51,13 @@ Matrix = tuple[tuple[int, ...], ...]
 
 @dataclass(frozen=True)
 class GramForm:
-    """Symmetric integer Gram matrix plus a provenance note.
+    """Symmetric integer Gram matrix.
 
     The matrix is stored row-major as nested tuples and validated for symmetry
-    on construction.  `provenance` is a free-form label ("flow lattice of ...")
-    that is carried through reports but ignored by comparisons.
+    on construction.
     """
 
     matrix: Matrix
-    provenance: str | None = field(default=None, compare=False)
 
     def __post_init__(self):
         m = tuple(tuple(int(x) for x in row) for row in self.matrix)
@@ -76,12 +74,6 @@ class GramForm:
     def det(self) -> int:
         return det_int(self.matrix)
 
-    def to_json(self) -> dict:
-        out = {"rank": self.rank, "matrix": [list(r) for r in self.matrix]}
-        if self.provenance is not None:
-            out["provenance"] = self.provenance
-        return out
-
 
 @dataclass(frozen=True)
 class Decomposition:
@@ -94,12 +86,6 @@ class Decomposition:
 
     summands: tuple[GramForm, ...]
     witness: Matrix
-
-    def to_json(self) -> dict:
-        return {
-            "summands": [s.to_json() for s in self.summands],
-            "witness": [list(r) for r in self.witness],
-        }
 
 
 # ---------------------------------------------------------------------------
@@ -554,7 +540,7 @@ def indecomposable_summands(
     offset = 0
     for size in sizes:
         block = tuple(tuple(row[offset : offset + size]) for row in final[offset : offset + size])
-        summands.append(GramForm(block, provenance=q.provenance))
+        summands.append(GramForm(block))
         offset += size
 
     witness = tuple(tuple(row) for row in u_cols)

@@ -206,7 +206,7 @@ def rebuild_factors(d: Diagram) -> tuple[Diagram, ...]:
     parts = blocks(g)
     if len(parts) <= 1:
         return (d,)
-    od = orient(d)
+    signs = orient(d).signs
     factors = []
     for blk in parts:
         sub, old_edge = subgraph_plane(g.edges, g.rotations, blk)
@@ -215,7 +215,7 @@ def rebuild_factors(d: Diagram) -> tuple[Diagram, ...]:
             raise InconsistencyError("connected-sum factor is not a knot diagram")
         if not is_alternating(factor):
             raise InconsistencyError("rebuilt factor is not alternating")
-        want_writhe = sum(od.signs[old_edge[i]] for i in range(len(blk)))
+        want_writhe = sum(signs[old_edge[i]] for i in range(len(blk)))
         if orient(factor).writhe != want_writhe:
             raise InconsistencyError(
                 "rebuilt factor writhe disagrees with its crossings in the parent"

@@ -28,13 +28,7 @@ import hashlib
 from dataclasses import dataclass
 from typing import Optional
 
-from .diagram import (
-    OrientedDiagram,
-    SpecialityReport,
-    classify_special,
-    connected_sum_factors,
-    orient,
-)
+from .diagram import Diagram, SpecialityReport, classify_special, connected_sum_factors
 from .hfk import HfkTable, hfk_isomorphic, thin_hfk
 from .invariants import InvariantBundle, gl_signature, invariant_bundle
 from .lattice import (
@@ -112,9 +106,7 @@ class CertificateReport:
         }
 
 
-def band_prime_certificate(
-    od: OrientedDiagram, rank_cap: int = DEFAULT_RANK_CAP
-) -> CertificateReport:
+def band_prime_certificate(d: Diagram, rank_cap: int = DEFAULT_RANK_CAP) -> CertificateReport:
     """Certify that the knot of a special alternating diagram is band prime.
 
     Non-special (or non-alternating) inputs get verdict not_applicable.
@@ -123,17 +115,16 @@ def band_prime_certificate(
     produces verdict 'inconsistency' (the underlying theory forbids all of
     those, so they indicate a bug, not a property of the knot).
     """
-    d = od.diagram
     sha = _pd_hash(d.pd_text())
-    rep = classify_special(od)
+    rep = classify_special(d)
     if not (rep.is_special and rep.is_alternating):
         why = "not alternating" if not rep.is_alternating else "alternating but not special"
         return CertificateReport(sha, rep, (), 0, "not_applicable", (why,))
 
     # The whole diagram's cycle rank bounds every factor's, so an over-cap
     # input is refused before any lattice, factor or invariant work.
-    check_rank_cap(orientable_tait_graph(od).cycle_rank(), rank_cap)
-    g_full, gram_full, _ = orientable_flow_lattice(od)
+    check_rank_cap(orientable_tait_graph(d).cycle_rank(), rank_cap)
+    g_full, gram_full, _ = orientable_flow_lattice(d)
     dec_full = indecomposable_summands(gram_full, rank_cap=rank_cap)
     blocks_full = _positive_rank_blocks(g_full)
 
@@ -143,9 +134,7 @@ def band_prime_certificate(
     trivial = 0
 
     for f in connected_sum_factors(d):
-        # a prime diagram is its own single factor: reuse the whole's lattice
-        fod = od if f is d else orient(f)
-        frep = classify_special(fod)
+        frep = classify_special(f)
         if not frep.is_special:
             problems.append(f"factor {f.pd_text()!r} is not special")
             continue
@@ -154,7 +143,7 @@ def band_prime_certificate(
                 f"factor sign {frep.uniform_sign} differs from diagram sign {rep.uniform_sign}"
             )
             continue
-        g, gram, _ = orientable_flow_lattice(fod)
+        g, gram, _ = orientable_flow_lattice(f)
         rank = gram.rank
         if rank == 0:
             trivial += 1
@@ -162,11 +151,12 @@ def band_prime_certificate(
         if rank % 2:
             problems.append(f"factor {f.pd_text()!r} has odd flow rank {rank}")
             continue
-        dec = dec_full if fod is od else indecomposable_summands(gram, rank_cap=rank_cap)
+        # a prime diagram is its own single factor: reuse the whole's lattice
+        dec = dec_full if f is d else indecomposable_summands(gram, rank_cap=rank_cap)
         # indecomposable_summands refuses a form that is not definite, and a
         # definite form's diagonal entries all carry its sign
         kind = "positive_definite" if dec.summands[0].matrix[0][0] > 0 else "negative_definite"
-        sig = gl_signature(fod)
+        sig = gl_signature(f)
         record = FactorRecord(
             pd=f.pd_text(),
             crossings=f.n,
@@ -186,7 +176,7 @@ def band_prime_certificate(
             problems.append(
                 f"factor flow lattice split into {len(dec.summands)} summands"
             )
-        nblocks = blocks_full if fod is od else _positive_rank_blocks(g)
+        nblocks = blocks_full if f is d else _positive_rank_blocks(g)
         if nblocks != 1:
             problems.append(
                 f"factor graph has {nblocks} positive-rank blocks, expected 1"
@@ -291,9 +281,7 @@ class MinimalityEvidence:
         }
 
 
-def minimality_evidence(
-    od: OrientedDiagram, assert_two_bridge: bool = False
-) -> MinimalityEvidence:
+def minimality_evidence(d: Diagram, assert_two_bridge: bool = False) -> MinimalityEvidence:
     """Evidence that no distinct knot sits under this one in a ribbon concordance.
 
     minimal_certified needs the diagram to be special alternating plus one of:
@@ -301,7 +289,7 @@ def minimality_evidence(
     coefficient, or the caller asserting the knot is two-bridge.  Two-bridge
     detection is deliberately not computed here.
     """
-    bundle = invariant_bundle(od)
+    bundle = invariant_bundle(d)
     table = (
         thin_hfk(bundle.alexander, bundle.signature)
         if bundle.speciality.is_alternating
@@ -318,7 +306,7 @@ def minimality_evidence(
     else:
         verdict = "evidence_only"
     return MinimalityEvidence(
-        pd_sha256=_pd_hash(od.diagram.pd_text()),
+        pd_sha256=_pd_hash(d.pd_text()),
         bundle=bundle,
         hfk=table,
         anisotropy=aniso,

@@ -30,7 +30,6 @@ from dataclasses import dataclass
 from .diagram import (
     Checkerboard,
     Diagram,
-    OrientedDiagram,
     cached_on_instance,
     checkerboard,
     classify_special,
@@ -295,21 +294,20 @@ def flow_lattice(g: TaitGraph) -> tuple[GramForm, CycleBasis]:
     """Gram form of the cycle space in the edge basis, plus the basis used."""
     basis = fundamental_cycles(g)
     gram = cycle_form(g, basis, [1] * g.num_edges)
-    form = GramForm(gram, provenance=f"flow lattice of color-{g.color} Tait graph")
-    return form, basis
+    return GramForm(gram), basis
 
 
-def orientable_tait_graph(od: OrientedDiagram) -> TaitGraph:
+def orientable_tait_graph(d: Diagram) -> TaitGraph:
     """Tait graph of a special diagram's orientable color (the faces of its
     Seifert surface)."""
-    rep = classify_special(od)
+    rep = classify_special(d)
     if not rep.is_special:
         raise ClassificationError("only a special diagram has an orientable color")
-    return tait_graphs(od.diagram)[rep.orientable_color]
+    return tait_graphs(d)[rep.orientable_color]
 
 
 @cached_on_instance
-def orientable_flow_lattice(od: OrientedDiagram) -> tuple[TaitGraph, GramForm, CycleBasis]:
+def orientable_flow_lattice(d: Diagram) -> tuple[TaitGraph, GramForm, CycleBasis]:
     """`orientable_tait_graph` with its flow lattice and cycle basis."""
-    g = orientable_tait_graph(od)
+    g = orientable_tait_graph(d)
     return (g, *flow_lattice(g))

@@ -174,12 +174,13 @@ def orientable_by_parity(d) -> bool:
     return bool(ok)
 
 
-def check_orientation(od):
-    """Arc heads, over-strand slots and signs of `od` agree crossing by
+def check_orientation(d):
+    """Arc heads, over-strand slots and signs of `orient(d)` agree crossing by
     crossing, and its component count matches a union-find over the strands."""
+    from knotcert.diagram import orient
     from knotcert.lattice import connected_classes
 
-    d = od.diagram
+    od = orient(d)
     for ci, c in enumerate(d.crossings):
         s = od.over_in_slot[ci]
         assert s in (1, 3)
@@ -557,7 +558,7 @@ def inertia_fraction(matrix):
     return pos, neg, zero
 
 
-def alexander_dense_wirtinger(od):
+def alexander_dense_wirtinger(d):
     """Alexander polynomial from the dense (n-1)x(n-1) Fox matrix of the
     Wirtinger presentation (last row and column deleted), one determinant per
     interpolation point."""
@@ -567,9 +568,9 @@ def alexander_dense_wirtinger(od):
         _interpolate_int_poly,
         _normalize_alexander,
     )
+    from knotcert.diagram import orient
     from knotcert.lattice import connected_classes, det_int
 
-    d = od.diagram
     n = d.n
     if n <= 1:
         return LaurentPolynomial.one()
@@ -578,7 +579,7 @@ def alexander_dense_wirtinger(od):
     rows = []
     for ci, c in enumerate(d.crossings):
         row = {}
-        for arc, (c0, c1) in zip((c[1], c[0], c[2]), _FOX_ROW[od.signs[ci]]):
+        for arc, (c0, c1) in zip((c[1], c[0], c[2]), _FOX_ROW[orient(d).signs[ci]]):
             entry = row.setdefault(col[arc - 1], [0, 0])
             entry[0] += c0
             entry[1] += c1
@@ -598,7 +599,7 @@ def alexander_dense_wirtinger(od):
     return _normalize_alexander(raw, "dense wirtinger")
 
 
-def alexander_dense_seifert(od):
+def alexander_dense_seifert(d):
     """Alexander polynomial det(t V - V^T) of a special diagram from its dense
     Seifert matrix V, one determinant per interpolation point."""
     from knotcert.invariants import (
@@ -609,7 +610,7 @@ def alexander_dense_seifert(od):
     )
     from knotcert.lattice import det_int
 
-    v = seifert_matrix_special(od).matrix
+    v = seifert_matrix_special(d).matrix
     xs = list(range(2, 2 + len(v) + 1))
     ys = [
         det_int([[x * a - b for a, b in zip(row, col)] for row, col in zip(v, zip(*v))])

@@ -23,7 +23,6 @@ from knotcert.diagram import (
     checkerboard,
     classify_special,
     mirror_diagram,
-    orient,
     parse_pd,
 )
 from knotcert.hfk import thin_hfk
@@ -48,24 +47,20 @@ from knotcert.tait import flow_lattice, tait_graph
 CORPUS = load_corpus()
 
 
-def _oriented(e):
-    return orient(parse_pd(e.pd))
-
-
-def _is_special(od):
-    rep = classify_special(od)
+def _is_special(d):
+    rep = classify_special(d)
     return rep.is_special and rep.is_alternating, rep
 
 
 SPECIALS = []
 NON_SPECIALS = []
 for _e in CORPUS:
-    _od = _oriented(_e)
-    _sp, _rep = _is_special(_od)
+    _d = parse_pd(_e.pd)
+    _sp, _rep = _is_special(_d)
     if _e.pd and _sp:
-        SPECIALS.append((_e, _od, _rep))
+        SPECIALS.append((_e, _d, _rep))
     elif _e.pd:
-        NON_SPECIALS.append((_e, _od, _rep))
+        NON_SPECIALS.append((_e, _d, _rep))
 
 
 def test_criterion_1_seifert_form_isometric_to_flow_lattice():
@@ -76,14 +71,14 @@ def test_criterion_1_seifert_form_isometric_to_flow_lattice():
     isometry search cannot succeed by construction."""
     rng = random.Random(11)
     t0 = time.time()
-    for e, od, rep in SPECIALS:
-        sd = seifert_matrix_special(od)
+    for e, d, rep in SPECIALS:
+        sd = seifert_matrix_special(d)
         v = sd.matrix
         n = len(v)
         sym = tuple(
             tuple(v[i][j] + v[j][i] for j in range(n)) for i in range(n)
         )
-        g = tait_graph(checkerboard(od.diagram), rep.orientable_color)
+        g = tait_graph(checkerboard(d), rep.orientable_color)
         gram, _ = flow_lattice(g)
         scrambled, _u = congruent_scramble(gram.matrix, rng)
         target = GramForm(scrambled)
@@ -144,13 +139,13 @@ def test_criterion_3_signature_genus_span_identity():
     """|sigma| = 2*genus = span(alexander) on every special corpus entry; the
     identity fails on every non-special alternating corpus entry (all of
     which have sigma != +-2*genus, e.g. figure-eight 0 != 2)."""
-    for e, od, _rep in SPECIALS:
-        b = invariant_bundle(od)
+    for e, d, _rep in SPECIALS:
+        b = invariant_bundle(d)
         assert abs(b.signature) == 2 * b.genus == b.alexander.span(), e.name
-    for e, od, _rep in NON_SPECIALS:
-        b = invariant_bundle(od)
+    for e, d, _rep in NON_SPECIALS:
+        b = invariant_bundle(d)
         assert abs(b.signature) != 2 * b.genus, e.name
-    f8 = invariant_bundle(_oriented(corpus_entry("4_1")))
+    f8 = invariant_bundle(parse_pd(corpus_entry("4_1").pd))
     assert (abs(f8.signature), 2 * f8.genus) == (0, 2)
     print(
         f"criterion 3: PASS -- identity holds on {len(SPECIALS)} specials, "
@@ -162,7 +157,7 @@ def test_criterion_4_hfk_rank_and_euler():
     """Total HFK rank = determinant and graded Euler characteristic = Delta
     for every corpus alternating knot (all corpus entries are alternating)."""
     for e in CORPUS:
-        b = invariant_bundle(_oriented(e))
+        b = invariant_bundle(parse_pd(e.pd))
         table = thin_hfk(b.alexander, b.signature)
         assert table.total_rank() == b.determinant, e.name
         assert table.euler_characteristic() == b.alexander, e.name
@@ -174,14 +169,14 @@ def test_criterion_5_band_primeness_certified_for_all_specials():
     entries, including the composite ones; the granny knot splits into two
     factors, each flow lattice isometric to [[2,1],[1,2]] with signature -2."""
     certified = 0
-    for e, od, _rep in SPECIALS:
-        rep = band_prime_certificate(od)
+    for e, d, _rep in SPECIALS:
+        rep = band_prime_certificate(d)
         assert rep.verdict == "band_prime_certified", (e.name, rep.notes)
         certified += 1
-    unknot = band_prime_certificate(_oriented(corpus_entry("0_1")))
+    unknot = band_prime_certificate(parse_pd(corpus_entry("0_1").pd))
     assert unknot.verdict == "band_prime_certified"
 
-    granny = band_prime_certificate(_oriented(corpus_entry("3_1#3_1")))
+    granny = band_prime_certificate(parse_pd(corpus_entry("3_1#3_1").pd))
     assert granny.verdict == "band_prime_certified"
     assert len(granny.factors) == 2
     a2 = GramForm(((2, 1), (1, 2)))
@@ -196,19 +191,19 @@ def test_criterion_6_minimality_dispatch():
     """Trefoil certified minimal via fiberedness; 5_2 via prime-power leading
     coefficient 2; 9_5 (leading coefficient 6, non-monic) is evidence_only
     without the two-bridge assertion."""
-    tre = minimality_evidence(_oriented(corpus_entry("3_1")))
+    tre = minimality_evidence(parse_pd(corpus_entry("3_1").pd))
     assert tre.verdict == "minimal_certified" and tre.fibered is True
 
-    five2 = minimality_evidence(_oriented(corpus_entry("5_2")))
+    five2 = minimality_evidence(parse_pd(corpus_entry("5_2").pd))
     assert five2.verdict == "minimal_certified"
     assert five2.fibered is False and five2.prime_power_leading
     assert abs(five2.bundle.leading_coefficient) == 2
 
-    nine5 = minimality_evidence(_oriented(corpus_entry("9_5")))
+    nine5 = minimality_evidence(parse_pd(corpus_entry("9_5").pd))
     assert nine5.verdict == "evidence_only"
     assert abs(nine5.bundle.leading_coefficient) == 6
     assert not nine5.prime_power_leading and nine5.fibered is False
-    asserted = minimality_evidence(_oriented(corpus_entry("9_5")), assert_two_bridge=True)
+    asserted = minimality_evidence(parse_pd(corpus_entry("9_5").pd), assert_two_bridge=True)
     assert asserted.verdict == "minimal_certified"
     print("criterion 6: PASS -- trefoil fibered, 5_2 prime-power, 9_5 evidence_only")
 
@@ -218,15 +213,15 @@ def test_criterion_7_oracle_equivalence():
     (b) |det Goeritz| = |Delta(-1)| for both colors on every corpus diagram;
     (c) brute-force spanning-tree count = det(flow lattice) for every
     connected multigraph (loops allowed) on <= 4 vertices with <= 8 edges."""
-    for e, od, _rep in SPECIALS:
-        assert alexander_via_seifert(od) == alexander_via_wirtinger(od), e.name
+    for e, d, _rep in SPECIALS:
+        assert alexander_via_seifert(d) == alexander_via_wirtinger(d), e.name
 
     for e in CORPUS:
-        od = _oriented(e)
-        b = invariant_bundle(od)
+        d = parse_pd(e.pd)
+        b = invariant_bundle(d)
         at_minus1 = abs(int(b.alexander(-1)))
         for color in (0, 1):
-            gm = goeritz_matrix(od, color)
+            gm = goeritz_matrix(d, color)
             assert abs(det_int(gm.matrix)) == at_minus1, (e.name, color)
 
     checked = 0
@@ -275,16 +270,15 @@ def test_criterion_8_mirror_behavior():
     span(Delta), genus, and the band-primeness verdict."""
     for e in CORPUS:
         d = parse_pd(e.pd)
-        od = orient(d)
-        m_od = orient(mirror_diagram(d))
-        b = invariant_bundle(od)
-        mb = invariant_bundle(m_od)
+        m = mirror_diagram(d)
+        b = invariant_bundle(d)
+        mb = invariant_bundle(m)
         assert mb.signature == -b.signature, e.name
         assert mb.determinant == b.determinant, e.name
         assert mb.alexander.span() == b.alexander.span(), e.name
         assert mb.genus == b.genus, e.name
         assert (
-            band_prime_certificate(m_od).verdict
-            == band_prime_certificate(od).verdict
+            band_prime_certificate(m).verdict
+            == band_prime_certificate(d).verdict
         ), e.name
     print(f"criterion 8: PASS -- {len(CORPUS)} diagrams mirrored, all invariants behaved")

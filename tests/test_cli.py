@@ -21,6 +21,7 @@ from knotcert.medial import medial_diagram
 TREFOIL = "X(1,4,2,3) X(3,6,4,5) X(5,2,6,1)"
 LEFT_TREFOIL = "X(1,4,2,5) X(3,6,4,1) X(5,2,6,3)"  # orientable color 0
 HOPF = "X(4,1,3,2) X(2,3,1,4)"
+GRANNY = "X(9,1,10,12) X(1,11,2,10) X(11,3,12,2) X(3,7,4,6) X(7,5,8,4) X(5,9,6,8)"
 
 
 def run(capsys, *argv):
@@ -104,23 +105,47 @@ def test_analyze_special_non_alternating_is_not_applicable(capsys):
     assert "band primeness: not_applicable" in out
 
 
-def _count_calls(monkeypatch, *qualnames):
-    """Count calls of knotcert functions, patched wherever a module binds them."""
-    counts = dict.fromkeys(qualnames, 0)
+def _wrap_calls(monkeypatch, qualnames, wrap):
+    """Replace each named knotcert function by wrap(name, fn), wherever a
+    module binds it."""
     modules = [m for n, m in sys.modules.items() if n.split(".")[0] == "knotcert"]
     for qualname in qualnames:
         module, attr = qualname.rsplit(".", 1)
         fn = getattr(sys.modules[f"knotcert.{module}"], attr)
-
-        def counted(*args, _fn=fn, _name=qualname, **kwargs):
-            counts[_name] += 1
-            return _fn(*args, **kwargs)
-
+        wrapper = wrap(qualname, fn)
         for mod in modules:
             for name, obj in list(vars(mod).items()):
                 if obj is fn:
-                    monkeypatch.setattr(mod, name, counted)
+                    monkeypatch.setattr(mod, name, wrapper)
+
+
+def _count_calls(monkeypatch, *qualnames):
+    """Count calls of knotcert functions, patched wherever a module binds them."""
+    counts = dict.fromkeys(qualnames, 0)
+
+    def wrap(qualname, fn):
+        def counted(*args, **kwargs):
+            counts[qualname] += 1
+            return fn(*args, **kwargs)
+        return counted
+
+    _wrap_calls(monkeypatch, qualnames, wrap)
     return counts
+
+
+def _results(monkeypatch, *qualnames):
+    """The results of calls of knotcert functions, kept alive so that each
+    distinct object built keeps its own id."""
+    results = {name: [] for name in qualnames}
+
+    def wrap(qualname, fn):
+        def recorded(*args, **kwargs):
+            results[qualname].append(fn(*args, **kwargs))
+            return results[qualname][-1]
+        return recorded
+
+    _wrap_calls(monkeypatch, qualnames, wrap)
+    return results
 
 
 def test_analyze_computes_each_piece_once(monkeypatch, capsys):
@@ -141,6 +166,17 @@ def test_analyze_computes_each_piece_once(monkeypatch, capsys):
     code, _, err = run(capsys, "analyze", "--pd", t213.pd_text(), "--rank-cap", "4")
     assert code == 3 and "cap" in err
     assert counts == dict.fromkeys(names, 0)
+
+
+def test_analyze_orients_each_diagram_once(monkeypatch, capsys):
+    """The granny knot and its two trefoil factors are three diagrams: each
+    gets one orientation record and one Seifert circle partition."""
+    names = ("diagram.orient", "diagram.seifert_circle_partition")
+    results = _results(monkeypatch, *names)
+    code, _, _ = run(capsys, "analyze", "--pd", GRANNY, "--json")
+    assert code == 0
+    built = {name: len({id(r) for r in results[name]}) for name in names}
+    assert built == dict.fromkeys(names, 3)
 
 
 def test_analyze_counts_graph_blocks_once(monkeypatch, capsys):
@@ -397,6 +433,26 @@ def test_batch_reads_csv_corpus_as_utf8(tmp_path):
     assert encoding.lower().replace("-", "") != "utf8"  # the locale is not UTF-8
     assert proc.returncode == 0, proc.stderr
     assert json.loads(summary)["counts"] == {"band_prime_certified": 1}
+
+
+def test_batch_name_the_file_system_cannot_encode_fails_only_that_entry(tmp_path):
+    """With --out, an entry name that the file-system encoding (here ASCII,
+    in a C locale) cannot encode fails that entry; the rest are written."""
+    f = tmp_path / "c.csv"
+    f.write_text(f'name,pd\ntr\u00e8fle,"{TREFOIL}"\nplain,"{TREFOIL}"\n', "utf-8")
+    outdir = tmp_path / "out"
+    env = dict(os.environ, LC_ALL="C", PYTHONCOERCECLOCALE="0",
+               PYTHONPATH=str(Path(knotcert.__file__).resolve().parents[1]))
+    env.pop("PYTHONUTF8", None)
+    proc = subprocess.run(
+        [sys.executable, "-X", "utf8=0", "-m", "knotcert.cli",
+         "batch", str(f), "--json", "--out", str(outdir)],
+        env=env, capture_output=True, text=True, encoding="utf-8",
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr.startswith("warning: tr")
+    assert json.loads(proc.stdout)["counts"] == {"band_prime_certified": 1, "failed": 1}
+    assert [p.name for p in outdir.iterdir()] == ["plain.json"]
 
 
 def test_batch_json_corpus_format(tmp_path, capsys):

@@ -1,14 +1,14 @@
 """The bundled corpus: shape, naming, and stored-vs-recomputed invariants."""
 
 from knotcert.corpus import corpus_entry, load_corpus
-from knotcert.diagram import classify_special, connected_sum_factors, orient, parse_pd
+from knotcert.diagram import classify_special, connected_sum_factors, parse_pd
 from knotcert.invariants import invariant_bundle
 
 CORPUS = load_corpus()
 
 
 def _special(e):
-    rep = classify_special(orient(parse_pd(e.pd)))
+    rep = classify_special(parse_pd(e.pd))
     return rep.is_special and rep.is_alternating
 
 
@@ -55,7 +55,7 @@ def test_anchor_values():
 
 def test_stored_invariants_match_recomputation():
     for e in CORPUS:
-        b = invariant_bundle(orient(parse_pd(e.pd)))
+        b = invariant_bundle(parse_pd(e.pd))
         assert b.signature == e.sigma, e.name
         assert b.determinant == e.det, e.name
         assert b.alexander == e.alexander, e.name

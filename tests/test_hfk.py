@@ -5,7 +5,6 @@ from fractions import Fraction
 
 import pytest
 
-from knotcert.diagram import orient, parse_pd
 from knotcert.errors import InconsistencyError
 from knotcert.hfk import hfk_isomorphic, thin_hfk
 from knotcert.invariants import LaurentPolynomial, invariant_bundle
@@ -114,7 +113,7 @@ def test_random_alternating_knots_total_rank_equals_determinant():
         d, comps = medial_diagram(g, rng.choice((1, -1)))
         if comps != 1:
             continue
-        b = invariant_bundle(orient(d))
+        b = invariant_bundle(d)
         t = thin_hfk(b.alexander, b.signature)
         assert t.total_rank() == b.determinant
         assert t.euler_characteristic() == b.alexander

@@ -45,10 +45,6 @@ GRANNY = "X(9,1,10,12) X(1,11,2,10) X(11,3,12,2) X(3,7,4,6) X(7,5,8,4) X(5,9,6,8
 L = LaurentPolynomial.from_string
 
 
-def od_of(text):
-    return orient(parse_pd(text))
-
-
 # ---------------------------------------------------------------------------
 # Laurent polynomials
 
@@ -186,19 +182,18 @@ def test_goeritz_matches_corner_pair_oracle():
 
 
 def test_signature_anchors():
-    assert gl_signature(od_of(RIGHT_TREFOIL_ROTATED)) == -2
-    assert gl_signature(od_of(LEFT_TREFOIL)) == 2
-    assert gl_signature(od_of(FIG8)) == 0
-    assert gl_signature(od_of(KINK)) == 0
-    assert gl_signature(od_of(GRANNY)) == -4
-    assert gl_signature(od_of("")) == 0
+    assert gl_signature(parse_pd(RIGHT_TREFOIL_ROTATED)) == -2
+    assert gl_signature(parse_pd(LEFT_TREFOIL)) == 2
+    assert gl_signature(parse_pd(FIG8)) == 0
+    assert gl_signature(parse_pd(KINK)) == 0
+    assert gl_signature(parse_pd(GRANNY)) == -4
+    assert gl_signature(parse_pd("")) == 0
 
 
 def test_signature_negates_under_mirror():
     for text in (LEFT_TREFOIL, FIG8, GRANNY):
-        od = od_of(text)
-        odm = orient(mirror_diagram(od.diagram))
-        assert gl_signature(odm) == -gl_signature(od)
+        d = parse_pd(text)
+        assert gl_signature(mirror_diagram(d)) == -gl_signature(d)
 
 
 # ---------------------------------------------------------------------------
@@ -212,7 +207,7 @@ def test_seifert_matrix_5_1():
     )
     d, comps = medial_diagram(theta5, 1)
     assert comps == 1
-    sd = seifert_matrix_special(orient(d))
+    sd = seifert_matrix_special(d)
     assert sd.matrix == (
         (-1, -1, -1, -1),
         (0, -1, -1, -1),
@@ -229,17 +224,17 @@ def test_seifert_matrix_5_1():
 
 def test_seifert_matrix_needs_special():
     with pytest.raises(ClassificationError):
-        seifert_matrix_special(od_of(FIG8))
+        seifert_matrix_special(parse_pd(FIG8))
 
 
 def test_seifert_matrix_unknot():
-    sd = seifert_matrix_special(od_of(""))
+    sd = seifert_matrix_special(parse_pd(""))
     assert sd.matrix == ()
 
 
 def test_seifert_skew_is_unimodular():
     for text in (LEFT_TREFOIL, RIGHT_TREFOIL_ROTATED, GRANNY):
-        sd = seifert_matrix_special(od_of(text))
+        sd = seifert_matrix_special(parse_pd(text))
         r = len(sd.matrix)
         skew = tuple(
             tuple(sd.matrix[i][j] - sd.matrix[j][i] for j in range(r)) for i in range(r)
@@ -252,31 +247,30 @@ def test_seifert_skew_is_unimodular():
 
 
 def test_alexander_anchors():
-    assert alexander(od_of(LEFT_TREFOIL)) == L("t - 1 + t^-1")
-    assert alexander(od_of(RIGHT_TREFOIL_ROTATED)) == L("t - 1 + t^-1")
-    assert alexander(od_of(FIG8)) == L("-t + 3 - t^-1")
-    assert alexander(od_of(KINK)) == LaurentPolynomial.one()
-    assert alexander(od_of("")) == LaurentPolynomial.one()
-    assert alexander(od_of(GRANNY)) == L("t^2 - 2t + 3 - 2t^-1 + t^-2")
+    assert alexander(parse_pd(LEFT_TREFOIL)) == L("t - 1 + t^-1")
+    assert alexander(parse_pd(RIGHT_TREFOIL_ROTATED)) == L("t - 1 + t^-1")
+    assert alexander(parse_pd(FIG8)) == L("-t + 3 - t^-1")
+    assert alexander(parse_pd(KINK)) == LaurentPolynomial.one()
+    assert alexander(parse_pd("")) == LaurentPolynomial.one()
+    assert alexander(parse_pd(GRANNY)) == L("t^2 - 2t + 3 - 2t^-1 + t^-2")
 
 
 def test_alexander_backends_agree_on_special():
     for text in (LEFT_TREFOIL, RIGHT_TREFOIL_ROTATED, KINK, GRANNY):
-        od = od_of(text)
-        assert alexander_via_seifert(od) == alexander_via_wirtinger(od)
+        d = parse_pd(text)
+        assert alexander_via_seifert(d) == alexander_via_wirtinger(d)
 
 
 def test_alexander_wirtinger_handles_non_special():
-    assert alexander_via_wirtinger(od_of(FIG8)) == L("-t + 3 - t^-1")
+    assert alexander_via_wirtinger(parse_pd(FIG8)) == L("-t + 3 - t^-1")
     with pytest.raises(ClassificationError):
-        alexander_via_seifert(od_of(FIG8))
+        alexander_via_seifert(parse_pd(FIG8))
 
 
 def test_alexander_is_mirror_invariant():
     for text in (LEFT_TREFOIL, FIG8, GRANNY):
-        od = od_of(text)
-        odm = orient(mirror_diagram(od.diagram))
-        assert alexander(odm) == alexander(od)
+        d = parse_pd(text)
+        assert alexander(mirror_diagram(d)) == alexander(d)
 
 
 def _crossing_changed(d, rng):
@@ -297,19 +291,19 @@ def _torus_alexander(k):
 
 def test_wirtinger_matches_dense_on_corpus_and_mirrors():
     for entry in load_corpus():
-        od = orient(parse_pd(entry.pd))
-        for o in (od, orient(mirror_diagram(od.diagram))):
+        d = parse_pd(entry.pd)
+        for o in (d, mirror_diagram(d)):
             assert alexander_via_wirtinger(o) == alexander_dense_wirtinger(o), entry.name
 
 
 def test_wirtinger_matches_closed_form_on_torus_knots():
     for k in range(3, 42, 2):
         for sign in (1, -1):
-            od = orient(medial_diagram(theta(k), sign)[0])
+            d = medial_diagram(theta(k), sign)[0]
             want = _torus_alexander(k)
-            assert alexander_via_wirtinger(od) == want, k
+            assert alexander_via_wirtinger(d) == want, k
             if k <= 15:
-                assert alexander_dense_wirtinger(od) == want
+                assert alexander_dense_wirtinger(d) == want
 
 
 def test_wirtinger_matches_dense_on_necklaces():
@@ -317,8 +311,7 @@ def test_wirtinger_matches_dense_on_necklaces():
         for sign in (1, -1):
             d, comps = medial_diagram(necklace(sides), sign)
             assert comps == 1
-            od = orient(d)
-            assert alexander_via_wirtinger(od) == alexander_dense_wirtinger(od), sides
+            assert alexander_via_wirtinger(d) == alexander_dense_wirtinger(d), sides
 
 
 def test_wirtinger_matches_dense_on_random_and_non_alternating_diagrams():
@@ -333,34 +326,33 @@ def test_wirtinger_matches_dense_on_random_and_non_alternating_diagrams():
         if comps != 1 or d.n == 0:
             continue
         for dd in (d, _crossing_changed(d, rng)):
-            od = orient(dd)
-            assert alexander_via_wirtinger(od) == alexander_dense_wirtinger(od), dd.pd_text()
-            non_alternating += len(set(od.signs)) == 2
+            assert alexander_via_wirtinger(dd) == alexander_dense_wirtinger(dd), dd.pd_text()
+            non_alternating += len(set(orient(dd).signs)) == 2
         checked += 1
     assert non_alternating >= 20
 
 
 def test_seifert_matches_dense_on_corpus_and_mirrors():
     for entry in load_corpus():
-        od = orient(parse_pd(entry.pd))
-        if not classify_special(od).is_special:
+        d = parse_pd(entry.pd)
+        if not classify_special(d).is_special:
             continue
-        for o in (od, orient(mirror_diagram(od.diagram))):
+        for o in (d, mirror_diagram(d)):
             assert alexander_via_seifert(o) == alexander_dense_seifert(o), entry.name
 
 
 def test_seifert_matches_closed_form_on_torus_knots():
     for k in range(3, 42, 2):
         for sign in (1, -1):
-            od = orient(medial_diagram(theta(k), sign)[0])
+            d = medial_diagram(theta(k), sign)[0]
             want = _torus_alexander(k)
-            assert alexander_via_seifert(od) == want, k
+            assert alexander_via_seifert(d) == want, k
             if k <= 15:
-                assert alexander_dense_seifert(od) == want
+                assert alexander_dense_seifert(d) == want
 
 
-def _residue_rows(monkeypatch, backend, od):
-    """Rows of the unit residue that `backend` interpolates for od."""
+def _residue_rows(monkeypatch, backend, d):
+    """Rows of the unit residue that `backend` interpolates for d."""
     sizes = []
 
     def spy(rows, _real=invariants._unit_residue):
@@ -369,7 +361,7 @@ def _residue_rows(monkeypatch, backend, od):
         return m
 
     monkeypatch.setattr(invariants, "_unit_residue", spy)
-    backend(od)
+    backend(d)
     monkeypatch.undo()
     (size,) = sizes
     return size
@@ -379,16 +371,16 @@ def test_wirtinger_residue_is_sized_by_the_knot(monkeypatch):
     """A 41-crossing necklace reduces to a residue of at most 6 rows (the
     dense minor has 40); a fallback to dense elimination fails here."""
     for sign in (1, -1):
-        od = orient(medial_diagram(necklace([5, 7, 9, 11, 9]), sign)[0])
-        assert od.diagram.n == 41
-        assert 1 <= _residue_rows(monkeypatch, alexander_via_wirtinger, od) <= 6
+        d = medial_diagram(necklace([5, 7, 9, 11, 9]), sign)[0]
+        assert d.n == 41
+        assert 1 <= _residue_rows(monkeypatch, alexander_via_wirtinger, d) <= 6
 
 
 def test_seifert_residue_is_sized_by_the_knot(monkeypatch):
     """T(2,41) has a 40 x 40 Seifert matrix and a residue of one row."""
     for sign in (1, -1):
-        od = orient(medial_diagram(theta(41), sign)[0])
-        assert _residue_rows(monkeypatch, alexander_via_seifert, od) == 1
+        d = medial_diagram(theta(41), sign)[0]
+        assert _residue_rows(monkeypatch, alexander_via_seifert, d) == 1
 
 
 def test_laurent_det_of_empty_and_malformed_matrices():
@@ -407,7 +399,7 @@ def test_laurent_det_of_empty_and_malformed_matrices():
 
 
 def test_bundle_trefoil():
-    b = invariant_bundle(od_of(RIGHT_TREFOIL_ROTATED))
+    b = invariant_bundle(parse_pd(RIGHT_TREFOIL_ROTATED))
     assert b.signature == -2
     assert b.determinant == 3
     assert b.genus == 1 and b.genus_is_exact
@@ -419,14 +411,14 @@ def test_bundle_trefoil():
 
 
 def test_bundle_fig8():
-    b = invariant_bundle(od_of(FIG8))
+    b = invariant_bundle(parse_pd(FIG8))
     assert (b.signature, b.determinant, b.genus) == (0, 5, 1)
     assert not b.speciality.is_special
     assert b.fibered is True  # monic and alternating
 
 
 def test_bundle_granny():
-    b = invariant_bundle(od_of(GRANNY))
+    b = invariant_bundle(parse_pd(GRANNY))
     assert (b.signature, b.determinant, b.genus) == (-4, 9, 2)
     assert b.speciality.is_special
     assert abs(b.signature) == 2 * b.genus == b.alexander.span()
@@ -434,7 +426,7 @@ def test_bundle_granny():
 
 def test_bundle_unknot_and_kink():
     for text in ("", KINK):
-        b = invariant_bundle(od_of(text))
+        b = invariant_bundle(parse_pd(text))
         assert (b.signature, b.determinant, b.genus) == (0, 1, 0)
         assert b.alexander == LaurentPolynomial.one()
 
@@ -443,7 +435,7 @@ def test_bundle_5_2():
     g52 = plane_graph_from_multigraph(4, [(0, 1), (0, 1), (1, 2), (2, 3), (3, 0)])
     d, comps = medial_diagram(g52, -1)
     assert comps == 1
-    b = invariant_bundle(orient(d))
+    b = invariant_bundle(d)
     assert b.determinant == 7
     assert abs(b.signature) == 2
     assert b.alexander in (L("2t - 3 + 2t^-1"),)
@@ -470,15 +462,14 @@ def test_bundle_consistency_on_random_special_knots():
         d, comps = medial_diagram(g, rng.choice((1, -1)))
         if comps != 1:
             continue
-        od = orient(d)
-        b = invariant_bundle(od)
+        b = invariant_bundle(d)
         if not b.speciality.is_special:
             continue
         knots += 1
         assert abs(b.signature) == 2 * b.genus == b.alexander.span()
         assert b.determinant >= 1
-        assert alexander_via_seifert(od) == alexander_dense_seifert(od)
-        sd = seifert_matrix_special(od)
+        assert alexander_via_seifert(d) == alexander_dense_seifert(d)
+        sd = seifert_matrix_special(d)
         s = b.speciality.uniform_sign
         r = len(sd.matrix)
         for i in range(r):

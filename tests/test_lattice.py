@@ -23,10 +23,8 @@ from helpers import (
     theta,
 )
 import knotcert.lattice
-from knotcert.diagram import orient
 from knotcert.errors import DegenerateFormError, InconsistencyError, RankCapExceededError
 from knotcert.lattice import (
-    Decomposition,
     GramForm,
     congruence,
     connected_classes,
@@ -258,14 +256,6 @@ def test_unimodular_helper_is_unimodular():
             assert abs(det_int(u)) == 1
 
 
-def test_decomposition_json_roundtrippable():
-    dec = indecomposable_summands(GramForm(((3, 0), (0, 3)), provenance="demo"))
-    blob = dec.to_json()
-    assert isinstance(dec, Decomposition)
-    assert blob["summands"][0]["matrix"] == [[3]]
-    assert blob["summands"][0]["provenance"] == "demo"
-
-
 # ---------------------------------------------------------------------------
 # kernels against independent reference implementations (tests/helpers.py)
 
@@ -399,7 +389,7 @@ def _knot_flow_lattices():
         for color in (0, 1):
             yield flow_lattice(tait_graph(cb, color))[0]
     for g in [theta(k) for k in range(3, 26, 2)] + [necklace(s) for s in ([3, 3, 3], [3, 5, 7], [3, 3, 3, 3, 3], [9, 3, 5, 3, 7])]:
-        yield orientable_flow_lattice(orient(medial_diagram(g, 1)[0]))[1]
+        yield orientable_flow_lattice(medial_diagram(g, 1)[0])[1]
 
 
 def test_short_vectors_match_fraction_ldl_on_knot_lattices():
@@ -439,8 +429,8 @@ def test_indecomposable_filter_matches_definition_on_random_forms():
     ids=lambda g: f"{g.num_edges}edges-{g.num_vertices}vertices",
 )
 def test_indecomposable_filter_matches_definition_on_knot_lattices(graph):
-    od = orient(medial_diagram(graph, 1)[0])
-    _g, gram, _basis = orientable_flow_lattice(od)
+    d = medial_diagram(graph, 1)[0]
+    _g, gram, _basis = orientable_flow_lattice(d)
     _filter_agrees([list(r) for r in gram.matrix])
 
 
@@ -550,7 +540,7 @@ def _cycle_oracle_graphs():
         cb = checkerboard(parse_pd(entry.pd))
         yield from (tait_graph(cb, color) for color in (0, 1))
     for g in [theta(k) for k in (3, 9, 25)] + [necklace(s) for s in ([3, 5, 7], [9, 3, 5, 3, 7])]:
-        yield orientable_flow_lattice(orient(medial_diagram(g, 1)[0]))[0]
+        yield orientable_flow_lattice(medial_diagram(g, 1)[0])[0]
     rng = random.Random(2)
     for _ in range(250):
         nv = rng.randint(1, 9)
@@ -656,8 +646,8 @@ def test_connected_classes_asks_linked_only_across_classes():
 def test_indecomposable_summands_skips_joined_pairs(monkeypatch):
     """T(2,9)'s flow lattice is A_8: its reduced basis is 8 indecomposable
     roots in one class, so the clustering asks about few of their pairs."""
-    od = orient(medial_diagram(theta(9), 1)[0])
-    _g, gram, _basis = orientable_flow_lattice(od)
+    d = medial_diagram(theta(9), 1)[0]
+    _g, gram, _basis = orientable_flow_lattice(d)
     calls = []
     real_dot = knotcert.lattice.dot
 

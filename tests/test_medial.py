@@ -75,9 +75,8 @@ def test_medial_sign_flip_is_mirror():
 def test_medial_of_theta5_is_5_1():
     d, comps = medial_diagram(theta(5), 1)
     assert comps == 1
-    od = orient(d)
-    assert od.signs == (1, 1, 1, 1, 1)
-    b = invariant_bundle(od)
+    assert orient(d).signs == (1, 1, 1, 1, 1)
+    b = invariant_bundle(d)
     assert (b.signature, b.determinant, b.genus) == (-4, 5, 2)
 
 
@@ -131,7 +130,7 @@ def test_three_summand_chain():
     assert comps == 1 and d.n == 9
     facs = connected_sum_factors(d)
     assert [f.n for f in facs] == [3, 3, 3]
-    b = invariant_bundle(orient(d))
+    b = invariant_bundle(d)
     assert b.determinant == 27 and abs(b.signature) == 6 and b.genus == 3
 
 
@@ -184,15 +183,14 @@ def test_random_planar_medials_det_counts_trees():
         if comps != 1:
             continue
         knots += 1
-        od = orient(d)
-        rep = classify_special(od)
+        rep = classify_special(d)
         cb = checkerboard(d)
         bip = [
             _is_bipartite(t.num_vertices, t.edges)
             for t in (tait_graph(cb, 0), tait_graph(cb, 1))
         ]
         assert rep.is_special == (bip[0] or bip[1]), (n, edges, sign)
-        b = invariant_bundle(od)  # runs every internal cross-check
+        b = invariant_bundle(d)  # runs every internal cross-check
         assert b.determinant == spanning_tree_count(n, edges), (n, edges, sign)
         if rep.is_special:
             assert abs(b.signature) == 2 * b.genus

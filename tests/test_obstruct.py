@@ -5,7 +5,7 @@ import json
 import pytest
 
 from knotcert.corpus import corpus_entry, load_corpus
-from knotcert.diagram import orient, parse_pd
+from knotcert.diagram import parse_pd
 from knotcert.errors import ClassificationError, RankCapExceededError
 from knotcert.hfk import thin_hfk
 from knotcert.invariants import invariant_bundle
@@ -22,12 +22,8 @@ FIG8 = "X(4,2,5,1) X(8,6,1,5) X(6,3,7,4) X(2,7,3,8)"
 HOPF = "X(4,1,3,2) X(2,3,1,4)"
 
 
-def _od(pd):
-    return orient(parse_pd(pd))
-
-
 def _bundle_hfk(pd):
-    b = invariant_bundle(_od(pd))
+    b = invariant_bundle(parse_pd(pd))
     return b, thin_hfk(b.alexander, b.signature)
 
 
@@ -35,7 +31,7 @@ def _bundle_hfk(pd):
 
 
 def test_trefoil_certificate():
-    rep = band_prime_certificate(_od(LEFT_TREFOIL))
+    rep = band_prime_certificate(parse_pd(LEFT_TREFOIL))
     assert rep.verdict == "band_prime_certified"
     assert len(rep.factors) == 1 and rep.trivial_factors == 0
     f = rep.factors[0]
@@ -48,7 +44,7 @@ def test_trefoil_certificate():
 
 
 def test_granny_certificate_two_factors():
-    rep = band_prime_certificate(_od(corpus_entry("3_1#3_1").pd))
+    rep = band_prime_certificate(parse_pd(corpus_entry("3_1#3_1").pd))
     assert rep.verdict == "band_prime_certified"
     assert len(rep.factors) == 2
     for f in rep.factors:
@@ -58,14 +54,14 @@ def test_granny_certificate_two_factors():
 
 
 def test_figure_eight_not_applicable():
-    rep = band_prime_certificate(_od(FIG8))
+    rep = band_prime_certificate(parse_pd(FIG8))
     assert rep.verdict == "not_applicable"
     assert rep.factors == ()
     assert "not special" in rep.notes[0]
 
 
 def test_unknot_certificate_is_vacuous():
-    rep = band_prime_certificate(_od(""))
+    rep = band_prime_certificate(parse_pd(""))
     assert rep.verdict == "band_prime_certified"
     assert rep.factors == ()
     assert any("trivial" in n for n in rep.notes)
@@ -76,7 +72,7 @@ def test_kinked_trefoil_ignores_genus_zero_factor():
     # crossing of matching handedness, so the diagram stays special and has
     # one substantial factor plus one genus-zero factor
     kinked = "X(8,5,1,6) X(6,1,7,2) X(2,7,3,8) X(4,3,5,4)"
-    rep = band_prime_certificate(_od(kinked))
+    rep = band_prime_certificate(parse_pd(kinked))
     assert rep.verdict == "band_prime_certified"
     assert len(rep.factors) == 1
     assert rep.trivial_factors == 1
@@ -86,17 +82,17 @@ def test_kinked_trefoil_ignores_genus_zero_factor():
 
 def test_multi_component_input_rejected():
     with pytest.raises(ClassificationError):
-        band_prime_certificate(_od(HOPF))
+        band_prime_certificate(parse_pd(HOPF))
 
 
 def test_rank_cap_propagates():
     with pytest.raises(RankCapExceededError):
-        band_prime_certificate(_od(corpus_entry("3_1#3_1").pd), rank_cap=3)
+        band_prime_certificate(parse_pd(corpus_entry("3_1#3_1").pd), rank_cap=3)
 
 
 def test_certificate_json_is_deterministic():
-    a = json.dumps(band_prime_certificate(_od(LEFT_TREFOIL)).to_json(), sort_keys=True)
-    b = json.dumps(band_prime_certificate(_od(LEFT_TREFOIL)).to_json(), sort_keys=True)
+    a = json.dumps(band_prime_certificate(parse_pd(LEFT_TREFOIL)).to_json(), sort_keys=True)
+    b = json.dumps(band_prime_certificate(parse_pd(LEFT_TREFOIL)).to_json(), sort_keys=True)
     assert a == b
     j = json.loads(a)
     assert j["schema"] == "knotcert-report/3"
@@ -106,8 +102,7 @@ def test_certificate_json_is_deterministic():
 
 def test_all_corpus_specials_certify():
     for e in load_corpus():
-        od = _od(e.pd)
-        rep = band_prime_certificate(od)
+        rep = band_prime_certificate(parse_pd(e.pd))
         if rep.speciality.is_special and rep.speciality.is_alternating:
             assert rep.verdict == "band_prime_certified", e.name
             for f in rep.factors:
@@ -135,7 +130,7 @@ def test_anisotropy_reported_on_every_special_alternating_entry():
     2g and span differ, so the anisotropy field of every such report holds."""
     seen = 0
     for e in load_corpus():
-        ev = minimality_evidence(_od(e.pd))
+        ev = minimality_evidence(parse_pd(e.pd))
         sp = ev.bundle.speciality
         if sp.is_special and sp.is_alternating:
             assert ev.to_json()["anisotropy"] == {
@@ -157,7 +152,7 @@ def test_prime_power_helper():
 
 
 def test_minimality_trefoil_fibered():
-    ev = minimality_evidence(_od(LEFT_TREFOIL))
+    ev = minimality_evidence(parse_pd(LEFT_TREFOIL))
     assert ev.verdict == "minimal_certified"
     assert ev.fibered is True
     assert ev.anisotropy.holds
@@ -165,7 +160,7 @@ def test_minimality_trefoil_fibered():
 
 
 def test_minimality_5_2_prime_power_leading():
-    ev = minimality_evidence(_od(corpus_entry("5_2").pd))
+    ev = minimality_evidence(parse_pd(corpus_entry("5_2").pd))
     assert ev.verdict == "minimal_certified"
     assert ev.fibered is False
     assert ev.prime_power_leading  # leading coefficient 2
@@ -173,23 +168,23 @@ def test_minimality_5_2_prime_power_leading():
 
 def test_minimality_9_5_needs_two_bridge_assertion():
     # leading coefficient 6 is not a prime power and the knot is not fibered
-    od = _od(corpus_entry("9_5").pd)
-    ev = minimality_evidence(od)
+    d = parse_pd(corpus_entry("9_5").pd)
+    ev = minimality_evidence(d)
     assert ev.verdict == "evidence_only"
     assert not ev.prime_power_leading
-    ev2 = minimality_evidence(od, assert_two_bridge=True)
+    ev2 = minimality_evidence(d, assert_two_bridge=True)
     assert ev2.verdict == "minimal_certified"
     assert ev2.two_bridge_asserted
 
 
 def test_minimality_not_applicable_for_non_special():
-    ev = minimality_evidence(_od(FIG8), assert_two_bridge=True)
+    ev = minimality_evidence(parse_pd(FIG8), assert_two_bridge=True)
     assert ev.verdict == "not_applicable"
     assert ev.hfk is not None  # alternating, so the table still exists
 
 
 def test_minimality_json_shape():
-    j = minimality_evidence(_od(LEFT_TREFOIL)).to_json()
+    j = minimality_evidence(parse_pd(LEFT_TREFOIL)).to_json()
     assert j["kind"] == "minimality_evidence"
     assert j["conditions"] == {
         "fibered": True, "prime_power_leading": True, "two_bridge_asserted": False,

@@ -11,7 +11,7 @@ from helpers import (
     random_connected_multigraph,
     spanning_tree_count,
 )
-from knotcert.diagram import checkerboard, classify_special, orient, parse_pd
+from knotcert.diagram import checkerboard, classify_special, parse_pd
 from knotcert.lattice import definiteness, det_int
 from knotcert.tait import TaitGraph, blocks, flow_lattice, fundamental_cycles, tait_graph
 
@@ -58,9 +58,9 @@ def test_trefoil_tait_signs_follow_mirror():
     g0, g1 = taits(LEFT_TREFOIL)
     assert {g0.edge_signs, g1.edge_signs} == {(1, 1, 1), (-1, -1, -1)}
     # edge signs of the orientable color match the uniform crossing sign
-    od = orient(parse_pd(LEFT_TREFOIL))
-    rep = classify_special(od)
-    cb = checkerboard(od.diagram)
+    d = parse_pd(LEFT_TREFOIL)
+    rep = classify_special(d)
+    cb = checkerboard(d)
     go = tait_graph(cb, rep.orientable_color)
     assert go.edge_signs == (rep.uniform_sign,) * 3
 
@@ -88,18 +88,18 @@ def test_flow_lattice_trefoil():
 
 
 def test_granny_flow_gram_splits():
-    od = orient(parse_pd(GRANNY))
-    rep = classify_special(od)
-    g = tait_graph(checkerboard(od.diagram), rep.orientable_color)
+    d = parse_pd(GRANNY)
+    rep = classify_special(d)
+    g = tait_graph(checkerboard(d), rep.orientable_color)
     gram, _ = flow_lattice(g)
     assert gram.matrix == ((2, 1, 0, 0), (1, 2, 0, 0), (0, 0, 2, 1), (0, 0, 1, 2))
     assert definiteness(gram) == "positive_definite"
 
 
 def test_blocks_granny_and_kink():
-    od = orient(parse_pd(GRANNY))
-    rep = classify_special(od)
-    g = tait_graph(checkerboard(od.diagram), rep.orientable_color)
+    d = parse_pd(GRANNY)
+    rep = classify_special(d)
+    g = tait_graph(checkerboard(d), rep.orientable_color)
     dec = blocks(g)
     assert len(dec) == 2
     assert sorted(len(b) for b in dec) == [3, 3]

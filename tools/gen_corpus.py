@@ -30,11 +30,7 @@ sys.path.insert(0, str(ROOT / "tests"))
 
 from helpers import plane_graph_from_multigraph  # noqa: E402
 
-from knotcert.diagram import (  # noqa: E402
-    connected_sum_factors,
-    mirror_diagram,
-    orient,
-)
+from knotcert.diagram import connected_sum_factors, mirror_diagram  # noqa: E402
 from knotcert.invariants import invariant_bundle  # noqa: E402
 from knotcert.medial import medial_diagram  # noqa: E402
 
@@ -161,10 +157,10 @@ def main() -> None:
         d, comps = medial_diagram(g, -1)
         if comps != 1:
             continue
-        b = invariant_bundle(orient(d))
+        b = invariant_bundle(d)
         if b.signature > 0:
             d = mirror_diagram(d)
-            b = invariant_bundle(orient(d))
+            b = invariant_bundle(d)
         special = b.speciality.is_special and b.speciality.is_alternating
         if not special and d.n > 6:
             continue
@@ -181,7 +177,7 @@ def main() -> None:
         if nfac > 1:
             parts = []
             for f in connected_sum_factors(d):
-                fb = invariant_bundle(orient(f))
+                fb = invariant_bundle(f)
                 base = PRIME_NAMES.get((f.n, fb.determinant, fb.genus))
                 if base is None:
                     base = f"p{f.n}_{fb.determinant}_{fb.genus}"
