@@ -236,6 +236,7 @@ def _run_batch(path: Path, args) -> int:
         outdir.mkdir(parents=True, exist_ok=True)
 
     counts: dict[str, int] = {}
+    names_used: set[str] = set()  # with --out: one report file per name
 
     def give_up(name: str, status: str, ex: Exception) -> None:
         counts[status] = counts.get(status, 0) + 1
@@ -259,6 +260,9 @@ def _run_batch(path: Path, args) -> int:
                     raise ValueError(
                         f"entry name {name!r} cannot be encoded as a file name"
                     ) from None
+                if name in names_used:
+                    raise ValueError(f"entry name {name!r} is used by an earlier row")
+                names_used.add(name)
             stored = _stored_values(row)
         except ValueError as ex:
             give_up(name, "failed", ex)
@@ -276,9 +280,13 @@ def _run_batch(path: Path, args) -> int:
                 rep["expected_mismatches"] = mism
             rep["name"] = name
             rep["status"] = status
-            counts[status] = counts.get(status, 0) + 1
             if outdir is not None:
-                (outdir / f"{name}.json").write_text(_json_text(rep), "utf-8")
+                try:
+                    (outdir / f"{name}.json").write_text(_json_text(rep), "utf-8")
+                except OSError as ex:  # this report only; later rows still run
+                    give_up(name, "failed", ex)
+                    continue
+            counts[status] = counts.get(status, 0) + 1
         except (PDSyntaxError, DiagramError, ClassificationError) as ex:
             give_up(name, "failed", ex)
         except RankCapExceededError as ex:

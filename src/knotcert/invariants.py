@@ -29,7 +29,6 @@ from __future__ import annotations
 import re
 from collections import Counter
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .diagram import (
     Diagram,
@@ -61,14 +60,6 @@ class LaurentPolynomial:
     @classmethod
     def from_dict(cls, d: dict[int, int]) -> "LaurentPolynomial":
         return cls(tuple(sorted(((e, c) for e, c in d.items() if c), reverse=True)))
-
-    @classmethod
-    def constant(cls, c: int) -> "LaurentPolynomial":
-        return cls.from_dict({0: int(c)})
-
-    @classmethod
-    def one(cls) -> "LaurentPolynomial":
-        return cls.constant(1)
 
     def __bool__(self) -> bool:
         return bool(self.coeffs)
@@ -105,32 +96,11 @@ class LaurentPolynomial:
     def __neg__(self) -> "LaurentPolynomial":
         return LaurentPolynomial(tuple((e, -c) for e, c in self.coeffs))
 
-    def __add__(self, other: "LaurentPolynomial") -> "LaurentPolynomial":
-        d = {e: c for e, c in self.coeffs}
-        for e, c in other.coeffs:
-            d[e] = d.get(e, 0) + c
-        return LaurentPolynomial.from_dict(d)
-
-    def __sub__(self, other: "LaurentPolynomial") -> "LaurentPolynomial":
-        return self + (-other)
-
-    def __mul__(self, other) -> "LaurentPolynomial":
-        if isinstance(other, int):
-            return LaurentPolynomial.from_dict({e: c * other for e, c in self.coeffs})
-        d: dict[int, int] = {}
-        for e1, c1 in self.coeffs:
-            for e2, c2 in other.coeffs:
-                d[e1 + e2] = d.get(e1 + e2, 0) + c1 * c2
-        return LaurentPolynomial.from_dict(d)
-
-    __rmul__ = __mul__
-
-    def __call__(self, x):
-        """Value at x: an int at x = +-1, where t^-1 = t, a Fraction elsewhere."""
-        if x in (1, -1):
-            return sum(c * x ** (e % 2) for e, c in self.coeffs)
-        x = Fraction(x)
-        return sum((c * x**e for e, c in self.coeffs), Fraction(0))
+    def __call__(self, x: int) -> int:
+        """Value at x = +-1, where t^-1 = t (the only points evaluated)."""
+        if x not in (1, -1):
+            raise ValueError(f"evaluation only at t = +-1, not {x}")
+        return sum(c * x ** (e % 2) for e, c in self.coeffs)
 
     def is_symmetric(self) -> bool:
         return self == self.reciprocal()
@@ -324,8 +294,8 @@ def seifert_matrix_special(d: Diagram) -> SeifertData:
     in the bipartition); V is half of (band part + disk part), which is
     integral exactly when the diagram is special.
     """
-    g, gram, basis = orientable_flow_lattice(d)  # ClassificationError unless special
-    r = len(basis.vectors)
+    g, gram, walks = orientable_flow_lattice(d)  # ClassificationError unless special
+    r = len(walks)
     if r == 0:
         return SeifertData((), gram)
 
@@ -340,12 +310,12 @@ def seifert_matrix_special(d: Diagram) -> SeifertData:
         raise InconsistencyError("checkerboard graph of the orientable color is not bipartite")
 
     # Band part: crossings shared by two basis curves.
-    band = cycle_form(g, basis, [-sign for sign in signs])
+    band = cycle_form(g, walks, [-sign for sign in signs])
 
     # Disk part: inside each disk the basis curves appear as chords between
     # band attachment slots.  Slots are ordered by the rotation system, with
     # the curves using an edge fanned out in basis order at both ends.
-    users = cycles_through(g, basis)
+    users = cycles_through(g, walks)
     slot_pos: list[dict[tuple[int, int], int]] = []
     slot_count: list[int] = []
     for v in range(g.num_vertices):
@@ -360,7 +330,7 @@ def seifert_matrix_special(d: Diagram) -> SeifertData:
 
     legs: dict[int, list[tuple[int, int, int]]] = {v: [] for v in range(g.num_vertices)}
     for i in range(r):
-        walk = basis.walks[i]
+        walk = walks[i]
         L = len(walk)
         for j in range(L):
             e_in, s_in = walk[j]

@@ -13,89 +13,28 @@ graph.
 
 Corners are indexed (vertex, i): the gap after the i-th dart in the rotation
 at that vertex.  A corner is incident to exactly two crossing slots, so the
-corners are literally the PD arcs.
+corners are literally the PD arcs.  The medial's faces are the graph's
+vertices and faces, so its Euler check in `build_diagram` (E + 2 faces) is
+the graph's (V - E + F = 2): the one test that a rotation system is spherical.
+
+The input type is `tait.PlaneGraph`, of which a Tait graph is one; factor
+rebuilding takes the medial of each block of a diagram's Tait graph.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .diagram import Diagram, build_diagram, is_alternating, orient
 from .errors import DiagramError, InconsistencyError
-from .lattice import connected_classes
-
-Dart = tuple[int, int]
-
-
-@dataclass(frozen=True)
-class PlaneGraph:
-    """A connected plane multigraph given by edges and vertex rotations.
-
-    `rotations[v]` lists the darts (edge, end) around vertex v in consistent
-    cyclic order; dart (e, 0) lives at edges[e][0] and (e, 1) at edges[e][1].
-    Loops contribute both of their darts to the same rotation.
-    """
-
-    edges: tuple[tuple[int, int], ...]
-    rotations: tuple[tuple[Dart, ...], ...]
-
-    @property
-    def num_vertices(self) -> int:
-        return len(self.rotations)
-
-    @property
-    def num_edges(self) -> int:
-        return len(self.edges)
-
-    def validate(self):
-        want: dict[Dart, int] = {}
-        for ei, (u, v) in enumerate(self.edges):
-            for end, w in ((0, u), (1, v)):
-                if not 0 <= w < self.num_vertices:
-                    raise DiagramError(f"edge {ei} touches missing vertex {w}")
-                want[(ei, end)] = w
-        seen: set[Dart] = set()
-        for v, rot in enumerate(self.rotations):
-            for dart in rot:
-                if dart in seen:
-                    raise DiagramError(f"dart {dart} listed twice")
-                if want.get(dart) != v:
-                    raise DiagramError(f"dart {dart} misplaced at vertex {v}")
-                seen.add(dart)
-        if len(seen) != 2 * self.num_edges:
-            raise DiagramError("rotation system does not cover all edge ends")
-        if max(connected_classes(self.num_vertices, self.edges), default=0):
-            raise DiagramError("plane graph is disconnected")
-        if not self.num_edges:
-            return  # a lone vertex: nothing else to check
-        if self.num_vertices - self.num_edges + self._face_count() != 2:
-            raise DiagramError("rotation system is not spherical")
-
-    def _face_count(self) -> int:
-        # faces of a rotation system: orbits of (reverse dart, then rotation successor)
-        succ: dict[Dart, Dart] = {}
-        for rot in self.rotations:
-            for i, dart in enumerate(rot):
-                succ[dart] = rot[(i + 1) % len(rot)]
-        faces = 0
-        seen: set[Dart] = set()
-        for dart in succ:
-            if dart in seen:
-                continue
-            faces += 1
-            cur = dart
-            while cur not in seen:
-                seen.add(cur)
-                e, end = cur
-                cur = succ[(e, 1 - end)]
-        return faces
+from .tait import Dart, PlaneGraph, blocks, tait_graphs
 
 
 def medial_diagram(g: PlaneGraph, vertex_sign: int) -> tuple[Diagram, int]:
     """The alternating medial diagram of g, and its link component count.
 
     vertex_sign is the Tait edge sign the vertex faces should get: +1 puts
-    them on the sweep pair {corner 0, corner 2} of every crossing.
+    them on the sweep pair {corner 0, corner 2} of every crossing.  A
+    rotation system that is not spherical gives a code that `build_diagram`
+    rejects as not planar.
     """
     g.validate()
     if vertex_sign not in (1, -1):
@@ -174,20 +113,20 @@ def medial_diagram(g: PlaneGraph, vertex_sign: int) -> tuple[Diagram, int]:
 # connected-sum factor rebuilding
 
 
-def subgraph_plane(g_edges, g_rotations, edge_subset) -> tuple[PlaneGraph, dict[int, int]]:
+def subgraph_plane(g: PlaneGraph, edge_subset) -> tuple[PlaneGraph, dict[int, int]]:
     """Plane subgraph induced by a set of edges (rotations filtered).
 
     Returns the subgraph and the map from new edge index to old.
     """
     keep = sorted(edge_subset)
     new_of_old = {old: new for new, old in enumerate(keep)}
-    verts = sorted({w for ei in keep for w in g_edges[ei]})
+    verts = sorted({w for ei in keep for w in g.edges[ei]})
     vmap = {old: new for new, old in enumerate(verts)}
-    edges = tuple((vmap[g_edges[ei][0]], vmap[g_edges[ei][1]]) for ei in keep)
+    edges = tuple((vmap[g.edges[ei][0]], vmap[g.edges[ei][1]]) for ei in keep)
     rotations = tuple(
         tuple(
             (new_of_old[ei], end)
-            for (ei, end) in g_rotations[old_v]
+            for (ei, end) in g.rotations[old_v]
             if ei in new_of_old
         )
         for old_v in verts
@@ -197,8 +136,6 @@ def subgraph_plane(g_edges, g_rotations, edge_subset) -> tuple[PlaneGraph, dict[
 
 def rebuild_factors(d: Diagram) -> tuple[Diagram, ...]:
     """Diagrammatic prime factors of an alternating diagram via Tait blocks."""
-    from .tait import blocks, tait_graphs
-
     g = tait_graphs(d)[0]
     sign0 = g.edge_signs[0]
     if any(s != sign0 for s in g.edge_signs):
@@ -209,7 +146,7 @@ def rebuild_factors(d: Diagram) -> tuple[Diagram, ...]:
     signs = orient(d).signs
     factors = []
     for blk in parts:
-        sub, old_edge = subgraph_plane(g.edges, g.rotations, blk)
+        sub, old_edge = subgraph_plane(g, blk)
         factor, comps = medial_diagram(sub, sign0)
         if comps != 1:
             raise InconsistencyError("connected-sum factor is not a knot diagram")

@@ -3,8 +3,9 @@
 For a fixed color, vertices are the faces of that color and every crossing
 contributes one edge joining the two same-colored faces at its opposite
 corners.  We keep the rotation system (cyclic order of edge-ends around each
-face, read off from the face traversal), which makes the Tait graph a plane
-multigraph and lets diagrams be rebuilt from subgraphs.
+face, read off from the face traversal): a `TaitGraph` is a `PlaneGraph`
+with one edge sign per crossing, and `medial` rebuilds diagrams from its
+plane subgraphs.
 
 Edge signs record where the color sits: +1 when the colored faces occupy the
 sweep pair {corner 0, corner 2}, -1 when they occupy {corner 1, corner 3}.
@@ -18,9 +19,10 @@ the connected-sum split (`blocks`, edge sets of the 2-connected blocks) all
 read them.
 
 The flow lattice of the graph is the integer cycle space with the Gram form
-inherited from the edge basis.  Its determinant equals the number of spanning
-trees, which for an alternating diagram equals the knot determinant; the
-acceptance suite leans on that cross-check.
+inherited from the edge basis; its basis is the fundamental cycles of a
+spanning tree, kept as closed walks.  Its determinant equals the number of
+spanning trees, which for an alternating diagram equals the knot determinant;
+the acceptance suite leans on that cross-check.
 """
 
 from __future__ import annotations
@@ -35,40 +37,73 @@ from .diagram import (
     classify_special,
 )
 from .errors import ClassificationError, DiagramError, InconsistencyError
-from .lattice import GramForm
+from .lattice import GramForm, connected_classes
 
 Dart = tuple[int, int]  # (edge index, end 0 or 1)
 
 
 @dataclass(frozen=True)
-class TaitGraph:
-    color: int
-    vertex_faces: tuple[int, ...]  # checkerboard face index per vertex
-    edges: tuple[tuple[int, int], ...]  # (vertex, vertex); edge i <-> crossing i
-    edge_signs: tuple[int, ...]
-    rotations: tuple[tuple[Dart, ...], ...]  # darts ccw-consistently per vertex
+class PlaneGraph:
+    """A connected plane multigraph given by edges and vertex rotations.
+
+    `rotations[v]` lists the darts (edge, end) around vertex v in consistent
+    cyclic order; dart (e, 0) lives at edges[e][0] and (e, 1) at edges[e][1].
+    Loops contribute both of their darts to the same rotation.
+    """
+
+    edges: tuple[tuple[int, int], ...]
+    rotations: tuple[tuple[Dart, ...], ...]
 
     @property
     def num_vertices(self) -> int:
-        return len(self.vertex_faces)
+        return len(self.rotations)
 
     @property
     def num_edges(self) -> int:
         return len(self.edges)
 
+    def validate(self):
+        """Check that the rotations list each dart once, at its own vertex,
+        and that the graph is connected.  Whether the rotation system is
+        spherical is checked by `medial.medial_diagram`, whose diagram has
+        E + 2 faces exactly when V - E + F = 2."""
+        want: dict[Dart, int] = {}
+        for ei, (u, v) in enumerate(self.edges):
+            for end, w in ((0, u), (1, v)):
+                if not 0 <= w < self.num_vertices:
+                    raise DiagramError(f"edge {ei} touches missing vertex {w}")
+                want[(ei, end)] = w
+        seen: set[Dart] = set()
+        for v, rot in enumerate(self.rotations):
+            for dart in rot:
+                if dart in seen:
+                    raise DiagramError(f"dart {dart} listed twice")
+                if want.get(dart) != v:
+                    raise DiagramError(f"dart {dart} misplaced at vertex {v}")
+                seen.add(dart)
+        if len(seen) != 2 * self.num_edges:
+            raise DiagramError("rotation system does not cover all edge ends")
+        if max(connected_classes(self.num_vertices, self.edges), default=0):
+            raise DiagramError("plane graph is disconnected")
+
+
+@dataclass(frozen=True)
+class TaitGraph(PlaneGraph):
+    """A Tait graph: vertex i is the i-th face of its color and edge i is
+    crossing i."""
+
+    edge_signs: tuple[int, ...]
+
     def cycle_rank(self) -> int:
         return self.num_edges - self.num_vertices + 1
-
-    def degree(self, v: int) -> int:
-        return len(self.rotations[v])
 
 
 def tait_graph(cb: Checkerboard, color: int) -> TaitGraph:
     n = len(cb.face_at_corner)  # one entry per crossing
-    vertex_faces = tuple(
+    colored_faces = tuple(
         fi for fi in range(len(cb.faces)) if cb.colors[fi] == color
     )
-    vidx = {fi: i for i, fi in enumerate(vertex_faces)}
+    vidx = {fi: i for i, fi in enumerate(colored_faces)}
     edges = []
     signs = []
     end_corner = []  # per edge: (corner of end 0, corner of end 1)
@@ -80,7 +115,7 @@ def tait_graph(cb: Checkerboard, color: int) -> TaitGraph:
         signs.append(1 if (k0, k1) == (0, 2) else -1)
         end_corner.append((k0, k1))
     rotations = []
-    for fi in vertex_faces:
+    for fi in colored_faces:
         rot = []
         for (ci, s) in cb.faces[fi]:
             corner = (s - 1) % 4
@@ -95,7 +130,7 @@ def tait_graph(cb: Checkerboard, color: int) -> TaitGraph:
     darts = sorted(dart for rot in rotations for dart in rot)
     if darts != [(ei, end) for ei in range(n) for end in (0, 1)]:
         raise InconsistencyError("Tait rotation system does not cover each edge end once")
-    return TaitGraph(color, vertex_faces, tuple(edges), tuple(signs), tuple(rotations))
+    return TaitGraph(tuple(edges), tuple(rotations), tuple(signs))
 
 
 @cached_on_instance
@@ -172,27 +207,17 @@ def blocks(g: TaitGraph) -> tuple[tuple[int, ...], ...]:
 # cycle space
 
 
-@dataclass(frozen=True)
-class CycleBasis:
-    """Fundamental cycles of a spanning tree.
-
-    Each cycle is stored both as a vector over the edge basis (coefficients
-    in {-1, 0, 1}) and as a closed walk: a sequence of (edge, direction)
-    steps, direction +1 meaning the edge is traversed from endpoint 0 to
-    endpoint 1.  Cycle i starts by traversing cotree edge i forward.
-    """
-
-    tree_edges: tuple[int, ...]
-    cotree_edges: tuple[int, ...]
-    vectors: tuple[tuple[int, ...], ...]
-    walks: tuple[tuple[tuple[int, int], ...], ...]
+Walk = tuple[tuple[int, int], ...]  # (edge, direction) steps of a closed walk
 
 
 @cached_on_instance
-def fundamental_cycles(g: TaitGraph) -> CycleBasis:
+def fundamental_cycles(g: TaitGraph) -> tuple[Walk, ...]:
+    """Fundamental cycles of a BFS spanning tree (root 0, each vertex's edges
+    in index order), as closed walks: direction +1 traverses an edge from
+    endpoint 0 to endpoint 1.  Cycle i starts by traversing the i-th cotree
+    edge forward, and no edge repeats in a walk."""
     nv = g.num_vertices
     parent: list[tuple[int, int, int] | None] = [None] * nv  # (vertex, edge, dir)
-    depth = [0] * nv
     in_tree = set()
     order = [0]
     seen = {0}
@@ -210,7 +235,6 @@ def fundamental_cycles(g: TaitGraph) -> CycleBasis:
                 w, direction = a, -1
             if w is not None:
                 parent[w] = (v, ei, direction)
-                depth[w] = depth[v] + 1
                 in_tree.add(ei)
                 seen.add(w)
                 order.append(w)
@@ -226,10 +250,10 @@ def fundamental_cycles(g: TaitGraph) -> CycleBasis:
             v = pv
         return steps
 
-    cotree = tuple(ei for ei in range(g.num_edges) if ei not in in_tree)
-    vectors = []
     walks = []
-    for ei in cotree:
+    for ei in range(g.num_edges):
+        if ei in in_tree:
+            continue
         u, v = g.edges[ei]
         walk = [(ei, 1)]
         if u != v:
@@ -240,61 +264,50 @@ def fundamental_cycles(g: TaitGraph) -> CycleBasis:
                 up_u.pop()
             walk.extend((e, s) for (e, s, _) in up_v)
             walk.extend((e, -s) for (e, s, _) in reversed(up_u))
-        vec = [0] * g.num_edges
-        for e, s in walk:
-            vec[e] += s
-        if sorted(abs(x) for x in vec if x) != [1] * len(walk):
+        if len({e for e, _ in walk}) != len(walk):
             raise InconsistencyError("fundamental cycle is not simple")
-        vectors.append(tuple(vec))
-        walks.append(tuple(walk))
-    basis = CycleBasis(
-        tuple(sorted(in_tree)), cotree, tuple(vectors), tuple(walks)
-    )
-    for walk in basis.walks:  # closed-walk sanity: endpoints chain up
-        cur = None
-        first = None
+        cur = u  # closed-walk sanity: endpoints chain up
         for e, s in walk:
             a, b = g.edges[e]
             tail, head = (a, b) if s == 1 else (b, a)
-            if cur is None:
-                first = tail
-            elif tail != cur:
+            if tail != cur:
                 raise InconsistencyError("cycle walk is not connected")
             cur = head
-        if cur != first:
+        if cur != u:
             raise InconsistencyError("cycle walk does not close up")
-    return basis
+        walks.append(tuple(walk))
+    return tuple(walks)
 
 
-def cycles_through(g: TaitGraph, basis: CycleBasis) -> list[list[tuple[int, int]]]:
-    """Per edge, the (cycle, direction) pairs of the basis cycles using it,
-    in basis order."""
+def cycles_through(g: TaitGraph, walks: tuple[Walk, ...]) -> list[list[tuple[int, int]]]:
+    """Per edge, the (cycle, direction) pairs of the cycles using it, in
+    cycle order."""
     through: list[list[tuple[int, int]]] = [[] for _ in range(g.num_edges)]
-    for i, walk in enumerate(basis.walks):
+    for i, walk in enumerate(walks):
         for e, s in walk:
             through[e].append((i, s))
     return through
 
 
-def cycle_form(g: TaitGraph, basis: CycleBasis, weights) -> list[list[int]]:
-    """The form sum_e weights[e] x_i[e] x_j[e] on the basis cycles x_i.
+def cycle_form(g: TaitGraph, walks: tuple[Walk, ...], weights) -> list[list[int]]:
+    """The form sum_e weights[e] x_i[e] x_j[e] on the cycles x_i.
 
-    A simple cycle's walk lists its vector's support, so entry (i, j) sums
-    over the edges that cycles i and j share.
+    A simple cycle's walk lists its edge vector's support, so entry (i, j)
+    sums over the edges that cycles i and j share.
     """
-    form = [[0] * len(basis.walks) for _ in basis.walks]
-    for w, cycles in zip(weights, cycles_through(g, basis)):
+    form = [[0] * len(walks) for _ in walks]
+    for w, cycles in zip(weights, cycles_through(g, walks)):
         for i, si in cycles:
             for j, sj in cycles:
                 form[i][j] += w * si * sj
     return form
 
 
-def flow_lattice(g: TaitGraph) -> tuple[GramForm, CycleBasis]:
-    """Gram form of the cycle space in the edge basis, plus the basis used."""
-    basis = fundamental_cycles(g)
-    gram = cycle_form(g, basis, [1] * g.num_edges)
-    return GramForm(gram), basis
+def flow_lattice(g: TaitGraph) -> tuple[GramForm, tuple[Walk, ...]]:
+    """Gram form of the cycle space in the edge basis, and the cycle walks
+    of its basis."""
+    walks = fundamental_cycles(g)
+    return GramForm(cycle_form(g, walks, [1] * g.num_edges)), walks
 
 
 def orientable_tait_graph(d: Diagram) -> TaitGraph:
@@ -307,7 +320,7 @@ def orientable_tait_graph(d: Diagram) -> TaitGraph:
 
 
 @cached_on_instance
-def orientable_flow_lattice(d: Diagram) -> tuple[TaitGraph, GramForm, CycleBasis]:
-    """`orientable_tait_graph` with its flow lattice and cycle basis."""
+def orientable_flow_lattice(d: Diagram) -> tuple[TaitGraph, GramForm, tuple[Walk, ...]]:
+    """`orientable_tait_graph` with its flow lattice and cycle walks."""
     g = orientable_tait_graph(d)
     return (g, *flow_lattice(g))

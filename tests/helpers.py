@@ -239,9 +239,43 @@ def plane_graph_from_multigraph(n_vertices, edges):
         return None
     rotations = []
     for v in range(n_vertices):
-        order = list(emb.neighbors_cw_order(v)) if g.degree(v) else []
+        order = list(emb.neighbors_cw_order(v)) if g[v] else []
         rotations.append(tuple(dart_of[(v, w)] for w in order))
     return PlaneGraph(tuple(tuple(e) for e in edges), tuple(rotations))
+
+
+def face_count(g):
+    """Faces of a plane graph's rotation system: the orbits of (reverse the
+    dart, then take its rotation successor).  The system is spherical
+    exactly when V - E + F = 2."""
+    succ = {}
+    for rot in g.rotations:
+        for i, dart in enumerate(rot):
+            succ[dart] = rot[(i + 1) % len(rot)]
+    faces = 0
+    seen = set()
+    for dart in succ:
+        if dart in seen:
+            continue
+        faces += 1
+        cur = dart
+        while cur not in seen:
+            seen.add(cur)
+            e, end = cur
+            cur = succ[(e, 1 - end)]
+    return faces
+
+
+def cycle_vectors(g, walks):
+    """Each closed walk of `tait.fundamental_cycles` as its vector over the
+    edge basis."""
+    vectors = []
+    for walk in walks:
+        vec = [0] * g.num_edges
+        for e, s in walk:
+            vec[e] += s
+        vectors.append(tuple(vec))
+    return tuple(vectors)
 
 
 def spanning_tree_count(n_vertices, edges):
@@ -573,7 +607,7 @@ def alexander_dense_wirtinger(d):
 
     n = d.n
     if n <= 1:
-        return LaurentPolynomial.one()
+        return LaurentPolynomial.from_string("1")
     col = connected_classes(2 * n, ((c[1] - 1, c[3] - 1) for c in d.crossings))
     assert max(col) + 1 == n
     rows = []

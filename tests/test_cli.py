@@ -12,9 +12,10 @@ from pathlib import Path
 import pytest
 
 import knotcert
-from helpers import MISORIENTED, theta
+from helpers import MISORIENTED, necklace, theta
 from knotcert import tait
 from knotcert.cli import _json_text, main
+from knotcert.diagram import mirror_diagram
 from knotcert.corpus import corpus_entry, load_corpus
 from knotcert.medial import medial_diagram
 
@@ -298,6 +299,26 @@ def test_batch_bundled_corpus(tmp_path, capsys):
     )
 
 
+def test_analyze_bytes_on_torus_knots_and_necklaces(capsys):
+    """The report bytes beyond the corpus: exit code and stdout of `analyze
+    --json --rank-cap 24` on T(2,k), k = 3..25 odd, on some necklace knots
+    (up to 35 crossings), and on their mirrors.  A change that alters them
+    on purpose updates this digest."""
+    graphs = [theta(k) for k in range(3, 26, 2)]
+    graphs += [necklace(s) for s in ([3, 3, 3], [3, 5, 7], [5, 7, 9], [9, 3, 5, 3, 7],
+                                     [3, 3, 3, 3, 3], [5, 9, 13], [5] * 7)]
+    digest = hashlib.sha256()
+    for g in graphs:
+        d, components = medial_diagram(g, 1)
+        assert components == 1
+        for dd in (d, mirror_diagram(d)):
+            code, out, _ = run(capsys, "analyze", "--pd", dd.pd_text(), "--json", "--rank-cap", "24")
+            digest.update(f"{code}\n{out}\0".encode())
+    assert digest.hexdigest() == (
+        "e462de80d1dd6323b0f01144cc84ba4f76dc8bda70e6927ce207a8183aa1cd4c"
+    )
+
+
 def test_batch_empty_corpus(tmp_path, capsys):
     f = tmp_path / "empty.csv"
     f.write_text("name,pd\n")
@@ -404,6 +425,34 @@ def test_batch_names_that_are_not_file_names_fail_only_that_entry(tmp_path, caps
     assert sorted(p.name for p in outdir.iterdir()) == ["trefoil.json"]
     assert sorted(p.name for p in (tmp_path / "box").iterdir()) == ["out"]
     assert sorted(p.name for p in tmp_path.iterdir()) == ["box", "c.csv"]
+
+
+def test_batch_out_fails_a_name_an_earlier_row_used(tmp_path, capsys):
+    """With --out, each name gets one report file: a later row with a name
+    already used fails, and the earlier row's report stays."""
+    f = tmp_path / "c.csv"
+    f.write_text(f'name,pd\ndup,"{TREFOIL}"\ndup,""\n')
+    outdir = tmp_path / "out"
+    code, out, err = run(capsys, "batch", str(f), "--json", "--out", str(outdir))
+    assert code == 0
+    assert "warning: dup:" in err
+    assert json.loads(out)["counts"] == {"band_prime_certified": 1, "failed": 1}
+    assert [p.name for p in outdir.iterdir()] == ["dup.json"]
+    rep = json.loads((outdir / "dup.json").read_text())
+    assert rep["invariants"]["determinant"] == 3  # the trefoil's, not the unknot's
+
+
+def test_batch_unwritable_report_fails_only_that_entry(tmp_path, capsys):
+    """A report that cannot be written (here a name longer than the file
+    system allows) fails that entry, counted once; later rows still run."""
+    f = tmp_path / "c.csv"
+    f.write_text(f'name,pd\n{"x" * 300},"{TREFOIL}"\nplain,"{TREFOIL}"\n')
+    outdir = tmp_path / "out"
+    code, out, err = run(capsys, "batch", str(f), "--json", "--out", str(outdir))
+    assert code == 0
+    assert err.startswith("warning: xxx")
+    assert json.loads(out)["counts"] == {"band_prime_certified": 1, "failed": 1}
+    assert [p.name for p in outdir.iterdir()] == ["plain.json"]
 
 
 def test_batch_stored_value_mismatch_is_inconsistency(tmp_path, capsys):

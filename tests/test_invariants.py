@@ -66,11 +66,10 @@ def test_laurent_string_errors():
 
 def test_laurent_arithmetic():
     a = L("t - 1 + t^-1")
-    assert str(a * a) == "t^2 - 2t + 3 - 2t^-1 + t^-2"
-    assert a - a == L("0")
     assert (-a)(1) == -1
     assert a(-1) == -3 and type(a(-1)) is int and type(a(1)) is int
-    assert a(Fraction(2)) == Fraction(3, 2)
+    with pytest.raises(ValueError):
+        a(2)
     assert a.shift(2) == L("t^3 - t^2 + t")
     assert a.reciprocal() == a and a.is_symmetric()
     assert not L("2t - 3").is_symmetric()
@@ -85,15 +84,16 @@ def test_laurent_arithmetic():
 def test_laurent_divides():
     a = L("t - 1 + t^-1")
     b = L("2t - 3 + 2t^-1")
-    assert a.divides(a * b)
-    assert b.divides(a * b)
+    ab = L("2t^2 - 5t + 7 - 5t^-1 + 2t^-2")
+    assert a.divides(ab)
+    assert b.divides(ab)
     assert not a.divides(b)
-    assert not b.divides(a * a)  # content obstruction
-    assert LaurentPolynomial.one().divides(a)
+    assert not b.divides(L("t^2 - 2t + 3 - 2t^-1 + t^-2"))  # content obstruction
+    assert L("1").divides(a)
     assert a.divides(L("0"))
     assert not L("0").divides(a)
     # unit shifts are absorbed
-    assert a.shift(3).divides(a * b)
+    assert a.shift(3).divides(ab)
 
 
 def test_laurent_to_json():
@@ -250,8 +250,8 @@ def test_alexander_anchors():
     assert alexander(parse_pd(LEFT_TREFOIL)) == L("t - 1 + t^-1")
     assert alexander(parse_pd(RIGHT_TREFOIL_ROTATED)) == L("t - 1 + t^-1")
     assert alexander(parse_pd(FIG8)) == L("-t + 3 - t^-1")
-    assert alexander(parse_pd(KINK)) == LaurentPolynomial.one()
-    assert alexander(parse_pd("")) == LaurentPolynomial.one()
+    assert alexander(parse_pd(KINK)) == L("1")
+    assert alexander(parse_pd("")) == L("1")
     assert alexander(parse_pd(GRANNY)) == L("t^2 - 2t + 3 - 2t^-1 + t^-2")
 
 
@@ -384,7 +384,7 @@ def test_seifert_residue_is_sized_by_the_knot(monkeypatch):
 
 
 def test_laurent_det_of_empty_and_malformed_matrices():
-    assert _laurent_det([]) == LaurentPolynomial.one()
+    assert _laurent_det([]) == L("1")
     for rows in (
         [{0: {1: 2}, 1: {1: 2}}, {}],  # a zero row
         [{0: {1: 2}}, {0: {0: 2}}],  # a zero column
@@ -428,7 +428,7 @@ def test_bundle_unknot_and_kink():
     for text in ("", KINK):
         b = invariant_bundle(parse_pd(text))
         assert (b.signature, b.determinant, b.genus) == (0, 1, 0)
-        assert b.alexander == LaurentPolynomial.one()
+        assert b.alexander == L("1")
 
 
 def test_bundle_5_2():

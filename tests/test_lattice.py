@@ -10,6 +10,7 @@ import pytest
 
 from helpers import (
     congruent_scramble,
+    cycle_vectors,
     decomposable_bruteforce,
     det_fraction,
     indecomposable_vectors,
@@ -546,7 +547,9 @@ def _cycle_oracle_graphs():
         nv = rng.randint(1, 9)
         edges = [(rng.randrange(v), v) for v in range(1, nv)]
         edges += [(rng.randrange(nv), rng.randrange(nv)) for _ in range(rng.randint(0, 14))]
-        yield TaitGraph(0, tuple(range(nv)), tuple(edges), (1,) * len(edges), ())
+        rotations = tuple(tuple((e, end) for e, uv in enumerate(edges) for end in (0, 1) if uv[end] == v)
+                          for v in range(nv))
+        yield TaitGraph(tuple(edges), rotations, (1,) * len(edges))
 
 
 def test_kept_generators_are_simple_cycles_of_the_graph():
@@ -561,7 +564,7 @@ def test_kept_generators_are_simple_cycles_of_the_graph():
         g_red, u_red = greedy_reduce(gram.matrix)
         for v in _indecomposable_generators(g_red):
             coeffs = [dot(row, v) for row in u_red]
-            edge_vec = [dot(coeffs, col) for col in zip(*basis.vectors)]
+            edge_vec = [dot(coeffs, col) for col in zip(*cycle_vectors(g, basis))]
             assert _is_simple_cycle(g, edge_vec), (g.edges, edge_vec)
             kept += 1
     assert kept > 1500, kept

@@ -6,7 +6,14 @@ import random
 
 import pytest
 
-from helpers import canonical_pd, plane_graph_from_multigraph, spanning_tree_count, theta
+from helpers import (
+    canonical_pd,
+    face_count,
+    plane_graph_from_multigraph,
+    random_connected_multigraph,
+    spanning_tree_count,
+    theta,
+)
 from knotcert.diagram import (
     classify_special,
     connected_sum_factors,
@@ -43,8 +50,9 @@ def test_plane_graph_validate():
         tuple(((0, 1),) * 3),
         (tuple((e, 0) for e in range(3)), tuple((e, 1) for e in range(3))),
     )
-    with pytest.raises(DiagramError, match="spherical"):
-        bad.validate()
+    bad.validate()
+    with pytest.raises(DiagramError, match="not planar"):
+        medial_diagram(bad, 1)
 
 
 def test_plane_graph_validate_dart_errors():
@@ -54,6 +62,36 @@ def test_plane_graph_validate_dart_errors():
         PlaneGraph(((0, 1),), (((0, 0), (0, 1)), ())).validate()
     with pytest.raises(DiagramError, match="connected"):
         PlaneGraph((), ((), ())).validate()
+
+
+def test_medial_rejects_exactly_the_non_spherical_rotation_systems():
+    """The medial of g has g's vertices and faces as its faces, so its Euler
+    check (E + 2 faces) holds exactly when V - E + F = 2 for g.  Seeded
+    random rotation systems of random connected multigraphs, against the
+    face-count oracle."""
+    rng = random.Random(20261018)
+    outcomes = {True: 0, False: 0}
+    while sum(outcomes.values()) < 1500:
+        n, edges = random_connected_multigraph(rng, max_edges=9)
+        if not edges:
+            continue
+        rotations = [[] for _ in range(n)]
+        for ei, (u, v) in enumerate(edges):
+            rotations[u].append((ei, 0))
+            rotations[v].append((ei, 1))
+        for rot in rotations:
+            rng.shuffle(rot)
+        g = PlaneGraph(tuple(edges), tuple(map(tuple, rotations)))
+        g.validate()
+        spherical = n - len(edges) + face_count(g) == 2
+        try:
+            medial_diagram(g, rng.choice((1, -1)))
+        except DiagramError as ex:
+            assert not spherical and "not planar" in str(ex), (n, edges, rotations)
+        else:
+            assert spherical, (n, edges, rotations)
+        outcomes[spherical] += 1
+    assert min(outcomes.values()) >= 200, outcomes
 
 
 def test_medial_of_theta3_is_right_trefoil():
@@ -100,7 +138,7 @@ def test_medial_crossing_count_is_edge_count():
 
 
 def test_subgraph_plane_restricts_to_triangle():
-    sub, emap = subgraph_plane(BOUQUET.edges, BOUQUET.rotations, (0, 1, 2))
+    sub, emap = subgraph_plane(BOUQUET, (0, 1, 2))
     sub.validate()
     assert sorted(emap) == [0, 1, 2]
     d, comps = medial_diagram(sub, -1)
