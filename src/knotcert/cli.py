@@ -33,8 +33,7 @@ from .errors import (
     PDSyntaxError,
     RankCapExceededError,
 )
-from .hfk import thin_hfk
-from .invariants import InvariantBundle, LaurentPolynomial, invariant_bundle
+from .invariants import InvariantBundle, LaurentPolynomial
 from .lattice import DEFAULT_RANK_CAP
 from .obstruct import (
     SCHEMA,
@@ -215,26 +214,28 @@ def cmd_batch(args) -> int:
     return _run_batch(Path(args.corpus), args)
 
 
+def _corpus_rows(path: Path):
+    """The rows of a corpus file as they are read: a CSV one row at a time,
+    a JSON list after parsing it whole."""
+    with path.open(newline="", encoding="utf-8") as fh:
+        if path.suffix.lower() != ".json":
+            yield from csv.DictReader(fh)
+            return
+        rows = json.load(fh)
+        if not isinstance(rows, list):
+            raise ValueError("a JSON corpus must be a list of objects")
+        yield from rows
+
+
 def _run_batch(path: Path, args) -> int:
     if not path.exists():
         print(f"error: corpus file not found: {path}", file=sys.stderr)
         return EXIT_INPUT
-    try:
-        if path.suffix.lower() == ".json":
-            rows = json.loads(path.read_text("utf-8"))
-            if not isinstance(rows, list):
-                raise ValueError("a JSON corpus must be a list of objects")
-        else:
-            with path.open(newline="", encoding="utf-8") as fh:
-                rows = list(csv.DictReader(fh))
-    except (OSError, ValueError, csv.Error) as ex:
-        print(f"error: cannot read corpus: {ex}", file=sys.stderr)
-        return EXIT_INPUT
-
     outdir = Path(args.out) if args.out else None
     if outdir is not None:
         outdir.mkdir(parents=True, exist_ok=True)
-
+    rows = _corpus_rows(path)
+    entries = 0
     counts: dict[str, int] = {}
     names_used: set[str] = set()  # with --out: one report file per name
 
@@ -243,8 +244,16 @@ def _run_batch(path: Path, args) -> int:
         level = "error" if status == "inconsistency" else "warning"
         print(f"{level}: {name}: {ex}", file=sys.stderr)
 
-    for i, row in enumerate(rows):
-        name = f"entry{i}"
+    while True:
+        try:
+            row = next(rows)
+        except StopIteration:
+            break
+        except (OSError, ValueError, csv.Error) as ex:  # a read error, not a bad row
+            print(f"error: cannot read corpus: {ex}", file=sys.stderr)
+            return EXIT_INPUT
+        name = f"entry{entries}"
+        entries += 1
         try:
             if not isinstance(row, dict):
                 raise ValueError(f"corpus row is not an object: {row!r}")
@@ -297,14 +306,14 @@ def _run_batch(path: Path, args) -> int:
     summary = {
         "schema": SCHEMA,
         "kind": "batch_summary",
-        "entries": len(rows),
+        "entries": entries,
         "counts": dict(sorted(counts.items())),
         "failures": counts.get("failed", 0) + counts.get("rank_capped", 0),
     }
     if args.json:
         sys.stdout.write(_json_text(summary))
     else:
-        print(f"entries: {len(rows)}")
+        print(f"entries: {entries}")
         for k, v in sorted(counts.items()):
             print(f"  {k}: {v}")
         if outdir is not None:
@@ -315,19 +324,14 @@ def _run_batch(path: Path, args) -> int:
 def cmd_pair(args) -> int:
     lo_d = parse_pd(args.lower)
     up_d = parse_pd(args.upper)
-    lo = invariant_bundle(lo_d)
-    up = invariant_bundle(up_d)
-    lo_h, up_h = (
-        thin_hfk(b.alexander, b.signature) if b.speciality.is_alternating else None
-        for b in (lo, up)
-    )
-    upper_special = up.speciality.is_special and up.speciality.is_alternating
-    findings = concordance_pair_obstructions(lo, lo_h, up, up_h, upper_special)
+    lo, up = minimality_evidence(lo_d), minimality_evidence(up_d)
+    upper_special = up.bundle.speciality.is_special and up.bundle.speciality.is_alternating
+    findings = concordance_pair_obstructions(lo.bundle, lo.hfk, up.bundle, up.hfk, upper_special)
     rep = {
         "schema": SCHEMA,
         "kind": "pair_obstructions",
-        "lower": {"pd": lo_d.pd_text(), "invariants": lo.to_json()},
-        "upper": {"pd": up_d.pd_text(), "invariants": up.to_json()},
+        "lower": {"pd": lo_d.pd_text(), "invariants": lo.bundle.to_json()},
+        "upper": {"pd": up_d.pd_text(), "invariants": up.bundle.to_json()},
         "upper_is_special_alternating": upper_special,
         "findings": [f.to_json() for f in findings],
         "verdict": "obstructed" if findings else "no_obstruction_found",

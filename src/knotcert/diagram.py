@@ -10,7 +10,9 @@ Strands are oriented by one walk per component from the incoming
 under-strands (`_strands`); a code they cannot orient is rejected.  The PD
 code fixes the orientation, so `orient(d)` is memoised on the diagram like its
 faces, checkerboard, Seifert circles and speciality: every layer takes the
-`Diagram` itself and derives each of these once.
+`Diagram` itself and derives each of these once.  The checkerboard is just the
+faces split into their two color classes; `tait.tait_graph` reads each class
+and checks that the colors alternate around every crossing.
 
 Grammar for the text form (whitespace/comma separated, case-insensitive `X`)::
 
@@ -31,6 +33,7 @@ W, S, E, N (counterclockwise), and corner k lies between slots k and k+1:
              /        \\
     corner 0 = SW   corner 1 = SE
 
+A face's half-edge (c, s) sits at corner (s - 1) mod 4 of crossing c.
 The *sweep pair* {corner 0, corner 2} is the pair of opposite quadrants swept
 when the under-strand is rotated counterclockwise onto the over-strand.  It is
 independent of strand orientations and is the combinatorial backbone for
@@ -49,6 +52,7 @@ from .lattice import connected_classes, two_coloring
 
 Crossing = tuple[int, int, int, int]
 HalfEdge = tuple[int, int]  # (crossing index, slot 0..3)
+Face = tuple[HalfEdge, ...]  # the half-edges around a face, in travel order
 
 
 def cached_on_instance(fn):
@@ -181,7 +185,7 @@ def _mate(d: Diagram, he: HalfEdge) -> HalfEdge:
 
 
 @cached_on_instance
-def _trace_faces(d: Diagram) -> tuple[tuple[HalfEdge, ...], ...]:
+def _trace_faces(d: Diagram) -> tuple[Face, ...]:
     """Faces of the underlying 4-valent plane graph.
 
     Orbits of the map (c, s) -> rotate(mate(c, s)); the face owning half-edge
@@ -205,56 +209,24 @@ def _trace_faces(d: Diagram) -> tuple[tuple[HalfEdge, ...], ...]:
     return tuple(faces)
 
 
-@dataclass(frozen=True)
-class Checkerboard:
-    """Checkerboard structure: faces, their 2-coloring, and per-crossing
-    corner ownership.
-
-    `face_at_corner[ci][k]` is the face index owning corner k of crossing ci
-    (corner k lies between slots k and k+1 mod 4); `colors[f]` is 0 or 1.
-    """
-
-    faces: tuple[tuple[HalfEdge, ...], ...]
-    colors: tuple[int, ...]
-    face_at_corner: tuple[tuple[int, int, int, int], ...]
-
-    def corner_pair_of_color(self, ci: int, color: int) -> tuple[int, int]:
-        """The two opposite corners of crossing ci whose faces carry `color`.
-
-        Returns (0, 2) or (1, 3); any other pattern is structurally impossible
-        and raises.
-        """
-        cols = [self.colors[self.face_at_corner[ci][k]] for k in range(4)]
-        if cols == [color, 1 - color, color, 1 - color]:
-            return (0, 2)
-        if cols == [1 - color, color, 1 - color, color]:
-            return (1, 3)
-        raise InconsistencyError(f"corner colors at crossing {ci} not alternating")
-
-
 @cached_on_instance
-def checkerboard(d: Diagram) -> Checkerboard:
-    """2-color the faces so that faces sharing an arc get opposite colors."""
+def checkerboard(d: Diagram) -> tuple[tuple[Face, ...], tuple[Face, ...]]:
+    """The faces of color 0 and the faces of color 1, each in face order:
+    faces sharing an arc get opposite colors.  The unknot has one empty face
+    of each color."""
     faces = _trace_faces(d)
     if d.n == 0:
-        return Checkerboard(((), ()), (0, 1), ())
-    owner: dict[HalfEdge, int] = {}
-    for fi, face in enumerate(faces):
-        for he in face:
-            owner[he] = fi
+        return ((),), ((),)
+    owner = {he: fi for fi, face in enumerate(faces) for he in face}
     # adjacency across arcs: the two half-edges of an arc see its two sides
     colors = two_coloring(
         len(faces), ((owner[h1], owner[h2]) for h1, h2 in _occurrences(d).values())
     )
     if colors is None:
         raise DiagramError("faces are not checkerboard 2-colorable")
-    face_at_corner = tuple(
-        tuple(owner[(ci, (k + 1) % 4)] for k in range(4)) for ci in range(d.n)
+    return tuple(
+        tuple(face for face, c in zip(faces, colors) if c == color) for color in (0, 1)
     )
-    cb = Checkerboard(faces, tuple(colors), face_at_corner)
-    for ci in range(d.n):
-        cb.corner_pair_of_color(ci, 0)  # validates the 2+2 corner pattern
-    return cb
 
 
 # ---------------------------------------------------------------------------
@@ -300,14 +272,13 @@ def _strands(d: Diagram) -> tuple[tuple[HalfEdge, ...], ...]:
 class Orientation:
     """The strand orientations a diagram's PD code fixes.
 
-    `arc_head[a]` is the half-edge the arc points INTO. `over_in_slot[ci]` is
-    1 or 3: the slot where the over-strand enters.  `signs[ci]` follows the
-    right-hand convention: +1 exactly when the over-strand runs from slot 3
-    to slot 1.  It holds no reference to the diagram, so memoising it there
-    makes no reference cycle.
+    `over_in_slot[ci]` is 1 or 3: the slot where the over-strand enters, so
+    the arcs pointing into crossing ci are those at slot 0 and this slot.
+    `signs[ci]` follows the right-hand convention: +1 exactly when the
+    over-strand runs from slot 3 to slot 1.  It holds no reference to the
+    diagram, so memoising it there makes no reference cycle.
     """
 
-    arc_head: tuple[HalfEdge, ...]  # indexed by arc label - 1
     over_in_slot: tuple[int, ...]
     signs: tuple[int, ...]
     components: int
@@ -321,20 +292,18 @@ class Orientation:
 def orient(d: Diagram) -> Orientation:
     """Orient the strands by walking them (`_strands`).
 
-    Every entry of a walk is an arc head; the over-strand enters each
-    crossing at slot 1 or slot 3, and the walks are the components.
+    The over-strand enters each crossing at slot 1 or slot 3, and the walks
+    are the components.
     """
     if d.n == 0:
-        return Orientation((), (), (), 1)
+        return Orientation((), (), 1)
     walks = _strands(d)
-    head = [None] * d.arc_count
     over_in = [0] * d.n
     for ci, s in (he for walk in walks for he in walk):
-        head[d.crossings[ci][s] - 1] = (ci, s)
         if s % 2:
             over_in[ci] = s
     signs = tuple(1 if s == 3 else -1 for s in over_in)
-    return Orientation(tuple(head), tuple(over_in), signs, len(walks))
+    return Orientation(tuple(over_in), signs, len(walks))
 
 
 def is_alternating(d: Diagram) -> bool:
@@ -416,14 +385,11 @@ def classify_special(d: Diagram) -> SpecialityReport:
     if d.n == 0:
         # 0-crossing unknot: special by convention, sign +1 by convention
         return SpecialityReport(True, True, 0, 1)
-    cb = checkerboard(d)
     seifert = seifert_circle_partition(d)
     orientable_color: int | None = None
-    for color in (0, 1):
+    for color, faces in enumerate(checkerboard(d)):
         faces_arcs = frozenset(
-            frozenset(d.crossings[ci][slot] for ci, slot in cb.faces[fi])
-            for fi in range(len(cb.faces))
-            if cb.colors[fi] == color
+            frozenset(d.crossings[ci][slot] for ci, slot in face) for face in faces
         )
         if faces_arcs == seifert:
             orientable_color = color

@@ -262,15 +262,6 @@ def gl_signature(d: Diagram) -> int:
 # Seifert matrix for special diagrams
 
 
-@dataclass(frozen=True)
-class SeifertData:
-    """Seifert matrix of a special diagram plus the flow-lattice form of the
-    cycle basis it was built on."""
-
-    matrix: Matrix
-    gram: GramForm
-
-
 def _chord_cross_sign(n_slots: int, a1: int, b1: int, a2: int, b2: int) -> int:
     """0 if the chords a1->b1 and a2->b2 of a circle with n_slots marked
     points do not interleave; otherwise +1 when the counterclockwise order
@@ -282,7 +273,7 @@ def _chord_cross_sign(n_slots: int, a1: int, b1: int, a2: int, b2: int) -> int:
     return 1 if p < u else -1
 
 
-def seifert_matrix_special(d: Diagram) -> SeifertData:
+def seifert_matrix_special(d: Diagram) -> Matrix:
     """Seifert matrix of a special diagram on its checkerboard Seifert surface.
 
     The surface is the orientable checkerboard color: its faces are the disks
@@ -294,10 +285,10 @@ def seifert_matrix_special(d: Diagram) -> SeifertData:
     in the bipartition); V is half of (band part + disk part), which is
     integral exactly when the diagram is special.
     """
-    g, gram, walks = orientable_flow_lattice(d)  # ClassificationError unless special
+    g, _gram, walks = orientable_flow_lattice(d)  # ClassificationError unless special
     r = len(walks)
     if r == 0:
-        return SeifertData((), gram)
+        return ()
 
     # Being special means the orientable color occupies the smoothing corner
     # pair at every crossing, which is the same as each edge sign matching
@@ -375,7 +366,7 @@ def seifert_matrix_special(d: Diagram) -> SeifertData:
         raise InconsistencyError(
             "Seifert pairing is not unimodularly skew: the surface basis is broken"
         )
-    return SeifertData(V, gram)
+    return V
 
 
 # ---------------------------------------------------------------------------
@@ -489,7 +480,7 @@ def _laurent_det(rows: list[dict[int, dict[int, int]]]) -> LaurentPolynomial:
 
 def alexander_via_seifert(d: Diagram) -> LaurentPolynomial:
     """det(t V - V^T), centered; only available for special diagrams."""
-    v = seifert_matrix_special(d).matrix
+    v = seifert_matrix_special(d)
     rows = []
     for row, col in zip(v, zip(*v)):
         entries = ({k: c for k, c in ((1, a), (0, -b)) if c} for a, b in zip(row, col))

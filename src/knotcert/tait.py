@@ -1,11 +1,14 @@
 """Tait graphs: the plane multigraphs dual to a checkerboard coloring.
 
-For a fixed color, vertices are the faces of that color and every crossing
-contributes one edge joining the two same-colored faces at its opposite
-corners.  We keep the rotation system (cyclic order of edge-ends around each
-face, read off from the face traversal): a `TaitGraph` is a `PlaneGraph`
-with one edge sign per crossing, and `medial` rebuilds diagrams from its
-plane subgraphs.
+For a fixed color, vertices are the faces of that color (`checkerboard`,
+in face order) and every crossing contributes one edge joining the two
+same-colored faces at its opposite corners.  `tait_graph` reads both from
+one pass over the faces: half-edge (c, s) sits at corner (s - 1) mod 4,
+which is end 0 of edge c at corners 0 and 1 and end 1 at corners 2 and 3,
+and the order of a face's half-edges is the rotation system.  It is the one
+place that checks that the colors alternate around each crossing.  A
+`TaitGraph` is a `PlaneGraph` with one edge sign per crossing, and `medial`
+rebuilds diagrams from its plane subgraphs.
 
 Edge signs record where the color sits: +1 when the colored faces occupy the
 sweep pair {corner 0, corner 2}, -1 when they occupy {corner 1, corner 3}.
@@ -29,13 +32,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .diagram import (
-    Checkerboard,
-    Diagram,
-    cached_on_instance,
-    checkerboard,
-    classify_special,
-)
+from .diagram import Diagram, cached_on_instance, checkerboard, classify_special
 from .errors import ClassificationError, DiagramError, InconsistencyError
 from .lattice import GramForm, connected_classes
 
@@ -98,46 +95,39 @@ class TaitGraph(PlaneGraph):
         return self.num_edges - self.num_vertices + 1
 
 
-def tait_graph(cb: Checkerboard, color: int) -> TaitGraph:
-    n = len(cb.face_at_corner)  # one entry per crossing
-    colored_faces = tuple(
-        fi for fi in range(len(cb.faces)) if cb.colors[fi] == color
-    )
-    vidx = {fi: i for i, fi in enumerate(colored_faces)}
+def tait_graph(d: Diagram, color: int) -> TaitGraph:
+    """The Tait graph of `color`, read off that color's faces in one pass.
+
+    Half-edge (c, s) of a face sits at corner k = (s - 1) mod 4 of crossing
+    c, which is end k // 2 of edge c; the edge sign is +1 when its ends sit
+    at even corners.  Each edge must get end 0 and end 1 once, at corners of
+    the same parity: that is, the colors alternate around the crossing.
+    """
+    ends: list[list[tuple[int, int] | None]] = [[None, None] for _ in range(d.n)]
+    rotations = []
+    for v, face in enumerate(checkerboard(d)[color]):
+        rot = []
+        for ci, s in face:
+            k = (s - 1) % 4
+            if ends[ci][k // 2] is not None:
+                raise InconsistencyError(f"corner colors at crossing {ci} not alternating")
+            ends[ci][k // 2] = (v, k)
+            rot.append((ci, k // 2))
+        rotations.append(tuple(rot))
     edges = []
     signs = []
-    end_corner = []  # per edge: (corner of end 0, corner of end 1)
-    for ci in range(n):
-        k0, k1 = cb.corner_pair_of_color(ci, color)
-        f0 = cb.face_at_corner[ci][k0]
-        f1 = cb.face_at_corner[ci][k1]
-        edges.append((vidx[f0], vidx[f1]))
-        signs.append(1 if (k0, k1) == (0, 2) else -1)
-        end_corner.append((k0, k1))
-    rotations = []
-    for fi in colored_faces:
-        rot = []
-        for (ci, s) in cb.faces[fi]:
-            corner = (s - 1) % 4
-            k0, k1 = end_corner[ci]
-            if corner == k0:
-                rot.append((ci, 0))
-            elif corner == k1:
-                rot.append((ci, 1))
-            else:  # pragma: no cover - contradicts corner_pair_of_color
-                raise InconsistencyError("face corner missing from its own edge")
-        rotations.append(tuple(rot))
-    darts = sorted(dart for rot in rotations for dart in rot)
-    if darts != [(ei, end) for ei in range(n) for end in (0, 1)]:
-        raise InconsistencyError("Tait rotation system does not cover each edge end once")
+    for ci, (e0, e1) in enumerate(ends):
+        if e0 is None or e1 is None or (e1[1] - e0[1]) % 2:
+            raise InconsistencyError(f"corner colors at crossing {ci} not alternating")
+        edges.append((e0[0], e1[0]))
+        signs.append(1 if e0[1] == 0 else -1)
     return TaitGraph(tuple(edges), tuple(rotations), tuple(signs))
 
 
 @cached_on_instance
 def tait_graphs(d: Diagram) -> tuple[TaitGraph, TaitGraph]:
     """The Tait graphs of both colors, built once per diagram."""
-    cb = checkerboard(d)
-    return tait_graph(cb, 0), tait_graph(cb, 1)
+    return tait_graph(d, 0), tait_graph(d, 1)
 
 
 # ---------------------------------------------------------------------------

@@ -175,21 +175,23 @@ def orientable_by_parity(d) -> bool:
 
 
 def check_orientation(d):
-    """Arc heads, over-strand slots and signs of `orient(d)` agree crossing by
-    crossing, and its component count matches a union-find over the strands."""
+    """Over-strand slots and signs of `orient(d)` agree crossing by crossing,
+    every arc points into exactly one of its two ends (slot 0 or the
+    over-strand's in-slot), and the component count matches a union-find over
+    the strands."""
     from knotcert.diagram import orient
     from knotcert.lattice import connected_classes
 
     od = orient(d)
+    heads: dict[int, list[tuple[int, int]]] = {}
     for ci, c in enumerate(d.crossings):
         s = od.over_in_slot[ci]
         assert s in (1, 3)
         assert od.signs[ci] == (1 if s == 3 else -1)
-        # each incoming arc points into its in-slot, each outgoing one away
-        assert od.arc_head[c[0] - 1] == (ci, 0)
-        assert od.arc_head[c[s] - 1] == (ci, s)
-        assert od.arc_head[c[2] - 1] != (ci, 2)
-        assert od.arc_head[c[(s + 2) % 4] - 1] != (ci, (s + 2) % 4)
+        for k in (0, s):
+            heads.setdefault(c[k], []).append((ci, k))
+    assert sorted(heads) == list(range(1, d.arc_count + 1))
+    assert all(len(h) == 1 for h in heads.values()), heads
     if d.n:
         strands = [(c[k] - 1, c[k + 2] - 1) for c in d.crossings for k in (0, 1)]
         assert od.components == 1 + max(connected_classes(2 * d.n, strands))
@@ -644,7 +646,7 @@ def alexander_dense_seifert(d):
     )
     from knotcert.lattice import det_int
 
-    v = seifert_matrix_special(d).matrix
+    v = seifert_matrix_special(d)
     xs = list(range(2, 2 + len(v) + 1))
     ys = [
         det_int([[x * a - b for a, b in zip(row, col)] for row, col in zip(v, zip(*v))])
@@ -657,22 +659,22 @@ def alexander_dense_seifert(d):
 def goeritz_by_corner_pairs(d, color):
     """The reduced Goeritz matrix read straight off the checkerboard corners.
 
-    Vertices are the faces of `color` in face order; each crossing where
-    those faces sit in the corner pair (0, 2) counts +1, in (1, 3) counts -1;
-    off-diagonal entries are minus those counts, diagonal entries make rows
-    sum to zero, and the last face's row and column are dropped.
+    Vertices are the faces of `color` in face order; the face owning
+    half-edge (c, s) sits at corner (s - 1) mod 4 of crossing c.  Each
+    crossing where those faces sit in the corner pair (0, 2) counts +1, in
+    (1, 3) counts -1; off-diagonal entries are minus those counts, diagonal
+    entries make rows sum to zero, and the last face's row and column are
+    dropped.
     """
     from knotcert.diagram import checkerboard
 
-    cb = checkerboard(d)
-    verts = [fi for fi in range(len(cb.faces)) if cb.colors[fi] == color]
-    idx = {fi: i for i, fi in enumerate(verts)}
-    m = len(verts)
+    faces = checkerboard(d)[color]
+    at = {(ci, (s - 1) % 4): v for v, face in enumerate(faces) for ci, s in face}
+    m = len(faces)
     full = [[0] * m for _ in range(m)]
     for ci in range(d.n):
-        pair = cb.corner_pair_of_color(ci, color)
-        u = idx[cb.face_at_corner[ci][pair[0]]]
-        v = idx[cb.face_at_corner[ci][pair[1]]]
+        pair = (0, 2) if (ci, 0) in at else (1, 3)
+        u, v = at[(ci, pair[0])], at[(ci, pair[1])]
         eta = 1 if pair == (0, 2) else -1
         if u != v:
             full[u][v] -= eta

@@ -20,7 +20,6 @@ from test_tait import make_tait
 
 from knotcert.corpus import corpus_entry, load_corpus
 from knotcert.diagram import (
-    checkerboard,
     classify_special,
     mirror_diagram,
     parse_pd,
@@ -72,13 +71,12 @@ def test_criterion_1_seifert_form_isometric_to_flow_lattice():
     rng = random.Random(11)
     t0 = time.time()
     for e, d, rep in SPECIALS:
-        sd = seifert_matrix_special(d)
-        v = sd.matrix
+        v = seifert_matrix_special(d)
         n = len(v)
         sym = tuple(
             tuple(v[i][j] + v[j][i] for j in range(n)) for i in range(n)
         )
-        g = tait_graph(checkerboard(d), rep.orientable_color)
+        g = tait_graph(d, rep.orientable_color)
         gram, _ = flow_lattice(g)
         scrambled, _u = congruent_scramble(gram.matrix, rng)
         target = GramForm(scrambled)

@@ -116,10 +116,10 @@ def test_rotated_tuple_dialect():
 @pytest.mark.parametrize("text", [LEFT_TREFOIL, FIG8, KINK, GRANNY, RIGHT_TREFOIL_ROTATED])
 def test_faces_count_and_coverage(text):
     d = parse_pd(text)
-    cb = checkerboard(d)
-    assert len(cb.faces) == d.n + 2
+    faces = [face for color_class in checkerboard(d) for face in color_class]
+    assert len(faces) == d.n + 2
     # every half-edge lies on exactly one face
-    seen = [he for face in cb.faces for he in face]
+    seen = [he for face in faces for he in face]
     assert len(seen) == 4 * d.n
     assert len(set(seen)) == 4 * d.n
 
@@ -127,13 +127,14 @@ def test_faces_count_and_coverage(text):
 @pytest.mark.parametrize("text", [LEFT_TREFOIL, FIG8, GRANNY])
 def test_checkerboard_alternates_around_each_crossing(text):
     d = parse_pd(text)
-    cb = checkerboard(d)
+    # the face owning half-edge (c, s) sits at corner (s - 1) mod 4 of c
+    cols = [[None] * 4 for _ in range(d.n)]
+    for color, faces in enumerate(checkerboard(d)):
+        for ci, s in (he for face in faces for he in face):
+            assert cols[ci][(s - 1) % 4] is None
+            cols[ci][(s - 1) % 4] = color
     for ci in range(d.n):
-        cols = [cb.colors[cb.face_at_corner[ci][k]] for k in range(4)]
-        assert cols[0] == cols[2] != cols[1] == cols[3]
-        p0 = cb.corner_pair_of_color(ci, cols[0])
-        p1 = cb.corner_pair_of_color(ci, cols[1])
-        assert {p0, p1} == {(0, 2), (1, 3)}
+        assert sorted(cols[ci]) == [0, 0, 1, 1] and cols[ci][0] == cols[ci][2], cols[ci]
 
 
 def test_orientation_signs_and_writhe():
@@ -188,7 +189,7 @@ def test_over_only_component_is_oriented_as_a_link():
     d = parse_pd(OVER_ONLY_LINK)
     od = orient(d)
     assert od.components == 2
-    assert od.arc_head[:2] == ((1, 3), (0, 1)) and od.over_in_slot == (1, 3)
+    assert od.over_in_slot == (1, 3) and od.signs == (-1, 1)
     with pytest.raises(ClassificationError, match="knot"):
         classify_special(d)
 

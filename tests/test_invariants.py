@@ -35,6 +35,7 @@ from knotcert.invariants import (
 )
 from knotcert.lattice import det_int
 from knotcert.medial import PlaneGraph, medial_diagram
+from knotcert.tait import orientable_flow_lattice
 
 LEFT_TREFOIL = "X(1,4,2,5) X(3,6,4,1) X(5,2,6,3)"
 RIGHT_TREFOIL_ROTATED = "X(1,4,2,3) X(3,6,4,5) X(5,2,6,1)"
@@ -207,19 +208,20 @@ def test_seifert_matrix_5_1():
     )
     d, comps = medial_diagram(theta5, 1)
     assert comps == 1
-    sd = seifert_matrix_special(d)
-    assert sd.matrix == (
+    v = seifert_matrix_special(d)
+    assert v == (
         (-1, -1, -1, -1),
         (0, -1, -1, -1),
         (0, 0, -1, -1),
         (0, 0, 0, -1),
     )
-    assert sd.gram.matrix == ((2, 1, 1, 1), (1, 2, 1, 1), (1, 1, 2, 1), (1, 1, 1, 2))
+    gram = orientable_flow_lattice(d)[1].matrix
+    assert gram == ((2, 1, 1, 1), (1, 2, 1, 1), (1, 1, 2, 1), (1, 1, 1, 2))
     # V + V^T is minus the flow Gram for a positive special diagram
-    r = len(sd.matrix)
+    r = len(v)
     for i in range(r):
         for j in range(r):
-            assert sd.matrix[i][j] + sd.matrix[j][i] == -sd.gram.matrix[i][j]
+            assert v[i][j] + v[j][i] == -gram[i][j]
 
 
 def test_seifert_matrix_needs_special():
@@ -228,17 +230,14 @@ def test_seifert_matrix_needs_special():
 
 
 def test_seifert_matrix_unknot():
-    sd = seifert_matrix_special(parse_pd(""))
-    assert sd.matrix == ()
+    assert seifert_matrix_special(parse_pd("")) == ()
 
 
 def test_seifert_skew_is_unimodular():
     for text in (LEFT_TREFOIL, RIGHT_TREFOIL_ROTATED, GRANNY):
-        sd = seifert_matrix_special(parse_pd(text))
-        r = len(sd.matrix)
-        skew = tuple(
-            tuple(sd.matrix[i][j] - sd.matrix[j][i] for j in range(r)) for i in range(r)
-        )
+        v = seifert_matrix_special(parse_pd(text))
+        r = len(v)
+        skew = tuple(tuple(v[i][j] - v[j][i] for j in range(r)) for i in range(r))
         assert abs(det_int(skew)) == 1
 
 
@@ -469,10 +468,11 @@ def test_bundle_consistency_on_random_special_knots():
         assert abs(b.signature) == 2 * b.genus == b.alexander.span()
         assert b.determinant >= 1
         assert alexander_via_seifert(d) == alexander_dense_seifert(d)
-        sd = seifert_matrix_special(d)
+        v = seifert_matrix_special(d)
+        gram = orientable_flow_lattice(d)[1].matrix
         s = b.speciality.uniform_sign
-        r = len(sd.matrix)
+        r = len(v)
         for i in range(r):
             for j in range(r):
-                assert sd.matrix[i][j] + sd.matrix[j][i] == -s * sd.gram.matrix[i][j]
+                assert v[i][j] + v[j][i] == -s * gram[i][j]
     assert knots >= 12

@@ -46,7 +46,7 @@ from knotcert.lattice import (
     two_coloring,
 )
 from knotcert.corpus import load_corpus
-from knotcert.diagram import checkerboard, parse_pd
+from knotcert.diagram import parse_pd
 from knotcert.medial import medial_diagram
 from knotcert.tait import TaitGraph, flow_lattice, orientable_flow_lattice, tait_graph
 
@@ -386,9 +386,9 @@ def _knot_flow_lattices():
     """Flow lattices of both Tait graphs of every bundled diagram, of the
     orientable color of T(2,k), k = 3..25, and of necklaces."""
     for entry in load_corpus():
-        cb = checkerboard(parse_pd(entry.pd))
+        d = parse_pd(entry.pd)
         for color in (0, 1):
-            yield flow_lattice(tait_graph(cb, color))[0]
+            yield flow_lattice(tait_graph(d, color))[0]
     for g in [theta(k) for k in range(3, 26, 2)] + [necklace(s) for s in ([3, 3, 3], [3, 5, 7], [3, 3, 3, 3, 3], [9, 3, 5, 3, 7])]:
         yield orientable_flow_lattice(medial_diagram(g, 1)[0])[1]
 
@@ -538,8 +538,8 @@ def _cycle_oracle_graphs():
     connected multigraphs with loops and parallel edges (the rotation system
     plays no part in the cycle space, so those need not be planar)."""
     for entry in load_corpus():
-        cb = checkerboard(parse_pd(entry.pd))
-        yield from (tait_graph(cb, color) for color in (0, 1))
+        d = parse_pd(entry.pd)
+        yield from (tait_graph(d, color) for color in (0, 1))
     for g in [theta(k) for k in (3, 9, 25)] + [necklace(s) for s in ([3, 5, 7], [9, 3, 5, 3, 7])]:
         yield orientable_flow_lattice(medial_diagram(g, 1)[0])[0]
     rng = random.Random(2)

@@ -200,7 +200,6 @@ def test_random_planar_medials_det_counts_trees():
     itself or its plane dual)."""
     rng = random.Random(1234)
     from helpers import random_connected_multigraph
-    from knotcert.diagram import checkerboard
     from knotcert.tait import tait_graph
 
     knots = 0
@@ -222,10 +221,9 @@ def test_random_planar_medials_det_counts_trees():
             continue
         knots += 1
         rep = classify_special(d)
-        cb = checkerboard(d)
         bip = [
             _is_bipartite(t.num_vertices, t.edges)
-            for t in (tait_graph(cb, 0), tait_graph(cb, 1))
+            for t in (tait_graph(d, 0), tait_graph(d, 1))
         ]
         assert rep.is_special == (bip[0] or bip[1]), (n, edges, sign)
         b = invariant_bundle(d)  # runs every internal cross-check

@@ -13,6 +13,7 @@ from helpers import (
     spanning_tree_count,
 )
 from knotcert.diagram import checkerboard, classify_special, parse_pd
+from knotcert.errors import InconsistencyError
 from knotcert.lattice import definiteness, det_int
 from knotcert.tait import TaitGraph, blocks, flow_lattice, fundamental_cycles, tait_graph
 
@@ -23,8 +24,8 @@ KINK = "X(1,2,2,1)"
 
 
 def taits(text):
-    cb = checkerboard(parse_pd(text))
-    return tait_graph(cb, 0), tait_graph(cb, 1)
+    d = parse_pd(text)
+    return tait_graph(d, 0), tait_graph(d, 1)
 
 
 def make_tait(n_vertices, edges):
@@ -59,8 +60,7 @@ def test_trefoil_tait_signs_follow_mirror():
     # edge signs of the orientable color match the uniform crossing sign
     d = parse_pd(LEFT_TREFOIL)
     rep = classify_special(d)
-    cb = checkerboard(d)
-    go = tait_graph(cb, rep.orientable_color)
+    go = tait_graph(d, rep.orientable_color)
     assert go.edge_signs == (rep.uniform_sign,) * 3
 
 
@@ -70,6 +70,19 @@ def test_dart_coverage():
         assert sorted(darts) == sorted(
             (ei, end) for ei in range(g.num_edges) for end in (0, 1)
         )
+
+
+@pytest.mark.parametrize("move", [0, 1], ids=["color-0-face-moved", "color-1-face-moved"])
+def test_tait_graph_rejects_corners_that_do_not_alternate(move):
+    """A face moved to the other color class leaves a crossing whose colors
+    do not alternate; reading a Tait graph off those classes is a bug."""
+    d = parse_pd(GRANNY)
+    classes = [list(c) for c in checkerboard(d)]
+    classes[1 - move].append(classes[move].pop(0))
+    d.__dict__["_cached_checkerboard"] = tuple(map(tuple, classes))
+    for color in (0, 1):
+        with pytest.raises(InconsistencyError, match="not alternating"):
+            tait_graph(d, color)
 
 
 def test_flow_lattice_trefoil():
@@ -87,7 +100,7 @@ def test_flow_lattice_trefoil():
 def test_granny_flow_gram_splits():
     d = parse_pd(GRANNY)
     rep = classify_special(d)
-    g = tait_graph(checkerboard(d), rep.orientable_color)
+    g = tait_graph(d, rep.orientable_color)
     gram, _ = flow_lattice(g)
     assert gram.matrix == ((2, 1, 0, 0), (1, 2, 0, 0), (0, 0, 2, 1), (0, 0, 1, 2))
     assert definiteness(gram) == "positive_definite"
@@ -96,7 +109,7 @@ def test_granny_flow_gram_splits():
 def test_blocks_granny_and_kink():
     d = parse_pd(GRANNY)
     rep = classify_special(d)
-    g = tait_graph(checkerboard(d), rep.orientable_color)
+    g = tait_graph(d, rep.orientable_color)
     dec = blocks(g)
     assert len(dec) == 2
     assert sorted(len(b) for b in dec) == [3, 3]
