@@ -4,7 +4,8 @@ Everything here is exact integer / rational arithmetic:
 
 * Goeritz matrices for both checkerboard colors, and the knot signature via
   the Goeritz matrix corrected by the misoriented-crossing count (computed
-  for both surface choices and required to agree).
+  for both surface choices and required to agree).  Each Goeritz matrix's
+  signature and determinant come from one symmetric elimination.
 * A Seifert matrix for special diagrams, built on the checkerboard surface
   realized by Seifert's algorithm: the flow-lattice cycle basis gives the
   curves, half-twisted bands contribute the symmetric part, and chord
@@ -16,18 +17,19 @@ Everything here is exact integer / rational arithmetic:
 Both backends take one Laurent determinant (`_laurent_det`), and it works in
 integer arithmetic.  The matrix (the Fox matrix, or t V - V^T) is first
 Tietze-reduced over Z[t, t^-1]: eliminating on its unit entries +-t^e (least
-Markowitz cost first) changes the determinant by a unit only, so what is left
-is sized by the knot, not by the crossing count or the genus.  That residue
-is interpolated exactly: shift each row to a polynomial, bound the
-determinant's degree by the sum of the row spans, evaluate at that many plus
-one integer points, take fraction-free (Bareiss) determinants, and recover
-the coefficients by Newton divided differences.
+Markowitz cost first, taken from a heap of the unit entries' costs) changes
+the determinant by a unit only, so what is left is sized by the knot, not by
+the crossing count or the genus.  That residue is interpolated exactly: shift
+each row to a polynomial, bound the determinant's degree by the sum of the
+row spans, evaluate at that many plus one integer points, take fraction-free
+(Bareiss) determinants, and recover the coefficients by Newton divided
+differences.
 """
 
 from __future__ import annotations
 
+import heapq
 import re
-from collections import Counter
 from dataclasses import dataclass
 
 from .diagram import (
@@ -39,8 +41,7 @@ from .diagram import (
     seifert_stats,
 )
 from .errors import InconsistencyError
-from .lattice import GramForm, Matrix, connected_classes, det_int, two_coloring
-from .lattice import signature as form_signature
+from .lattice import GramForm, Matrix, connected_classes, det_int, signature_det, two_coloring
 from .tait import cycle_form, cycles_through, orientable_flow_lattice, tait_graphs
 
 # ---------------------------------------------------------------------------
@@ -209,7 +210,8 @@ def goeritz_matrix(d: Diagram, color: int) -> GramForm:
     It is the signed Laplacian of that color's Tait graph, each edge weighted
     by its sign and loops skipped.  The matrix on all faces is singular, so
     the row and column of the last vertex are dropped.  Both colors are built
-    once per diagram.
+    once per diagram, and each one's signature and determinant come from one
+    symmetric elimination (`_goeritz_signature_det`).
     """
     return _goeritz_matrices(d)[color]
 
@@ -231,6 +233,12 @@ def _goeritz_matrices(d: Diagram) -> tuple[GramForm, GramForm]:
     return out[0], out[1]
 
 
+@cached_on_instance
+def _goeritz_signature_det(d: Diagram) -> tuple[tuple[int, int], tuple[int, int]]:
+    """(signature, determinant) of each color's Goeritz matrix, one pass each."""
+    return signature_det(goeritz_matrix(d, 0)), signature_det(goeritz_matrix(d, 1))
+
+
 def _correction_term(d: Diagram, surface_color: int) -> int:
     """Sum of signs of crossings whose smoothing disagrees with the surface
     color, that is, whose sign differs from the color's Tait edge sign."""
@@ -248,8 +256,7 @@ def gl_signature(d: Diagram) -> int:
         return 0
     results = []
     for surface_color in (0, 1):
-        gm = goeritz_matrix(d, 1 - surface_color)
-        sig = form_signature(gm)
+        sig = _goeritz_signature_det(d)[1 - surface_color][0]
         results.append(sig - _correction_term(d, surface_color))
     if results[0] != results[1]:
         raise InconsistencyError(
@@ -397,31 +404,54 @@ def _unit_residue(rows: list[dict[int, dict[int, int]]]) -> list[list[dict[int, 
 
     While some entry is a unit +-t^e, the one of least Markowitz cost (ties to
     the least (row, column)) clears its column and its row and column are
-    dropped; that changes the determinant by a unit only.
+    dropped; that changes the determinant by a unit only.  Rows keep their
+    original indices, and a heap holds a (cost, row, column) key per unit
+    entry: each step pushes fresh keys for the rows it updated and for the
+    pivot row's columns, whose counts changed, and a popped key that no
+    longer matches its entry is skipped.  A pivot whose row or column is
+    half full changes most costs, so the heap is then built afresh.
     """
-    col_count = Counter(j for row in rows for j in row)
-    while rows:
-        best = min(
-            (
-                ((len(row) - 1) * (col_count[j] - 1), i, j)
-                for i, row in enumerate(rows)
-                for j, e in row.items()
-                if len(e) == 1 and abs(*e.values()) == 1
-            ),
-            default=None,
-        )
-        if best is None:
+    live = dict(enumerate(rows))
+    in_col: dict[int, set[int]] = {}
+    for i, row in live.items():
+        for j in row:
+            in_col.setdefault(j, set()).add(i)
+
+    def keys(i, cols):  # the (cost, row, column) keys of the units among row i's cols
+        row = live[i]
+        return [((len(row) - 1) * (len(in_col[j]) - 1), i, j) for j in cols
+                if len(row[j]) == 1 and abs(*row[j].values()) == 1]
+
+    heap: list[tuple[int, int, int]] = []
+    pivot_row, updated = {}, live  # the first pass keys every entry
+    while True:
+        if 2 * max(len(updated), len(pivot_row)) >= len(live):
+            # a pivot row or column half full changes most costs: key every
+            # entry afresh, which also drops the stale keys
+            heap = [key for i, row in live.items() for key in keys(i, row)]
+            heapq.heapify(heap)
+        else:
+            # costs changed in the updated rows and in the pivot row's columns
+            fresh = [key for r in updated for key in keys(r, live[r])]
+            fresh += [key for k in pivot_row for r in in_col[k] - updated for key in keys(r, (k,))]
+            for key in fresh:
+                heapq.heappush(heap, key)
+        while heap:  # skip the keys that later steps left stale
+            key = heapq.heappop(heap)
+            _, i, j = key
+            if j in live.get(i, ()) and keys(i, (j,)) == [key]:
+                break
+        else:
             break
-        _, i, j = best
-        col_count.subtract(rows[i].keys())
-        pivot_row = rows.pop(i)
+        pivot_row = live.pop(i)
+        for k in pivot_row:
+            in_col[k].discard(i)
         ((lo, u),) = pivot_row.pop(j).items()
-        for row in rows:
-            f = row.pop(j, None)
-            if f is None:
-                continue
+        updated = in_col.pop(j)
+        for r in updated:
+            row = live[r]
+            f = row.pop(j)
             # row -= f (u t^lo)^-1 pivot_row
-            col_count.subtract(row.keys())
             for k, g in pivot_row.items():
                 e = row.setdefault(k, {})
                 for a, x in f.items():
@@ -432,7 +462,9 @@ def _unit_residue(rows: list[dict[int, dict[int, int]]]) -> list[list[dict[int, 
                     row[k] = e
                 else:
                     del row[k]
-            col_count.update(row.keys())
+        for k in pivot_row:
+            in_col[k] = in_col[k] - updated | {r for r in updated if k in live[r]}
+    rows = list(live.values())
     cols = sorted({j for row in rows for j in row})
     if len(cols) != len(rows) or not all(rows):
         raise InconsistencyError(
@@ -571,12 +603,10 @@ def invariant_bundle(d: Diagram) -> InvariantBundle:
     alex = alexander(d)
 
     det = abs(alex(-1))
-    for color in (0, 1):
-        gm = goeritz_matrix(d, color)
-        gdet = abs(det_int(gm.matrix))
-        if gdet != det:
+    for color, (_, gdet) in enumerate(_goeritz_signature_det(d)):
+        if abs(gdet) != det:
             raise InconsistencyError(
-                f"Goeritz determinant on color {color} is {gdet}, "
+                f"Goeritz determinant on color {color} is {abs(gdet)}, "
                 f"but the Alexander polynomial gives {det}"
             )
 

@@ -201,39 +201,51 @@ def _symmetric_bareiss(matrix):
     """Symmetric fraction-free (Bareiss) elimination a row at a time, as in
     `det_int`; yields each pivot p_k, a leading principal minor of a congruent
     matrix, with the entries b_ik below it: its LDL^T has d_k = p_k / p_{k-1}
-    and L_ik = b_ik / p_k (p_{-1} = 1).  A zero pivot is swapped symmetrically
-    with a later nonzero diagonal entry, or made by e_i += e_j when the whole
-    remaining diagonal vanishes: unimodular congruences on the uneliminated
-    indices, so every division stays exact, and never needed when every
-    leading principal minor is nonzero.  An all-zero remaining block (the
-    kernel) ends the steps."""
-    a = [list(row) for row in matrix]
+    and L_ik = b_ik / p_k (p_{-1} = 1).  The matrix must be symmetric (callers
+    pass a `GramForm`'s matrix or its `greedy_reduce` congruent), and only
+    its upper triangle is read and kept: row i holds a_ii, a_i,i+1, ...,
+    so the entries below a pivot are the ones right of it, and a row with a
+    zero there is only rescaled.  A zero pivot is swapped symmetrically with a
+    later nonzero diagonal entry, or made by e_i += e_j when the whole
+    remaining diagonal vanishes (on the full block, rebuilt for that step):
+    unimodular congruences on the uneliminated indices, so every division
+    stays exact, and never needed when every leading principal minor is
+    nonzero.  An all-zero remaining block (the kernel) ends the steps."""
+    a = [list(row[i:]) for i, row in enumerate(matrix)]
     prev = 1
     while a:
-        k = next((i for i, row in enumerate(a) if row[i]), None)
-        if k is None:
+        if not a[0][0]:
             m = len(a)
-            ij = next(((i, j) for i in range(m) for j in range(i + 1, m) if a[i][j]), None)
-            if ij is None:
-                return
-            k, j = ij
-            for row in a:
-                row[k] += row[j]
-            a[k] = [x + y for x, y in zip(a[k], a[j])]
-        if k:
-            a[0], a[k] = a[k], a[0]
-            for row in a:
+            full = [[a[min(i, j)][abs(i - j)] for j in range(m)] for i in range(m)]
+            k = next((i for i, row in enumerate(full) if row[i]), None)
+            if k is None:
+                ij = next(((i, j) for i in range(m) for j in range(i + 1, m) if full[i][j]), None)
+                if ij is None:
+                    return
+                k, j = ij
+                for row in full:
+                    row[k] += row[j]
+                full[k] = [x + y for x, y in zip(full[k], full[j])]
+            full[0], full[k] = full[k], full[0]
+            for row in full:
                 row[0], row[k] = row[k], row[0]
-        p = a[0][0]
-        yield p, [row[0] for row in a[1:]]
-        rest = a[0][1:]
-        a = [[(x * p - row[0] * y) // prev for x, y in zip(row[1:], rest)] for row in a[1:]]
+            a = [row[i:] for i, row in enumerate(full)]
+        top = a[0]
+        p = top[0]
+        yield p, top[1:]
+        a = [
+            [(x * p - f * y) // prev for x, y in zip(row, top[i:])] if f
+            else row if p == prev else [x * p // prev for x in row]
+            for i, (row, f) in enumerate(zip(a[1:], top[1:]), 1)
+        ]
         prev = p
 
 
-def inertia(matrix) -> tuple[int, int, int]:
-    """(positive, negative, zero) eigenvalue counts of a symmetric matrix:
-    d_k of `_symmetric_bareiss` has the sign of p_k p_{k-1} (Sylvester)."""
+def _sylvester(matrix) -> tuple[int, int, int, int]:
+    """(positive, negative, zero, last pivot) of one `_symmetric_bareiss`
+    pass: d_k has the sign of p_k p_{k-1} (Sylvester's rule), and each step
+    is a congruence by a matrix of determinant +-1, so the last pivot of a
+    nondegenerate matrix is its determinant."""
     pos = neg = 0
     prev = 1
     for p, _ in _symmetric_bareiss(matrix):
@@ -242,7 +254,14 @@ def inertia(matrix) -> tuple[int, int, int]:
         else:
             neg += 1
         prev = p
-    return pos, neg, len(matrix) - pos - neg
+    return pos, neg, len(matrix) - pos - neg, prev
+
+
+def inertia(matrix) -> tuple[int, int, int]:
+    """(positive, negative, zero) eigenvalue counts of a matrix that must be
+    symmetric, such as a `GramForm`'s: only its upper triangle is read
+    (`_sylvester`)."""
+    return _sylvester(matrix)[:3]
 
 
 def definiteness(q: GramForm) -> str:
@@ -260,12 +279,19 @@ def definiteness(q: GramForm) -> str:
 
 def signature(q: GramForm) -> int:
     """Signature (positive minus negative inertia); raises on a degenerate form."""
-    pos, neg, zero = inertia(q.matrix)
+    return signature_det(q)[0]
+
+
+def signature_det(q: GramForm) -> tuple[int, int]:
+    """Signature and determinant of a nondegenerate form from one
+    `_symmetric_bareiss` pass (`_sylvester`); raises DegenerateFormError on a
+    degenerate form."""
+    pos, neg, zero, det = _sylvester(q.matrix)
     if zero:
         raise DegenerateFormError(
             f"form of rank {q.rank} has {zero}-dimensional kernel"
         )
-    return pos - neg
+    return pos - neg, det
 
 
 # ---------------------------------------------------------------------------

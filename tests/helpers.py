@@ -594,6 +594,65 @@ def inertia_fraction(matrix):
     return pos, neg, zero
 
 
+def unit_residue_rescan(rows):
+    """The unit elimination of `invariants._unit_residue` without its heap:
+    every step rescans all unit entries for the least (cost, row, column).
+
+    Tietze-reduce a square matrix of Laurent entries, given as sparse rows
+    {column: {exponent: coefficient}} (zeros dropped, consumed), to the
+    dense square matrix left over.
+
+    While some entry is a unit +-t^e, the one of least Markowitz cost (ties to
+    the least (row, column)) clears its column and its row and column are
+    dropped; that changes the determinant by a unit only.
+    """
+    from collections import Counter
+
+    from knotcert.errors import InconsistencyError
+
+    col_count = Counter(j for row in rows for j in row)
+    while rows:
+        best = min(
+            (
+                ((len(row) - 1) * (col_count[j] - 1), i, j)
+                for i, row in enumerate(rows)
+                for j, e in row.items()
+                if len(e) == 1 and abs(*e.values()) == 1
+            ),
+            default=None,
+        )
+        if best is None:
+            break
+        _, i, j = best
+        col_count.subtract(rows[i].keys())
+        pivot_row = rows.pop(i)
+        ((lo, u),) = pivot_row.pop(j).items()
+        for row in rows:
+            f = row.pop(j, None)
+            if f is None:
+                continue
+            # row -= f (u t^lo)^-1 pivot_row
+            col_count.subtract(row.keys())
+            for k, g in pivot_row.items():
+                e = row.setdefault(k, {})
+                for a, x in f.items():
+                    for b, y in g.items():
+                        e[a + b - lo] = e.get(a + b - lo, 0) - u * x * y
+                e = {a: x for a, x in e.items() if x}
+                if e:
+                    row[k] = e
+                else:
+                    del row[k]
+            col_count.update(row.keys())
+    cols = sorted({j for row in rows for j in row})
+    if len(cols) != len(rows) or not all(rows):
+        raise InconsistencyError(
+            f"Laurent residue of {len(rows)} rows on {len(cols)} columns "
+            "is not square or has a zero row"
+        )
+    return [[row.get(j, {}) for j in cols] for row in rows]
+
+
 def alexander_dense_wirtinger(d):
     """Alexander polynomial from the dense (n-1)x(n-1) Fox matrix of the
     Wirtinger presentation (last row and column deleted), one determinant per

@@ -218,6 +218,30 @@ def test_analyze_computes_each_factor_inertia_once(monkeypatch, capsys):
     assert counts == {"lattice.definiteness": 1}
 
 
+def test_analyze_eliminates_each_goeritz_matrix_once(monkeypatch, capsys):
+    """Each color's Goeritz signature and determinant come from one symmetric
+    elimination: det_int never sees a Goeritz matrix."""
+    from knotcert.invariants import goeritz_matrix
+
+    d = medial_diagram(necklace([5, 7, 9, 11, 9]), 1)[0]
+    assert d.n == 41
+    goeritz = [goeritz_matrix(d, c).matrix for c in (0, 1)]
+    seen = {"lattice.det_int": [], "lattice._symmetric_bareiss": []}
+
+    def wrap(qualname, fn):
+        def recorded(m, *args):
+            seen[qualname].append(tuple(map(tuple, m)))
+            return fn(m, *args)
+        return recorded
+
+    _wrap_calls(monkeypatch, seen, wrap)
+    code, _, _ = run(capsys, "analyze", "--pd", d.pd_text(), "--json")
+    assert code == 0
+    assert not set(goeritz) & set(seen["lattice.det_int"])
+    eliminated = seen["lattice._symmetric_bareiss"]
+    assert [eliminated.count(m) for m in goeritz] == [1, 1]
+
+
 def _dumps(obj) -> str:
     return json.dumps(obj, sort_keys=True, indent=2) + "\n"
 

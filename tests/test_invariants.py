@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import copy
 import random
 from fractions import Fraction
 
@@ -16,6 +17,7 @@ from helpers import (
     poly_value,
     random_connected_multigraph,
     theta,
+    unit_residue_rescan,
 )
 from knotcert import invariants
 from knotcert.corpus import load_corpus
@@ -23,6 +25,7 @@ from knotcert.diagram import build_diagram, classify_special, mirror_diagram, or
 from knotcert.errors import ClassificationError, InconsistencyError
 from knotcert.invariants import (
     LaurentPolynomial,
+    _fox_rows,
     _interpolate_int_poly,
     _laurent_det,
     alexander,
@@ -380,6 +383,81 @@ def test_seifert_residue_is_sized_by_the_knot(monkeypatch):
     for sign in (1, -1):
         d = medial_diagram(theta(41), sign)[0]
         assert _residue_rows(monkeypatch, alexander_via_seifert, d) == 1
+
+
+def _seifert_rows(d):
+    """The sparse rows of t V - V^T that `alexander_via_seifert` reduces."""
+    v = seifert_matrix_special(d)
+    rows = []
+    for row, col in zip(v, zip(*v)):
+        entries = ({k: c for k, c in ((1, a), (0, -b)) if c} for a, b in zip(row, col))
+        rows.append({j: e for j, e in enumerate(entries) if e})
+    return rows
+
+
+def _random_laurent_rows(rng):
+    """A sparse matrix of small Laurent entries, about half of them units;
+    one in ten is not square."""
+    n = rng.randint(0, 9)
+    k = n if rng.random() < 0.9 else rng.randint(0, 9)
+    density = rng.choice((0.3, 0.45, 0.7))
+    rows = []
+    for _ in range(k):
+        row = {}
+        for j in range(n):
+            if rng.random() < density:
+                e = {}
+                for _ in range(rng.choice((1, 1, 1, 2))):
+                    e[rng.randint(-1, 2)] = rng.choice((1, -1, 1, -1, 2, -3))
+                if any(e.values()):
+                    row[j] = {a: x for a, x in e.items() if x}
+        rows.append(row)
+    return rows
+
+
+def test_unit_residue_heap_matches_rescan():
+    """The heap picks the same pivots as rescanning every unit entry, so the
+    residues are identical; malformed input raises in both."""
+    def laurent_families():
+        rng = random.Random(13)
+        for entry in load_corpus():
+            d = parse_pd(entry.pd)
+            yield from (_fox_rows(o) for o in (d, mirror_diagram(d)))
+            if classify_special(d).is_special:
+                yield from (_seifert_rows(o) for o in (d, mirror_diagram(d)))
+        diagrams = [medial_diagram(theta(k), k % 4 - 2)[0] for k in range(3, 62, 2)]
+        for _ in range(25):  # necklaces of 25-41 crossings
+            m, n = rng.choice(((3, 25), (5, 29), (3, 33), (7, 37), (5, 41)))
+            sides = [3] * m
+            for _ in range((n - 3 * m) // 2):
+                sides[rng.randrange(m)] += 2
+            diagrams.append(medial_diagram(necklace(sides), rng.choice((1, -1)))[0])
+        while len(diagrams) < 30 + 25 + 300:
+            n, edges = random_connected_multigraph(rng, max_edges=9)
+            g = plane_graph_from_multigraph(n, edges) if edges else None
+            d, comps = medial_diagram(g, rng.choice((1, -1))) if g else (None, 0)
+            if comps == 1 and d.n:
+                diagrams.append(d)
+        for d in diagrams:
+            yield _fox_rows(d)
+            if classify_special(d).is_special:
+                yield _seifert_rows(d)
+        for _ in range(2000):
+            yield _random_laurent_rows(rng)
+
+    same = malformed = eliminated = 0
+    for rows in laurent_families():
+        try:
+            want = unit_residue_rescan(copy.deepcopy(rows))
+        except InconsistencyError:
+            with pytest.raises(InconsistencyError):
+                invariants._unit_residue(copy.deepcopy(rows))
+            malformed += 1
+            continue
+        assert invariants._unit_residue(copy.deepcopy(rows)) == want, rows
+        same += 1
+        eliminated += len(rows) - len(want)
+    assert same > 1800 and malformed > 500 and eliminated > 7000
 
 
 def test_laurent_det_of_empty_and_malformed_matrices():

@@ -42,6 +42,7 @@ from knotcert.lattice import (
     round_div,
     short_vectors,
     signature,
+    signature_det,
     transpose,
     two_coloring,
 )
@@ -597,8 +598,10 @@ def _random_symmetric(rng, n, kind):
         # C^T D C with C of k < n rows
         k = rng.randint(0, max(0, n - 1))
         c = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(k)]
-        dc = [[rng.choice((1, -1, 2)) * x for x in row] for row in c]
+        d = [rng.choice((1, -1, 2)) for _ in c]  # one factor per row of C
+        dc = [[di * x for x in row] for di, row in zip(d, c)]
         m = mat_mul(transpose(c), dc) if k else [[0] * n for _ in range(n)]
+    assert m == transpose(m), (kind, m)
     return m
 
 
@@ -621,6 +624,30 @@ def test_inertia_needs_e_i_plus_e_j_midway():
     # after one pivot the remaining diagonal vanishes but the block does not
     m = [[1, 1, 1], [1, 1, 2], [1, 2, 1]]
     assert inertia(m) == inertia_fraction(m) == (2, 1, 0)
+
+
+def test_signature_det_matches_det_int():
+    """The determinant read off the symmetric pass is det_int's, also after
+    swaps and e_i += e_j steps; a degenerate form (det_int 0) raises."""
+    rng = random.Random(5)
+    kinds = ("dense", "zero-diagonal", "hyperbolic", "rank-deficient", "large")
+    seen_degenerate = seen_swap = seen_sum = 0
+    for trial in range(2000):
+        kind = kinds[trial % len(kinds)]
+        m = _random_symmetric(rng, rng.randint(0, 7), kind)
+        pos, neg, zero = inertia_fraction(m)
+        if zero:
+            assert det_int(m) == 0, m
+            with pytest.raises(DegenerateFormError):
+                signature_det(GramForm(m))
+            seen_degenerate += 1
+            continue
+        assert signature_det(GramForm(m)) == (pos - neg, det_int(m)), (kind, m)
+        seen_swap += bool(m) and m[0][0] == 0
+        seen_sum += len(m) > 1 and not any(m[i][i] for i in range(len(m)))
+    assert seen_degenerate > 300 and seen_swap > 100 and seen_sum > 100
+    m = GramForm(((1, 1, 1), (1, 1, 2), (1, 2, 1)))  # e_i += e_j midway
+    assert signature_det(m) == (1, det_int(m.matrix)) == (1, -1)
 
 
 def test_round_div_matches_fraction_rounding():
