@@ -79,10 +79,6 @@ class Diagram:
     def n(self) -> int:
         return len(self.crossings)
 
-    @property
-    def arc_count(self) -> int:
-        return 2 * len(self.crossings)
-
     def pd_text(self) -> str:
         return " ".join("X({},{},{},{})".format(*c) for c in self.crossings)
 

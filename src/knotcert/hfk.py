@@ -25,12 +25,6 @@ class HfkTable:
     entries: tuple[tuple[int, int, int], ...]
     delta_grading: int
 
-    def rank_at(self, alexander: int, maslov: int) -> int:
-        for a, m, r in self.entries:
-            if a == alexander and m == maslov:
-                return r
-        return 0
-
     def total_rank(self) -> int:
         return sum(r for _, _, r in self.entries)
 

@@ -46,10 +46,6 @@ def medial_diagram(g: PlaneGraph, vertex_sign: int) -> tuple[Diagram, int]:
         for i, dart in enumerate(rot):
             pos[dart] = (v, i)
 
-    def corner_after(dart: Dart) -> tuple[int, int]:
-        v, i = pos[dart]
-        return (v, i)
-
     def corner_before(dart: Dart) -> tuple[int, int]:
         v, i = pos[dart]
         return (v, (i - 1) % len(g.rotations[v]))
@@ -58,9 +54,7 @@ def medial_diagram(g: PlaneGraph, vertex_sign: int) -> tuple[Diagram, int]:
     slots = []
     for ei in range(g.num_edges):
         d0, d1 = (ei, 0), (ei, 1)
-        slots.append(
-            (corner_after(d0), corner_before(d0), corner_after(d1), corner_before(d1))
-        )
+        slots.append((pos[d0], corner_before(d0), pos[d1], corner_before(d1)))
     # each corner occurs at exactly two slots overall
     corner_slots: dict[tuple[int, int], list[tuple[int, int]]] = {}
     for ei, quad in enumerate(slots):

@@ -26,6 +26,13 @@ inherited from the edge basis; its basis is the fundamental cycles of a
 spanning tree, kept as closed walks.  Its determinant equals the number of
 spanning trees, which for an alternating diagram equals the knot determinant;
 the acceptance suite leans on that cross-check.
+
+The same fundamental cycles give the blocks.  Each is a simple cycle, so it
+lies inside one block, and those inside a 2-connected block span its cycle
+space and cannot fall into two groups sharing no edge; so the blocks are the
+classes of a union-find joining the edges of each cycle, with every bridge
+and loop a class of its own.  That route reads no Gram form, so the
+certificate's lattice summands and graph blocks stay two derivations.
 """
 
 from __future__ import annotations
@@ -131,70 +138,7 @@ def tait_graphs(d: Diagram) -> tuple[TaitGraph, TaitGraph]:
 
 
 # ---------------------------------------------------------------------------
-# block (2-connected component) decomposition
-
-
-def blocks(g: TaitGraph) -> tuple[tuple[int, ...], ...]:
-    """Blocks of the underlying multigraph, each as its sorted edge indices,
-    ordered by least edge.
-
-    Loop edges count as their own single-edge blocks; bridges likewise.
-    """
-    nv = g.num_vertices
-    adj: list[list[tuple[int, int]]] = [[] for _ in range(nv)]
-    loop_blocks = []
-    for ei, (u, v) in enumerate(g.edges):
-        if u == v:
-            loop_blocks.append((ei,))
-        else:
-            adj[u].append((v, ei))
-            adj[v].append((u, ei))
-    disc = [0] * nv
-    low = [0] * nv
-    timer = 1
-    edge_stack: list[int] = []
-    block_list: list[tuple[int, ...]] = []
-    visited_edge = [False] * g.num_edges
-    for root in range(nv):
-        if disc[root]:
-            continue
-        stack = [(root, -1, iter(adj[root]))]
-        disc[root] = low[root] = timer
-        timer += 1
-        while stack:
-            v, via_edge, it = stack[-1]
-            advanced = False
-            for (w, ei) in it:
-                if ei == via_edge or visited_edge[ei]:
-                    continue
-                visited_edge[ei] = True
-                edge_stack.append(ei)
-                if not disc[w]:
-                    stack.append((w, ei, iter(adj[w])))
-                    disc[w] = low[w] = timer
-                    timer += 1
-                    advanced = True
-                    break
-                low[v] = min(low[v], disc[w])
-            if advanced:
-                continue
-            stack.pop()
-            if stack:
-                pv = stack[-1][0]
-                low[pv] = min(low[pv], low[v])
-                if low[v] >= disc[pv]:
-                    blk = []
-                    while True:
-                        ei = edge_stack.pop()
-                        blk.append(ei)
-                        if ei == via_edge:
-                            break
-                    block_list.append(tuple(sorted(blk)))
-    return tuple(sorted(block_list + loop_blocks, key=min))
-
-
-# ---------------------------------------------------------------------------
-# cycle space
+# cycle space and blocks
 
 
 Walk = tuple[tuple[int, int], ...]  # (edge, direction) steps of a closed walk
@@ -207,23 +151,18 @@ def fundamental_cycles(g: TaitGraph) -> tuple[Walk, ...]:
     endpoint 0 to endpoint 1.  Cycle i starts by traversing the i-th cotree
     edge forward, and no edge repeats in a walk."""
     nv = g.num_vertices
+    adj: list[list[tuple[int, int, int]]] = [[] for _ in range(nv)]  # (edge, far end, dir)
+    for ei, (a, b) in enumerate(g.edges):
+        if a != b:
+            adj[a].append((ei, b, 1))
+            adj[b].append((ei, a, -1))
     parent: list[tuple[int, int, int] | None] = [None] * nv  # (vertex, edge, dir)
     in_tree = set()
     order = [0]
     seen = {0}
-    qi = 0
-    while qi < len(order):
-        v = order[qi]
-        qi += 1
-        for ei, (a, b) in enumerate(g.edges):
-            if a == b or ei in in_tree:
-                continue
-            w = None
-            if a == v and b not in seen:
-                w, direction = b, 1
-            elif b == v and a not in seen:
-                w, direction = a, -1
-            if w is not None:
+    for v in order:  # order grows as it is read: the BFS queue
+        for ei, w, direction in adj[v]:
+            if w not in seen:
                 parent[w] = (v, ei, direction)
                 in_tree.add(ei)
                 seen.add(w)
@@ -267,6 +206,25 @@ def fundamental_cycles(g: TaitGraph) -> tuple[Walk, ...]:
             raise InconsistencyError("cycle walk does not close up")
         walks.append(tuple(walk))
     return tuple(walks)
+
+
+def blocks(g: TaitGraph) -> tuple[tuple[int, ...], ...]:
+    """Blocks of the underlying multigraph, each as its sorted edge indices,
+    ordered by least edge: the classes of the edges that the fundamental
+    cycles join.  A loop or a bridge is a block of its own.
+
+    A simple cycle lies inside one block, and the fundamental cycles inside
+    a block span its cycle space.  Were they to fall into two groups sharing
+    no edge, a simple cycle through an edge of each group would split into
+    two nonzero cycles with disjoint supports.  The graph must be connected
+    (DiagramError otherwise), as every Tait graph is.
+    """
+    walks = fundamental_cycles(g)
+    labels = connected_classes(g.num_edges, ((w[0][0], e) for w in walks for e, _ in w))
+    parts: dict[int, list[int]] = {}
+    for e, label in enumerate(labels):
+        parts.setdefault(label, []).append(e)
+    return tuple(map(tuple, parts.values()))
 
 
 def cycles_through(g: TaitGraph, walks: tuple[Walk, ...]) -> list[list[tuple[int, int]]]:

@@ -51,13 +51,13 @@ def congruent_scramble(matrix, rng: random.Random):
 
 
 def random_connected_multigraph(rng: random.Random, max_edges: int = 10,
-                                allow_loops: bool = True):
+                                allow_loops: bool = True, max_vertices: int = 6):
     """Random connected multigraph as (n_vertices, [(u, v), ...]).
 
     Built from a random spanning tree plus extra (possibly parallel, possibly
     loop) edges.  Planarity is NOT guaranteed; filter with is_planar_multigraph.
     """
-    n = rng.randint(1, 6)
+    n = rng.randint(1, max_vertices)
     edges: list[tuple[int, int]] = []
     for v in range(1, n):
         edges.append((rng.randrange(v), v))
@@ -190,7 +190,7 @@ def check_orientation(d):
         assert od.signs[ci] == (1 if s == 3 else -1)
         for k in (0, s):
             heads.setdefault(c[k], []).append((ci, k))
-    assert sorted(heads) == list(range(1, d.arc_count + 1))
+    assert sorted(heads) == list(range(1, 2 * d.n + 1))
     assert all(len(h) == 1 for h in heads.values()), heads
     if d.n:
         strands = [(c[k] - 1, c[k + 2] - 1) for c in d.crossings for k in (0, 1)]
@@ -278,6 +278,59 @@ def cycle_vectors(g, walks):
             vec[e] += s
         vectors.append(tuple(vec))
     return tuple(vectors)
+
+
+def fundamental_cycles_scan(g):
+    """The closed walks of `tait.fundamental_cycles`, with the BFS spanning
+    tree (root 0, each vertex's edges in index order) found by scanning
+    every edge for each vertex instead of reading adjacency lists."""
+    parent = [None] * g.num_vertices  # (vertex, edge, dir)
+    in_tree = set()
+    order = [0]
+    seen = {0}
+    qi = 0
+    while qi < len(order):
+        v = order[qi]
+        qi += 1
+        for ei, (a, b) in enumerate(g.edges):
+            if a == b or ei in in_tree:
+                continue
+            w = None
+            if a == v and b not in seen:
+                w, direction = b, 1
+            elif b == v and a not in seen:
+                w, direction = a, -1
+            if w is not None:
+                parent[w] = (v, ei, direction)
+                in_tree.add(ei)
+                seen.add(w)
+                order.append(w)
+    assert len(seen) == g.num_vertices
+
+    def climb(v):
+        steps = []
+        while parent[v] is not None:
+            pv, ei, direction = parent[v]
+            steps.append((ei, -direction))
+            v = pv
+        return steps
+
+    walks = []
+    for ei in range(g.num_edges):
+        if ei in in_tree:
+            continue
+        u, v = g.edges[ei]
+        walk = [(ei, 1)]
+        if u != v:
+            up_v = climb(v)
+            up_u = climb(u)
+            while up_v and up_u and up_v[-1][0] == up_u[-1][0]:
+                up_v.pop()
+                up_u.pop()
+            walk.extend(up_v)
+            walk.extend((e, -s) for (e, s) in reversed(up_u))
+        walks.append(tuple(walk))
+    return tuple(walks)
 
 
 def spanning_tree_count(n_vertices, edges):

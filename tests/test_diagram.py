@@ -48,7 +48,7 @@ OVER_ONLY_LINK = "X(4,2,3,1) X(3,2,4,1)"
 def test_parse_basic():
     d = parse_pd(LEFT_TREFOIL)
     assert d.n == 3
-    assert d.arc_count == 6
+    assert sorted({a for c in d.crossings for a in c}) == list(range(1, 2 * d.n + 1))
     assert d.crossings[0] == (1, 4, 2, 5)
     assert parse_pd(d.pd_text()).crossings == d.crossings
 

@@ -9,13 +9,22 @@ import pytest
 from helpers import (
     block_partition_oracle,
     cycle_vectors,
+    fundamental_cycles_scan,
     random_connected_multigraph,
     spanning_tree_count,
 )
+from knotcert.corpus import load_corpus
 from knotcert.diagram import checkerboard, classify_special, parse_pd
-from knotcert.errors import InconsistencyError
+from knotcert.errors import DiagramError, InconsistencyError
 from knotcert.lattice import definiteness, det_int
-from knotcert.tait import TaitGraph, blocks, flow_lattice, fundamental_cycles, tait_graph
+from knotcert.tait import (
+    TaitGraph,
+    blocks,
+    flow_lattice,
+    fundamental_cycles,
+    tait_graph,
+    tait_graphs,
+)
 
 LEFT_TREFOIL = "X(1,4,2,5) X(3,6,4,1) X(5,2,6,3)"
 RIGHT_TREFOIL_ROTATED = "X(1,4,2,3) X(3,6,4,5) X(5,2,6,1)"
@@ -40,6 +49,11 @@ def make_tait(n_vertices, edges):
         edge_signs=(1,) * len(edges),
         rotations=tuple(tuple(r) for r in rot),
     )
+
+
+def corpus_tait_graphs():
+    """Both Tait graphs of every bundled corpus diagram."""
+    return [g for e in load_corpus() for g in tait_graphs(parse_pd(e.pd))]
 
 
 def test_trefoil_tait_shapes():
@@ -125,12 +139,31 @@ def test_blocks_loop_bridge_triangle():
 
 def test_blocks_match_oracle_on_random_multigraphs():
     rng = random.Random(20260814)
-    for _ in range(150):
-        n, edges = random_connected_multigraph(rng, max_edges=9)
-        if not edges:
-            continue
-        mine = sorted(tuple(sorted(b)) for b in blocks(make_tait(n, edges)))
-        assert mine == block_partition_oracle(n, edges), (n, edges)
+    graphs = [make_tait(*random_connected_multigraph(rng, max_edges=20, max_vertices=12))
+              for _ in range(400)]
+    seen = dict.fromkeys(("loop", "parallel", "bridge"), 0)
+    for g in graphs + corpus_tait_graphs():
+        mine = blocks(g)
+        assert sorted(mine) == block_partition_oracle(g.num_vertices, g.edges), g.edges
+        assert [min(b) for b in mine] == sorted(min(b) for b in mine)
+        seen["loop"] += any(u == v for u, v in g.edges)
+        seen["parallel"] += len(set(g.edges)) < g.num_edges
+        seen["bridge"] += any(len(b) == 1 and len(set(g.edges[b[0]])) == 2 for b in mine)
+    assert min(seen.values()) >= 50, seen
+    # every Tait graph is connected; blocks refuses a graph that is not
+    with pytest.raises(DiagramError, match="disconnected"):
+        blocks(make_tait(4, [(0, 1), (1, 0), (2, 3), (3, 2)]))
+
+
+def test_fundamental_cycles_match_edge_scan():
+    """The adjacency-list BFS grows the tree of the edge-scanning BFS, so
+    the walks agree, and with them every Gram matrix and witness in a
+    report."""
+    rng = random.Random(20261019)
+    graphs = [make_tait(*random_connected_multigraph(rng, max_edges=20, max_vertices=12))
+              for _ in range(500)]
+    for g in graphs + corpus_tait_graphs():
+        assert fundamental_cycles(g) == fundamental_cycles_scan(g), g.edges
 
 
 def test_fundamental_cycles_structure():
