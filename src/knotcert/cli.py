@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 from json.encoder import encode_basestring_ascii as _quote
 import os
@@ -167,7 +168,6 @@ def cmd_analyze(args) -> int:
     else:
         pd_text = args.pd
     rep, _bundle = _analysis(parse_pd(pd_text), args.rank_cap, args.assert_two_bridge)
-    out = _json_text(rep) if args.json else _analysis_text(rep)
     if args.out:
         outdir = Path(args.out)
         outdir.mkdir(parents=True, exist_ok=True)
@@ -175,7 +175,7 @@ def cmd_analyze(args) -> int:
         path.write_text(_json_text(rep), "utf-8")
         print(f"report written to {path}")
     else:
-        sys.stdout.write(out)
+        sys.stdout.write(_json_text(rep) if args.json else _analysis_text(rep))
     if rep["band_primeness"]["verdict"] == "inconsistency":
         return EXIT_INCONSISTENT
     return EXIT_OK
@@ -356,6 +356,7 @@ def nonnegative_int(text: str) -> int:
     return n
 
 
+@functools.lru_cache(maxsize=1)  # built on the first main() call, then shared
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="knotcert",

@@ -409,7 +409,8 @@ def _unit_residue(rows: list[dict[int, dict[int, int]]]) -> list[list[dict[int, 
     entry: each step pushes fresh keys for the rows it updated and for the
     pivot row's columns, whose counts changed, and a popped key that no
     longer matches its entry is skipped.  A pivot whose row or column is
-    half full changes most costs, so the heap is then built afresh.
+    half full changes most costs, so every entry is then keyed afresh, and
+    those keys are heapified only when a later step pushes onto them.
     """
     live = dict(enumerate(rows))
     in_col: dict[int, set[int]] = {}
@@ -417,29 +418,33 @@ def _unit_residue(rows: list[dict[int, dict[int, int]]]) -> list[list[dict[int, 
         for j in row:
             in_col.setdefault(j, set()).add(i)
 
-    def keys(i, cols):  # the (cost, row, column) keys of the units among row i's cols
-        row = live[i]
-        return [((len(row) - 1) * (len(in_col[j]) - 1), i, j) for j in cols
-                if len(row[j]) == 1 and abs(*row[j].values()) == 1]
+    def keys(i, entries):  # the (cost, row, column) keys of the units among row i's entries
+        n = len(live[i]) - 1
+        return [(n * (len(in_col[j]) - 1), i, j) for j, e in entries
+                if len(e) == 1 and abs(*e.values()) == 1]
 
     heap: list[tuple[int, int, int]] = []
-    pivot_row, updated = {}, live  # the first pass keys every entry
+    pivot_row, updated, heaped = {}, live, True  # the first pass keys every entry
     while True:
         if 2 * max(len(updated), len(pivot_row)) >= len(live):
             # a pivot row or column half full changes most costs: key every
-            # entry afresh, which also drops the stale keys
-            heap = [key for i, row in live.items() for key in keys(i, row)]
-            heapq.heapify(heap)
+            # entry afresh, which also drops the stale keys; all are current, so
+            # the least is the pivot, and the list is heapified only for a push
+            heap, heaped = [key for i, row in live.items() for key in keys(i, row.items())], False
         else:
+            if not heaped:
+                heapq.heapify(heap)
+                heaped = True
             # costs changed in the updated rows and in the pivot row's columns
-            fresh = [key for r in updated for key in keys(r, live[r])]
-            fresh += [key for k in pivot_row for r in in_col[k] - updated for key in keys(r, (k,))]
+            fresh = [key for r in updated for key in keys(r, live[r].items())]
+            fresh += [key for k in pivot_row for r in in_col[k] - updated
+                      for key in keys(r, [(k, live[r][k])])]
             for key in fresh:
                 heapq.heappush(heap, key)
         while heap:  # skip the keys that later steps left stale
-            key = heapq.heappop(heap)
+            key = heapq.heappop(heap) if heaped else min(heap)
             _, i, j = key
-            if j in live.get(i, ()) and keys(i, (j,)) == [key]:
+            if j in live.get(i, ()) and keys(i, [(j, live[i][j])]) == [key]:
                 break
         else:
             break
@@ -460,10 +465,10 @@ def _unit_residue(rows: list[dict[int, dict[int, int]]]) -> list[list[dict[int, 
                 e = {a: x for a, x in e.items() if x}
                 if e:
                     row[k] = e
+                    in_col[k].add(r)
                 else:
                     del row[k]
-        for k in pivot_row:
-            in_col[k] = in_col[k] - updated | {r for r in updated if k in live[r]}
+                    in_col[k].discard(r)
     rows = list(live.values())
     cols = sorted({j for row in rows for j in row})
     if len(cols) != len(rows) or not all(rows):

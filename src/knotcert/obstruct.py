@@ -28,7 +28,9 @@ import hashlib
 from dataclasses import dataclass
 from typing import Optional
 
-from .diagram import Diagram, SpecialityReport, classify_special, connected_sum_factors
+from .diagram import (
+    Diagram, SpecialityReport, cached_on_instance, classify_special, connected_sum_factors,
+)
 from .hfk import HfkTable, hfk_isomorphic, thin_hfk
 from .invariants import InvariantBundle, gl_signature, invariant_bundle
 from .lattice import (
@@ -43,8 +45,9 @@ from .tait import TaitGraph, blocks, orientable_flow_lattice, orientable_tait_gr
 SCHEMA = "knotcert-report/3"
 
 
-def _pd_hash(pd_text: str) -> str:
-    return hashlib.sha256(pd_text.encode("utf-8")).hexdigest()
+@cached_on_instance
+def _pd_hash(d: Diagram) -> str:
+    return hashlib.sha256(d.pd_text().encode("utf-8")).hexdigest()
 
 
 def _positive_rank_blocks(g: TaitGraph) -> int:
@@ -115,11 +118,10 @@ def band_prime_certificate(d: Diagram, rank_cap: int = DEFAULT_RANK_CAP) -> Cert
     produces verdict 'inconsistency' (the underlying theory forbids all of
     those, so they indicate a bug, not a property of the knot).
     """
-    sha = _pd_hash(d.pd_text())
     rep = classify_special(d)
     if not (rep.is_special and rep.is_alternating):
         why = "not alternating" if not rep.is_alternating else "alternating but not special"
-        return CertificateReport(sha, rep, (), 0, "not_applicable", (why,))
+        return CertificateReport(_pd_hash(d), rep, (), 0, "not_applicable", (why,))
 
     # The whole diagram's cycle rank bounds every factor's, so an over-cap
     # input is refused before any lattice, factor or invariant work.
@@ -201,14 +203,14 @@ def band_prime_certificate(d: Diagram, rank_cap: int = DEFAULT_RANK_CAP) -> Cert
 
     if problems:
         return CertificateReport(
-            sha, rep, tuple(factors), trivial, "inconsistency", tuple(problems)
+            _pd_hash(d), rep, tuple(factors), trivial, "inconsistency", tuple(problems)
         )
     if not factors:
         notes.append("no nontrivial factors: the knot is trivial, certificate is vacuous")
     if trivial:
         notes.append(f"{trivial} genus-zero factor(s) ignored")
     return CertificateReport(
-        sha, rep, tuple(factors), trivial, "band_prime_certified", tuple(notes)
+        _pd_hash(d), rep, tuple(factors), trivial, "band_prime_certified", tuple(notes)
     )
 
 
@@ -306,7 +308,7 @@ def minimality_evidence(d: Diagram, assert_two_bridge: bool = False) -> Minimali
     else:
         verdict = "evidence_only"
     return MinimalityEvidence(
-        pd_sha256=_pd_hash(d.pd_text()),
+        pd_sha256=_pd_hash(d),
         bundle=bundle,
         hfk=table,
         anisotropy=aniso,

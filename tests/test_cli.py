@@ -1,5 +1,6 @@
 """CLI behavior: subcommands, exit statuses, determinism, batch handling."""
 
+import argparse
 import gc
 import hashlib
 import json
@@ -9,12 +10,13 @@ import sys
 import tracemalloc
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
 import knotcert
 from helpers import MISORIENTED, necklace, theta
-from knotcert import tait
+from knotcert import cli, obstruct, tait
 from knotcert.cli import _json_text, main
 from knotcert.diagram import mirror_diagram
 from knotcert.corpus import corpus_entry, load_corpus
@@ -297,6 +299,75 @@ def test_json_output_is_byte_identical(capsys):
     _, out1, _ = run(capsys, "analyze", "--pd", TREFOIL, "--json")
     _, out2, _ = run(capsys, "analyze", "--pd", TREFOIL, "--json")
     assert out1 == out2
+
+
+def test_main_builds_one_parser_per_process(monkeypatch, capsys, tmp_path):
+    """main() builds its parser on its first call and reuses it: the root
+    parser and its three subparsers, however often main runs, and nothing
+    parsed by one call carries over to the next."""
+    cli.build_parser.cache_clear()
+    built = []
+    real_init = argparse.ArgumentParser.__init__
+
+    def spy(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        real_init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", spy)
+    corpus = tmp_path / "c.csv"
+    corpus.write_text(f'name,pd\ntrefoil,"{TREFOIL}"\n', "utf-8")
+    code, first, _ = run(capsys, "analyze", "--pd", TREFOIL, "--json")
+    assert code == 0
+    assert run(capsys, "batch", str(corpus), "--json")[0] == 0
+    assert run(capsys, "pair", "--lower", "", "--upper", TREFOIL)[0] == 0
+    with pytest.raises(SystemExit) as ex:
+        main(["analyze", "--pd", "", "--rank-cap", "-1"])
+    assert ex.value.code == 2
+    with pytest.raises(SystemExit) as ex:
+        main(["--help"])
+    assert ex.value.code == 0
+    capsys.readouterr()
+    code, again, _ = run(capsys, "analyze", "--pd", TREFOIL, "--json")
+    assert code == 0 and again == first
+    assert len(built) == 4, built
+    # a cap given to one call does not stay for the next
+    assert run(capsys, "analyze", "--pd", GRANNY, "--rank-cap", "3")[0] == 3
+    assert run(capsys, "analyze", "--pd", GRANNY)[0] == 0
+    assert len(built) == 4, built
+
+
+@pytest.mark.parametrize("fmt", [["--json"], []], ids=["json", "text"])
+def test_analyze_out_serialises_the_report_once(monkeypatch, capsys, tmp_path, fmt):
+    """With --out the report is serialised once, as the JSON file, whose
+    bytes are what --json prints; the text report, never printed, is not built."""
+    names = ("cli._json_text", "cli._analysis_text")
+    counts = _count_calls(monkeypatch, *names)
+    code, out, _ = run(capsys, "analyze", "--pd", TREFOIL, *fmt, "--out", str(tmp_path))
+    assert code == 0 and out.startswith("report written to ")
+    assert counts == {"cli._json_text": 1, "cli._analysis_text": 0}
+    (path,) = tmp_path.glob("analysis-*.json")
+    code, printed, _ = run(capsys, "analyze", "--pd", TREFOIL, "--json")
+    assert path.read_text("utf-8") == printed
+
+
+def test_analyze_hashes_the_pd_once(monkeypatch, capsys):
+    """The certificate and the minimality evidence share one PD hash, and an
+    over-cap refusal hashes nothing."""
+    hashed = []
+
+    def sha256(data):
+        hashed.append(data)
+        return hashlib.sha256(data)
+
+    monkeypatch.setattr(obstruct, "hashlib", SimpleNamespace(sha256=sha256))
+    code, out, _ = run(capsys, "analyze", "--pd", GRANNY, "--json")
+    assert code == 0
+    assert hashed == [GRANNY.encode()]
+    assert json.loads(out)["pd_sha256"] == hashlib.sha256(GRANNY.encode()).hexdigest()
+    hashed.clear()
+    code, _, err = run(capsys, "analyze", "--pd", GRANNY, "--rank-cap", "3")
+    assert code == 3 and "cap" in err
+    assert hashed == []
 
 
 def test_analyze_out_dir(tmp_path, capsys):
