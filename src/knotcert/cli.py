@@ -25,6 +25,7 @@ import os
 import sys
 from pathlib import Path
 
+from .corpus import BUNDLED, corpus_rows, row_values
 from .diagram import Diagram, parse_pd
 from .errors import (
     ClassificationError,
@@ -34,7 +35,7 @@ from .errors import (
     PDSyntaxError,
     RankCapExceededError,
 )
-from .invariants import InvariantBundle, LaurentPolynomial
+from .invariants import InvariantBundle
 from .lattice import DEFAULT_RANK_CAP
 from .obstruct import (
     SCHEMA,
@@ -162,7 +163,7 @@ def _analysis_text(rep: dict) -> str:
 def cmd_analyze(args) -> int:
     if args.pd_file is not None:
         try:
-            pd_text = Path(args.pd_file).read_text("utf-8").strip()
+            pd_text = Path(args.pd_file).read_text("utf-8-sig").strip()
         except UnicodeDecodeError as ex:
             raise PDSyntaxError(f"{args.pd_file} is not UTF-8 text: {ex.reason}") from None
     else:
@@ -181,60 +182,15 @@ def cmd_analyze(args) -> int:
     return EXIT_OK
 
 
-# optional corpus columns: (column, InvariantBundle attribute, parser)
-_STORED_COLUMNS = (
-    ("sigma", "signature", int),
-    ("det", "determinant", int),
-    ("alexander", "alexander", LaurentPolynomial.from_string),
-    ("genus", "genus", int),
-)
-
-
-def _stored_values(row: dict) -> list[tuple[str, str, object]]:
-    """(column, bundle attribute, parsed value) for each stored value of a
-    corpus row; ValueError, naming the column, if one does not parse."""
-    out = []
-    for column, attr, parse in _STORED_COLUMNS:
-        if row.get(column) not in (None, ""):
-            try:
-                out.append((column, attr, parse(str(row[column]))))
-            except ValueError as ex:
-                raise ValueError(f"bad stored {column} {row[column]!r}: {ex}") from None
-    return out
-
-
 def cmd_batch(args) -> int:
-    if args.corpus == "bundled":
-        from importlib import resources
-
-        with resources.as_file(
-            resources.files("knotcert").joinpath("data/corpus.csv")
-        ) as p:
-            return _run_batch(Path(p), args)
-    return _run_batch(Path(args.corpus), args)
-
-
-def _corpus_rows(path: Path):
-    """The rows of a corpus file as they are read: a CSV one row at a time,
-    a JSON list after parsing it whole."""
-    with path.open(newline="", encoding="utf-8") as fh:
-        if path.suffix.lower() != ".json":
-            yield from csv.DictReader(fh)
-            return
-        rows = json.load(fh)
-        if not isinstance(rows, list):
-            raise ValueError("a JSON corpus must be a list of objects")
-        yield from rows
-
-
-def _run_batch(path: Path, args) -> int:
+    path = BUNDLED if args.corpus == "bundled" else Path(args.corpus)
     if not path.exists():
         print(f"error: corpus file not found: {path}", file=sys.stderr)
         return EXIT_INPUT
     outdir = Path(args.out) if args.out else None
     if outdir is not None:
         outdir.mkdir(parents=True, exist_ok=True)
-    rows = _corpus_rows(path)
+    rows = corpus_rows(path)
     entries = 0
     counts: dict[str, int] = {}
     names_used: set[str] = set()  # with --out: one report file per name
@@ -272,12 +228,12 @@ def _run_batch(path: Path, args) -> int:
                 if name in names_used:
                     raise ValueError(f"entry name {name!r} is used by an earlier row")
                 names_used.add(name)
-            stored = _stored_values(row)
+            pd, stored = row_values(row)
         except ValueError as ex:
             give_up(name, "failed", ex)
             continue
         try:
-            rep, bundle = _analysis(parse_pd(str(row.get("pd") or "")), args.rank_cap, False)
+            rep, bundle = _analysis(parse_pd(pd), args.rank_cap, False)
             mism = [
                 f"{column}: stored {value}, computed {getattr(bundle, attr)}"
                 for column, attr, value in stored

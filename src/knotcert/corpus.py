@@ -1,19 +1,29 @@
-"""Bundled corpus of alternating knot diagrams with frozen invariants.
-
-The CSV ships with the package (data/corpus.csv) and is regenerated by
-tools/gen_corpus.py from an enumeration of small checkerboard graphs.  The
-stored sigma/det/alexander/genus columns are read back as integers and a
-Laurent polynomial so tests can compare recomputed values against them.
+"""Corpus files, read here only: the CSV or JSON files `batch` runs and the
+bundled corpus (data/corpus.csv, regenerated by tools/gen_corpus.py from an
+enumeration of small checkerboard graphs).  A row's stored
+sigma/det/alexander/genus values are read back as integers and a Laurent
+polynomial so that recomputed values can be compared against them; README
+"Corpus format" gives the fields.
 """
 
 from __future__ import annotations
 
 import csv
-import io
+import json
 from dataclasses import dataclass
-from importlib import resources
+from pathlib import Path
 
 from .invariants import LaurentPolynomial
+
+BUNDLED = Path(__file__).with_name("data") / "corpus.csv"
+
+# optional stored columns: (column, InvariantBundle attribute, parser)
+_STORED_COLUMNS = (
+    ("sigma", "signature", int),
+    ("det", "determinant", int),
+    ("alexander", "alexander", LaurentPolynomial.from_string),
+    ("genus", "genus", int),
+)
 
 
 @dataclass(frozen=True)
@@ -25,27 +35,44 @@ class CorpusEntry:
     alexander: LaurentPolynomial
     genus: int
 
-    @property
-    def crossings(self) -> int:
-        return 0 if not self.pd.strip() else self.pd.count("X(")
+
+def corpus_rows(path: Path):
+    """The rows of a corpus file as they are read: a CSV one row at a time,
+    a JSON list after parsing it whole."""
+    with path.open(newline="", encoding="utf-8-sig") as fh:
+        if path.suffix.lower() != ".json":
+            yield from csv.DictReader(fh)
+            return
+        rows = json.load(fh)
+        if not isinstance(rows, list):
+            raise ValueError("a JSON corpus must be a list of objects")
+        yield from rows
+
+
+def row_values(row: dict) -> tuple[str, list[tuple[str, str, object]]]:
+    """The PD text of a corpus row, and (column, bundle attribute, parsed
+    value) for each of its stored values.  ValueError when the row has no
+    pd value (an empty one is the unknot) or, naming the column, when a
+    stored value does not parse."""
+    if row.get("pd") is None:
+        raise ValueError("corpus row has no pd field")
+    stored = []
+    for column, attr, parse in _STORED_COLUMNS:
+        if row.get(column) not in (None, ""):
+            try:
+                stored.append((column, attr, parse(str(row[column]))))
+            except ValueError as ex:
+                raise ValueError(f"bad stored {column} {row[column]!r}: {ex}") from None
+    return str(row["pd"]), stored
 
 
 def load_corpus() -> tuple[CorpusEntry, ...]:
-    text = (
-        resources.files("knotcert").joinpath("data/corpus.csv").read_text("utf-8")
-    )
+    """The bundled corpus, read by `corpus_rows` and `row_values` as `batch`
+    reads it."""
     entries = []
-    for row in csv.DictReader(io.StringIO(text)):
-        entries.append(
-            CorpusEntry(
-                name=row["name"],
-                pd=row["pd"],
-                sigma=int(row["sigma"]),
-                det=int(row["det"]),
-                alexander=LaurentPolynomial.from_string(row["alexander"]),
-                genus=int(row["genus"]),
-            )
-        )
+    for row in corpus_rows(BUNDLED):
+        pd, stored = row_values(row)
+        entries.append(CorpusEntry(row["name"], pd, **{c: v for c, _, v in stored}))
     return tuple(entries)
 
 

@@ -48,7 +48,7 @@ import re
 from dataclasses import dataclass
 
 from .errors import ClassificationError, DiagramError, InconsistencyError, PDSyntaxError
-from .lattice import connected_classes, two_coloring
+from .lattice import connected_classes
 
 Crossing = tuple[int, int, int, int]
 HalfEdge = tuple[int, int]  # (crossing index, slot 0..3)
@@ -208,17 +208,20 @@ def _trace_faces(d: Diagram) -> tuple[Face, ...]:
 @cached_on_instance
 def checkerboard(d: Diagram) -> tuple[tuple[Face, ...], tuple[Face, ...]]:
     """The faces of color 0 and the faces of color 1, each in face order:
-    faces sharing an arc get opposite colors.  The unknot has one empty face
-    of each color."""
+    the classes of the faces joined at opposite corners of each crossing,
+    color 0 being face 0's.  The unknot has one empty face of each color."""
     faces = _trace_faces(d)
     if d.n == 0:
         return ((),), ((),)
-    owner = {he: fi for fi, face in enumerate(faces) for he in face}
-    # adjacency across arcs: the two half-edges of an arc see its two sides
-    colors = two_coloring(
-        len(faces), ((owner[h1], owner[h2]) for h1, h2 in _occurrences(d).values())
+    owner = [0] * (4 * d.n)  # the face of half-edge (c, s) at 4 c + s
+    for fi, face in enumerate(faces):
+        for ci, s in face:
+            owner[4 * ci + s] = fi
+    # half-edges (c, s) and (c, s + 2) sit at opposite corners of crossing c
+    colors = connected_classes(
+        len(faces), zip(owner[0::4] + owner[1::4], owner[2::4] + owner[3::4])
     )
-    if colors is None:
+    if max(colors) != 1:
         raise DiagramError("faces are not checkerboard 2-colorable")
     return tuple(
         tuple(face for face, c in zip(faces, colors) if c == color) for color in (0, 1)

@@ -36,13 +36,14 @@ from .diagram import (
     Diagram,
     SpecialityReport,
     cached_on_instance,
+    checkerboard,
     classify_special,
     orient,
     seifert_stats,
 )
 from .errors import InconsistencyError
-from .lattice import GramForm, Matrix, connected_classes, det_int, signature_det, two_coloring
-from .tait import cycle_form, cycles_through, orientable_flow_lattice, tait_graphs
+from .lattice import GramForm, Matrix, connected_classes, det_int, signature_det
+from .tait import TaitGraph, cycle_form, cycles_through, orientable_flow_lattice, tait_graphs
 
 # ---------------------------------------------------------------------------
 # Laurent polynomials over the integers
@@ -209,28 +210,20 @@ def goeritz_matrix(d: Diagram, color: int) -> GramForm:
 
     It is the signed Laplacian of that color's Tait graph, each edge weighted
     by its sign and loops skipped.  The matrix on all faces is singular, so
-    the row and column of the last vertex are dropped.  Both colors are built
-    once per diagram, and each one's signature and determinant come from one
-    symmetric elimination (`_goeritz_signature_det`).
+    the row and column of the last vertex are dropped.  It is built afresh on
+    each call; each color's signature and determinant come from one
+    symmetric elimination, memoised by `_goeritz_signature_det`.
     """
-    return _goeritz_matrices(d)[color]
-
-
-@cached_on_instance
-def _goeritz_matrices(d: Diagram) -> tuple[GramForm, GramForm]:
-    out = []
-    for g in tait_graphs(d):
-        m = g.num_vertices
-        full = [[0] * m for _ in range(m)]
-        for (u, v), eta in zip(g.edges, g.edge_signs):
-            if u != v:
-                full[u][v] -= eta
-                full[v][u] -= eta
-                full[u][u] += eta
-                full[v][v] += eta
-        reduced = tuple(tuple(row[: m - 1]) for row in full[: m - 1])
-        out.append(GramForm(reduced))
-    return out[0], out[1]
+    g = tait_graphs(d)[color]
+    m = g.num_vertices
+    full = [[0] * m for _ in range(m)]
+    for (u, v), eta in zip(g.edges, g.edge_signs):
+        if u != v:
+            full[u][v] -= eta
+            full[v][u] -= eta
+            full[u][u] += eta
+            full[v][v] += eta
+    return GramForm(tuple(tuple(row[: m - 1]) for row in full[: m - 1]))
 
 
 @cached_on_instance
@@ -280,6 +273,21 @@ def _chord_cross_sign(n_slots: int, a1: int, b1: int, a2: int, b2: int) -> int:
     return 1 if p < u else -1
 
 
+def _disk_classes(d: Diagram, g: TaitGraph) -> list[int]:
+    """Each disk's class (a vertex of the orientable color's Tait graph g):
+    0 when its boundary runs with the knot at its first half-edge as disk
+    0's does, else 1.  A face leaves half-edge (c, s) along the arc there,
+    which points into c at slot 0 and at the over-strand's entry slot.
+    InconsistencyError when a band joins two disks of one class."""
+    over_in_slot = orient(d).over_in_slot
+    disks = checkerboard(d)[classify_special(d).orientable_color]
+    runs_with = [s not in (0, over_in_slot[ci]) for ci, s in (disk[0] for disk in disks)]
+    cls = [int(w != runs_with[0]) for w in runs_with]
+    if any(cls[u] == cls[v] for u, v in g.edges):
+        raise InconsistencyError("checkerboard graph of the orientable color is not bipartite")
+    return cls
+
+
 def seifert_matrix_special(d: Diagram) -> Matrix:
     """Seifert matrix of a special diagram on its checkerboard Seifert surface.
 
@@ -303,9 +311,7 @@ def seifert_matrix_special(d: Diagram) -> Matrix:
     signs = orient(d).signs
     if g.edge_signs != signs:
         raise InconsistencyError("orientable color's edge signs differ from the crossing signs")
-    cls = two_coloring(g.num_vertices, g.edges)
-    if cls is None:
-        raise InconsistencyError("checkerboard graph of the orientable color is not bipartite")
+    cls = _disk_classes(d, g)
 
     # Band part: crossings shared by two basis curves.
     band = cycle_form(g, walks, [-sign for sign in signs])

@@ -157,28 +157,6 @@ def connected_classes(n: int, pairs, linked=None) -> list[int]:
     return [labels.setdefault(find(x), len(labels)) for x in range(n)]
 
 
-def two_coloring(n: int, edges) -> list[int] | None:
-    """Colors 0/1 of the vertices 0..n-1 of a connected graph, vertex 0
-    colored 0, such that every edge joins two colors; None when an odd cycle
-    (a loop included) makes that impossible."""
-    adj: list[list[int]] = [[] for _ in range(n)]
-    for u, v in edges:
-        adj[u].append(v)
-        adj[v].append(u)
-    colors = [-1] * n
-    colors[0] = 0
-    stack = [0]
-    while stack:
-        u = stack.pop()
-        for v in adj[u]:
-            if colors[v] < 0:
-                colors[v] = 1 - colors[u]
-                stack.append(v)
-            elif colors[v] == colors[u]:
-                return None
-    return colors
-
-
 def gram_image(gram, v) -> tuple[int, ...]:
     """G v; the form's value on (v, w) is then dot(G v, w)."""
     return tuple(sum(map(mul, row, v)) for row in gram)

@@ -7,7 +7,7 @@ from __future__ import annotations
 import random
 
 from knotcert.lattice import identity, mat_mul, transpose
-from knotcert.medial import PlaneGraph
+from knotcert.medial import PlaneGraph, medial_diagram
 
 
 def random_unimodular(n: int, rng: random.Random, steps: int = 12,
@@ -410,6 +410,38 @@ def necklace(sides):
         for i in range(m)
     )
     return PlaneGraph(tuple(edges), rotations)
+
+
+def wide_necklace(rng: random.Random):
+    """A seeded necklace knot of 25-41 crossings, as the wide-diagrams
+    benchmark draws them."""
+    m, n = rng.choice(((3, 25), (5, 29), (3, 33), (7, 37), (5, 41)))
+    sides = [3] * m
+    for _ in range((n - 3 * m) // 2):
+        sides[rng.randrange(m)] += 2
+    return medial_diagram(necklace(sides), rng.choice((1, -1)))[0]
+
+
+def two_coloring(n: int, edges) -> list[int] | None:
+    """Colors 0/1 of the vertices 0..n-1 of a connected graph, vertex 0
+    colored 0, such that every edge joins two colors, found by a depth-first
+    search; None when an odd cycle (a loop included) makes that impossible."""
+    adj: list[list[int]] = [[] for _ in range(n)]
+    for u, v in edges:
+        adj[u].append(v)
+        adj[v].append(u)
+    colors = [-1] * n
+    colors[0] = 0
+    stack = [0]
+    while stack:
+        u = stack.pop()
+        for v in adj[u]:
+            if colors[v] < 0:
+                colors[v] = 1 - colors[u]
+                stack.append(v)
+            elif colors[v] == colors[u]:
+                return None
+    return colors
 
 
 # ---------------------------------------------------------------------------

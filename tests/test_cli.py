@@ -439,6 +439,14 @@ def test_batch_empty_corpus(tmp_path, capsys):
     assert "entries: 0" in out
 
 
+def test_analyze_pd_file_with_a_byte_order_mark(tmp_path, capsys):
+    f = tmp_path / "pd.txt"
+    f.write_text(TREFOIL, "utf-8-sig")
+    code, out, _ = run(capsys, "analyze", "--pd-file", str(f), "--json")
+    assert code == 0
+    assert json.loads(out)["invariants"]["determinant"] == 3
+
+
 def _batch_peak(tmp_path, capsys, rows):
     """Exit code and tracemalloc peak of `batch --json` on `rows` trefoils."""
     f = tmp_path / f"trefoils{rows}.csv"
@@ -551,8 +559,12 @@ def test_batch_malformed_entry_warns_and_continues(tmp_path, capsys):
         ("c.csv", f'name,pd,sigma\nbad,"{TREFOIL}",abc\ngood,"{TREFOIL}",\n', "bad"),
         ("c.csv", f'name,pd,alexander\nbad,"{TREFOIL}",2x + 1\ngood,"{TREFOIL}",\n', "bad"),
         ("c.json", json.dumps(["not an object", {"name": "good", "pd": TREFOIL}]), "entry0"),
+        ("c.json", json.dumps([{"name": "bad"}, {"name": "good", "pd": TREFOIL}]), "bad"),
+        ("c.json", json.dumps([{"name": "bad", "pd": None}, {"name": "good", "pd": TREFOIL}]), "bad"),
+        ("c.csv", f'name,pd,sigma\nbad\ngood,"{TREFOIL}"\n', "bad"),
     ],
-    ids=["bad-sigma", "bad-alexander", "json-row-not-object"],
+    ids=["bad-sigma", "bad-alexander", "json-row-not-object", "json-no-pd", "json-null-pd",
+         "csv-short-row"],
 )
 def test_batch_malformed_row_fails_only_that_entry(tmp_path, capsys, filename, text, bad_name):
     f = tmp_path / filename
@@ -563,6 +575,35 @@ def test_batch_malformed_row_fails_only_that_entry(tmp_path, capsys, filename, t
     summary = json.loads(out)
     assert summary["failures"] == 1
     assert summary["counts"] == {"band_prime_certified": 1, "failed": 1}
+
+
+def test_batch_corpus_without_a_pd_column_fails_every_row(tmp_path, capsys):
+    """A row with no pd value fails; only an empty one is the unknot.  With
+    a `PD` header no row has one."""
+    f = tmp_path / "c.csv"
+    f.write_text(f'name,PD\ntrefoil,"{TREFOIL}"\nunknot,\n')
+    code, out, err = run(capsys, "batch", str(f), "--json")
+    assert code == 0
+    assert err == "".join(f"warning: {name}: corpus row has no pd field\n" for name in ("trefoil", "unknot"))
+    assert json.loads(out)["counts"] == {"failed": 2}
+
+
+@pytest.mark.parametrize(
+    "filename, text",
+    [
+        ("c.csv", f'pd,name\n"{TREFOIL}",trefoil\n'),
+        ("c.json", json.dumps([{"name": "trefoil", "pd": TREFOIL}])),
+    ],
+    ids=["csv-pd-first", "json"],
+)
+def test_batch_reads_a_corpus_with_a_byte_order_mark(tmp_path, capsys, filename, text):
+    f = tmp_path / filename
+    f.write_text(text, "utf-8-sig")
+    outdir = tmp_path / "out"
+    code, out, err = run(capsys, "batch", str(f), "--json", "--out", str(outdir))
+    assert code == 0 and err == ""
+    assert [p.name for p in outdir.iterdir()] == ["trefoil.json"]
+    assert json.loads((outdir / "trefoil.json").read_text())["invariants"]["determinant"] == 3
 
 
 def test_batch_names_that_are_not_file_names_fail_only_that_entry(tmp_path, capsys):

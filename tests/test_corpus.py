@@ -1,6 +1,7 @@
 """The bundled corpus: shape, naming, and stored-vs-recomputed invariants."""
 
-from knotcert.corpus import corpus_entry, load_corpus
+from knotcert import cli
+from knotcert.corpus import corpus_entry, load_corpus, row_values
 from knotcert.diagram import classify_special, connected_sum_factors, parse_pd
 from knotcert.invariants import invariant_bundle
 
@@ -78,3 +79,23 @@ def test_composite_factor_counts():
     assert len(connected_sum_factors(parse_pd(corpus_entry("3_1#3_1").pd))) == 2
     assert len(connected_sum_factors(parse_pd(corpus_entry("3_1#3_1#3_1").pd))) == 3
     assert len(connected_sum_factors(parse_pd(corpus_entry("9_5").pd))) == 1
+
+
+def test_batch_bundled_reads_what_load_corpus_reads(monkeypatch, capsys):
+    """`batch bundled` reads the names, PD codes and stored values that
+    `load_corpus()` holds, in its order."""
+    seen = []
+
+    def recorded(row):
+        pd, stored = row_values(row)
+        seen.append((row["name"], pd, {attr: value for _, attr, value in stored}))
+        return pd, stored
+
+    monkeypatch.setattr(cli, "row_values", recorded)
+    assert cli.main(["batch", "bundled", "--json"]) == 0
+    capsys.readouterr()
+    assert seen == [
+        (e.name, e.pd, {"signature": e.sigma, "determinant": e.det,
+                        "alexander": e.alexander, "genus": e.genus})
+        for e in CORPUS
+    ]

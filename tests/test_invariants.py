@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import copy
+import dataclasses
 import random
 from fractions import Fraction
 
@@ -17,11 +18,22 @@ from helpers import (
     poly_value,
     random_connected_multigraph,
     theta,
+    two_coloring,
     unit_residue_rescan,
+    wide_necklace,
 )
 from knotcert import invariants
 from knotcert.corpus import load_corpus
-from knotcert.diagram import build_diagram, classify_special, mirror_diagram, orient, parse_pd
+from knotcert.diagram import (
+    _trace_faces,
+    build_diagram,
+    checkerboard,
+    classify_special,
+    is_alternating,
+    mirror_diagram,
+    orient,
+    parse_pd,
+)
 from knotcert.errors import ClassificationError, InconsistencyError
 from knotcert.invariants import (
     LaurentPolynomial,
@@ -38,7 +50,7 @@ from knotcert.invariants import (
 )
 from knotcert.lattice import det_int
 from knotcert.medial import PlaneGraph, medial_diagram
-from knotcert.tait import orientable_flow_lattice
+from knotcert.tait import orientable_flow_lattice, orientable_tait_graph
 
 LEFT_TREFOIL = "X(1,4,2,5) X(3,6,4,1) X(5,2,6,3)"
 RIGHT_TREFOIL_ROTATED = "X(1,4,2,3) X(3,6,4,5) X(5,2,6,1)"
@@ -426,12 +438,7 @@ def test_unit_residue_heap_matches_rescan():
             if classify_special(d).is_special:
                 yield from (_seifert_rows(o) for o in (d, mirror_diagram(d)))
         diagrams = [medial_diagram(theta(k), k % 4 - 2)[0] for k in range(3, 62, 2)]
-        for _ in range(25):  # necklaces of 25-41 crossings
-            m, n = rng.choice(((3, 25), (5, 29), (3, 33), (7, 37), (5, 41)))
-            sides = [3] * m
-            for _ in range((n - 3 * m) // 2):
-                sides[rng.randrange(m)] += 2
-            diagrams.append(medial_diagram(necklace(sides), rng.choice((1, -1)))[0])
+        diagrams += [wide_necklace(rng) for _ in range(25)]
         while len(diagrams) < 30 + 25 + 300:
             n, edges = random_connected_multigraph(rng, max_edges=9)
             g = plane_graph_from_multigraph(n, edges) if edges else None
@@ -554,3 +561,44 @@ def test_bundle_consistency_on_random_special_knots():
             for j in range(r):
                 assert v[i][j] + v[j][i] == -s * gram[i][j]
     assert knots >= 12
+
+
+def test_checkerboard_and_seifert_disk_classes_match_a_two_coloring():
+    """The checkerboard's colors are the search 2-coloring of the faces
+    across arcs, face 0 in color 0, and a special diagram's Seifert disk
+    classes are that of its orientable Tait graph, disk 0 in class 0: on the
+    corpus, wide-diagrams necklaces, 300 random medials (links too) and
+    those with some crossings changed."""
+    rng = random.Random(16)
+    diagrams = [parse_pd(e.pd) for e in load_corpus()]
+    diagrams += [wide_necklace(rng) for _ in range(25)]
+    medials = 0
+    while medials < 300:
+        n, edges = random_connected_multigraph(rng, max_edges=9)
+        g = plane_graph_from_multigraph(n, edges) if edges else None
+        if g is not None:
+            medials += 1
+            d = medial_diagram(g, rng.choice((1, -1)))[0]
+            diagrams += [d, _crossing_changed(d, rng)]
+    special = non_alternating = 0
+    for d in diagrams[1:]:  # the corpus' first entry is the 0-crossing unknot
+        faces = _trace_faces(d)
+        sides: dict[int, list[int]] = {}
+        for fi, face in enumerate(faces):
+            for ci, s in face:
+                sides.setdefault(d.crossings[ci][s], []).append(fi)
+        colors = two_coloring(len(faces), sides.values())
+        assert checkerboard(d) == tuple(
+            tuple(f for f, c in zip(faces, colors) if c == k) for k in (0, 1)
+        ), d.pd_text()
+        if orient(d).components == 1 and classify_special(d).is_special:
+            g = orientable_tait_graph(d)
+            assert invariants._disk_classes(d, g) == two_coloring(g.num_vertices, g.edges), d.pd_text()
+            special += 1
+            non_alternating += not is_alternating(d)
+    assert special >= 200 and non_alternating >= 50, (special, non_alternating)
+    d = parse_pd(LEFT_TREFOIL)
+    g = orientable_tait_graph(d)
+    looped = dataclasses.replace(g, edges=g.edges[:-1] + ((0, 0),))  # a band from disk 0 to itself
+    with pytest.raises(InconsistencyError, match="not bipartite"):
+        invariants._disk_classes(d, looped)

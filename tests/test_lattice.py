@@ -44,7 +44,6 @@ from knotcert.lattice import (
     signature,
     signature_det,
     transpose,
-    two_coloring,
 )
 from knotcert.corpus import load_corpus
 from knotcert.diagram import parse_pd
@@ -690,9 +689,3 @@ def test_indecomposable_summands_skips_joined_pairs(monkeypatch):
     assert len(dec.summands) == 1
     assert len(calls) < 36 * 35 // 4, len(calls)
 
-
-def test_two_coloring():
-    assert two_coloring(4, [(0, 1), (1, 2), (2, 3), (3, 0)]) == [0, 1, 0, 1]
-    assert two_coloring(3, [(0, 1), (1, 2), (2, 0)]) is None
-    assert two_coloring(2, [(0, 1), (1, 1)]) is None  # a loop
-    assert two_coloring(1, []) == [0]

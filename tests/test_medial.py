@@ -13,6 +13,7 @@ from helpers import (
     random_connected_multigraph,
     spanning_tree_count,
     theta,
+    two_coloring,
 )
 from knotcert.diagram import (
     classify_special,
@@ -172,27 +173,6 @@ def test_three_summand_chain():
     assert b.determinant == 27 and abs(b.signature) == 6 and b.genus == 3
 
 
-def _is_bipartite(n_vertices, edges):
-    color = [-1] * n_vertices
-    for start in range(n_vertices):
-        if color[start] != -1:
-            continue
-        color[start] = 0
-        stack = [start]
-        while stack:
-            u = stack.pop()
-            for (a, b) in edges:
-                if u not in (a, b):
-                    continue
-                w = b if a == u else a
-                if color[w] == -1:
-                    color[w] = 1 - color[u]
-                    stack.append(w)
-                elif color[w] == color[u]:
-                    return False
-    return True
-
-
 def test_random_planar_medials_det_counts_trees():
     """Medial knots of random planar multigraphs are alternating, their
     determinant equals the number of spanning trees of the graph, and they
@@ -222,7 +202,7 @@ def test_random_planar_medials_det_counts_trees():
         knots += 1
         rep = classify_special(d)
         bip = [
-            _is_bipartite(t.num_vertices, t.edges)
+            two_coloring(t.num_vertices, t.edges) is not None
             for t in (tait_graph(d, 0), tait_graph(d, 1))
         ]
         assert rep.is_special == (bip[0] or bip[1]), (n, edges, sign)
