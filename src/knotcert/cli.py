@@ -118,9 +118,7 @@ def _analysis_text(rep: dict) -> str:
             f"orientable color {sp['orientable_color']})"
         )
     else:
-        lines.append(
-            f"special alternating: no (alternating: {_yesno(sp['is_alternating'])})"
-        )
+        lines.append(f"special alternating: no (alternating: {_yesno(sp['is_alternating'])})")
     genus_tag = "exact" if inv["genus_is_exact"] else "upper bound"
     lines.append(
         f"signature: {inv['signature']}   determinant: {inv['determinant']}   "
@@ -133,9 +131,7 @@ def _analysis_text(rep: dict) -> str:
     )
     if rep["hfk"] is not None:
         total = sum(e["rank"] for e in rep["hfk"]["entries"])
-        lines.append(
-            f"hfk: thin, total rank {total}, delta grading {rep['hfk']['delta_grading']}"
-        )
+        lines.append(f"hfk: thin, total rank {total}, delta grading {rep['hfk']['delta_grading']}")
     else:
         lines.append("hfk: not computed (diagram is not alternating)")
     lines.append(
@@ -184,7 +180,7 @@ def cmd_analyze(args) -> int:
 
 def cmd_batch(args) -> int:
     path = BUNDLED if args.corpus == "bundled" else Path(args.corpus)
-    if not path.exists():
+    if not path.exists() or path.is_dir():  # before --out makes a directory
         print(f"error: corpus file not found: {path}", file=sys.stderr)
         return EXIT_INPUT
     outdir = Path(args.out) if args.out else None

@@ -223,9 +223,7 @@ def checkerboard(d: Diagram) -> tuple[tuple[Face, ...], tuple[Face, ...]]:
     )
     if max(colors) != 1:
         raise DiagramError("faces are not checkerboard 2-colorable")
-    return tuple(
-        tuple(face for face, c in zip(faces, colors) if c == color) for color in (0, 1)
-    )
+    return tuple(tuple(face for face, c in zip(faces, colors) if c == color) for color in (0, 1))
 
 
 # ---------------------------------------------------------------------------
@@ -308,9 +306,7 @@ def orient(d: Diagram) -> Orientation:
 def is_alternating(d: Diagram) -> bool:
     """True when every strand alternates over/under passages (cyclically);
     raises ClassificationError when the strands cannot be oriented."""
-    return all(
-        (walk[i - 1][1] - walk[i][1]) % 2 for walk in _strands(d) for i in range(len(walk))
-    )
+    return all((walk[i - 1][1] - walk[i][1]) % 2 for walk in _strands(d) for i in range(len(walk)))
 
 
 # ---------------------------------------------------------------------------
@@ -377,9 +373,7 @@ def classify_special(d: Diagram) -> SpecialityReport:
     """
     ori = orient(d)
     if ori.components != 1:
-        raise ClassificationError(
-            f"expected a knot, got {ori.components} components"
-        )
+        raise ClassificationError(f"expected a knot, got {ori.components} components")
     alt = is_alternating(d)
     if d.n == 0:
         # 0-crossing unknot: special by convention, sign +1 by convention
@@ -420,12 +414,7 @@ def mirror_diagram(d: Diagram) -> Diagram:
     The tuple for each crossing is rotated so the old over-in arc becomes the
     new under-in arc; arc directions are preserved, all crossing signs flip.
     """
-    over_in_slot = orient(d).over_in_slot
-    out = []
-    for ci, c in enumerate(d.crossings):
-        k = over_in_slot[ci]
-        out.append((c[k], c[(k + 1) % 4], c[(k + 2) % 4], c[(k + 3) % 4]))
-    return build_diagram(out)
+    return build_diagram(c[k:] + c[:k] for c, k in zip(d.crossings, orient(d).over_in_slot))
 
 
 # ---------------------------------------------------------------------------
@@ -444,9 +433,7 @@ def connected_sum_factors(d: Diagram) -> tuple[Diagram, ...]:
     from .medial import rebuild_factors
 
     if not is_alternating(d):
-        raise ClassificationError(
-            "connected-sum factorization requires an alternating diagram"
-        )
+        raise ClassificationError("connected-sum factorization requires an alternating diagram")
     if d.n == 0:
         return (d,)
     return rebuild_factors(d)

@@ -205,31 +205,33 @@ def _interpolate_int_poly(xs: list[int], ys: list[int]) -> list[int]:
 # ---------------------------------------------------------------------------
 # Goeritz matrices and the signature
 
-def goeritz_matrix(d: Diagram, color: int) -> GramForm:
-    """Goeritz matrix of the faces of the given color (last face deleted).
-
-    It is the signed Laplacian of that color's Tait graph, each edge weighted
-    by its sign and loops skipped.  The matrix on all faces is singular, so
-    the row and column of the last vertex are dropped.  It is built afresh on
-    each call; each color's signature and determinant come from one
-    symmetric elimination, memoised by `_goeritz_signature_det`.
-    """
-    g = tait_graphs(d)[color]
-    m = g.num_vertices
-    full = [[0] * m for _ in range(m)]
+def _goeritz_rows(g: TaitGraph) -> list[dict[int, int]]:
+    """The Goeritz matrix of a Tait graph as rows {column: value} of its
+    nonzero entries: the signed Laplacian, each edge weighted by its sign and
+    loops skipped, without the last vertex's row and column (the matrix on
+    all vertices is singular)."""
+    m = g.num_vertices - 1
+    rows: list[dict[int, int]] = [{} for _ in range(m + 1)]
     for (u, v), eta in zip(g.edges, g.edge_signs):
         if u != v:
-            full[u][v] -= eta
-            full[v][u] -= eta
-            full[u][u] += eta
-            full[v][v] += eta
-    return GramForm(tuple(tuple(row[: m - 1]) for row in full[: m - 1]))
+            for a, b, x in ((u, u, eta), (v, v, eta), (u, v, -eta), (v, u, -eta)):
+                rows[a][b] = rows[a].get(b, 0) + x
+    return [{j: x for j, x in row.items() if x and j < m} for row in rows[:m]]
+
+
+def goeritz_matrix(d: Diagram, color: int) -> GramForm:
+    """Goeritz matrix of the faces of the given color (last face deleted) as
+    a dense form, built only on request: the invariants eliminate the sparse
+    `_goeritz_rows` instead (`_goeritz_signature_det`)."""
+    rows = _goeritz_rows(tait_graphs(d)[color])
+    return GramForm(tuple(tuple(row.get(j, 0) for j in range(len(rows))) for row in rows))
 
 
 @cached_on_instance
 def _goeritz_signature_det(d: Diagram) -> tuple[tuple[int, int], tuple[int, int]]:
-    """(signature, determinant) of each color's Goeritz matrix, one pass each."""
-    return signature_det(goeritz_matrix(d, 0)), signature_det(goeritz_matrix(d, 1))
+    """(signature, determinant) of each color's Goeritz matrix, from one
+    sparse elimination of its rows each."""
+    return tuple(signature_det(_goeritz_rows(g)) for g in tait_graphs(d))
 
 
 def _correction_term(d: Diagram, surface_color: int) -> int:

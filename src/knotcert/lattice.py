@@ -1,10 +1,12 @@
 """Exact arithmetic for integral quadratic forms.
 
-Everything here works on small Gram matrices (rank <= 12 by default) with
-integer entries, so all answers are exact: determinants, inertia and the
-factorization behind Fincke-Pohst enumeration use fraction-free (Bareiss)
-elimination, whose divisions are exact, and nothing here uses `Fraction`.
-The two nontrivial operations are
+All arithmetic is on integers and exact, and nothing here uses `Fraction`:
+determinants, inertia and the factorization behind Fincke-Pohst use
+fraction-free (Bareiss) elimination, whose divisions are exact.  Inertia
+(`_sylvester`) eliminates sparse rows in least-degree order, so a Goeritz
+form of hundreds of faces, a sparse planar Laplacian, costs about its
+fill-in; the enumerations work on small definite Gram matrices (rank <= 12
+by default).  The two nontrivial operations are
 
 * `indecomposable_summands` -- split a definite lattice L into its
   orthogonally indecomposable summands.  Call a nonzero v *decomposable* if
@@ -35,6 +37,7 @@ before being handed back.
 from __future__ import annotations
 
 from dataclasses import dataclass
+import heapq
 import math
 from operator import mul
 
@@ -176,38 +179,15 @@ def congruence(u_cols, gram) -> list[list[int]]:
 
 
 def _symmetric_bareiss(matrix):
-    """Symmetric fraction-free (Bareiss) elimination a row at a time, as in
-    `det_int`; yields each pivot p_k, a leading principal minor of a congruent
-    matrix, with the entries b_ik below it: its LDL^T has d_k = p_k / p_{k-1}
-    and L_ik = b_ik / p_k (p_{-1} = 1).  The matrix must be symmetric (callers
-    pass a `GramForm`'s matrix or its `greedy_reduce` congruent), and only
-    its upper triangle is read and kept: row i holds a_ii, a_i,i+1, ...,
-    so the entries below a pivot are the ones right of it, and a row with a
-    zero there is only rescaled.  A zero pivot is swapped symmetrically with a
-    later nonzero diagonal entry, or made by e_i += e_j when the whole
-    remaining diagonal vanishes (on the full block, rebuilt for that step):
-    unimodular congruences on the uneliminated indices, so every division
-    stays exact, and never needed when every leading principal minor is
-    nonzero.  An all-zero remaining block (the kernel) ends the steps."""
+    """Symmetric fraction-free (Bareiss) elimination in natural order, a row
+    at a time as in `det_int`, for `_fincke_pohst`: yields each pivot p_k,
+    a leading principal minor, with the entries b_ik below it; the LDL^T has
+    d_k = p_k / p_{k-1} and L_ik = b_ik / p_k (p_{-1} = 1).  Row i keeps only
+    a_ii, a_i,i+1, ... of the symmetric matrix.  Stops at the first pivot
+    that is not positive."""
     a = [list(row[i:]) for i, row in enumerate(matrix)]
     prev = 1
-    while a:
-        if not a[0][0]:
-            m = len(a)
-            full = [[a[min(i, j)][abs(i - j)] for j in range(m)] for i in range(m)]
-            k = next((i for i, row in enumerate(full) if row[i]), None)
-            if k is None:
-                ij = next(((i, j) for i in range(m) for j in range(i + 1, m) if full[i][j]), None)
-                if ij is None:
-                    return
-                k, j = ij
-                for row in full:
-                    row[k] += row[j]
-                full[k] = [x + y for x, y in zip(full[k], full[j])]
-            full[0], full[k] = full[k], full[0]
-            for row in full:
-                row[0], row[k] = row[k], row[0]
-            a = [row[i:] for i, row in enumerate(full)]
+    while a and a[0][0] > 0:
         top = a[0]
         p = top[0]
         yield p, top[1:]
@@ -219,27 +199,82 @@ def _symmetric_bareiss(matrix):
         prev = p
 
 
-def _sylvester(matrix) -> tuple[int, int, int, int]:
-    """(positive, negative, zero, last pivot) of one `_symmetric_bareiss`
-    pass: d_k has the sign of p_k p_{k-1} (Sylvester's rule), and each step
-    is a congruence by a matrix of determinant +-1, so the last pivot of a
-    nondegenerate matrix is its determinant."""
-    pos = neg = 0
+def sparse_rows(matrix) -> list[dict[int, int]]:
+    """The nonzero entries of a matrix as rows {column: value}."""
+    return [{j: x for j, x in enumerate(row) if x} for row in matrix]
+
+
+def _sylvester(rows) -> tuple[int, int, int, int]:
+    """(positive, negative, zero, last pivot) of a symmetric matrix given by
+    its nonzero entries as rows {column: value} (consumed: eliminated rows
+    are emptied), by fraction-free (Bareiss) elimination in least-degree
+    order: each step pivots on the live row of least length with a nonzero
+    diagonal, ties to the least index.  When the whole remaining diagonal
+    vanishes, e_k += e_j on an entry a_kj != 0 makes the pivot 2 a_kj; an
+    all-zero remaining block is the kernel.  Both moves are congruences of
+    determinant +-1, so each pivot p_k is a leading principal minor of a
+    congruent matrix, d_k has the sign of p_k p_{k-1} (Sylvester's rule) and
+    the last pivot of a nondegenerate matrix is its determinant.  Rescaling
+    is lazy: a row keeps the scale p_s of the step that last updated it, and
+    an entry untouched since is worth v p_k / p_s at step k, a minor, so
+    every division is exact."""
+    n = len(rows)
+    scale = [1] * n
+    heap = [(len(row), i) for i, row in enumerate(rows) if i in row]
+    heapq.heapify(heap)
+    rank = neg = 0
     prev = 1
-    for p, _ in _symmetric_bareiss(matrix):
-        if (p > 0) == (prev > 0):
-            pos += 1
+    while rank < n:
+        while heap:
+            length, k = heapq.heappop(heap)
+            top = rows[k]
+            if length == len(top) and k in top:
+                s = scale[k]
+                if s != prev:
+                    top = {c: x * prev // s for c, x in top.items()}
+                break
         else:
-            neg += 1
+            k = next((i for i, row in enumerate(rows) if row), None)
+            if k is None:
+                break
+            j = min(rows[k])
+            top, rj = ({c: x * prev // scale[i] for c, x in rows[i].items()} for i in (k, j))
+            for c, x in rj.items():
+                top[c] = top.get(c, 0) + x
+                if c != k and c != j:
+                    row = rows[c]
+                    row[k] = row.get(k, 0) + row[j]
+                    if not row[k]:
+                        del row[k]
+            top[k] += top[j]
+            top = {c: x for c, x in top.items() if x}
+        rows[k] = {}
+        p = top.pop(k)
+        for i, f in top.items():
+            row = rows[i]
+            del row[k]
+            s = scale[i]
+            if s != prev:
+                row = {j: x * prev // s for j, x in row.items()}
+            new = {j: x * p // prev for j, x in row.items() if j not in top}
+            for j, b in top.items():
+                v = (row.get(j, 0) * p - f * b) // prev
+                if v:
+                    new[j] = v
+            rows[i] = new
+            scale[i] = p
+            if i in new:
+                heapq.heappush(heap, (len(new), i))
+        neg += (p > 0) != (prev > 0)
+        rank += 1
         prev = p
-    return pos, neg, len(matrix) - pos - neg, prev
+    return rank - neg, neg, n - rank, prev
 
 
 def inertia(matrix) -> tuple[int, int, int]:
-    """(positive, negative, zero) eigenvalue counts of a matrix that must be
-    symmetric, such as a `GramForm`'s: only its upper triangle is read
-    (`_sylvester`)."""
-    return _sylvester(matrix)[:3]
+    """(positive, negative, zero) eigenvalue counts of a symmetric matrix,
+    such as a `GramForm`'s (`_sylvester`)."""
+    return _sylvester(sparse_rows(matrix))[:3]
 
 
 def definiteness(q: GramForm) -> str:
@@ -260,15 +295,14 @@ def signature(q: GramForm) -> int:
     return signature_det(q)[0]
 
 
-def signature_det(q: GramForm) -> tuple[int, int]:
-    """Signature and determinant of a nondegenerate form from one
-    `_symmetric_bareiss` pass (`_sylvester`); raises DegenerateFormError on a
-    degenerate form."""
-    pos, neg, zero, det = _sylvester(q.matrix)
+def signature_det(q: GramForm | list[dict[int, int]]) -> tuple[int, int]:
+    """Signature and determinant of a nondegenerate form, a `GramForm` or
+    the sparse rows of a symmetric matrix (consumed), from one `_sylvester`
+    pass; raises DegenerateFormError on a degenerate form."""
+    rows = sparse_rows(q.matrix) if isinstance(q, GramForm) else q
+    pos, neg, zero, det = _sylvester(rows)
     if zero:
-        raise DegenerateFormError(
-            f"form of rank {q.rank} has {zero}-dimensional kernel"
-        )
+        raise DegenerateFormError(f"form of rank {len(rows)} has {zero}-dimensional kernel")
     return pos - neg, det
 
 
@@ -316,10 +350,8 @@ def greedy_reduce(gram) -> tuple[list[list[int]], list[list[int]]]:
                 # b_j += t * b_i
                 for r in range(n):
                     u[r][j] += t * u[r][i]
-                for k in range(n):
-                    g[k][j] += t * g[k][i]
-                for k in range(n):
-                    g[j][k] += t * g[i][k]
+                    g[r][j] += t * g[r][i]
+                g[j] = [x + t * y for x, y in zip(g[j], g[i])]
                 improved = True
     return g, u
 
@@ -333,7 +365,7 @@ def _fincke_pohst(gram):
     definite Gram matrix, from one `_symmetric_bareiss` run."""
     steps = list(_symmetric_bareiss(gram))
     pivots = [p for p, _ in steps]
-    if len(pivots) < len(gram) or min(pivots) <= 0:
+    if len(pivots) < len(gram):
         raise ValueError("Fincke-Pohst enumeration requires a positive definite matrix")
     # x^T G x = sum_k z_k^2 / (p_{k-1} p_k) with z_k = p_k x_k + sum_{i>k} b_ik x_i;
     # times scale = lcm(p_{k-1} p_k) that is sum_k w_k z_k^2, all in integers.
@@ -527,9 +559,7 @@ def indecomposable_summands(
     bases = sorted(lattice_row_basis(c) for c in classes.values())
     sizes = [len(b) for b in bases]
     if sum(sizes) != n:  # pragma: no cover - guarded by the theory
-        raise InconsistencyError(
-            f"indecomposable vectors span rank {sum(sizes)} != {n}"
-        )
+        raise InconsistencyError(f"indecomposable vectors span rank {sum(sizes)} != {n}")
 
     u_cols = mat_mul(u_red, transpose([row for b in bases for row in b]))  # columns = final basis
     if abs(det_int(u_cols)) != 1:  # pragma: no cover - guarded by the theory

@@ -97,9 +97,7 @@ def medial_diagram(g: PlaneGraph, vertex_sign: int) -> tuple[Diagram, int]:
             raise InconsistencyError("strand walk entered a crossing irregularly")
         under_in = next(s for s in entries if s in under_slots)
         quad = slots[ei]
-        crossings.append(
-            tuple(labels[quad[(under_in + k) % 4]] for k in range(4))
-        )
+        crossings.append(tuple(labels[quad[(under_in + k) % 4]] for k in range(4)))
     return build_diagram(crossings), components
 
 

@@ -25,6 +25,7 @@ Three kinds of verdict come out of here:
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -175,14 +176,10 @@ def band_prime_certificate(d: Diagram, rank_cap: int = DEFAULT_RANK_CAP) -> Cert
         if kind != "positive_definite":
             problems.append(f"factor flow lattice is {kind}, expected positive definite")
         if len(dec.summands) != 1:
-            problems.append(
-                f"factor flow lattice split into {len(dec.summands)} summands"
-            )
+            problems.append(f"factor flow lattice split into {len(dec.summands)} summands")
         nblocks = blocks_full if f is d else _positive_rank_blocks(g)
         if nblocks != 1:
-            problems.append(
-                f"factor graph has {nblocks} positive-rank blocks, expected 1"
-            )
+            problems.append(f"factor graph has {nblocks} positive-rank blocks, expected 1")
         if sig != -frep.uniform_sign * rank:
             problems.append(
                 f"factor signature {sig} != {-frep.uniform_sign * rank} "
@@ -238,21 +235,10 @@ def _is_prime_power(n: int) -> bool:
     """True for 1 (a unit) and p^k; False otherwise."""
     if n < 1:
         return False
-    if n == 1:
-        return True
-    p = None
-    m = n
-    d = 2
-    while d * d <= m:
-        if m % d == 0:
-            p = d
-            while m % d == 0:
-                m //= d
-            break
-        d += 1
-    if p is None:
-        return True  # n itself prime
-    return m == 1
+    p = next((d for d in range(2, math.isqrt(n) + 1) if n % d == 0), n)  # least prime factor
+    while n > 1 and n % p == 0:
+        n //= p
+    return n == 1
 
 
 @dataclass(frozen=True)
@@ -374,9 +360,7 @@ def concordance_pair_obstructions(
                 )
             )
         if lower.genus_is_exact and upper.genus_is_exact and lower.genus != upper.genus:
-            findings.append(
-                Finding("genus_mismatch", f"{lower.genus} vs {upper.genus}")
-            )
+            findings.append(Finding("genus_mismatch", f"{lower.genus} vs {upper.genus}"))
         if (
             lower_hfk is not None
             and upper_hfk is not None

@@ -5,7 +5,9 @@ dependency)."""
 from __future__ import annotations
 
 import random
+from typing import NamedTuple
 
+from knotcert.diagram import Diagram
 from knotcert.lattice import identity, mat_mul, transpose
 from knotcert.medial import PlaneGraph, medial_diagram
 
@@ -50,36 +52,56 @@ def congruent_scramble(matrix, rng: random.Random):
     return [list(map(int, row)) for row in m], u
 
 
-def random_connected_multigraph(rng: random.Random, max_edges: int = 10,
-                                allow_loops: bool = True, max_vertices: int = 6):
-    """Random connected multigraph as (n_vertices, [(u, v), ...]).
+class Draw(NamedTuple):
+    """One draw of `random_draws`: the multigraph, and as far as its stage
+    goes, its plane embedding, medial diagram, component count and sign."""
 
-    Built from a random spanning tree plus extra (possibly parallel, possibly
-    loop) edges.  Planarity is NOT guaranteed; filter with is_planar_multigraph.
+    n: int
+    edges: list[tuple[int, int]]
+    g: PlaneGraph | None = None
+    d: Diagram | None = None
+    comps: int = 0
+    sign: int = 0
+
+
+def random_draws(rng: random.Random, max_edges: int, max_vertices: int = 6, *,
+                 stage: str = "medial", links: bool = True, tries: int | None = None):
+    """Seeded random connected multigraphs, taken through the stages up to
+    `stage` and yielded as `Draw`s, skipping the draws a stage filters out:
+
+    * "graph": every draw, a random spanning tree on 1..max_vertices
+      vertices plus extra edges (possibly parallel, possibly loops), at most
+      max_edges in all;
+    * "edges": the draws with at least one edge;
+    * "plane": of those the planar ones, embedded (`plane_graph_from_multigraph`);
+    * "medial": their medial diagrams, vertex sign rng.choice((1, -1)); with
+      links=False only knots (one component) are kept.
+
+    Draws are made lazily, so a caller that uses `rng` between them sees the
+    same draws as a loop written out by hand.  `tries` caps the number of
+    draws made, kept or not.
     """
-    n = rng.randint(1, max_vertices)
-    edges: list[tuple[int, int]] = []
-    for v in range(1, n):
-        edges.append((rng.randrange(v), v))
-    extra = rng.randint(0, max(0, max_edges - len(edges)))
-    for _ in range(extra):
-        u = rng.randrange(n)
-        v = rng.randrange(n)
-        if u == v and not allow_loops:
+    level = ("graph", "edges", "plane", "medial").index(stage)
+    made = 0
+    while tries is None or made < tries:
+        made += 1
+        n = rng.randint(1, max_vertices)
+        edges = [(rng.randrange(v), v) for v in range(1, n)]
+        for _ in range(rng.randint(0, max(0, max_edges - len(edges)))):
+            u, v = rng.randrange(n), rng.randrange(n)
+            edges.append((min(u, v), max(u, v)))
+        if level and not edges:
             continue
-        edges.append((min(u, v), max(u, v)))
-    return n, edges
-
-
-def is_planar_multigraph(n: int, edges) -> bool:
-    """Planarity of the underlying simple graph (loops/multi-edges are free)."""
-    import networkx as nx
-
-    g = nx.Graph()
-    g.add_nodes_from(range(n))
-    g.add_edges_from((u, v) for u, v in edges if u != v)
-    ok, _ = nx.check_planarity(g)
-    return ok
+        g = plane_graph_from_multigraph(n, edges) if level >= 2 else None
+        if level >= 2 and g is None:
+            continue
+        if level < 3:
+            yield Draw(n, edges, g)
+            continue
+        sign = rng.choice((1, -1))
+        d, comps = medial_diagram(g, sign)
+        if links or comps == 1:
+            yield Draw(n, edges, g, d, comps, sign)
 
 
 # Planar codes whose strands cannot be oriented: the trefoil and figure eight
@@ -195,6 +217,20 @@ def check_orientation(d):
     if d.n:
         strands = [(c[k] - 1, c[k + 2] - 1) for c in d.crossings for k in (0, 1)]
         assert od.components == 1 + max(connected_classes(2 * d.n, strands))
+
+
+def crossing_changed(d, rng: random.Random):
+    """The diagram with a random nonempty set of crossings switched, each
+    rotated so that its old over-strand becomes the incoming under-strand."""
+    from knotcert.diagram import build_diagram, orient
+
+    od = orient(d)
+    flip = set(rng.sample(range(d.n), rng.randint(1, d.n)))
+    out = []
+    for ci, c in enumerate(d.crossings):
+        k = od.over_in_slot[ci] if ci in flip else 0
+        out.append(c[k:] + c[:k])
+    return build_diagram(out)
 
 
 def theta(k):
@@ -677,6 +713,51 @@ def inertia_fraction(matrix):
                     row[i] -= f * row[k]
         k += 1
     return pos, neg, zero
+
+
+def sylvester_dense(matrix):
+    """(positive, negative, zero, last pivot) of a symmetric integer matrix by
+    dense symmetric fraction-free (Bareiss) elimination in natural order, a
+    row at a time on the upper triangle: d_k has the sign of p_k p_{k-1}, and
+    each step is a congruence of determinant +-1, so the last pivot of a
+    nondegenerate matrix is its determinant.  A zero pivot is swapped
+    symmetrically with a later nonzero diagonal entry, or made by
+    e_i += e_j when the whole remaining diagonal vanishes; an all-zero
+    remaining block is the kernel."""
+    n = len(matrix)
+    a = [list(row[i:]) for i, row in enumerate(matrix)]
+    pos = neg = 0
+    prev = 1
+    while a:
+        if not a[0][0]:
+            m = len(a)
+            full = [[a[min(i, j)][abs(i - j)] for j in range(m)] for i in range(m)]
+            k = next((i for i, row in enumerate(full) if row[i]), None)
+            if k is None:
+                ij = next(((i, j) for i in range(m) for j in range(i + 1, m) if full[i][j]), None)
+                if ij is None:
+                    break
+                k, j = ij
+                for row in full:
+                    row[k] += row[j]
+                full[k] = [x + y for x, y in zip(full[k], full[j])]
+            full[0], full[k] = full[k], full[0]
+            for row in full:
+                row[0], row[k] = row[k], row[0]
+            a = [row[i:] for i, row in enumerate(full)]
+        top = a[0]
+        p = top[0]
+        a = [
+            [(x * p - f * y) // prev for x, y in zip(row, top[i:])] if f
+            else row if p == prev else [x * p // prev for x in row]
+            for i, (row, f) in enumerate(zip(a[1:], top[1:]), 1)
+        ]
+        if (p > 0) == (prev > 0):
+            pos += 1
+        else:
+            neg += 1
+        prev = p
+    return pos, neg, n - pos - neg, prev
 
 
 def unit_residue_rescan(rows):

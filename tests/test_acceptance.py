@@ -12,8 +12,7 @@ import time
 from helpers import (
     block_partition_oracle,
     congruent_scramble,
-    is_planar_multigraph,
-    random_connected_multigraph,
+    random_draws,
     spanning_tree_count,
 )
 from test_tait import make_tait
@@ -103,10 +102,7 @@ def test_criterion_2_summands_match_positive_rank_blocks():
     block oracle), in 100% of cases."""
     rng = random.Random(20240809)
     done = 0
-    while done < 1000:
-        n, edges = random_connected_multigraph(rng, max_edges=10)
-        if not edges or not is_planar_multigraph(n, edges):
-            continue
+    for n, edges, *_ in itertools.islice(random_draws(rng, 10, stage="plane"), 1000):
         g = make_tait(n, edges)
         gram, _ = flow_lattice(g)
         if gram.rank == 0:

@@ -19,6 +19,7 @@ from helpers import MISORIENTED, necklace, theta
 from knotcert import cli, obstruct, tait
 from knotcert.cli import _json_text, main
 from knotcert.diagram import mirror_diagram
+from knotcert.lattice import sparse_rows
 from knotcert.corpus import corpus_entry, load_corpus
 from knotcert.medial import medial_diagram
 
@@ -221,27 +222,32 @@ def test_analyze_computes_each_factor_inertia_once(monkeypatch, capsys):
 
 
 def test_analyze_eliminates_each_goeritz_matrix_once(monkeypatch, capsys):
-    """Each color's Goeritz signature and determinant come from one symmetric
-    elimination: det_int never sees a Goeritz matrix."""
+    """Each color's Goeritz signature and determinant come from one sparse
+    elimination of rows read off its Tait graph: the dense `goeritz_matrix`
+    is never built, and det_int never sees a Goeritz matrix."""
     from knotcert.invariants import goeritz_matrix
 
     d = medial_diagram(necklace([5, 7, 9, 11, 9]), 1)[0]
     assert d.n == 41
-    goeritz = [goeritz_matrix(d, c).matrix for c in (0, 1)]
-    seen = {"lattice.det_int": [], "lattice._symmetric_bareiss": []}
+    dense = [goeritz_matrix(d, c).matrix for c in (0, 1)]
+    sparse = [[sorted(row.items()) for row in sparse_rows(m)] for m in dense]
+    seen = {"lattice.det_int": [], "lattice._sylvester": [], "invariants.goeritz_matrix": []}
 
     def wrap(qualname, fn):
         def recorded(m, *args):
-            seen[qualname].append(tuple(map(tuple, m)))
+            if qualname == "lattice._sylvester":
+                seen[qualname].append([sorted(row.items()) for row in m])
+            else:
+                seen[qualname].append(m)
             return fn(m, *args)
         return recorded
 
     _wrap_calls(monkeypatch, seen, wrap)
     code, _, _ = run(capsys, "analyze", "--pd", d.pd_text(), "--json")
     assert code == 0
-    assert not set(goeritz) & set(seen["lattice.det_int"])
-    eliminated = seen["lattice._symmetric_bareiss"]
-    assert [eliminated.count(m) for m in goeritz] == [1, 1]
+    assert seen["invariants.goeritz_matrix"] == []
+    assert [seen["lattice._sylvester"].count(rows) for rows in sparse] == [1, 1]
+    assert not set(dense) & {tuple(map(tuple, m)) for m in seen["lattice.det_int"]}
 
 
 def _dumps(obj) -> str:
@@ -708,6 +714,15 @@ def test_batch_missing_file(capsys):
     code, _, err = run(capsys, "batch", "/nonexistent/corpus.csv")
     assert code == 2
     assert "not found" in err
+
+
+def test_batch_directory_corpus_makes_no_output_directory(tmp_path, capsys):
+    (tmp_path / "adir").mkdir()
+    out = tmp_path / "out-adir"
+    code, stdout, err = run(capsys, "batch", str(tmp_path / "adir"), "--json", "--out", str(out))
+    assert code == 2 and stdout == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+    assert not out.exists()
 
 
 def test_pair_obstructed(capsys):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import random
 
 import pytest
@@ -11,8 +12,7 @@ from helpers import (
     canonical_pd,
     check_orientation,
     orientable_by_parity,
-    plane_graph_from_multigraph,
-    random_connected_multigraph,
+    random_draws,
 )
 from knotcert.corpus import load_corpus
 from knotcert.diagram import (
@@ -28,7 +28,6 @@ from knotcert.diagram import (
     seifert_stats,
 )
 from knotcert.errors import ClassificationError, DiagramError, PDSyntaxError
-from knotcert.medial import medial_diagram
 
 # Standard-table left trefoil and figure eight, in the usual conventions
 # (first entry = incoming understrand, then counterclockwise).
@@ -154,13 +153,8 @@ def test_orientation_signs_and_writhe():
 
 
 def _random_medial_diagrams(count=40):
-    rng = random.Random(8)
-    while count:
-        n, edges = random_connected_multigraph(rng, max_edges=9)
-        g = plane_graph_from_multigraph(n, edges) if edges else None
-        if g is not None:
-            count -= 1
-            yield medial_diagram(g, rng.choice((1, -1)))[0]  # knots and links
+    draws = random_draws(random.Random(8), 9)  # knots and links
+    return [draw.d for draw in itertools.islice(draws, count)]
 
 
 def test_orientation_arc_heads_consistent():

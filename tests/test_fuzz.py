@@ -6,6 +6,7 @@ must never trigger an InconsistencyError (exit 1 of the CLI)."""
 
 from __future__ import annotations
 
+import itertools
 import json
 import random
 
@@ -14,14 +15,12 @@ import pytest
 from helpers import (
     check_orientation,
     orientable_by_parity,
-    plane_graph_from_multigraph,
-    random_connected_multigraph,
+    random_draws,
 )
 from knotcert.cli import _analysis, _json_text
 from knotcert.corpus import load_corpus
 from knotcert.diagram import is_alternating, orient, parse_pd
 from knotcert.errors import ClassificationError, InconsistencyError, KnotCertError
-from knotcert.medial import medial_diagram
 
 
 def _random_pd(rng: random.Random) -> str:
@@ -69,14 +68,7 @@ def _fuzz_texts() -> list[str]:
     corpus = [parse_pd(e.pd).crossings for e in load_corpus() if e.pd]
     texts = [_random_pd(rng) for _ in range(250)]
     texts += [_mutated_pd(rng, rng.choice(corpus)) for _ in range(250)]
-    graphs = 0
-    while graphs < 60:
-        n, edges = random_connected_multigraph(rng, max_edges=8)
-        g = plane_graph_from_multigraph(n, edges) if edges else None
-        if g is None:
-            continue
-        graphs += 1
-        texts.append(medial_diagram(g, rng.choice((1, -1)))[0].pd_text())
+    texts += [draw.d.pd_text() for draw in itertools.islice(random_draws(rng, 8), 60)]
     return texts
 
 

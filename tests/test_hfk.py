@@ -9,8 +9,7 @@ from knotcert.errors import InconsistencyError
 from knotcert.hfk import hfk_isomorphic, thin_hfk
 from knotcert.invariants import LaurentPolynomial, invariant_bundle
 
-from helpers import plane_graph_from_multigraph, random_connected_multigraph
-from knotcert.medial import medial_diagram
+from helpers import random_draws
 
 TREFOIL_DELTA = LaurentPolynomial.from_string("t - 1 + t^-1")
 FIG8_DELTA = LaurentPolynomial.from_string("-t + 3 - t^-1")
@@ -100,21 +99,12 @@ def test_json_shape():
 def test_random_alternating_knots_total_rank_equals_determinant():
     rng = random.Random(424242)
     seen = 0
-    tried = 0
-    while seen < 10 and tried < 200:
-        tried += 1
-        n, edges = random_connected_multigraph(rng, max_edges=7)
-        if not edges:
-            continue
-        g = plane_graph_from_multigraph(n, edges)
-        if g is None:
-            continue
-        d, comps = medial_diagram(g, rng.choice((1, -1)))
-        if comps != 1:
-            continue
-        b = invariant_bundle(d)
+    for draw in random_draws(rng, 7, links=False, tries=200):
+        b = invariant_bundle(draw.d)
         t = thin_hfk(b.alexander, b.signature)
         assert t.total_rank() == b.determinant
         assert t.euler_characteristic() == b.alexander
         seen += 1
+        if seen == 10:
+            break
     assert seen == 10

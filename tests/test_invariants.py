@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import copy
 import dataclasses
+import itertools
 import random
 from fractions import Fraction
 
@@ -12,11 +13,12 @@ import pytest
 from helpers import (
     alexander_dense_seifert,
     alexander_dense_wirtinger,
+    crossing_changed,
     goeritz_by_corner_pairs,
     necklace,
     plane_graph_from_multigraph,
     poly_value,
-    random_connected_multigraph,
+    random_draws,
     theta,
     two_coloring,
     unit_residue_rescan,
@@ -26,7 +28,6 @@ from knotcert import invariants
 from knotcert.corpus import load_corpus
 from knotcert.diagram import (
     _trace_faces,
-    build_diagram,
     checkerboard,
     classify_special,
     is_alternating,
@@ -287,18 +288,6 @@ def test_alexander_is_mirror_invariant():
         assert alexander(mirror_diagram(d)) == alexander(d)
 
 
-def _crossing_changed(d, rng):
-    """The diagram with a random nonempty set of crossings switched, each
-    rotated so that its old over-strand becomes the incoming under-strand."""
-    od = orient(d)
-    flip = set(rng.sample(range(d.n), rng.randint(1, d.n)))
-    out = []
-    for ci, c in enumerate(d.crossings):
-        k = od.over_in_slot[ci] if ci in flip else 0
-        out.append(c[k:] + c[:k])
-    return build_diagram(out)
-
-
 def _torus_alexander(k):
     return LaurentPolynomial.from_dict({e: (-1) ** (k // 2 - e) for e in range(-(k // 2), k // 2 + 1)})
 
@@ -330,19 +319,11 @@ def test_wirtinger_matches_dense_on_necklaces():
 
 def test_wirtinger_matches_dense_on_random_and_non_alternating_diagrams():
     rng = random.Random(404)
-    checked = non_alternating = 0
-    while checked < 60:
-        n, edges = random_connected_multigraph(rng, max_edges=9)
-        g = plane_graph_from_multigraph(n, edges) if edges else None
-        if g is None:
-            continue
-        d, comps = medial_diagram(g, rng.choice((1, -1)))
-        if comps != 1 or d.n == 0:
-            continue
-        for dd in (d, _crossing_changed(d, rng)):
+    non_alternating = 0
+    for draw in itertools.islice(random_draws(rng, 9, links=False), 60):
+        for dd in (draw.d, crossing_changed(draw.d, rng)):
             assert alexander_via_wirtinger(dd) == alexander_dense_wirtinger(dd), dd.pd_text()
             non_alternating += len(set(orient(dd).signs)) == 2
-        checked += 1
     assert non_alternating >= 20
 
 
@@ -439,12 +420,7 @@ def test_unit_residue_heap_matches_rescan():
                 yield from (_seifert_rows(o) for o in (d, mirror_diagram(d)))
         diagrams = [medial_diagram(theta(k), k % 4 - 2)[0] for k in range(3, 62, 2)]
         diagrams += [wide_necklace(rng) for _ in range(25)]
-        while len(diagrams) < 30 + 25 + 300:
-            n, edges = random_connected_multigraph(rng, max_edges=9)
-            g = plane_graph_from_multigraph(n, edges) if edges else None
-            d, comps = medial_diagram(g, rng.choice((1, -1))) if g else (None, 0)
-            if comps == 1 and d.n:
-                diagrams.append(d)
+        diagrams += [draw.d for draw in itertools.islice(random_draws(rng, 9, links=False), 300)]
         for d in diagrams:
             yield _fox_rows(d)
             if classify_special(d).is_special:
@@ -534,18 +510,8 @@ def test_bundle_consistency_on_random_special_knots():
     genus, the signature law) must pass."""
     rng = random.Random(777)
     knots = 0
-    tried = 0
-    while knots < 12 and tried < 500:
-        tried += 1
-        n, edges = random_connected_multigraph(rng, max_edges=7)
-        if not edges:
-            continue
-        g = plane_graph_from_multigraph(n, edges)
-        if g is None:
-            continue
-        d, comps = medial_diagram(g, rng.choice((1, -1)))
-        if comps != 1:
-            continue
+    for draw in random_draws(rng, 7, links=False, tries=500):
+        d = draw.d
         b = invariant_bundle(d)
         if not b.speciality.is_special:
             continue
@@ -560,6 +526,8 @@ def test_bundle_consistency_on_random_special_knots():
         for i in range(r):
             for j in range(r):
                 assert v[i][j] + v[j][i] == -s * gram[i][j]
+        if knots == 12:
+            break
     assert knots >= 12
 
 
@@ -572,14 +540,8 @@ def test_checkerboard_and_seifert_disk_classes_match_a_two_coloring():
     rng = random.Random(16)
     diagrams = [parse_pd(e.pd) for e in load_corpus()]
     diagrams += [wide_necklace(rng) for _ in range(25)]
-    medials = 0
-    while medials < 300:
-        n, edges = random_connected_multigraph(rng, max_edges=9)
-        g = plane_graph_from_multigraph(n, edges) if edges else None
-        if g is not None:
-            medials += 1
-            d = medial_diagram(g, rng.choice((1, -1)))[0]
-            diagrams += [d, _crossing_changed(d, rng)]
+    for draw in itertools.islice(random_draws(rng, 9), 300):
+        diagrams += [draw.d, crossing_changed(draw.d, rng)]
     special = non_alternating = 0
     for d in diagrams[1:]:  # the corpus' first entry is the 0-crossing unknot
         faces = _trace_faces(d)

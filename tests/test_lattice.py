@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import gc
+import itertools
 import random
 from collections import Counter
 
@@ -10,6 +11,7 @@ import pytest
 
 from helpers import (
     congruent_scramble,
+    crossing_changed,
     cycle_vectors,
     decomposable_bruteforce,
     det_fraction,
@@ -17,10 +19,12 @@ from helpers import (
     inertia_fraction,
     inverse_fraction,
     necklace,
+    random_draws,
     random_unimodular,
     short_vectors_bruteforce,
     short_vectors_fraction,
     summand_sublattices_shortvectors,
+    sylvester_dense,
     theta,
 )
 import knotcert.lattice
@@ -36,6 +40,7 @@ from knotcert.lattice import (
     _indecomposable_generators,
     indecomposable_summands,
     inertia,
+    _sylvester,
     isometric,
     lattice_row_basis,
     mat_mul,
@@ -43,10 +48,12 @@ from knotcert.lattice import (
     short_vectors,
     signature,
     signature_det,
+    sparse_rows,
     transpose,
 )
 from knotcert.corpus import load_corpus
 from knotcert.diagram import parse_pd
+from knotcert.invariants import goeritz_matrix
 from knotcert.medial import medial_diagram
 from knotcert.tait import TaitGraph, flow_lattice, orientable_flow_lattice, tait_graph
 
@@ -98,6 +105,10 @@ def test_short_vectors_a2():
     assert len(vecs) == 3  # the three root pairs of the hexagonal lattice
     assert all(norm == 2 for _, norm in vecs)
     assert short_vectors(A2.matrix, 1) == []
+    # the natural-order factor stops at the first pivot that is not positive
+    for m in (((1, 0), (0, -1)), ((0, 1), (1, 0)), ((1, 1), (1, 1)), ((-2,),)):
+        with pytest.raises(ValueError, match="positive definite"):
+            short_vectors(m, 3)
 
 
 def test_short_vectors_exactness():
@@ -647,6 +658,102 @@ def test_signature_det_matches_det_int():
     assert seen_degenerate > 300 and seen_swap > 100 and seen_sum > 100
     m = GramForm(((1, 1, 1), (1, 1, 2), (1, 2, 1)))  # e_i += e_j midway
     assert signature_det(m) == (1, det_int(m.matrix)) == (1, -1)
+
+
+def _signed_laplacian(n, edges, signs):
+    """The signed Laplacian of a multigraph on n vertices, loops skipped,
+    with the last vertex's row and column dropped."""
+    m = [[0] * n for _ in range(n)]
+    for (u, v), s in zip(edges, signs):
+        if u != v:
+            m[u][v] -= s
+            m[v][u] -= s
+            m[u][u] += s
+            m[v][v] += s
+    return [row[:-1] for row in m[:-1]]
+
+
+def _kernel_inputs(rng):
+    """(kind, symmetric matrix) pairs for the sparse Sylvester kernel."""
+    yield "hyperbolic plane", [[0, 1], [1, 0]]
+    yield "e_i += e_j midway", [[1, 1, 1], [1, 1, 2], [1, 2, 1]]
+    for k in range(4):
+        yield "all-zero block", [[0] * k for _ in range(k)]
+        m = [[0] * (k + 2) for _ in range(k + 2)]
+        m[0][:2], m[1][:2] = [2, 1], [1, 2]
+        yield "A_2 + zero block", m
+    graphs = random_draws(rng, 9, 7, stage="graph")
+    for n, edges, *_ in itertools.islice(graphs, 200):
+        s = rng.choice((1, -1))
+        yield "definite", _signed_laplacian(n, edges, [s] * len(edges))
+        yield "mixed signs", _signed_laplacian(n, edges, [rng.choice((1, -1)) for _ in edges])
+        n2, edges2, *_ = next(graphs)
+        union = edges + [(u + n, v + n) for u, v in edges2]
+        yield "disconnected", _signed_laplacian(n + n2, union, [rng.choice((1, -1)) for _ in union])
+    for _ in range(200):
+        # closed walks of even length with alternating edge signs and no
+        # loops: every vertex's signed degree, so the whole diagonal, is zero
+        n = rng.randint(3, 7)
+        edges = []
+        for _ in range(rng.randint(1, 3)):
+            length = 2 * rng.randint(2, 4)
+            walk = [rng.randrange(n)]
+            while len(walk) < length:
+                ends = {walk[-1], walk[0]} if len(walk) == length - 1 else {walk[-1]}
+                walk.append(rng.choice([v for v in range(n) if v not in ends]))
+            edges += zip(walk, walk[1:] + walk[:1])
+        yield "zero diagonal", _signed_laplacian(n, edges, [(-1) ** i for i in range(len(edges))])
+    for draw in itertools.islice(random_draws(rng, 12), 150):
+        changed = crossing_changed(draw.d, rng)
+        for c in (0, 1):
+            yield "crossings changed", transpose(goeritz_matrix(changed, c).matrix)
+
+
+def test_sparse_kernel_matches_fraction_and_dense_elimination():
+    """The least-degree sparse kernel gives the inertia of Fraction
+    elimination and the determinant of Fraction Gaussian elimination, and the
+    same counts and last pivot as the dense natural-order pass, on signed
+    Laplacians (definite, indefinite, degenerate, disconnected), Goeritz
+    matrices of diagrams with crossings changed, the hyperbolic plane and
+    all-zero blocks.  A matrix with a vanishing diagonal and a nonzero entry
+    needs the e_i += e_j repair at the first step."""
+    rng = random.Random(17)
+    seen = Counter()
+    for kind, m in _kernel_inputs(rng):
+        assert m == transpose(m), (kind, m)
+        pos, neg, zero = inertia_fraction(m)
+        got = _sylvester(sparse_rows(m))
+        dense = sylvester_dense(m)
+        assert got[:3] == dense[:3] == (pos, neg, zero), (kind, m)
+        if zero:
+            assert det_fraction(m) == 0
+            with pytest.raises(DegenerateFormError):
+                signature_det(GramForm(m))
+            seen["degenerate"] += 1
+        else:
+            assert got[3] == dense[3] == det_fraction(m), (kind, m)
+            assert signature_det(GramForm(m)) == (pos - neg, got[3])
+            seen["indefinite"] += bool(pos and neg)
+        seen[kind] += 1
+        seen["repair"] += any(map(any, m)) and not any(m[i][i] for i in range(len(m)))
+    assert min(seen.values()) >= 1, seen
+    assert seen["degenerate"] > 100 and seen["indefinite"] > 100 and seen["repair"] > 100, seen
+
+
+def test_sparse_kernel_matches_dense_pass_on_large_goeritz_forms():
+    """Goeritz forms of 300+ dimensions: both colors of a 311-crossing
+    necklace knot, and an indefinite one of the same diagram with crossings
+    changed, against the dense pass and det_int."""
+    d, comps = medial_diagram(necklace([63, 61, 63, 61, 63]), 1)
+    assert comps == 1
+    forms = [goeritz_matrix(d, c).matrix for c in (0, 1)]
+    forms.append(goeritz_matrix(crossing_changed(d, random.Random(3)), 0).matrix)
+    assert [len(m) for m in forms] == [307, 4, 307]
+    for m in forms:
+        got = _sylvester(sparse_rows(m))
+        assert got == sylvester_dense(m)
+        assert got[2] == 0 and got[3] == det_int(m)
+    assert 0 < _sylvester(sparse_rows(forms[2]))[0] < 307
 
 
 def test_round_div_matches_fraction_rounding():

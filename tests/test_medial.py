@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import random
 
 import pytest
@@ -10,7 +11,7 @@ from helpers import (
     canonical_pd,
     face_count,
     plane_graph_from_multigraph,
-    random_connected_multigraph,
+    random_draws,
     spanning_tree_count,
     theta,
     two_coloring,
@@ -72,10 +73,7 @@ def test_medial_rejects_exactly_the_non_spherical_rotation_systems():
     face-count oracle."""
     rng = random.Random(20261018)
     outcomes = {True: 0, False: 0}
-    while sum(outcomes.values()) < 1500:
-        n, edges = random_connected_multigraph(rng, max_edges=9)
-        if not edges:
-            continue
+    for n, edges, *_ in itertools.islice(random_draws(rng, 9, stage="edges"), 1500):
         rotations = [[] for _ in range(n)]
         for ei, (u, v) in enumerate(edges):
             rotations[u].append((ei, 0))
@@ -178,23 +176,11 @@ def test_random_planar_medials_det_counts_trees():
     determinant equals the number of spanning trees of the graph, and they
     are special exactly when one checkerboard graph is bipartite (the graph
     itself or its plane dual)."""
-    rng = random.Random(1234)
-    from helpers import random_connected_multigraph
     from knotcert.tait import tait_graph
 
     knots = 0
-    tried = 0
-    while knots < 25 and tried < 400:
-        tried += 1
-        n, edges = random_connected_multigraph(rng, max_edges=7)
-        if not edges:
-            continue
-        g = plane_graph_from_multigraph(n, edges)
-        if g is None:
-            continue
+    for n, edges, g, d, comps, sign in random_draws(random.Random(1234), 7, tries=400):
         g.validate()
-        sign = rng.choice((1, -1))
-        d, comps = medial_diagram(g, sign)
         assert d.n == len(edges)
         assert is_alternating(d)
         if comps != 1:
@@ -212,4 +198,6 @@ def test_random_planar_medials_det_counts_trees():
             assert abs(b.signature) == 2 * b.genus
         total = sum(f.n for f in connected_sum_factors(d))
         assert total == d.n
+        if knots == 25:
+            break
     assert knots >= 25

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import random
 
 import pytest
@@ -10,7 +11,7 @@ from helpers import (
     block_partition_oracle,
     cycle_vectors,
     fundamental_cycles_scan,
-    random_connected_multigraph,
+    random_draws,
     spanning_tree_count,
 )
 from knotcert.corpus import load_corpus
@@ -139,8 +140,8 @@ def test_blocks_loop_bridge_triangle():
 
 def test_blocks_match_oracle_on_random_multigraphs():
     rng = random.Random(20260814)
-    graphs = [make_tait(*random_connected_multigraph(rng, max_edges=20, max_vertices=12))
-              for _ in range(400)]
+    graphs = [make_tait(n, edges)
+              for n, edges, *_ in itertools.islice(random_draws(rng, 20, 12, stage="graph"), 400)]
     seen = dict.fromkeys(("loop", "parallel", "bridge"), 0)
     for g in graphs + corpus_tait_graphs():
         mine = blocks(g)
@@ -160,8 +161,8 @@ def test_fundamental_cycles_match_edge_scan():
     the walks agree, and with them every Gram matrix and witness in a
     report."""
     rng = random.Random(20261019)
-    graphs = [make_tait(*random_connected_multigraph(rng, max_edges=20, max_vertices=12))
-              for _ in range(500)]
+    graphs = [make_tait(n, edges)
+              for n, edges, *_ in itertools.islice(random_draws(rng, 20, 12, stage="graph"), 500)]
     for g in graphs + corpus_tait_graphs():
         assert fundamental_cycles(g) == fundamental_cycles_scan(g), g.edges
 
@@ -205,18 +206,14 @@ def test_flow_gram_counts_spanning_trees():
 
 def test_flow_gram_counts_spanning_trees_random():
     rng = random.Random(99)
-    done = 0
-    while done < 60:
-        n, edges = random_connected_multigraph(rng, max_edges=8)
+    for n, edges, *_ in itertools.islice(random_draws(rng, 8, stage="graph"), 60):
         gram, _ = flow_lattice(make_tait(n, edges))
         assert det_int(gram.matrix) == spanning_tree_count(n, edges), (n, edges)
-        done += 1
 
 
 def test_flow_gram_definite():
     rng = random.Random(4)
-    for _ in range(40):
-        n, edges = random_connected_multigraph(rng, max_edges=8)
+    for n, edges, *_ in itertools.islice(random_draws(rng, 8, stage="graph"), 40):
         g = make_tait(n, edges)
         gram, basis = flow_lattice(g)
         if g.cycle_rank() == 0:
