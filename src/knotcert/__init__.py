@@ -44,8 +44,6 @@ from .lattice import (
     GramForm,
     definiteness,
     indecomposable_summands,
-    isometric,
-    signature,
 )
 from .obstruct import (
     AnisotropyResult,
@@ -94,14 +92,12 @@ __all__ = [
     "hfk_isomorphic",
     "indecomposable_summands",
     "invariant_bundle",
-    "isometric",
     "load_corpus",
     "minimality_evidence",
     "mirror_diagram",
     "orient",
     "parse_pd",
     "seifert_matrix_special",
-    "signature",
     "tait_graph",
     "thin_hfk",
     "__version__",

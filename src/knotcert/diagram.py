@@ -44,6 +44,7 @@ from __future__ import annotations
 
 import functools
 import json
+import operator
 import re
 from dataclasses import dataclass
 
@@ -131,8 +132,12 @@ def parse_pd(text: str) -> Diagram:
 
 
 def build_diagram(crossings) -> Diagram:
-    """Validate crossing tuples (standard convention) and return a Diagram."""
-    crossings = tuple(tuple(int(x) for x in c) for c in crossings)
+    """Validate crossing tuples (standard convention) and return a Diagram.
+    Labels must be integers: a float or a string raises PDSyntaxError."""
+    try:
+        crossings = tuple(tuple(map(operator.index, c)) for c in crossings)
+    except TypeError as exc:
+        raise PDSyntaxError(f"crossing labels must be integers: {exc}") from None
     for c in crossings:
         if len(c) != 4:
             raise PDSyntaxError(f"crossing {c} does not have four arc labels")

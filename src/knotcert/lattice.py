@@ -1,37 +1,31 @@
 """Exact arithmetic for integral quadratic forms.
 
-All arithmetic is on integers and exact, and nothing here uses `Fraction`:
-determinants, inertia and the factorization behind Fincke-Pohst use
-fraction-free (Bareiss) elimination, whose divisions are exact.  Inertia
-(`_sylvester`) eliminates sparse rows in least-degree order, so a Goeritz
+All arithmetic is on integers and exact, and nothing here uses `Fraction`.
+There are two fraction-free (Bareiss) elimination kernels, whose divisions
+are exact.  The dense one, `_bareiss`, runs in natural order and serves
+both `det_int` and the Fincke-Pohst weights.  The sparse one, `_sylvester`,
+gives inertia: it eliminates sparse rows in least-degree order, so a Goeritz
 form of hundreds of faces, a sparse planar Laplacian, costs about its
-fill-in; the enumerations work on small definite Gram matrices (rank <= 12
-by default).  The two nontrivial operations are
+fill-in.  The enumerations work on small definite Gram matrices (rank <= 12
+by default).  The one nontrivial operation is `indecomposable_summands`,
+which splits a definite lattice L into its orthogonally indecomposable
+summands.
 
-* `indecomposable_summands` -- split a definite lattice L into its
-  orthogonally indecomposable summands.  Call a nonzero v *decomposable* if
-  v = x + y with x, y nonzero and x.y = 0.  Then u = x - y lies in the coset
-  v + 2L and |u|^2 = |x|^2 + |y|^2 = |v|^2; conversely any u != +-v in that
-  coset with |u|^2 = |v|^2 gives x = (v + u)/2, y = (v - u)/2 in L with
-  4 x.y = |v|^2 - |u|^2 = 0.  So one integer Fincke-Pohst search over
-  u = v (mod 2L) with bound |v|^2 decides v, and every search on L shares the
-  weights of one `_symmetric_bareiss` run.  Starting from the greedy-reduced
-  basis, each vector that splits is replaced by its two strictly shorter
-  parts, which ends in a generating set of indecomposable vectors.  By
-  Eichler's theorem L is the orthogonal sum of unique indecomposable
-  summands and each indecomposable vector lies in one of them, so the
-  classes of the transitive closure of "non-orthogonal" among the
-  generators span exactly those summands (two classes in one summand would
-  split it).  Each summand's basis is the Hermite normal form of its
-  sublattice, so the output does not depend on which generators were found.
-
-* `isometric` -- decide whether two definite forms are equivalent over the
-  integers, by backtracking over images of basis vectors among short vectors
-  of matching norm.  A found witness U satisfies U^T A U = B and is
-  automatically unimodular because det A = det B != 0.
-
-Both return explicit integer basis-change witnesses that are re-verified
-before being handed back.
+Call a nonzero v *decomposable* if v = x + y with x, y nonzero and x.y = 0.
+Then u = x - y lies in the coset v + 2L and |u|^2 = |x|^2 + |y|^2 = |v|^2;
+conversely any u != +-v in that coset with |u|^2 = |v|^2 gives
+x = (v + u)/2, y = (v - u)/2 in L with 4 x.y = |v|^2 - |u|^2 = 0.  So one
+integer Fincke-Pohst search over u = v (mod 2L) with bound |v|^2 decides v,
+and every search on L shares the weights of one `_bareiss` run.  Starting
+from the greedy-reduced basis, each vector that splits is replaced by its
+two strictly shorter parts, which ends in a generating set of
+indecomposable vectors.  By Eichler's theorem L is the orthogonal sum of
+unique indecomposable summands and each indecomposable vector lies in one
+of them, so the classes of the transitive closure of "non-orthogonal" among
+the generators span exactly those summands (two classes in one summand
+would split it).  Each summand's basis is the Hermite normal form of its
+sublattice, so the output does not depend on which generators were found.
+The integer basis-change witness is re-verified before it is handed back.
 """
 
 from __future__ import annotations
@@ -39,7 +33,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 import heapq
 import math
-from operator import mul
+from operator import index, mul
 
 from .errors import (
     DegenerateFormError,
@@ -56,14 +50,18 @@ Matrix = tuple[tuple[int, ...], ...]
 class GramForm:
     """Symmetric integer Gram matrix.
 
-    The matrix is stored row-major as nested tuples and validated for symmetry
-    on construction.
+    The matrix is stored row-major as nested tuples and validated on
+    construction: integer entries (a float or a string raises ValueError, it
+    is not truncated) and symmetry.
     """
 
     matrix: Matrix
 
     def __post_init__(self):
-        m = tuple(tuple(int(x) for x in row) for row in self.matrix)
+        try:
+            m = tuple(tuple(map(index, row)) for row in self.matrix)
+        except TypeError as exc:
+            raise ValueError(f"Gram matrix entries must be integers: {exc}") from None
         object.__setattr__(self, "matrix", m)
         if any(len(row) != len(m) for row in m):
             raise ValueError("Gram matrix must be square")
@@ -73,9 +71,6 @@ class GramForm:
     @property
     def rank(self) -> int:
         return len(self.matrix)
-
-    def det(self) -> int:
-        return det_int(self.matrix)
 
 
 @dataclass(frozen=True)
@@ -110,24 +105,30 @@ def mat_mul(a, b) -> list[list]:
     return [[sum(map(mul, row, col)) for col in b_cols] for row in a]
 
 
-def det_int(m) -> int:
-    """Determinant of an integer matrix by fraction-free Bareiss elimination,
-    a row at a time; after step k, rows keep only the columns right of k."""
+def _bareiss(m) -> tuple[int, list[int], list[list[int]]]:
+    """Fraction-free (Bareiss) elimination of a square integer matrix in
+    natural order, a row at a time; a zero pivot is swapped with the next row
+    that has a nonzero entry in its column.  Returns (swaps, pivots, rows):
+    step k pivots on pivots[k] and leaves rows[k] holding the entries right of
+    it in its row, and after step k the rows below keep only the columns
+    right of k.  With no swap, pivots[k] is the leading principal minor of
+    order k + 1.  Stops early, with fewer pivots than rows, at a column that
+    has no nonzero entry left."""
     n = len(m)
-    if n == 0:
-        return 1
     a = [list(row) for row in m]
-    sign = 1
+    pivots: list[int] = []
+    swaps = 0
     prev = 1
-    for k in range(n - 1):
+    for k in range(n):
         if a[k][0] == 0:
             pivot = next((i for i in range(k + 1, n) if a[i][0] != 0), None)
             if pivot is None:
-                return 0
+                break
             a[k], a[pivot] = a[pivot], a[k]
-            sign = -sign
+            swaps += 1
         rest = a[k]
         p = rest.pop(0)
+        pivots.append(p)
         for i in range(k + 1, n):
             row = a[i]
             f = row.pop(0)
@@ -136,7 +137,16 @@ def det_int(m) -> int:
             elif p != prev:
                 a[i] = [x * p // prev for x in row]
         prev = p
-    return sign * a[n - 1][0]
+    return swaps, pivots, a
+
+
+def det_int(m) -> int:
+    """Determinant of an integer matrix: the last `_bareiss` pivot, signed
+    by the row swaps, or 0 when the elimination stops early."""
+    swaps, pivots, _ = _bareiss(m)
+    if len(pivots) < len(m):
+        return 0
+    return (-1 if swaps % 2 else 1) * pivots[-1] if pivots else 1
 
 
 def connected_classes(n: int, pairs, linked=None) -> list[int]:
@@ -176,27 +186,6 @@ def congruence(u_cols, gram) -> list[list[int]]:
 
 # ---------------------------------------------------------------------------
 # inertia / definiteness / signature
-
-
-def _symmetric_bareiss(matrix):
-    """Symmetric fraction-free (Bareiss) elimination in natural order, a row
-    at a time as in `det_int`, for `_fincke_pohst`: yields each pivot p_k,
-    a leading principal minor, with the entries b_ik below it; the LDL^T has
-    d_k = p_k / p_{k-1} and L_ik = b_ik / p_k (p_{-1} = 1).  Row i keeps only
-    a_ii, a_i,i+1, ... of the symmetric matrix.  Stops at the first pivot
-    that is not positive."""
-    a = [list(row[i:]) for i, row in enumerate(matrix)]
-    prev = 1
-    while a and a[0][0] > 0:
-        top = a[0]
-        p = top[0]
-        yield p, top[1:]
-        a = [
-            [(x * p - f * y) // prev for x, y in zip(row, top[i:])] if f
-            else row if p == prev else [x * p // prev for x in row]
-            for i, (row, f) in enumerate(zip(a[1:], top[1:]), 1)
-        ]
-        prev = p
 
 
 def sparse_rows(matrix) -> list[dict[int, int]]:
@@ -290,16 +279,10 @@ def definiteness(q: GramForm) -> str:
     return "indefinite"
 
 
-def signature(q: GramForm) -> int:
-    """Signature (positive minus negative inertia); raises on a degenerate form."""
-    return signature_det(q)[0]
-
-
-def signature_det(q: GramForm | list[dict[int, int]]) -> tuple[int, int]:
-    """Signature and determinant of a nondegenerate form, a `GramForm` or
-    the sparse rows of a symmetric matrix (consumed), from one `_sylvester`
-    pass; raises DegenerateFormError on a degenerate form."""
-    rows = sparse_rows(q.matrix) if isinstance(q, GramForm) else q
+def signature_det(rows: list[dict[int, int]]) -> tuple[int, int]:
+    """Signature and determinant of a nondegenerate form given by the sparse
+    rows of its symmetric matrix (consumed), from one `_sylvester` pass;
+    raises DegenerateFormError on a degenerate form."""
     pos, neg, zero, det = _sylvester(rows)
     if zero:
         raise DegenerateFormError(f"form of rank {len(rows)} has {zero}-dimensional kernel")
@@ -362,17 +345,21 @@ def greedy_reduce(gram) -> tuple[list[list[int]], list[list[int]]]:
 
 def _fincke_pohst(gram):
     """The enumeration data (pivots, weights, scale, columns) of a positive
-    definite Gram matrix, from one `_symmetric_bareiss` run."""
-    steps = list(_symmetric_bareiss(gram))
-    pivots = [p for p, _ in steps]
-    if len(pivots) < len(gram):
+    definite Gram matrix, from its `_bareiss` steps.  The form is positive
+    definite exactly when the elimination needs no swap and every pivot, a
+    leading principal minor, is positive (Sylvester's criterion); anything
+    else raises ValueError.  By symmetry row k then holds the entries b_ik
+    below pivot p_k of the fraction-free LDL^T, d_k = p_k / p_{k-1} and
+    L_ik = b_ik / p_k (p_{-1} = 1)."""
+    swaps, pivots, rows = _bareiss(gram)
+    if swaps or len(pivots) < len(gram) or any(p <= 0 for p in pivots):
         raise ValueError("Fincke-Pohst enumeration requires a positive definite matrix")
     # x^T G x = sum_k z_k^2 / (p_{k-1} p_k) with z_k = p_k x_k + sum_{i>k} b_ik x_i;
     # times scale = lcm(p_{k-1} p_k) that is sum_k w_k z_k^2, all in integers.
     # cols[k] holds b_ik at index i and zeros up to k, where x is still 0.
     dens = [p * q for p, q in zip([1] + pivots, pivots)]
     scale = math.lcm(*dens)
-    cols = [[0] * (k + 1) + col for k, (_, col) in enumerate(steps)]
+    cols = [[0] * (k + 1) + row for k, row in enumerate(rows)]
     return pivots, [scale // d for d in dens], scale, cols
 
 
@@ -579,66 +566,3 @@ def indecomposable_summands(
 
     witness = tuple(tuple(row) for row in u_cols)
     return Decomposition(summands=tuple(summands), witness=witness)
-
-
-# ---------------------------------------------------------------------------
-# isometry testing
-
-
-def isometric(
-    q1: GramForm, q2: GramForm, rank_cap: int = DEFAULT_RANK_CAP
-) -> tuple[bool, Matrix | None]:
-    """Decide Z-equivalence of two positive definite forms.
-
-    Returns (True, U) with U^T Q1 U = Q2 (U unimodular, rows of tuples), or
-    (False, None).  Exhaustive backtracking over short vectors of Q1 whose
-    norms match diag(Q2); completeness follows because any isometry must send
-    the i-th basis vector of Q2 to a vector of norm Q2[i][i].
-    """
-    n1, n2 = q1.rank, q2.rank
-    if n1 != n2:
-        return False, None
-    check_rank_cap(n1, rank_cap)
-    if n1 == 0:
-        return True, ()
-    if definiteness(q1) != "positive_definite" or definiteness(q2) != "positive_definite":
-        raise ValueError("isometric() compares positive definite forms")
-    if q1.det() != q2.det():
-        return False, None
-
-    n = n1
-    g1 = q1.matrix
-    target = q2.matrix
-    bound = max(target[i][i] for i in range(n))
-    shorts = short_vectors(g1, bound)
-    # candidates of each norm, both signs, with G v precomputed
-    by_norm: dict[int, list[tuple[tuple[int, ...], tuple[int, ...]]]] = {}
-    for v, nv in shorts:
-        gv = gram_image(g1, v)
-        by_norm.setdefault(nv, []).append((v, gv))
-        by_norm[nv].append((tuple(-c for c in v), tuple(-c for c in gv)))
-
-    chosen: list[tuple[int, ...]] = []
-
-    def rec(k: int) -> bool:
-        if k == n:
-            return True
-        for cand, gcand in by_norm.get(target[k][k], ()):
-            if all(dot(gcand, chosen[j]) == target[k][j] for j in range(k)):
-                chosen.append(cand)
-                if rec(k + 1):
-                    return True
-                chosen.pop()
-        return False
-
-    try:
-        if not rec(0):
-            return False, None
-    finally:
-        del rec  # the closure refers to itself: free it without the cyclic collector
-    u_cols = transpose(chosen)  # columns = images
-    if congruence(u_cols, g1) != [list(r) for r in target]:
-        raise InconsistencyError("isometry witness does not carry one form to the other")
-    if abs(det_int(u_cols)) != 1:
-        raise InconsistencyError("isometry witness is not unimodular")
-    return True, tuple(tuple(row) for row in u_cols)

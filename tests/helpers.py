@@ -557,6 +557,59 @@ def summand_sublattices_shortvectors(gram):
     )
 
 
+def isometric(q1, q2):
+    """Decide Z-equivalence of two positive definite `GramForm`s.
+
+    Returns (True, U) with U^T Q1 U = Q2 (U unimodular, rows of tuples), or
+    (False, None).  Exhaustive backtracking over short vectors of Q1 whose
+    norms match diag(Q2); completeness follows because any isometry must send
+    the i-th basis vector of Q2 to a vector of norm Q2[i][i].  A found
+    witness is re-checked, congruence and unimodularity, with the package's
+    `congruence` and `det_int`, and a failed check raises InconsistencyError.
+    """
+    from knotcert.errors import InconsistencyError
+    from knotcert.lattice import congruence, definiteness, det_int, dot, gram_image, short_vectors
+
+    n = q1.rank
+    if n != q2.rank:
+        return False, None
+    if n == 0:
+        return True, ()
+    if definiteness(q1) != "positive_definite" or definiteness(q2) != "positive_definite":
+        raise ValueError("isometric() compares positive definite forms")
+    g1, target = q1.matrix, q2.matrix
+    if det_int(g1) != det_int(target):
+        return False, None
+    # candidates of each norm, both signs, with G v precomputed
+    by_norm = {}
+    for v, nv in short_vectors(g1, max(target[i][i] for i in range(n))):
+        gv = gram_image(g1, v)
+        by_norm.setdefault(nv, []).extend(
+            [(v, gv), (tuple(-c for c in v), tuple(-c for c in gv))]
+        )
+    chosen = []
+
+    def rec(k):
+        if k == n:
+            return True
+        for cand, gcand in by_norm.get(target[k][k], ()):
+            if all(dot(gcand, chosen[j]) == target[k][j] for j in range(k)):
+                chosen.append(cand)
+                if rec(k + 1):
+                    return True
+                chosen.pop()
+        return False
+
+    if not rec(0):
+        return False, None
+    u_cols = transpose(chosen)  # columns = images
+    if congruence(u_cols, g1) != [list(r) for r in target]:
+        raise InconsistencyError("isometry witness does not carry one form to the other")
+    if abs(det_int(u_cols)) != 1:
+        raise InconsistencyError("isometry witness is not unimodular")
+    return True, tuple(tuple(row) for row in u_cols)
+
+
 def inverse_fraction(m):
     """Inverse of a nonsingular matrix by Gauss-Jordan elimination over
     Fractions; entries are ints when m is unimodular."""

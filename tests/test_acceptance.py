@@ -12,6 +12,7 @@ import time
 from helpers import (
     block_partition_oracle,
     congruent_scramble,
+    isometric,
     random_draws,
     spanning_tree_count,
 )
@@ -37,7 +38,6 @@ from knotcert.lattice import (
     definiteness,
     det_int,
     indecomposable_summands,
-    isometric,
 )
 from knotcert.obstruct import band_prime_certificate, minimality_evidence
 from knotcert.tait import flow_lattice, tait_graph

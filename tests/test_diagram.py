@@ -17,6 +17,7 @@ from helpers import (
 from knotcert.corpus import load_corpus
 from knotcert.diagram import (
     Diagram,
+    build_diagram,
     checkerboard,
     classify_special,
     connected_sum_factors,
@@ -81,6 +82,22 @@ def test_parse_case_and_whitespace():
 def test_syntax_errors(text):
     with pytest.raises(PDSyntaxError):
         parse_pd(text)
+
+
+@pytest.mark.parametrize(
+    "crossings",
+    [
+        [(1.9, 4, 2, 5), (3, 6, 4, 1), (5, 2, 6, "3")],
+        [(1, 4, 2, 5), (3, 6, 4, 1), (5, 2, 6, "3")],
+        [(1.0, 4, 2, 5), (3, 6, 4, 1), (5, 2, 6, 3)],
+        [1, 2],
+    ],
+)
+def test_build_diagram_rejects_labels_that_are_not_integers(crossings):
+    """A float or a string label is refused, not truncated: the first list
+    used to become a trefoil that was certified band prime."""
+    with pytest.raises(PDSyntaxError, match="integers"):
+        build_diagram(crossings)
 
 
 def test_label_multiplicity_error():

@@ -32,6 +32,7 @@ from helpers import plane_graph_from_multigraph  # noqa: E402
 
 from knotcert.diagram import connected_sum_factors, mirror_diagram  # noqa: E402
 from knotcert.invariants import invariant_bundle  # noqa: E402
+from knotcert.lattice import connected_classes  # noqa: E402
 from knotcert.medial import medial_diagram  # noqa: E402
 
 MAX_VERTICES = 5
@@ -81,20 +82,7 @@ def base_graphs(n: int):
 
 
 def _connected(n: int, edges) -> bool:
-    if n == 1:
-        return True
-    adj = {v: [] for v in range(n)}
-    for u, v in edges:
-        adj[u].append(v)
-        adj[v].append(u)
-    seen = {0}
-    stack = [0]
-    while stack:
-        for w in adj[stack.pop()]:
-            if w not in seen:
-                seen.add(w)
-                stack.append(w)
-    return len(seen) == n
+    return max(connected_classes(n, edges), default=0) == 0
 
 
 def _bridges(n: int, edges) -> set[int]:
