@@ -19,7 +19,6 @@ from __future__ import annotations
 import argparse
 import csv
 import functools
-import json
 from json.encoder import encode_basestring_ascii as _quote
 import os
 import sys
@@ -72,13 +71,10 @@ def _json(o, nl: str) -> str:
 
 
 def _json_text(obj) -> str:
-    """`json.dumps(obj, sort_keys=True, indent=2)` and a newline.  With an
-    indent, `json` uses its pure-Python encoder, so plain report data is
-    written here instead, with its C string quoting."""
-    try:
-        return _json(obj, "\n") + "\n"
-    except TypeError:
-        return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+    """`json.dumps(obj, sort_keys=True, indent=2)` and a newline, for report
+    data (`_json`).  With an indent, `json` uses its pure-Python encoder, so
+    the text is built here instead, with its C string quoting."""
+    return _json(obj, "\n") + "\n"
 
 
 def _analysis(d: Diagram, rank_cap: int, assert_two_bridge: bool) -> tuple[dict, InvariantBundle]:

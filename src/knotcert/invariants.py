@@ -1,6 +1,6 @@
 """Classical invariants computed from diagram combinatorics.
 
-Everything here is exact integer / rational arithmetic:
+Everything here is exact integer arithmetic:
 
 * Goeritz matrices for both checkerboard colors, and the knot signature via
   the Goeritz matrix corrected by the misoriented-crossing count (computed
@@ -19,11 +19,12 @@ integer arithmetic.  The matrix (the Fox matrix, or t V - V^T) is first
 Tietze-reduced over Z[t, t^-1]: eliminating on its unit entries +-t^e (least
 Markowitz cost first, taken from a heap of the unit entries' costs) changes
 the determinant by a unit only, so what is left is sized by the knot, not by
-the crossing count or the genus.  That residue is interpolated exactly: shift
-each row to a polynomial, bound the determinant's degree by the sum of the
-row spans, evaluate at that many plus one integer points, take fraction-free
-(Bareiss) determinants, and recover the coefficients by Newton divided
-differences.
+the crossing count or the genus.  That residue is evaluated once, by
+Kronecker substitution: shift each row to a polynomial, bound every
+coefficient of the determinant by the product over rows of the summed
+|coefficients|, take one fraction-free (Bareiss) determinant at t = 2^b with
+2^b more than twice that bound, and read the coefficients off as the balanced
+base-2^b digits of the value.
 """
 
 from __future__ import annotations
@@ -163,43 +164,6 @@ class LaurentPolynomial:
 
     def to_json(self) -> list[list[int]]:
         return [[e, c] for e, c in self.coeffs]
-
-
-# ---------------------------------------------------------------------------
-# exact linear algebra helpers
-
-
-def _interpolate_int_poly(xs: list[int], ys: list[int]) -> list[int]:
-    """Integer coefficients (ascending degree) of the polynomial through the points.
-
-    Newton divided differences at distinct integer points, then Horner
-    expansion of the Newton form.  The divided differences are integers
-    exactly when the values come from an integer polynomial of degree
-    < len(xs); a division with a remainder raises InconsistencyError.
-    """
-    n = len(xs)
-    dd = list(ys)
-    for k in range(1, n):
-        for i in range(n - 1, k - 1, -1):
-            q, r = divmod(dd[i] - dd[i - 1], xs[i] - xs[i - k])
-            if r:
-                raise InconsistencyError(
-                    f"divided difference {dd[i] - dd[i - 1]}/{xs[i] - xs[i - k]} "
-                    "is not an integer"
-                )
-            dd[i] = q
-    out = dd[-1:]
-    for k in range(n - 2, -1, -1):
-        # out <- out * (t - xs[k]) + dd[k]
-        x = xs[k]
-        out = (
-            [dd[k] - x * out[0]]
-            + [out[j - 1] - x * out[j] for j in range(1, len(out))]
-            + [out[-1]]
-        )
-    while out and out[-1] == 0:
-        out.pop()
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -491,36 +455,26 @@ def _laurent_det(rows: list[dict[int, dict[int, int]]]) -> LaurentPolynomial:
     """Determinant, up to a unit, of a square matrix of Laurent entries given
     as sparse rows (`_unit_residue`); the empty matrix has determinant 1.
 
-    The unit residue is interpolated: each row is shifted to a polynomial
-    (each column instead, by transposing, when the column spans sum to less);
-    the sum of the spans then bounds the degree of the determinant, so that
-    many plus one integer points suffice.
+    The unit residue is evaluated once, by Kronecker substitution: each row
+    is shifted to a polynomial, and the product over rows of the summed
+    |coefficients| bounds every coefficient of the determinant (expand it,
+    with |fg|_1 <= |f|_1 |g|_1).  At t = 2^b with 2^b > 2 bound, one integer
+    determinant holds the coefficients as its balanced base-2^b digits.
     """
-    def spans(rows):
-        exps = [[k for e in row for k in e] for row in rows]
-        return [(min(x), max(x)) for x in exps]
-
     m = _unit_residue(rows)
-    cols = [list(c) for c in zip(*m)]
-    row_spans, col_spans = spans(m), spans(cols)
-    if sum(b - a for a, b in col_spans) < sum(b - a for a, b in row_spans):
-        m, row_spans = cols, col_spans
-    # each row as its coefficient rows of t^hi, ..., t^lo, for Horner's rule
-    layers = []
-    for row, (lo, hi) in zip(m, row_spans):
-        layers.append([[e.get(k, 0) for e in row] for k in range(hi, lo - 1, -1)])
-    degree = sum(b - a for a, b in row_spans)
-    # points 0, 1, -1, 2, -2, ... keep the evaluated entries small
-    xs = [(k + 1) // 2 * (1 if k % 2 else -1) for k in range(degree + 1)]
-    ys = []
-    for x in xs:
-        mat = []
-        for top, *rest in layers:
-            for layer in rest:
-                top = [v * x + c for v, c in zip(top, layer)]
-            mat.append(top)
-        ys.append(det_int(mat))
-    return LaurentPolynomial.from_dict(dict(enumerate(_interpolate_int_poly(xs, ys))))
+    bound = 1
+    for row in m:
+        bound *= sum(abs(c) for e in row for c in e.values())
+    b = (2 * bound).bit_length()
+    mat = []
+    for row in m:
+        lo = min(k for e in row for k in e)
+        mat.append([sum(c << (b * (k - lo)) for k, c in e.items()) for e in row])
+    value, half, coeffs = det_int(mat), 1 << (b - 1), []
+    while value:  # value = digit + 2^b rest, with -2^(b-1) <= digit < 2^(b-1)
+        coeffs.append(((value + half) & ((1 << b) - 1)) - half)
+        value = (value + half) >> b
+    return LaurentPolynomial.from_dict(dict(enumerate(coeffs)))
 
 
 def alexander_via_seifert(d: Diagram) -> LaurentPolynomial:

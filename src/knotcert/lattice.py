@@ -305,30 +305,28 @@ def greedy_reduce(gram) -> tuple[list[list[int]], list[list[int]]]:
     """Greedy pairwise size reduction of a positive definite Gram matrix.
 
     Repeatedly replaces b_j by b_j + t*b_i (t the nearest integer to
-    -G_ij/G_ii) whenever that strictly shrinks |b_j|^2.  Returns
-    (reduced_gram, u_cols) with reduced = U^T G U; U unimodular by
+    -G_ij/G_ii, for G_ii > 0) whenever that leaves |b_j|^2 positive and
+    strictly smaller.  Each step lowers the sum of the positive diagonal
+    entries, a nonnegative integer, so the loop ends on any symmetric form.
+    Returns (reduced_gram, u_cols) with reduced = U^T G U; U unimodular by
     construction.  Not LLL -- just enough to start the decomposition from
     short vectors, which keeps its coset searches small.
     """
     n = len(gram)
     g = [list(row) for row in gram]
     u = identity(n)
-    guard = 0
     improved = True
     while improved:
         improved = False
-        guard += 1
-        if guard > 10000:  # pragma: no cover - safety net
-            raise RuntimeError("greedy reduction failed to terminate")
         for i in range(n):
             for j in range(n):
-                if i == j or g[i][i] == 0:
+                if i == j or g[i][i] <= 0:
                     continue
                 t = -round_div(g[i][j], g[i][i])
                 if t == 0:
                     continue
                 new_jj = g[j][j] + 2 * t * g[i][j] + t * t * g[i][i]
-                if new_jj >= g[j][j]:
+                if not 0 < new_jj < g[j][j]:
                     continue
                 # b_j += t * b_i
                 for r in range(n):

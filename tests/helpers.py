@@ -489,6 +489,41 @@ def poly_value(coeffs, x):
     return sum(c * x**k for k, c in enumerate(coeffs))
 
 
+def interpolate_int_poly(xs: list[int], ys: list[int]) -> list[int]:
+    """Integer coefficients (ascending degree) of the polynomial through the points.
+
+    Newton divided differences at distinct integer points, then Horner
+    expansion of the Newton form.  The divided differences are integers
+    exactly when the values come from an integer polynomial of degree
+    < len(xs); a division with a remainder raises InconsistencyError.
+    """
+    from knotcert.errors import InconsistencyError
+
+    n = len(xs)
+    dd = list(ys)
+    for k in range(1, n):
+        for i in range(n - 1, k - 1, -1):
+            q, r = divmod(dd[i] - dd[i - 1], xs[i] - xs[i - k])
+            if r:
+                raise InconsistencyError(
+                    f"divided difference {dd[i] - dd[i - 1]}/{xs[i] - xs[i - k]} "
+                    "is not an integer"
+                )
+            dd[i] = q
+    out = dd[-1:]
+    for k in range(n - 2, -1, -1):
+        # out <- out * (t - xs[k]) + dd[k]
+        x = xs[k]
+        out = (
+            [dd[k] - x * out[0]]
+            + [out[j - 1] - x * out[j] for j in range(1, len(out))]
+            + [out[-1]]
+        )
+    while out and out[-1] == 0:
+        out.pop()
+    return out
+
+
 def det_fraction(m):
     """Determinant by Gaussian elimination over Fractions."""
     from fractions import Fraction
@@ -872,16 +907,32 @@ def unit_residue_rescan(rows):
     return [[row.get(j, {}) for j in cols] for row in rows]
 
 
+def laurent_det_leibniz(m):
+    """Determinant of a dense square matrix of Laurent entries {exponent:
+    coefficient} by the Leibniz expansion over all permutations, as a dict
+    {exponent: coefficient} without zeros."""
+    import itertools
+
+    out = {}
+    for perm in itertools.permutations(range(len(m))):
+        inversions = sum(a > b for a, b in itertools.combinations(perm, 2))
+        term = {0: -1 if inversions % 2 else 1}
+        for row, j in zip(m, perm):
+            prod = {}
+            for a, x in term.items():
+                for b, y in row[j].items():
+                    prod[a + b] = prod.get(a + b, 0) + x * y
+            term = prod
+        for a, x in term.items():
+            out[a] = out.get(a, 0) + x
+    return {a: x for a, x in out.items() if x}
+
+
 def alexander_dense_wirtinger(d):
     """Alexander polynomial from the dense (n-1)x(n-1) Fox matrix of the
     Wirtinger presentation (last row and column deleted), one determinant per
     interpolation point."""
-    from knotcert.invariants import (
-        _FOX_ROW,
-        LaurentPolynomial,
-        _interpolate_int_poly,
-        _normalize_alexander,
-    )
+    from knotcert.invariants import _FOX_ROW, LaurentPolynomial, _normalize_alexander
     from knotcert.diagram import orient
     from knotcert.lattice import connected_classes, det_int
 
@@ -908,7 +959,7 @@ def alexander_dense_wirtinger(d):
                 if j < size:
                     mrow[j] = c0 + c1 * x
         ys.append(det_int(mat))
-    coeffs = _interpolate_int_poly(xs, ys)
+    coeffs = interpolate_int_poly(xs, ys)
     raw = LaurentPolynomial.from_dict(dict(enumerate(coeffs)))
     return _normalize_alexander(raw, "dense wirtinger")
 
@@ -918,7 +969,6 @@ def alexander_dense_seifert(d):
     Seifert matrix V, one determinant per interpolation point."""
     from knotcert.invariants import (
         LaurentPolynomial,
-        _interpolate_int_poly,
         _normalize_alexander,
         seifert_matrix_special,
     )
@@ -930,7 +980,7 @@ def alexander_dense_seifert(d):
         det_int([[x * a - b for a, b in zip(row, col)] for row, col in zip(v, zip(*v))])
         for x in xs
     ]
-    raw = LaurentPolynomial.from_dict(dict(enumerate(_interpolate_int_poly(xs, ys))))
+    raw = LaurentPolynomial.from_dict(dict(enumerate(interpolate_int_poly(xs, ys))))
     return _normalize_alexander(raw, "dense seifert")
 
 

@@ -289,16 +289,53 @@ class _Str(str):
         None,
         {"t": True, "f": False, "n": None, "i": -3, "s": ""},
         [[[[{"deep": [1, [2, [3]]]}]]]],
-        # outside the plain types: the whole object goes through json.dumps
+    ],
+)
+def test_json_text_matches_json_dumps_on_edge_cases(obj):
+    assert _json_text(obj) == _dumps(obj)
+
+
+@pytest.mark.parametrize(
+    "obj",
+    [
         (1, [2, 3]),
         {"x": 1.5, "y": [0.1, -2e30]},
         {1: "int key", 2: []},
         {"k": (1, {"t": ()})},
         [_Int(5), _Str("s"), True],
     ],
+    ids=["tuple", "float", "int-key", "nested-tuple", "subclass"],
 )
-def test_json_text_matches_json_dumps_on_edge_cases(obj):
-    assert _json_text(obj) == _dumps(obj)
+def test_json_text_rejects_what_no_report_holds(obj):
+    """Reports hold only dicts with str keys, lists, str, int, bool and None;
+    anything else is a TypeError, not a silent second encoder."""
+    with pytest.raises(TypeError):
+        _json_text(obj)
+
+
+def test_every_report_is_plain_json_data(tmp_path, capsys, monkeypatch):
+    """The analyze, batch entry (with stored-value mismatches), batch summary
+    and pair reports reach `_json_text` as plain data, which it writes as
+    json.dumps does; `_json` refuses a tuple."""
+    seen = []
+
+    def spy(obj, _real=cli._json_text):
+        seen.append(obj)
+        return _real(obj)
+
+    monkeypatch.setattr(cli, "_json_text", spy)
+    f = tmp_path / "c.csv"
+    f.write_text(f'name,pd,det\nwrong,"{LEFT_TREFOIL}",99\nplain,"{GRANNY}",\n')
+    assert run(capsys, "analyze", "--pd", TREFOIL, "--json")[0] == 0
+    assert run(capsys, "batch", str(f), "--json", "--out", str(tmp_path / "out"))[0] == 1
+    assert run(capsys, "pair", "--lower", "", "--upper", TREFOIL, "--json")[0] == 0
+    kinds = [obj["kind"] for obj in seen]
+    assert kinds == ["analysis", "analysis", "analysis", "batch_summary", "pair_obstructions"]
+    assert "expected_mismatches" in seen[1]
+    for obj in seen:
+        assert _json_text(obj) == _dumps(obj)
+    with pytest.raises(TypeError):
+        cli._json((1, 2), "\n")
 
 
 def test_json_output_is_byte_identical(capsys):

@@ -15,6 +15,8 @@ from helpers import (
     alexander_dense_wirtinger,
     crossing_changed,
     goeritz_by_corner_pairs,
+    interpolate_int_poly,
+    laurent_det_leibniz,
     necklace,
     plane_graph_from_multigraph,
     poly_value,
@@ -39,7 +41,6 @@ from knotcert.errors import ClassificationError, InconsistencyError
 from knotcert.invariants import (
     LaurentPolynomial,
     _fox_rows,
-    _interpolate_int_poly,
     _laurent_det,
     alexander,
     alexander_via_seifert,
@@ -128,7 +129,7 @@ def test_interpolation_roundtrip():
         coeffs = [rng.randint(-5, 5) for _ in range(deg + 1)]
         xs = list(range(2, 2 + deg + 1))
         ys = [Fraction(sum(c * x**k for k, c in enumerate(coeffs))) for x in xs]
-        got = _interpolate_int_poly(xs, ys)
+        got = interpolate_int_poly(xs, ys)
         want = coeffs[:]
         while want and want[-1] == 0:
             want.pop()
@@ -140,7 +141,7 @@ def test_interpolation_roundtrip_high_degree_large_coefficients():
     for deg in (0, 1, 7, 20, 40):
         coeffs = [rng.randint(-10**12, 10**12) for _ in range(deg)] + [rng.choice((-1, 1)) * 10**15]
         xs = list(range(2, 2 + deg + 1))
-        got = _interpolate_int_poly(xs, [poly_value(coeffs, x) for x in xs])
+        got = interpolate_int_poly(xs, [poly_value(coeffs, x) for x in xs])
         assert got == coeffs and all(type(c) is int for c in got)
 
 
@@ -153,19 +154,19 @@ def test_interpolation_on_negative_and_non_consecutive_points():
         want = coeffs[:]
         while want and want[-1] == 0:
             want.pop()
-        assert _interpolate_int_poly(xs, [poly_value(coeffs, x) for x in xs]) == want
+        assert interpolate_int_poly(xs, [poly_value(coeffs, x) for x in xs]) == want
 
 
 def test_interpolation_rejects_values_of_a_non_integer_polynomial():
     # t(t - 1)/2 is integer-valued but has non-integer coefficients
     xs = [-3, 1, 4]
     with pytest.raises(InconsistencyError):
-        _interpolate_int_poly(xs, [x * (x - 1) // 2 for x in xs])
+        interpolate_int_poly(xs, [x * (x - 1) // 2 for x in xs])
 
 
 def test_interpolation_rejects_non_integer():
     with pytest.raises(InconsistencyError):
-        _interpolate_int_poly([0, 2], [Fraction(0), Fraction(1)])
+        interpolate_int_poly([0, 2], [Fraction(0), Fraction(1)])
 
 
 # ---------------------------------------------------------------------------
@@ -347,7 +348,7 @@ def test_seifert_matches_closed_form_on_torus_knots():
 
 
 def _residue_rows(monkeypatch, backend, d):
-    """Rows of the unit residue that `backend` interpolates for d."""
+    """Rows of the unit residue that `backend` evaluates for d."""
     sizes = []
 
     def spy(rows, _real=invariants._unit_residue):
@@ -452,6 +453,68 @@ def test_laurent_det_of_empty_and_malformed_matrices():
     ):
         with pytest.raises(InconsistencyError):
             _laurent_det(rows)
+
+
+def _up_to_unit(p: LaurentPolynomial) -> LaurentPolynomial:
+    """p times the unit +-t^k that makes it a polynomial with a positive
+    constant term (0 stays 0)."""
+    if not p:
+        return p
+    p = p.shift(-p.min_exp())
+    return -p if p.coefficient(0) < 0 else p
+
+
+def test_laurent_det_matches_leibniz_up_to_a_unit():
+    """Matrices with no unit entry (so the residue is the whole matrix) and
+    large coefficients, against the Leibniz expansion.  On diag(3t^2,
+    -5t^-1, 7) the determinant's coefficient 105 equals the bound (the
+    product of the rows' summed |coefficients|), so reading the digits at a
+    point below 2 * bound + 1, such as bound + 1, gets it wrong."""
+    cases = [[[{2: 3}, {}, {}], [{}, {-1: -5}, {}], [{}, {}, {0: 7}]]]
+    rng = random.Random(19)
+    while len(cases) < 400:
+        n = rng.randint(0, 5)
+        m = []
+        for _ in range(n):
+            row = []
+            for _ in range(n):
+                e = {}
+                if rng.random() < 0.8:
+                    for _ in range(rng.randint(1, 3)):
+                        e[rng.randint(-3, 3)] = rng.randint(-10**6, 10**6)
+                e = {a: x for a, x in e.items() if x}
+                if len(e) == 1 and abs(*e.values()) == 1:
+                    e = {}
+                row.append(e)
+            m.append(row)
+        if all(any(row) for row in m) and all(any(col) for col in zip(*m)):
+            cases.append(m)
+    for m in cases:
+        rows = [{j: dict(e) for j, e in enumerate(row) if e} for row in m]
+        want = LaurentPolynomial.from_dict(laurent_det_leibniz(m))
+        assert _up_to_unit(_laurent_det(rows)) == _up_to_unit(want), m
+
+
+def test_each_laurent_determinant_takes_one_integer_determinant(monkeypatch):
+    """Kronecker substitution: one `det_int` call per Laurent determinant,
+    whatever the residue's size or degree."""
+    sizes = []
+
+    def spy(m, _real=det_int):
+        sizes.append(len(m))
+        return _real(m)
+
+    monkeypatch.setattr(invariants, "det_int", spy)
+    diagrams = [parse_pd(entry.pd) for entry in load_corpus()]
+    diagrams += [medial_diagram(theta(k), 1)[0] for k in (21, 41)]
+    for d in diagrams:
+        families = [_fox_rows(d)] + ([_seifert_rows(d)] if classify_special(d).is_special else [])
+        for rows in families:
+            sizes.clear()
+            _laurent_det(rows)
+            assert len(sizes) == 1, d.pd_text()
+    sizes.clear()
+    assert _laurent_det([]) == L("1") and sizes == [0]
 
 
 # ---------------------------------------------------------------------------

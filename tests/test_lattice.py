@@ -669,6 +669,25 @@ def test_signature_det_matches_det_int():
     assert signature_det(sparse_rows(m)) == (1, det_int(m)) == (1, -1)
 
 
+def test_greedy_reduce_ends_on_indefinite_and_degenerate_forms():
+    """A step needs G_ii > 0 and leaves G_jj positive and smaller, so the
+    sum of the positive diagonal entries falls at each step and the loop
+    ends on any symmetric form; the result is U^T G U with U unimodular."""
+    rng = random.Random(23)
+    kinds = ("dense", "zero-diagonal", "hyperbolic", "rank-deficient", "large")
+    stepped = 0
+    for trial in range(1000):
+        kind = kinds[trial % len(kinds)]
+        m = _random_symmetric(rng, rng.randint(0, 7), kind)
+        red, u = greedy_reduce(m)
+        assert congruence(u, m) == red, (kind, m)
+        assert abs(det_int(u)) == 1, (kind, m)
+        positive = lambda g: sum(g[i][i] for i in range(len(g)) if g[i][i] > 0)
+        assert positive(red) <= positive(m), (kind, m)
+        stepped += red != m
+    assert stepped > 100
+
+
 def _signed_laplacian(n, edges, signs):
     """The signed Laplacian of a multigraph on n vertices, loops skipped,
     with the last vertex's row and column dropped."""

@@ -156,6 +156,20 @@ def test_blocks_match_oracle_on_random_multigraphs():
         blocks(make_tait(4, [(0, 1), (1, 0), (2, 3), (3, 2)]))
 
 
+def test_blocks_are_the_same_for_both_colors():
+    """The two Tait graphs of a diagram are plane duals on the same edges
+    (its crossings).  The blocks of a graph are the components of its cycle
+    matroid, and a matroid and its dual have the same components, so both
+    colors split a diagram along the same blocks."""
+    rng = random.Random(20261020)
+    diagrams = [parse_pd(e.pd) for e in load_corpus()]
+    diagrams += [draw.d for draw in random_draws(rng, 9, tries=3000)]
+    assert len(diagrams) > 2900
+    for d in diagrams:
+        g0, g1 = tait_graphs(d)
+        assert blocks(g0) == blocks(g1), d.pd_text()
+
+
 def test_fundamental_cycles_match_edge_scan():
     """The adjacency-list BFS grows the tree of the edge-scanning BFS, so
     the walks agree, and with them every Gram matrix and witness in a
