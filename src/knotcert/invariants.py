@@ -21,15 +21,16 @@ Markowitz cost first, taken from a heap of the unit entries' costs) changes
 the determinant by a unit only, so what is left is sized by the knot, not by
 the crossing count or the genus.  That residue is evaluated once, by
 Kronecker substitution: shift each row to a polynomial, bound every
-coefficient of the determinant by the product over rows of the summed
-|coefficients|, take one fraction-free (Bareiss) determinant at t = 2^b with
-2^b more than twice that bound, and read the coefficients off as the balanced
-base-2^b digits of the value.
+coefficient of the determinant by Hadamard's bound on the unit circle, take
+one fraction-free (Bareiss) determinant at t = 2^b with 2^b more than twice
+that bound, and read the coefficients off as the balanced base-2^b digits of
+the value.
 """
 
 from __future__ import annotations
 
 import heapq
+import math
 import re
 from dataclasses import dataclass
 
@@ -456,16 +457,14 @@ def _laurent_det(rows: list[dict[int, dict[int, int]]]) -> LaurentPolynomial:
     as sparse rows (`_unit_residue`); the empty matrix has determinant 1.
 
     The unit residue is evaluated once, by Kronecker substitution: each row
-    is shifted to a polynomial, and the product over rows of the summed
-    |coefficients| bounds every coefficient of the determinant (expand it,
-    with |fg|_1 <= |f|_1 |g|_1).  At t = 2^b with 2^b > 2 bound, one integer
-    determinant holds the coefficients as its balanced base-2^b digits.
+    is shifted to a polynomial.  Its determinant's coefficients are integers
+    no larger than its max on |t| = 1, so than Hadamard's bound there, the
+    isqrt of prod_rows sum |e|_1^2.  At t = 2^b with 2^b > 2 bound, one
+    integer determinant holds the coefficients as balanced base-2^b digits.
     """
     m = _unit_residue(rows)
-    bound = 1
-    for row in m:
-        bound *= sum(abs(c) for e in row for c in e.values())
-    b = (2 * bound).bit_length()
+    square = math.prod(sum(sum(map(abs, e.values())) ** 2 for e in row) for row in m)
+    b = (2 * math.isqrt(square)).bit_length()
     mat = []
     for row in m:
         lo = min(k for e in row for k in e)

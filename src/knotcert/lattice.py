@@ -2,14 +2,14 @@
 
 All arithmetic is on integers and exact, and nothing here uses `Fraction`.
 There are two fraction-free (Bareiss) elimination kernels, whose divisions
-are exact.  The dense one, `_bareiss`, runs in natural order and serves
-both `det_int` and the Fincke-Pohst weights.  The sparse one, `_sylvester`,
-gives inertia: it eliminates sparse rows in least-degree order, so a Goeritz
-form of hundreds of faces, a sparse planar Laplacian, costs about its
-fill-in.  The enumerations work on small definite Gram matrices (rank <= 12
-by default).  The one nontrivial operation is `indecomposable_summands`,
-which splits a definite lattice L into its orthogonally indecomposable
-summands.
+are exact.  The dense one, `_bareiss`, runs in natural order and serves both
+`det_int` and the Fincke-Pohst weights, whose refusal is also the
+decomposition's definiteness test.  The sparse one, `_sylvester`, gives
+inertia: it eliminates sparse rows in least-degree order, so a Goeritz form
+of hundreds of faces, a sparse planar Laplacian, costs about its fill-in.
+The enumerations work on small definite Gram matrices (rank <= 12 by
+default).  The one nontrivial operation is `indecomposable_summands`, which
+splits a definite lattice L into its orthogonally indecomposable summands.
 
 Call a nonzero v *decomposable* if v = x + y with x, y nonzero and x.y = 0.
 Then u = x - y lies in the coset v + 2L and |u|^2 = |x|^2 + |y|^2 = |v|^2;
@@ -346,9 +346,10 @@ def _fincke_pohst(gram):
     definite Gram matrix, from its `_bareiss` steps.  The form is positive
     definite exactly when the elimination needs no swap and every pivot, a
     leading principal minor, is positive (Sylvester's criterion); anything
-    else raises ValueError.  By symmetry row k then holds the entries b_ik
-    below pivot p_k of the fraction-free LDL^T, d_k = p_k / p_{k-1} and
-    L_ik = b_ik / p_k (p_{-1} = 1)."""
+    else raises ValueError, `indecomposable_summands`' definiteness test.
+    By symmetry row k then holds the entries b_ik below pivot p_k of the
+    fraction-free LDL^T, d_k = p_k / p_{k-1} and L_ik = b_ik / p_k
+    (p_{-1} = 1)."""
     swaps, pivots, rows = _bareiss(gram)
     if swaps or len(pivots) < len(gram) or any(p <= 0 for p in pivots):
         raise ValueError("Fincke-Pohst enumeration requires a positive definite matrix")
@@ -507,30 +508,29 @@ def indecomposable_summands(
 ) -> Decomposition:
     """Split a definite form into its indecomposable orthogonal summands.
 
-    Accepts positive or negative definite input (the latter is negated
-    internally and the summands are negated back).  The returned witness U is
-    unimodular and satisfies: U^T Q U is block diagonal with the summand
-    blocks in order.  Each summand's basis is the Hermite normal form of its
-    sublattice in the coordinates of `greedy_reduce`'s basis, and the
-    summands are ordered by those forms, so a form with one summand has
-    `greedy_reduce`'s U as its witness.  Raises DegenerateFormError /
-    ValueError on forms that are not definite and RankCapExceededError above
-    the cap.
+    Accepts positive or negative definite input: the form times the sign of
+    its first diagonal entry is greedy-reduced, and the Fincke-Pohst
+    elimination of that refuses it unless it is positive definite.  The
+    returned witness U is unimodular and U^T Q U is block diagonal with the
+    summand blocks in order.  Each summand's basis is the Hermite normal
+    form of its sublattice in the coordinates of `greedy_reduce`'s basis,
+    and the summands are ordered by those forms, so a form with one summand
+    has `greedy_reduce`'s U as its witness.  A refused form raises
+    DegenerateFormError if its determinant is 0, else ValueError; a rank
+    above the cap raises RankCapExceededError.
     """
     n = q.rank
     check_rank_cap(n, rank_cap)
-    kind = definiteness(q)
-    if kind == "degenerate":
-        raise DegenerateFormError("cannot decompose a degenerate form")
-    if kind == "indefinite":
-        raise ValueError("indecomposable_summands requires a definite form")
     if n == 0:
         return Decomposition(summands=(), witness=())
-    sign = 1 if kind == "positive_definite" else -1
-    g0 = [[sign * x for x in row] for row in q.matrix]
-
-    g_red, u_red = greedy_reduce(g0)
-    gens = _indecomposable_generators(g_red)
+    sign = 1 if q.matrix[0][0] > 0 else -1
+    g_red, u_red = greedy_reduce([[sign * x for x in row] for row in q.matrix])
+    try:
+        gens = _indecomposable_generators(g_red)
+    except ValueError:  # not definite; det is kept by unimodular congruence
+        if det_int(g_red) == 0:
+            raise DegenerateFormError("cannot decompose a degenerate form") from None
+        raise ValueError("indecomposable_summands requires a definite form") from None
     images = [gram_image(g_red, v) for v in gens]
     # the Eichler summands: classes of the transitive closure of non-orthogonality
     labels = connected_classes(

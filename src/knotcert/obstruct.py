@@ -156,8 +156,8 @@ def band_prime_certificate(d: Diagram, rank_cap: int = DEFAULT_RANK_CAP) -> Cert
             continue
         # a prime diagram is its own single factor: reuse the whole's lattice
         dec = dec_full if f is d else indecomposable_summands(gram, rank_cap=rank_cap)
-        # indecomposable_summands refuses a form that is not definite, and a
-        # definite form's diagonal entries all carry its sign
+        # indecomposable_summands' one elimination refuses a form that is not
+        # definite, and a definite form's diagonal entries all carry its sign
         kind = "positive_definite" if dec.summands[0].matrix[0][0] > 0 else "negative_definite"
         sig = gl_signature(f)
         record = FactorRecord(

@@ -16,12 +16,13 @@ import pytest
 
 import knotcert
 from helpers import MISORIENTED, necklace, theta
-from knotcert import cli, obstruct, tait
+from knotcert import cli, lattice, obstruct, tait
 from knotcert.cli import _json_text, main
-from knotcert.diagram import mirror_diagram
-from knotcert.lattice import sparse_rows
+from knotcert.diagram import connected_sum_factors, mirror_diagram, parse_pd
+from knotcert.lattice import greedy_reduce, sparse_rows
 from knotcert.corpus import corpus_entry, load_corpus
 from knotcert.medial import medial_diagram
+from knotcert.tait import orientable_flow_lattice
 
 TREFOIL = "X(1,4,2,3) X(3,6,4,5) X(5,2,6,1)"
 LEFT_TREFOIL = "X(1,4,2,5) X(3,6,4,1) X(5,2,6,3)"  # orientable color 0
@@ -212,13 +213,52 @@ def test_analyze_builds_each_tait_graph_once(monkeypatch, capsys):
     assert sorted(built) == [0, 1]
 
 
-def test_analyze_computes_each_factor_inertia_once(monkeypatch, capsys):
-    """The certificate reads a factor's definiteness off its decomposition,
-    which has just computed it."""
-    counts = _count_calls(monkeypatch, "lattice.definiteness")
-    code, _, _ = run(capsys, "analyze", "--pd", TREFOIL, "--json")
+def test_analyze_eliminates_each_flow_lattice_once(monkeypatch, capsys):
+    """Each flow lattice the certificate decomposes (the granny knot's and
+    its two trefoil factors') is eliminated once: the Fincke-Pohst
+    `_bareiss` run on its greedy-reduced form is also its definiteness test,
+    and the witness `det_int` is the only other elimination in
+    `indecomposable_summands`.  `_sylvester` sees only the Goeritz rows of
+    the diagram and its factors, each once."""
+    from knotcert.invariants import goeritz_matrix
+
+    d = parse_pd(GRANNY)
+    diagrams = [d, *connected_sum_factors(d)]
+    lattices = [orientable_flow_lattice(x)[1].matrix for x in diagrams]
+    goeritz = [sparse_rows(goeritz_matrix(x, c).matrix) for x in diagrams for c in (0, 1)]
+    decomposed = []  # [gram, result, _bareiss runs, _sylvester runs] per call
+    runs = {"_bareiss": [], "_sylvester": []}
+
+    def spy(name, real):
+        def recorded(m):
+            seen = m if name == "_bareiss" else [dict(row) for row in m]
+            if decomposed and decomposed[-1][1] is None:
+                decomposed[-1][2 if name == "_bareiss" else 3].append(seen)
+            runs[name].append(seen)
+            return real(m)
+        monkeypatch.setattr(lattice, name, recorded)
+
+    spy("_bareiss", lattice._bareiss)
+    spy("_sylvester", lattice._sylvester)
+
+    def wrap(qualname, fn):
+        def recorded(q, **kwargs):
+            decomposed.append([q.matrix, None, [], []])
+            decomposed[-1][1] = fn(q, **kwargs)
+            return decomposed[-1][1]
+        return recorded
+
+    _wrap_calls(monkeypatch, ["lattice.indecomposable_summands"], wrap)
+    code, _, _ = run(capsys, "analyze", "--pd", GRANNY, "--json")
     assert code == 0
-    assert counts == {"lattice.definiteness": 1}
+    assert sorted(gram for gram, *_ in decomposed) == sorted(lattices)
+    reduced = [greedy_reduce(gram)[0] for gram, *_ in decomposed]
+    for (_, dec, bareiss, sylvester), red in zip(decomposed, reduced):
+        assert bareiss == [red, [list(row) for row in dec.witness]]
+        assert sylvester == []
+    assert sorted(m for m in runs["_bareiss"] if m in reduced) == sorted(reduced)
+    entries = lambda rows: [sorted(row.items()) for row in rows]
+    assert sorted(map(entries, runs["_sylvester"])) == sorted(map(entries, goeritz))
 
 
 def test_analyze_eliminates_each_goeritz_matrix_once(monkeypatch, capsys):

@@ -467,10 +467,14 @@ def _up_to_unit(p: LaurentPolynomial) -> LaurentPolynomial:
 def test_laurent_det_matches_leibniz_up_to_a_unit():
     """Matrices with no unit entry (so the residue is the whole matrix) and
     large coefficients, against the Leibniz expansion.  On diag(3t^2,
-    -5t^-1, 7) the determinant's coefficient 105 equals the bound (the
-    product of the rows' summed |coefficients|), so reading the digits at a
-    point below 2 * bound + 1, such as bound + 1, gets it wrong."""
-    cases = [[[{2: 3}, {}, {}], [{}, {-1: -5}, {}], [{}, {}, {0: 7}]]]
+    -5t^-1, 7) and on 2 H_4 (the order-4 Hadamard matrix doubled) the
+    determinant's coefficient, 105 and 256, meets the bound (Hadamard's on
+    the unit circle: isqrt of the product over rows of the summed squared
+    1-norms), so reading the digits at a point below 2 * bound + 1 gets it
+    wrong: with bound - 1 in its place, 256 reads as the digits [-256, 1]."""
+    h4 = ((1, 1, 1, 1), (1, -1, 1, -1), (1, 1, -1, -1), (1, -1, -1, 1))
+    cases = [[[{2: 3}, {}, {}], [{}, {-1: -5}, {}], [{}, {}, {0: 7}]],
+             [[{0: 2 * x} for x in row] for row in h4]]
     rng = random.Random(19)
     while len(cases) < 400:
         n = rng.randint(0, 5)

@@ -195,6 +195,66 @@ def test_decomposition_rejects_indefinite_and_degenerate():
         indecomposable_summands(GramForm(((0,),)))
 
 
+@pytest.mark.parametrize(
+    "matrix, error",
+    [
+        (((0, 1), (1, 0)), ValueError),
+        (((-1, 0), (0, 1)), ValueError),
+        (((1, 1), (1, 1)), DegenerateFormError),
+        (((-1, -1), (-1, -1)), DegenerateFormError),
+    ],
+)
+def test_decomposition_refuses_forms_whose_first_entry_misleads(matrix, error):
+    """The sign is read off the first diagonal entry, which any definite
+    form shares with its whole diagonal; the Fincke-Pohst elimination still
+    refuses a form that is not definite, whatever that entry says."""
+    with pytest.raises(error):
+        indecomposable_summands(GramForm(matrix))
+
+
+_DEFINITE_BLOCKS = ([[1]], [[3]], [[2, 1], [1, 2]], [[2, -1, 0], [-1, 2, -1], [0, -1, 2]],
+                    [[4, 1], [1, 2]], [[2, 1, 1], [1, 2, 1], [1, 1, 5]])
+
+
+def _scrambled_definite(rng, sign):
+    """A congruence-scrambled orthogonal sum of one to three definite
+    blocks, times sign."""
+    m: list[list[int]] = []
+    for block in rng.choices(_DEFINITE_BLOCKS, k=rng.randint(1, 3)):
+        k, n = len(block), len(m)
+        m = [row + [0] * k for row in m] + [[0] * n + list(row) for row in block]
+    scrambled, _ = congruent_scramble(m, rng)
+    return [[sign * x for x in row] for row in scrambled]
+
+
+def test_decomposition_refusals_match_definiteness():
+    """Seeded sweep: indecomposable_summands raises DegenerateFormError
+    exactly on the forms `definiteness` (the sparse Sylvester pass) calls
+    degenerate and ValueError exactly on the indefinite ones; on a definite
+    form its summands carry the form's sign."""
+    rng = random.Random(37)
+    kinds = ("dense", "zero-diagonal", "hyperbolic", "rank-deficient", "large")
+    seen = Counter()
+    for trial in range(1500):
+        if trial % 3:
+            m = _random_symmetric(rng, rng.randint(1, 6), kinds[trial % len(kinds)])
+        else:
+            m = _scrambled_definite(rng, rng.choice((1, -1)))
+        q = GramForm(tuple(map(tuple, m)))
+        kind = definiteness(q)
+        if kind == "degenerate":
+            with pytest.raises(DegenerateFormError):
+                indecomposable_summands(q)
+        elif kind == "indefinite":
+            with pytest.raises(ValueError):
+                indecomposable_summands(q)
+        else:
+            dec = indecomposable_summands(q)
+            assert {definiteness(s) for s in dec.summands} == {kind}, m
+        seen[kind, (m[0][0] > 0) - (m[0][0] < 0)] += 1
+    assert min(seen.values()) > 20 and len(seen) == 8, seen
+
+
 def test_decomposition_scrambled_blocks():
     rng = random.Random(99)
     base = [
