@@ -7,9 +7,10 @@ Everything here is exact integer arithmetic:
   for both surface choices and required to agree).  Each Goeritz matrix's
   signature and determinant come from one symmetric elimination.
 * A Seifert matrix for special diagrams, built on the checkerboard surface
-  realized by Seifert's algorithm: the flow-lattice cycle basis gives the
-  curves, half-twisted bands contribute the symmetric part, and chord
-  crossings inside the disks contribute the antisymmetric part.
+  realized by Seifert's algorithm, in closed form: the basis curves are the
+  boundaries of the faces of the orientable color's Tait graph, a curve
+  links its pushoff -e/2 in each band of sign e along it, and two curves
+  cross once in each band they share, counted in one of their two entries.
 * The Alexander polynomial by two independent backends (Seifert matrix /
   Wirtinger-Fox calculus), with determinant, genus and fiberedness data
   derived from it.
@@ -45,7 +46,7 @@ from .diagram import (
 )
 from .errors import InconsistencyError
 from .lattice import GramForm, Matrix, connected_classes, det_int, signature_det
-from .tait import TaitGraph, cycle_form, cycles_through, orientable_flow_lattice, tait_graphs
+from .tait import TaitGraph, orientable_tait_graph, tait_graphs
 
 # ---------------------------------------------------------------------------
 # Laurent polynomials over the integers
@@ -229,17 +230,6 @@ def gl_signature(d: Diagram) -> int:
 # Seifert matrix for special diagrams
 
 
-def _chord_cross_sign(n_slots: int, a1: int, b1: int, a2: int, b2: int) -> int:
-    """0 if the chords a1->b1 and a2->b2 of a circle with n_slots marked
-    points do not interleave; otherwise +1 when the counterclockwise order
-    is a1, a2, b1, b2 and -1 when it is a1, b2, b1, a2."""
-    rel = lambda x: (x - a1) % n_slots
-    u, p, q = rel(b1), rel(a2), rel(b2)
-    if (p < u) == (q < u):
-        return 0
-    return 1 if p < u else -1
-
-
 def _disk_classes(d: Diagram, g: TaitGraph) -> list[int]:
     """Each disk's class (a vertex of the orientable color's Tait graph g):
     0 when its boundary runs with the knot at its first half-edge as disk
@@ -256,20 +246,24 @@ def _disk_classes(d: Diagram, g: TaitGraph) -> list[int]:
 
 
 def seifert_matrix_special(d: Diagram) -> Matrix:
-    """Seifert matrix of a special diagram on its checkerboard Seifert surface.
+    """Seifert matrix of a special diagram on its checkerboard Seifert surface,
+    in the basis of the face boundaries of the orientable color's Tait graph g.
 
-    The surface is the orientable checkerboard color: its faces are the disks
-    and the crossings are half-twisted bands.  A basis of H_1 is the
-    fundamental-cycle basis of the flow lattice of that color's graph.  For
-    basis curves x_i, x_j the linking number of pushoffs decomposes into a
-    band part (one term per shared band, -sign(crossing) per coincidence) and
-    a disk part (chord crossings inside each disk, signed by the disk's class
-    in the bipartition); V is half of (band part + disk part), which is
-    integral exactly when the diagram is special.
+    The surface is the orientable color: its faces are the disks and the
+    crossings are half-twisted bands, and the faces of g are the faces of the
+    other color.  Face f's boundary is the cycle x_f over g's edges: its
+    half-edge (c, s) adds +1 when corner (s - 1) mod 4 is the one just
+    counterclockwise of end 0 of edge c, else -1, so an edge that f runs
+    along both ways cancels.  All faces but the one with the most half-edges
+    (the first on a tie) are a basis of H_1.  With e_c the sign of crossing
+    c, a boundary pushed off the surface links itself -(sum of e_c over the
+    support of x_f) / 2 times.  Two boundaries meet only in the bands they
+    share, and each such band c adds e_c to one entry: to (f, h) when
+    x_f(c) e_c o_c = -1, where o_c is +1 when end 0 of c is a class-0 disk
+    (`_disk_classes`) and -1 otherwise, else to (h, f).
     """
-    g, _gram, walks = orientable_flow_lattice(d)  # ClassificationError unless special
-    r = len(walks)
-    if r == 0:
+    g = orientable_tait_graph(d)  # ClassificationError unless special
+    if g.cycle_rank() == 0:
         return ()
 
     # Being special means the orientable color occupies the smoothing corner
@@ -279,69 +273,29 @@ def seifert_matrix_special(d: Diagram) -> Matrix:
     if g.edge_signs != signs:
         raise InconsistencyError("orientable color's edge signs differ from the crossing signs")
     cls = _disk_classes(d, g)
+    faces = checkerboard(d)[1 - classify_special(d).orientable_color]
+    drop = max(range(len(faces)), key=lambda f: len(faces[f]))
+    basis = faces[:drop] + faces[drop + 1:]
 
-    # Band part: crossings shared by two basis curves.
-    band = cycle_form(g, walks, [-sign for sign in signs])
+    V = [[0] * len(basis) for _ in basis]
+    rows: dict[int, int] = {}  # band c: the basis face f along it with x_f(c) e_c o_c = -1
+    cols: dict[int, int] = {}  # band c: the basis face f along it with x_f(c) e_c o_c = +1
+    for f, face in enumerate(basis):
+        x: dict[int, int] = {}
+        for c, s in face:  # corner 1 (e_c = +1) or 2 (e_c = -1) is just ccw of end 0
+            x[c] = x.get(c, 0) + (1 if (s - 1) % 4 == (3 - signs[c]) // 2 else -1)
+        x = {c: xc for c, xc in x.items() if xc}
+        total = sum(signs[c] for c in x)
+        if total % 2:
+            raise InconsistencyError(f"basis face {f} links itself {-total}/2 times")
+        V[f][f] = -total // 2
+        for c, xc in x.items():
+            (rows if xc * signs[c] * (1 - 2 * cls[g.edges[c][0]]) == -1 else cols)[c] = f
+    for c in rows.keys() & cols.keys():
+        V[rows[c]][cols[c]] += signs[c]
+    V = tuple(map(tuple, V))
 
-    # Disk part: inside each disk the basis curves appear as chords between
-    # band attachment slots.  Slots are ordered by the rotation system, with
-    # the curves using an edge fanned out in basis order at both ends.
-    users = cycles_through(g, walks)
-    slot_pos: list[dict[tuple[int, int], int]] = []
-    slot_count: list[int] = []
-    for v in range(g.num_vertices):
-        pos: dict[tuple[int, int], int] = {}
-        k = 0
-        for (e, end) in g.rotations[v]:
-            for cyc, _ in users[e]:
-                pos[(e, cyc)] = k
-                k += 1
-        slot_pos.append(pos)
-        slot_count.append(k)
-
-    legs: dict[int, list[tuple[int, int, int]]] = {v: [] for v in range(g.num_vertices)}
-    for i in range(r):
-        walk = walks[i]
-        L = len(walk)
-        for j in range(L):
-            e_in, s_in = walk[j]
-            e_out, _s_out = walk[(j + 1) % L]
-            u, v = g.edges[e_in]
-            at = v if s_in == 1 else u
-            legs[at].append((i, slot_pos[at][(e_in, i)], slot_pos[at][(e_out, i)]))
-
-    disk = [[0] * r for _ in range(r)]
-    for v in range(g.num_vertices):
-        eps = 1 if cls[v] == 0 else -1
-        here = legs[v]
-        nv = slot_count[v]
-        for a in range(len(here)):
-            i, a1, b1 = here[a]
-            for b in range(a + 1, len(here)):
-                j, a2, b2 = here[b]
-                if i == j:
-                    continue
-                s = _chord_cross_sign(nv, a1, b1, a2, b2)
-                if s:
-                    disk[i][j] += eps * s
-                    disk[j][i] -= eps * s
-
-    V = []
-    for i in range(r):
-        row = []
-        for j in range(r):
-            total = band[i][j] + disk[i][j]
-            if total % 2:
-                raise InconsistencyError(
-                    f"linking count for basis curves {i},{j} is odd ({total})"
-                )
-            row.append(total // 2)
-        V.append(tuple(row))
-    V = tuple(V)
-
-    skew = tuple(
-        tuple(V[i][j] - V[j][i] for j in range(r)) for i in range(r)
-    )
+    skew = [[a - b for a, b in zip(row, col)] for row, col in zip(V, zip(*V))]
     if abs(det_int(skew)) != 1:
         raise InconsistencyError(
             "Seifert pairing is not unimodularly skew: the surface basis is broken"

@@ -188,11 +188,6 @@ def congruence(u_cols, gram) -> list[list[int]]:
 # inertia / definiteness / signature
 
 
-def sparse_rows(matrix) -> list[dict[int, int]]:
-    """The nonzero entries of a matrix as rows {column: value}."""
-    return [{j: x for j, x in enumerate(row) if x} for row in matrix]
-
-
 def _sylvester(rows) -> tuple[int, int, int, int]:
     """(positive, negative, zero, last pivot) of a symmetric matrix given by
     its nonzero entries as rows {column: value} (consumed: eliminated rows
@@ -263,7 +258,7 @@ def _sylvester(rows) -> tuple[int, int, int, int]:
 def inertia(matrix) -> tuple[int, int, int]:
     """(positive, negative, zero) eigenvalue counts of a symmetric matrix,
     such as a `GramForm`'s (`_sylvester`)."""
-    return _sylvester(sparse_rows(matrix))[:3]
+    return _sylvester([{j: x for j, x in enumerate(row) if x} for row in matrix])[:3]
 
 
 def definiteness(q: GramForm) -> str:

@@ -17,9 +17,10 @@ edge sign equals its crossing sign exactly when the oriented smoothing runs
 through that color's corners.
 
 `tait_graphs` builds both colors' graphs once per diagram, memoised on it.
-The Goeritz matrices, the signature correction, the Seifert sign check and
-the connected-sum split (`blocks`, edge sets of the 2-connected blocks) all
-read them.
+The Goeritz matrices, the signature correction, the Seifert matrix and the
+connected-sum split (`blocks`, edge sets of the 2-connected blocks) all read
+them.  The faces of one color's graph are the faces of the other color, and
+the Seifert matrix takes its basis from those face boundaries.
 
 The flow lattice of the graph is the integer cycle space with the Gram form
 inherited from the edge basis; its basis is the fundamental cycles of a
@@ -227,35 +228,21 @@ def blocks(g: TaitGraph) -> tuple[tuple[int, ...], ...]:
     return tuple(map(tuple, parts.values()))
 
 
-def cycles_through(g: TaitGraph, walks: tuple[Walk, ...]) -> list[list[tuple[int, int]]]:
-    """Per edge, the (cycle, direction) pairs of the cycles using it, in
-    cycle order."""
+def flow_lattice(g: TaitGraph) -> tuple[GramForm, tuple[Walk, ...]]:
+    """Gram form of the cycle space in the edge basis, and the cycle walks
+    of its basis.  A simple cycle's walk lists its edge vector's support, so
+    entry (i, j) sums over the edges that cycles i and j share."""
+    walks = fundamental_cycles(g)
     through: list[list[tuple[int, int]]] = [[] for _ in range(g.num_edges)]
     for i, walk in enumerate(walks):
         for e, s in walk:
             through[e].append((i, s))
-    return through
-
-
-def cycle_form(g: TaitGraph, walks: tuple[Walk, ...], weights) -> list[list[int]]:
-    """The form sum_e weights[e] x_i[e] x_j[e] on the cycles x_i.
-
-    A simple cycle's walk lists its edge vector's support, so entry (i, j)
-    sums over the edges that cycles i and j share.
-    """
     form = [[0] * len(walks) for _ in walks]
-    for w, cycles in zip(weights, cycles_through(g, walks)):
+    for cycles in through:
         for i, si in cycles:
             for j, sj in cycles:
-                form[i][j] += w * si * sj
-    return form
-
-
-def flow_lattice(g: TaitGraph) -> tuple[GramForm, tuple[Walk, ...]]:
-    """Gram form of the cycle space in the edge basis, and the cycle walks
-    of its basis."""
-    walks = fundamental_cycles(g)
-    return GramForm(cycle_form(g, walks, [1] * g.num_edges)), walks
+                form[i][j] += si * sj
+    return GramForm(form), walks
 
 
 def orientable_tait_graph(d: Diagram) -> TaitGraph:

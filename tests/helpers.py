@@ -803,6 +803,11 @@ def inertia_fraction(matrix):
     return pos, neg, zero
 
 
+def sparse_rows(matrix) -> list[dict[int, int]]:
+    """The nonzero entries of a matrix as rows {column: value}."""
+    return [{j: x for j, x in enumerate(row) if x} for row in matrix]
+
+
 def sylvester_dense(matrix):
     """(positive, negative, zero, last pivot) of a symmetric integer matrix by
     dense symmetric fraction-free (Bareiss) elimination in natural order, a
@@ -1010,3 +1015,119 @@ def goeritz_by_corner_pairs(d, color):
     for i in range(m):
         full[i][i] = -sum(full[i][j] for j in range(m) if j != i)
     return tuple(tuple(row[: m - 1]) for row in full[: m - 1])
+
+
+def cycles_through(g, walks) -> list[list[tuple[int, int]]]:
+    """Per edge, the (cycle, direction) pairs of the cycles using it, in
+    cycle order."""
+    through: list[list[tuple[int, int]]] = [[] for _ in range(g.num_edges)]
+    for i, walk in enumerate(walks):
+        for e, s in walk:
+            through[e].append((i, s))
+    return through
+
+
+def _chord_cross_sign(n_slots: int, a1: int, b1: int, a2: int, b2: int) -> int:
+    """0 if the chords a1->b1 and a2->b2 of a circle with n_slots marked
+    points do not interleave; otherwise +1 when the counterclockwise order
+    is a1, a2, b1, b2 and -1 when it is a1, b2, b1, a2."""
+    rel = lambda x: (x - a1) % n_slots
+    u, p, q = rel(b1), rel(a2), rel(b2)
+    if (p < u) == (q < u):
+        return 0
+    return 1 if p < u else -1
+
+
+def seifert_matrix_chords(d):
+    """Seifert matrix of a special diagram in the fundamental-cycle basis of
+    the flow lattice of its orientable color's Tait graph, by counting the
+    crossings of the basis curves and their pushoffs.
+
+    For basis curves x_i, x_j the linking number of pushoffs decomposes into a
+    band part (one term per shared band, -sign(crossing) per coincidence) and
+    a disk part (chord crossings inside each disk, signed by the disk's class
+    in the bipartition); V is half of (band part + disk part), which is
+    integral exactly when the diagram is special.
+    """
+    from knotcert.diagram import orient
+    from knotcert.invariants import _disk_classes
+    from knotcert.tait import orientable_flow_lattice
+
+    g, _gram, walks = orientable_flow_lattice(d)
+    r = len(walks)
+    if r == 0:
+        return ()
+    signs = orient(d).signs
+    cls = _disk_classes(d, g)
+    users = cycles_through(g, walks)
+
+    # Band part: crossings shared by two basis curves.
+    band = [[0] * r for _ in range(r)]
+    for sign, cycles in zip(signs, users):
+        for i, si in cycles:
+            for j, sj in cycles:
+                band[i][j] -= sign * si * sj
+
+    # Disk part: inside each disk the basis curves appear as chords between
+    # band attachment slots.  Slots are ordered by the rotation system, with
+    # the curves using an edge fanned out in basis order at both ends.
+    slot_pos: list[dict[tuple[int, int], int]] = []
+    slot_count: list[int] = []
+    for v in range(g.num_vertices):
+        pos: dict[tuple[int, int], int] = {}
+        k = 0
+        for (e, _end) in g.rotations[v]:
+            for cyc, _ in users[e]:
+                pos[(e, cyc)] = k
+                k += 1
+        slot_pos.append(pos)
+        slot_count.append(k)
+
+    legs: dict[int, list[tuple[int, int, int]]] = {v: [] for v in range(g.num_vertices)}
+    for i, walk in enumerate(walks):
+        for j, (e_in, s_in) in enumerate(walk):
+            e_out, _s_out = walk[(j + 1) % len(walk)]
+            u, v = g.edges[e_in]
+            at = v if s_in == 1 else u
+            legs[at].append((i, slot_pos[at][(e_in, i)], slot_pos[at][(e_out, i)]))
+
+    disk = [[0] * r for _ in range(r)]
+    for v in range(g.num_vertices):
+        eps = 1 if cls[v] == 0 else -1
+        here = legs[v]
+        for a in range(len(here)):
+            i, a1, b1 = here[a]
+            for b in range(a + 1, len(here)):
+                j, a2, b2 = here[b]
+                if i != j:
+                    s = _chord_cross_sign(slot_count[v], a1, b1, a2, b2)
+                    disk[i][j] += eps * s
+                    disk[j][i] -= eps * s
+
+    total = [[b + k for b, k in zip(brow, krow)] for brow, krow in zip(band, disk)]
+    assert all(x % 2 == 0 for row in total for x in row), "odd linking count"
+    return tuple(tuple(x // 2 for x in row) for row in total)
+
+
+def face_vectors(d):
+    """The face basis of `seifert_matrix_special`: the faces of the color
+    other than the orientable one, but the one with the most half-edges (the
+    first on a tie), each as its boundary cycle {crossing: +-1} over the
+    orientable Tait graph's edges.  Half-edge (c, s) counts +1 when it sits
+    at the corner just counterclockwise of end 0 of edge c, else -1; an
+    edge run along both ways cancels."""
+    from knotcert.diagram import checkerboard, classify_special
+    from knotcert.tait import orientable_tait_graph
+
+    g = orientable_tait_graph(d)
+    faces = checkerboard(d)[1 - classify_special(d).orientable_color]
+    drop = max(range(len(faces)), key=lambda f: len(faces[f]))
+    vectors = []
+    for f, face in enumerate(faces):
+        if f != drop:
+            x: dict[int, int] = {}
+            for c, s in face:
+                ccw = 1 if g.edge_signs[c] == 1 else 2
+                x[c] = x.get(c, 0) + (1 if (s - 1) % 4 == ccw else -1)
+            vectors.append({c: v for c, v in x.items() if v})
+    return vectors

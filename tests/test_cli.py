@@ -15,11 +15,11 @@ from types import SimpleNamespace
 import pytest
 
 import knotcert
-from helpers import MISORIENTED, necklace, theta
+from helpers import MISORIENTED, necklace, sparse_rows, theta
 from knotcert import cli, lattice, obstruct, tait
 from knotcert.cli import _json_text, main
 from knotcert.diagram import connected_sum_factors, mirror_diagram, parse_pd
-from knotcert.lattice import greedy_reduce, sparse_rows
+from knotcert.lattice import greedy_reduce
 from knotcert.corpus import corpus_entry, load_corpus
 from knotcert.medial import medial_diagram
 from knotcert.tait import orientable_flow_lattice

@@ -14,6 +14,7 @@ from helpers import (
     alexander_dense_seifert,
     alexander_dense_wirtinger,
     crossing_changed,
+    face_vectors,
     goeritz_by_corner_pairs,
     interpolate_int_poly,
     laurent_det_leibniz,
@@ -21,6 +22,7 @@ from helpers import (
     plane_graph_from_multigraph,
     poly_value,
     random_draws,
+    seifert_matrix_chords,
     theta,
     two_coloring,
     unit_residue_rescan,
@@ -50,7 +52,7 @@ from knotcert.invariants import (
     invariant_bundle,
     seifert_matrix_special,
 )
-from knotcert.lattice import det_int
+from knotcert.lattice import det_int, mat_mul, transpose
 from knotcert.medial import PlaneGraph, medial_diagram
 from knotcert.tait import orientable_flow_lattice, orientable_tait_graph
 
@@ -227,18 +229,52 @@ def test_seifert_matrix_5_1():
     assert comps == 1
     v = seifert_matrix_special(d)
     assert v == (
-        (-1, -1, -1, -1),
-        (0, -1, -1, -1),
-        (0, 0, -1, -1),
-        (0, 0, 0, -1),
+        (-1, 0, 0, 1),
+        (0, -1, 0, 0),
+        (0, 1, -1, 0),
+        (0, 0, 1, -1),
     )
-    gram = orientable_flow_lattice(d)[1].matrix
-    assert gram == ((2, 1, 1, 1), (1, 2, 1, 1), (1, 1, 2, 1), (1, 1, 1, 2))
-    # V + V^T is minus the flow Gram for a positive special diagram
-    r = len(v)
-    for i in range(r):
-        for j in range(r):
-            assert v[i][j] + v[j][i] == -gram[i][j]
+    # the faces are five bigons and the basis drops the first; V + V^T is
+    # minus their Gram form for a positive special diagram
+    faces = face_vectors(d)
+    assert faces == [{0: 1, 4: -1}, {1: -1, 2: 1}, {2: -1, 3: 1}, {3: -1, 4: 1}]
+    for i, x in enumerate(faces):
+        for j, y in enumerate(faces):
+            assert v[i][j] + v[j][i] == -sum(x[c] * y.get(c, 0) for c in x)
+
+
+def test_seifert_matrix_is_the_chord_count_in_the_face_basis():
+    """V is P^T V_chords P: V_chords counts the chord crossings of the
+    fundamental cycles inside each disk (`seifert_matrix_chords`), and P's
+    column for face f holds the face cycle x_f at the cotree edges, which
+    are its coordinates when x_f is a cycle and P is unimodular.  Backend
+    agreement cannot catch a transposed V, since det(t V^T - V) is
+    det(t V - V^T); this does.  On the corpus, and on seeded special draws of
+    both signs, with some crossings changed too (not alternating)."""
+    rng = random.Random(21)
+    diagrams = [(parse_pd(e.pd), 0) for e in load_corpus()]
+    for draw in itertools.islice(random_draws(rng, 9, links=False), 300):
+        diagrams += [(draw.d, 0), (crossing_changed(draw.d, rng), draw.sign)]
+    checked, changed = 0, {1: 0, -1: 0}
+    for d, sign in diagrams:
+        if not classify_special(d).is_special:
+            continue
+        g, _gram, walks = orientable_flow_lattice(d)
+        faces = face_vectors(d)
+        for x in faces:
+            boundary = [0] * g.num_vertices
+            for c, xc in x.items():
+                boundary[g.edges[c][0]] -= xc
+                boundary[g.edges[c][1]] += xc
+            assert not any(boundary), d.pd_text()
+        p = [[x.get(walk[0][0], 0) for x in faces] for walk in walks]
+        assert abs(det_int(p)) == 1, d.pd_text()
+        want = mat_mul(mat_mul(transpose(p), seifert_matrix_chords(d)), p)
+        assert seifert_matrix_special(d) == tuple(map(tuple, want)), d.pd_text()
+        checked += 1
+        if sign and not is_alternating(d):
+            changed[sign] += 1
+    assert checked >= 300 and min(changed.values()) >= 40, (checked, changed)
 
 
 def test_seifert_matrix_needs_special():
@@ -373,10 +409,12 @@ def test_wirtinger_residue_is_sized_by_the_knot(monkeypatch):
 
 
 def test_seifert_residue_is_sized_by_the_knot(monkeypatch):
-    """T(2,41) has a 40 x 40 Seifert matrix and a residue of one row."""
-    for sign in (1, -1):
-        d = medial_diagram(theta(41), sign)[0]
-        assert _residue_rows(monkeypatch, alexander_via_seifert, d) == 1
+    """T(2,41) and T(2,101) have 40 x 40 and 100 x 100 Seifert matrices,
+    and both a residue of two rows."""
+    for k in (41, 101):
+        for sign in (1, -1):
+            d = medial_diagram(theta(k), sign)[0]
+            assert _residue_rows(monkeypatch, alexander_via_seifert, d) == 2, (k, sign)
 
 
 def _seifert_rows(d):
@@ -587,12 +625,11 @@ def test_bundle_consistency_on_random_special_knots():
         assert b.determinant >= 1
         assert alexander_via_seifert(d) == alexander_dense_seifert(d)
         v = seifert_matrix_special(d)
-        gram = orientable_flow_lattice(d)[1].matrix
+        faces = face_vectors(d)
         s = b.speciality.uniform_sign
-        r = len(v)
-        for i in range(r):
-            for j in range(r):
-                assert v[i][j] + v[j][i] == -s * gram[i][j]
+        for i, x in enumerate(faces):
+            for j, y in enumerate(faces):
+                assert v[i][j] + v[j][i] == -s * sum(x[c] * y.get(c, 0) for c in x)
         if knots == 12:
             break
     assert knots >= 12

@@ -23,6 +23,7 @@ from helpers import (
     random_unimodular,
     short_vectors_bruteforce,
     short_vectors_fraction,
+    sparse_rows,
     summand_sublattices_shortvectors,
     sylvester_dense,
     theta,
@@ -46,7 +47,6 @@ from knotcert.lattice import (
     round_div,
     short_vectors,
     signature_det,
-    sparse_rows,
     transpose,
 )
 from knotcert.corpus import load_corpus
