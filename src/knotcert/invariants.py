@@ -335,9 +335,7 @@ def _unit_residue(rows: list[dict[int, dict[int, int]]]) -> list[list[dict[int, 
     original indices, and a heap holds a (cost, row, column) key per unit
     entry: each step pushes fresh keys for the rows it updated and for the
     pivot row's columns, whose counts changed, and a popped key that no
-    longer matches its entry is skipped.  A pivot whose row or column is
-    half full changes most costs, so every entry is then keyed afresh, and
-    those keys are heapified only when a later step pushes onto them.
+    longer matches its entry is skipped.
     """
     live = dict(enumerate(rows))
     in_col: dict[int, set[int]] = {}
@@ -350,31 +348,12 @@ def _unit_residue(rows: list[dict[int, dict[int, int]]]) -> list[list[dict[int, 
         return [(n * (len(in_col[j]) - 1), i, j) for j, e in entries
                 if len(e) == 1 and abs(*e.values()) == 1]
 
-    heap: list[tuple[int, int, int]] = []
-    pivot_row, updated, heaped = {}, live, True  # the first pass keys every entry
-    while True:
-        if 2 * max(len(updated), len(pivot_row)) >= len(live):
-            # a pivot row or column half full changes most costs: key every
-            # entry afresh, which also drops the stale keys; all are current, so
-            # the least is the pivot, and the list is heapified only for a push
-            heap, heaped = [key for i, row in live.items() for key in keys(i, row.items())], False
-        else:
-            if not heaped:
-                heapq.heapify(heap)
-                heaped = True
-            # costs changed in the updated rows and in the pivot row's columns
-            fresh = [key for r in updated for key in keys(r, live[r].items())]
-            fresh += [key for k in pivot_row for r in in_col[k] - updated
-                      for key in keys(r, [(k, live[r][k])])]
-            for key in fresh:
-                heapq.heappush(heap, key)
-        while heap:  # skip the keys that later steps left stale
-            key = heapq.heappop(heap) if heaped else min(heap)
-            _, i, j = key
-            if j in live.get(i, ()) and keys(i, [(j, live[i][j])]) == [key]:
-                break
-        else:
-            break
+    heap = [key for i, row in live.items() for key in keys(i, row.items())]
+    heapq.heapify(heap)
+    while heap:
+        _, i, j = key = heapq.heappop(heap)
+        if j not in live.get(i, ()) or keys(i, [(j, live[i][j])]) != [key]:
+            continue  # a key that a later step left stale
         pivot_row = live.pop(i)
         for k in pivot_row:
             in_col[k].discard(i)
@@ -396,6 +375,12 @@ def _unit_residue(rows: list[dict[int, dict[int, int]]]) -> list[list[dict[int, 
                 else:
                     del row[k]
                     in_col[k].discard(r)
+        # costs changed in the updated rows and in the pivot row's columns
+        fresh = [key for r in updated for key in keys(r, live[r].items())]
+        fresh += [key for k in pivot_row for r in in_col[k] - updated
+                  for key in keys(r, [(k, live[r][k])])]
+        for key in fresh:
+            heapq.heappush(heap, key)
     rows = list(live.values())
     cols = sorted({j for row in rows for j in row})
     if len(cols) != len(rows) or not all(rows):

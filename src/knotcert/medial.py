@@ -127,15 +127,18 @@ def subgraph_plane(g: PlaneGraph, edge_subset) -> tuple[PlaneGraph, dict[int, in
 
 
 def rebuild_factors(d: Diagram) -> tuple[Diagram, ...]:
-    """Diagrammatic prime factors of an alternating diagram via Tait blocks."""
+    """Diagrammatic prime factors of an alternating diagram via Tait blocks,
+    read off the color whose edge sign is the first crossing's sign (on a
+    special diagram the orientable color, whose cycle basis the certificate
+    reads; both colors have the same blocks), each rebuilt from color 0."""
     g = tait_graphs(d)[0]
     sign0 = g.edge_signs[0]
     if any(s != sign0 for s in g.edge_signs):
         raise InconsistencyError("alternating diagram with non-constant edge sign")
-    parts = blocks(g)
+    signs = orient(d).signs
+    parts = blocks(tait_graphs(d)[sign0 != signs[0]])
     if len(parts) <= 1:
         return (d,)
-    signs = orient(d).signs
     factors = []
     for blk in parts:
         sub, old_edge = subgraph_plane(g, blk)

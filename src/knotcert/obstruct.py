@@ -41,7 +41,7 @@ from .lattice import (
     check_rank_cap,
     indecomposable_summands,
 )
-from .tait import TaitGraph, blocks, orientable_flow_lattice, orientable_tait_graph
+from .tait import TaitGraph, blocks, flow_lattice, orientable_tait_graph
 
 SCHEMA = "knotcert-report/3"
 
@@ -126,9 +126,9 @@ def band_prime_certificate(d: Diagram, rank_cap: int = DEFAULT_RANK_CAP) -> Cert
 
     # The whole diagram's cycle rank bounds every factor's, so an over-cap
     # input is refused before any lattice, factor or invariant work.
-    check_rank_cap(orientable_tait_graph(d).cycle_rank(), rank_cap)
-    g_full, gram_full, _ = orientable_flow_lattice(d)
-    dec_full = indecomposable_summands(gram_full, rank_cap=rank_cap)
+    g_full = orientable_tait_graph(d)
+    check_rank_cap(g_full.cycle_rank(), rank_cap)
+    dec_full = indecomposable_summands(flow_lattice(g_full), rank_cap=rank_cap)
     blocks_full = _positive_rank_blocks(g_full)
 
     notes: list[str] = []
@@ -146,7 +146,8 @@ def band_prime_certificate(d: Diagram, rank_cap: int = DEFAULT_RANK_CAP) -> Cert
                 f"factor sign {frep.uniform_sign} differs from diagram sign {rep.uniform_sign}"
             )
             continue
-        g, gram, _ = orientable_flow_lattice(f)
+        g = orientable_tait_graph(f)
+        gram = flow_lattice(g)
         rank = gram.rank
         if rank == 0:
             trivial += 1

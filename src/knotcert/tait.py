@@ -24,9 +24,10 @@ the Seifert matrix takes its basis from those face boundaries.
 
 The flow lattice of the graph is the integer cycle space with the Gram form
 inherited from the edge basis; its basis is the fundamental cycles of a
-spanning tree, kept as closed walks.  Its determinant equals the number of
-spanning trees, which for an alternating diagram equals the knot determinant;
-the acceptance suite leans on that cross-check.
+spanning tree, kept as closed walks.  The form (`flow_lattice`) and the walks
+(`fundamental_cycles`) are memoised on the graph.  Its determinant is the
+number of spanning trees, which for an alternating diagram equals the knot
+determinant; the acceptance suite leans on that cross-check.
 
 The same fundamental cycles give the blocks.  Each is a simple cycle, so it
 lies inside one block, and those inside a 2-connected block span its cycle
@@ -228,10 +229,12 @@ def blocks(g: TaitGraph) -> tuple[tuple[int, ...], ...]:
     return tuple(map(tuple, parts.values()))
 
 
-def flow_lattice(g: TaitGraph) -> tuple[GramForm, tuple[Walk, ...]]:
-    """Gram form of the cycle space in the edge basis, and the cycle walks
-    of its basis.  A simple cycle's walk lists its edge vector's support, so
-    entry (i, j) sums over the edges that cycles i and j share."""
+@cached_on_instance
+def flow_lattice(g: TaitGraph) -> GramForm:
+    """Gram form of the cycle space, inherited from the edge basis, in the
+    basis of the walks of `fundamental_cycles`.  A simple cycle's walk lists
+    its edge vector's support, so entry (i, j) sums over the edges that
+    cycles i and j share."""
     walks = fundamental_cycles(g)
     through: list[list[tuple[int, int]]] = [[] for _ in range(g.num_edges)]
     for i, walk in enumerate(walks):
@@ -242,7 +245,7 @@ def flow_lattice(g: TaitGraph) -> tuple[GramForm, tuple[Walk, ...]]:
         for i, si in cycles:
             for j, sj in cycles:
                 form[i][j] += si * sj
-    return GramForm(form), walks
+    return GramForm(form)
 
 
 def orientable_tait_graph(d: Diagram) -> TaitGraph:
@@ -253,9 +256,3 @@ def orientable_tait_graph(d: Diagram) -> TaitGraph:
         raise ClassificationError("only a special diagram has an orientable color")
     return tait_graphs(d)[rep.orientable_color]
 
-
-@cached_on_instance
-def orientable_flow_lattice(d: Diagram) -> tuple[TaitGraph, GramForm, tuple[Walk, ...]]:
-    """`orientable_tait_graph` with its flow lattice and cycle walks."""
-    g = orientable_tait_graph(d)
-    return (g, *flow_lattice(g))

@@ -1051,9 +1051,10 @@ def seifert_matrix_chords(d):
     """
     from knotcert.diagram import orient
     from knotcert.invariants import _disk_classes
-    from knotcert.tait import orientable_flow_lattice
+    from knotcert.tait import fundamental_cycles, orientable_tait_graph
 
-    g, _gram, walks = orientable_flow_lattice(d)
+    g = orientable_tait_graph(d)
+    walks = fundamental_cycles(g)
     r = len(walks)
     if r == 0:
         return ()

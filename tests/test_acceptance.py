@@ -76,7 +76,7 @@ def test_criterion_1_seifert_form_isometric_to_flow_lattice():
             tuple(v[i][j] + v[j][i] for j in range(n)) for i in range(n)
         )
         g = tait_graph(d, rep.orientable_color)
-        gram, _ = flow_lattice(g)
+        gram = flow_lattice(g)
         scrambled, _u = congruent_scramble(gram.matrix, rng)
         target = GramForm(scrambled)
         # "up to sign": exactly one of +-(V + V^T) is positive definite
@@ -104,7 +104,7 @@ def test_criterion_2_summands_match_positive_rank_blocks():
     done = 0
     for n, edges, *_ in itertools.islice(random_draws(rng, 10, stage="plane"), 1000):
         g = make_tait(n, edges)
-        gram, _ = flow_lattice(g)
+        gram = flow_lattice(g)
         if gram.rank == 0:
             # no cycles: zero summands, every block is a bridge
             blocks = block_partition_oracle(n, edges)
@@ -235,7 +235,7 @@ def test_criterion_7_oracle_equivalence():
                 if (n, key) in seen:
                     continue
                 seen.add((n, key))
-                gram, _ = flow_lattice(make_tait(n, edges))
+                gram = flow_lattice(make_tait(n, edges))
                 assert det_int(gram.matrix) == spanning_tree_count(n, edges), (n, edges)
                 checked += 1
     assert checked >= 1000

@@ -22,7 +22,7 @@ from knotcert.diagram import connected_sum_factors, mirror_diagram, parse_pd
 from knotcert.lattice import greedy_reduce
 from knotcert.corpus import corpus_entry, load_corpus
 from knotcert.medial import medial_diagram
-from knotcert.tait import orientable_flow_lattice
+from knotcert.tait import flow_lattice, orientable_tait_graph
 
 TREFOIL = "X(1,4,2,3) X(3,6,4,5) X(5,2,6,1)"
 LEFT_TREFOIL = "X(1,4,2,5) X(3,6,4,1) X(5,2,6,3)"  # orientable color 0
@@ -197,8 +197,8 @@ def test_analyze_counts_graph_blocks_once(monkeypatch, capsys):
 def test_analyze_builds_each_tait_graph_once(monkeypatch, capsys):
     """The Goeritz matrices, the signature correction, the Seifert sign check,
     the certificate and the factor split all read one Tait graph per color.
-    On this trefoil the orientable color is 0, the color the factor split
-    also reads."""
+    On this trefoil the orientable color is 0; the factor split reads its
+    blocks off the orientable color and rebuilds factors from color 0."""
     built = []
     real = tait.tait_graph
 
@@ -213,6 +213,41 @@ def test_analyze_builds_each_tait_graph_once(monkeypatch, capsys):
     assert sorted(built) == [0, 1]
 
 
+def test_analyze_builds_each_cycle_basis_once(monkeypatch, capsys):
+    """The certificate and the factor split read the blocks of the orientable
+    color's Tait graph, so on the granny knot (orientable color 1) and its
+    two trefoil factors each orientable Tait graph gets one cycle basis and
+    one flow Gram, and no color-0 graph gets either."""
+    color_of = {}  # id of each Tait graph built -> its color
+    real = tait.tait_graph
+
+    def spy(d, color):
+        g = real(d, color)
+        color_of[id(g)] = color
+        return g
+
+    monkeypatch.setattr(tait, "tait_graph", spy)
+    built = {"tait.fundamental_cycles": [], "tait.flow_lattice": []}
+
+    def wrap(qualname, fn):
+        memo = "_cached_" + qualname.rsplit(".", 1)[1]
+
+        def recorded(g):
+            if memo not in g.__dict__:
+                built[qualname].append(g)
+            return fn(g)
+        return recorded
+
+    _wrap_calls(monkeypatch, built, wrap)
+    code, out, _ = run(capsys, "analyze", "--pd", GRANNY, "--json")
+    assert code == 0
+    assert json.loads(out)["speciality"]["orientable_color"] == 1
+    graphs = built["tait.fundamental_cycles"]
+    assert len({id(g) for g in graphs}) == len(graphs) == 3
+    assert [color_of[id(g)] for g in graphs] == [1, 1, 1]
+    assert sorted(map(id, built["tait.flow_lattice"])) == sorted(map(id, graphs))
+
+
 def test_analyze_eliminates_each_flow_lattice_once(monkeypatch, capsys):
     """Each flow lattice the certificate decomposes (the granny knot's and
     its two trefoil factors') is eliminated once: the Fincke-Pohst
@@ -224,7 +259,7 @@ def test_analyze_eliminates_each_flow_lattice_once(monkeypatch, capsys):
 
     d = parse_pd(GRANNY)
     diagrams = [d, *connected_sum_factors(d)]
-    lattices = [orientable_flow_lattice(x)[1].matrix for x in diagrams]
+    lattices = [flow_lattice(orientable_tait_graph(x)).matrix for x in diagrams]
     goeritz = [sparse_rows(goeritz_matrix(x, c).matrix) for x in diagrams for c in (0, 1)]
     decomposed = []  # [gram, result, _bareiss runs, _sylvester runs] per call
     runs = {"_bareiss": [], "_sylvester": []}

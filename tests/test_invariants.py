@@ -54,7 +54,7 @@ from knotcert.invariants import (
 )
 from knotcert.lattice import det_int, mat_mul, transpose
 from knotcert.medial import PlaneGraph, medial_diagram
-from knotcert.tait import orientable_flow_lattice, orientable_tait_graph
+from knotcert.tait import fundamental_cycles, orientable_tait_graph
 
 LEFT_TREFOIL = "X(1,4,2,5) X(3,6,4,1) X(5,2,6,3)"
 RIGHT_TREFOIL_ROTATED = "X(1,4,2,3) X(3,6,4,5) X(5,2,6,1)"
@@ -259,7 +259,8 @@ def test_seifert_matrix_is_the_chord_count_in_the_face_basis():
     for d, sign in diagrams:
         if not classify_special(d).is_special:
             continue
-        g, _gram, walks = orientable_flow_lattice(d)
+        g = orientable_tait_graph(d)
+        walks = fundamental_cycles(g)
         faces = face_vectors(d)
         for x in faces:
             boundary = [0] * g.num_vertices
@@ -417,9 +418,10 @@ def test_seifert_residue_is_sized_by_the_knot(monkeypatch):
             assert _residue_rows(monkeypatch, alexander_via_seifert, d) == 2, (k, sign)
 
 
-def _seifert_rows(d):
-    """The sparse rows of t V - V^T that `alexander_via_seifert` reduces."""
-    v = seifert_matrix_special(d)
+def _seifert_rows(d, seifert=seifert_matrix_special):
+    """The sparse rows of t V - V^T that `alexander_via_seifert` reduces, or
+    those of another Seifert matrix of d."""
+    v = seifert(d)
     rows = []
     for row, col in zip(v, zip(*v)):
         entries = ({k: c for k, c in ((1, a), (0, -b)) if c} for a, b in zip(row, col))
@@ -466,6 +468,10 @@ def test_unit_residue_heap_matches_rescan():
                 yield _seifert_rows(d)
         for _ in range(2000):
             yield _random_laurent_rows(rng)
+        # dense: T(2,21) and T(2,41) in the chord basis, where t V - V^T has
+        # no zero entry and the first pivots' rows and columns are full
+        for k in (21, 41):
+            yield _seifert_rows(medial_diagram(theta(k), 1)[0], seifert_matrix_chords)
 
     same = malformed = eliminated = 0
     for rows in laurent_families():

@@ -53,7 +53,9 @@ from knotcert.corpus import load_corpus
 from knotcert.diagram import parse_pd
 from knotcert.invariants import goeritz_matrix
 from knotcert.medial import medial_diagram
-from knotcert.tait import TaitGraph, flow_lattice, orientable_flow_lattice, tait_graph
+from knotcert.tait import (
+    TaitGraph, flow_lattice, fundamental_cycles, orientable_tait_graph, tait_graph,
+)
 
 A2 = GramForm(((2, 1), (1, 2)))
 
@@ -468,9 +470,9 @@ def _knot_flow_lattices():
     for entry in load_corpus():
         d = parse_pd(entry.pd)
         for color in (0, 1):
-            yield flow_lattice(tait_graph(d, color))[0]
+            yield flow_lattice(tait_graph(d, color))
     for g in [theta(k) for k in range(3, 26, 2)] + [necklace(s) for s in ([3, 3, 3], [3, 5, 7], [3, 3, 3, 3, 3], [9, 3, 5, 3, 7])]:
-        yield orientable_flow_lattice(medial_diagram(g, 1)[0])[1]
+        yield flow_lattice(orientable_tait_graph(medial_diagram(g, 1)[0]))
 
 
 def test_short_vectors_match_fraction_ldl_on_knot_lattices():
@@ -511,7 +513,7 @@ def test_indecomposable_filter_matches_definition_on_random_forms():
 )
 def test_indecomposable_filter_matches_definition_on_knot_lattices(graph):
     d = medial_diagram(graph, 1)[0]
-    _g, gram, _basis = orientable_flow_lattice(d)
+    gram = flow_lattice(orientable_tait_graph(d))
     _filter_agrees([list(r) for r in gram.matrix])
 
 
@@ -621,7 +623,7 @@ def _cycle_oracle_graphs():
         d = parse_pd(entry.pd)
         yield from (tait_graph(d, color) for color in (0, 1))
     for g in [theta(k) for k in (3, 9, 25)] + [necklace(s) for s in ([3, 5, 7], [9, 3, 5, 3, 7])]:
-        yield orientable_flow_lattice(medial_diagram(g, 1)[0])[0]
+        yield orientable_tait_graph(medial_diagram(g, 1)[0])
     rng = random.Random(2)
     for _ in range(250):
         nv = rng.randint(1, 9)
@@ -638,7 +640,7 @@ def test_kept_generators_are_simple_cycles_of_the_graph():
     search keeps is one, in edge coordinates."""
     kept = 0
     for g in _cycle_oracle_graphs():
-        gram, basis = flow_lattice(g)
+        gram, basis = flow_lattice(g), fundamental_cycles(g)
         if not gram.rank:
             continue
         g_red, u_red = greedy_reduce(gram.matrix)
@@ -871,7 +873,7 @@ def test_indecomposable_summands_skips_joined_pairs(monkeypatch):
     """T(2,9)'s flow lattice is A_8: its reduced basis is 8 indecomposable
     roots in one class, so the clustering asks about few of their pairs."""
     d = medial_diagram(theta(9), 1)[0]
-    _g, gram, _basis = orientable_flow_lattice(d)
+    gram = flow_lattice(orientable_tait_graph(d))
     calls = []
     real_dot = knotcert.lattice.dot
 

@@ -104,8 +104,8 @@ def test_flow_lattice_trefoil():
     g0, g1 = taits(RIGHT_TREFOIL_ROTATED)
     theta = g0 if g0.num_vertices == 2 else g1
     other = g1 if theta is g0 else g0
-    gram_t, basis_t = flow_lattice(theta)
-    gram_o, _ = flow_lattice(other)
+    gram_t, basis_t = flow_lattice(theta), fundamental_cycles(theta)
+    gram_o = flow_lattice(other)
     assert gram_t.matrix == ((2, 1), (1, 2))
     assert gram_o.matrix == ((3,),)
     assert det_int(gram_t.matrix) == det_int(gram_o.matrix) == 3
@@ -116,7 +116,7 @@ def test_granny_flow_gram_splits():
     d = parse_pd(GRANNY)
     rep = classify_special(d)
     g = tait_graph(d, rep.orientable_color)
-    gram, _ = flow_lattice(g)
+    gram = flow_lattice(g)
     assert gram.matrix == ((2, 1, 0, 0), (1, 2, 0, 0), (0, 0, 2, 1), (0, 0, 1, 2))
     assert definiteness(gram) == "positive_definite"
 
@@ -214,14 +214,14 @@ def test_flow_gram_counts_spanning_trees():
         (1, [(0, 0), (0, 0)]),
     ]
     for n, edges in cases:
-        gram, _ = flow_lattice(make_tait(n, edges))
+        gram = flow_lattice(make_tait(n, edges))
         assert det_int(gram.matrix) == spanning_tree_count(n, edges)
 
 
 def test_flow_gram_counts_spanning_trees_random():
     rng = random.Random(99)
     for n, edges, *_ in itertools.islice(random_draws(rng, 8, stage="graph"), 60):
-        gram, _ = flow_lattice(make_tait(n, edges))
+        gram = flow_lattice(make_tait(n, edges))
         assert det_int(gram.matrix) == spanning_tree_count(n, edges), (n, edges)
 
 
@@ -229,7 +229,7 @@ def test_flow_gram_definite():
     rng = random.Random(4)
     for n, edges, *_ in itertools.islice(random_draws(rng, 8, stage="graph"), 40):
         g = make_tait(n, edges)
-        gram, basis = flow_lattice(g)
+        gram, basis = flow_lattice(g), fundamental_cycles(g)
         if g.cycle_rank() == 0:
             assert gram.rank == 0
         else:
