@@ -213,8 +213,6 @@ def gl_signature(d: Diagram) -> int:
 
     Computed for both choices of spanning-surface color; the two must agree.
     """
-    if d.n == 0:
-        return 0
     results = []
     for surface_color in (0, 1):
         sig = _goeritz_signature_det(d)[1 - surface_color][0]
@@ -228,21 +226,6 @@ def gl_signature(d: Diagram) -> int:
 
 # ---------------------------------------------------------------------------
 # Seifert matrix for special diagrams
-
-
-def _disk_classes(d: Diagram, g: TaitGraph) -> list[int]:
-    """Each disk's class (a vertex of the orientable color's Tait graph g):
-    0 when its boundary runs with the knot at its first half-edge as disk
-    0's does, else 1.  A face leaves half-edge (c, s) along the arc there,
-    which points into c at slot 0 and at the over-strand's entry slot.
-    InconsistencyError when a band joins two disks of one class."""
-    over_in_slot = orient(d).over_in_slot
-    disks = checkerboard(d)[classify_special(d).orientable_color]
-    runs_with = [s not in (0, over_in_slot[ci]) for ci, s in (disk[0] for disk in disks)]
-    cls = [int(w != runs_with[0]) for w in runs_with]
-    if any(cls[u] == cls[v] for u, v in g.edges):
-        raise InconsistencyError("checkerboard graph of the orientable color is not bipartite")
-    return cls
 
 
 def seifert_matrix_special(d: Diagram) -> Matrix:
@@ -259,8 +242,11 @@ def seifert_matrix_special(d: Diagram) -> Matrix:
     c, a boundary pushed off the surface links itself -(sum of e_c over the
     support of x_f) / 2 times.  Two boundaries meet only in the bands they
     share, and each such band c adds e_c to one entry: to (f, h) when
-    x_f(c) e_c o_c = -1, where o_c is +1 when end 0 of c is a class-0 disk
-    (`_disk_classes`) and -1 otherwise, else to (h, f).
+    x_f(c) e_c o = -1, else to (h, f), where o is one sign for the whole
+    surface: +1 when disk 0 is at end 0 of its bands, else -1.
+
+    Unimodularity of V - V^T is not checked here: `alexander_via_seifert`
+    checks it as Delta(1) = det(V - V^T) = +-1.
     """
     g = orientable_tait_graph(d)  # ClassificationError unless special
     if g.cycle_rank() == 0:
@@ -272,14 +258,19 @@ def seifert_matrix_special(d: Diagram) -> Matrix:
     signs = orient(d).signs
     if g.edge_signs != signs:
         raise InconsistencyError("orientable color's edge signs differ from the crossing signs")
-    cls = _disk_classes(d, g)
+    # So the disk at end 0 of band c sits at slot 1 with the over-strand
+    # entering at slot 3 (e_c = +1), or at slot 2 with it entering at slot 1
+    # (e_c = -1): either way the arc there leaves c, so that disk's boundary
+    # runs with the knot.  A disk is a Seifert circle, one way at all its
+    # bands, so it is end 0 of all or none: o is read off disk 0's first dart.
+    o = 1 if g.rotations[0][0][1] == 0 else -1
     faces = checkerboard(d)[1 - classify_special(d).orientable_color]
     drop = max(range(len(faces)), key=lambda f: len(faces[f]))
     basis = faces[:drop] + faces[drop + 1:]
 
     V = [[0] * len(basis) for _ in basis]
-    rows: dict[int, int] = {}  # band c: the basis face f along it with x_f(c) e_c o_c = -1
-    cols: dict[int, int] = {}  # band c: the basis face f along it with x_f(c) e_c o_c = +1
+    rows: dict[int, int] = {}  # band c: the basis face f along it with x_f(c) e_c o = -1
+    cols: dict[int, int] = {}  # band c: the basis face f along it with x_f(c) e_c o = +1
     for f, face in enumerate(basis):
         x: dict[int, int] = {}
         for c, s in face:  # corner 1 (e_c = +1) or 2 (e_c = -1) is just ccw of end 0
@@ -290,17 +281,10 @@ def seifert_matrix_special(d: Diagram) -> Matrix:
             raise InconsistencyError(f"basis face {f} links itself {-total}/2 times")
         V[f][f] = -total // 2
         for c, xc in x.items():
-            (rows if xc * signs[c] * (1 - 2 * cls[g.edges[c][0]]) == -1 else cols)[c] = f
+            (rows if xc * signs[c] * o == -1 else cols)[c] = f
     for c in rows.keys() & cols.keys():
         V[rows[c]][cols[c]] += signs[c]
-    V = tuple(map(tuple, V))
-
-    skew = [[a - b for a, b in zip(row, col)] for row, col in zip(V, zip(*V))]
-    if abs(det_int(skew)) != 1:
-        raise InconsistencyError(
-            "Seifert pairing is not unimodularly skew: the surface basis is broken"
-        )
-    return V
+    return tuple(map(tuple, V))
 
 
 # ---------------------------------------------------------------------------
@@ -517,8 +501,6 @@ def invariant_bundle(d: Diagram) -> InvariantBundle:
 
     _circles, surface_genus = seifert_stats(d)
     span = alex.span()
-    if span % 2:
-        raise InconsistencyError(f"Alexander span {span} is odd")
     if rep.is_alternating:
         genus = span // 2
         exact = True

@@ -1038,6 +1038,24 @@ def _chord_cross_sign(n_slots: int, a1: int, b1: int, a2: int, b2: int) -> int:
     return 1 if p < u else -1
 
 
+def seifert_disk_classes(d, g):
+    """Each disk's class (a vertex of the orientable color's Tait graph g):
+    0 when its boundary runs with the knot at its first half-edge as disk
+    0's does, else 1.  A face leaves half-edge (c, s) along the arc there,
+    which points into c at slot 0 and at the over-strand's entry slot.
+    InconsistencyError when a band joins two disks of one class."""
+    from knotcert.diagram import checkerboard, classify_special, orient
+    from knotcert.errors import InconsistencyError
+
+    over_in_slot = orient(d).over_in_slot
+    disks = checkerboard(d)[classify_special(d).orientable_color]
+    runs_with = [s not in (0, over_in_slot[ci]) for ci, s in (disk[0] for disk in disks)]
+    cls = [int(w != runs_with[0]) for w in runs_with]
+    if any(cls[u] == cls[v] for u, v in g.edges):
+        raise InconsistencyError("checkerboard graph of the orientable color is not bipartite")
+    return cls
+
+
 def seifert_matrix_chords(d):
     """Seifert matrix of a special diagram in the fundamental-cycle basis of
     the flow lattice of its orientable color's Tait graph, by counting the
@@ -1050,7 +1068,6 @@ def seifert_matrix_chords(d):
     integral exactly when the diagram is special.
     """
     from knotcert.diagram import orient
-    from knotcert.invariants import _disk_classes
     from knotcert.tait import fundamental_cycles, orientable_tait_graph
 
     g = orientable_tait_graph(d)
@@ -1059,7 +1076,7 @@ def seifert_matrix_chords(d):
     if r == 0:
         return ()
     signs = orient(d).signs
-    cls = _disk_classes(d, g)
+    cls = seifert_disk_classes(d, g)
     users = cycles_through(g, walks)
 
     # Band part: crossings shared by two basis curves.

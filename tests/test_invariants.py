@@ -22,6 +22,7 @@ from helpers import (
     plane_graph_from_multigraph,
     poly_value,
     random_draws,
+    seifert_disk_classes,
     seifert_matrix_chords,
     theta,
     two_coloring,
@@ -646,7 +647,8 @@ def test_checkerboard_and_seifert_disk_classes_match_a_two_coloring():
     across arcs, face 0 in color 0, and a special diagram's Seifert disk
     classes are that of its orientable Tait graph, disk 0 in class 0: on the
     corpus, wide-diagrams necklaces, 300 random medials (links too) and
-    those with some crossings changed."""
+    those with some crossings changed.  The classes are those of the
+    runs-with rule (`seifert_disk_classes`)."""
     rng = random.Random(16)
     diagrams = [parse_pd(e.pd) for e in load_corpus()]
     diagrams += [wide_necklace(rng) for _ in range(25)]
@@ -665,7 +667,7 @@ def test_checkerboard_and_seifert_disk_classes_match_a_two_coloring():
         ), d.pd_text()
         if orient(d).components == 1 and classify_special(d).is_special:
             g = orientable_tait_graph(d)
-            assert invariants._disk_classes(d, g) == two_coloring(g.num_vertices, g.edges), d.pd_text()
+            assert seifert_disk_classes(d, g) == two_coloring(g.num_vertices, g.edges), d.pd_text()
             special += 1
             non_alternating += not is_alternating(d)
     assert special >= 200 and non_alternating >= 50, (special, non_alternating)
@@ -673,4 +675,58 @@ def test_checkerboard_and_seifert_disk_classes_match_a_two_coloring():
     g = orientable_tait_graph(d)
     looped = dataclasses.replace(g, edges=g.edges[:-1] + ((0, 0),))  # a band from disk 0 to itself
     with pytest.raises(InconsistencyError, match="not bipartite"):
-        invariants._disk_classes(d, looped)
+        seifert_disk_classes(d, looped)
+
+
+def test_every_seifert_disk_is_at_one_end_of_all_its_bands():
+    """`seifert_matrix_special` reads one sign off disk 0's first dart: each
+    disk of a special diagram is end 0 of all its bands or end 1 of all of
+    them, and the end-0 disks are those whose boundary runs with the knot,
+    so a disk's class by the runs-with rule (`seifert_disk_classes`) is
+    whether its end differs from disk 0's.  On the corpus, wide-diagrams
+    necklaces, random medial knots, those with some crossings changed, and
+    the mirrors of all of them; disk 0 is at end 0 on some and end 1 on
+    others."""
+    rng = random.Random(23)
+    diagrams = [parse_pd(e.pd) for e in load_corpus()]
+    diagrams += [wide_necklace(rng) for _ in range(25)]
+    for draw in itertools.islice(random_draws(rng, 9, links=False), 300):
+        diagrams += [draw.d, crossing_changed(draw.d, rng)]
+    special = non_alternating = 0
+    first_end = {0: 0, 1: 0}
+    for d in diagrams + [mirror_diagram(d) for d in diagrams]:
+        if d.n == 0 or orient(d).components != 1 or not classify_special(d).is_special:
+            continue
+        g = orientable_tait_graph(d)
+        ends = []
+        for rot in g.rotations:
+            assert len({end for _, end in rot}) == 1, d.pd_text()
+            ends.append(rot[0][1])
+        assert seifert_disk_classes(d, g) == [int(e != ends[0]) for e in ends], d.pd_text()
+        special += 1
+        non_alternating += not is_alternating(d)
+        first_end[ends[0]] += 1
+    assert special >= 700 and non_alternating >= 150 and min(first_end.values()) >= 300, (
+        special, non_alternating, first_end)
+
+
+def test_alexander_via_seifert_refuses_a_seifert_form_without_unimodular_skew(monkeypatch):
+    """`seifert_matrix_special` does not check det(V - V^T) = +-1 itself: the
+    Seifert backend checks it as Delta(1).  A trefoil's V with one entry moved
+    by +-1 or +-2 is refused whenever that breaks unimodularity."""
+    refused = 0
+    for text in (LEFT_TREFOIL, RIGHT_TREFOIL_ROTATED):
+        d = parse_pd(text)
+        v = seifert_matrix_special(d)
+        for i, j in itertools.product(range(len(v)), repeat=2):
+            for delta in (-2, -1, 1, 2):
+                w = [list(row) for row in v]
+                w[i][j] += delta
+                if abs(det_int([[a - b for a, b in zip(row, col)] for row, col in zip(w, zip(*w))])) == 1:
+                    continue
+                monkeypatch.setattr(invariants, "seifert_matrix_special",
+                                    lambda _d, w=tuple(map(tuple, w)): w)
+                with pytest.raises(InconsistencyError):
+                    alexander_via_seifert(d)
+                refused += 1
+    assert refused == 12
