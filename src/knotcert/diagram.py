@@ -321,8 +321,6 @@ def is_alternating(d: Diagram) -> bool:
 @cached_on_instance
 def seifert_circle_partition(d: Diagram) -> frozenset[frozenset[int]]:
     """Partition of arcs into Seifert circles (oriented smoothing)."""
-    if d.n == 0:
-        return frozenset()
     over_in_slot = orient(d).over_in_slot
     # channels through corners 0 and 2 when the over-strand enters at slot 3,
     # through corners 1 and 3 otherwise

@@ -7,8 +7,9 @@ sitting in the single delta-grading sigma/2.  Ranks are F_2 dimensions.
 
 The construction refuses inputs that cannot come from a thin knot: the signs
 of the coefficients must alternate the right way for the graded Euler
-characteristic to reproduce Delta, and then the total rank automatically
-equals |Delta(-1)|.
+characteristic to reproduce Delta.  Once they do, the Euler characteristic
+is Delta and the total rank is |Delta(-1)| by construction, so neither is
+checked again here.
 """
 
 from __future__ import annotations
@@ -68,15 +69,7 @@ def thin_hfk(delta: LaurentPolynomial, sigma: int) -> HfkTable:
                 f"with signature {sigma}"
             )
         entries.append((s, maslov, abs(a_s)))
-    table = HfkTable(tuple(entries), half)
-    if table.euler_characteristic() != delta:
-        raise InconsistencyError("graded Euler characteristic failed to rebuild input")
-    det = delta(-1)
-    if table.total_rank() != abs(det):
-        raise InconsistencyError(
-            f"total rank {table.total_rank()} differs from determinant {abs(det)}"
-        )
-    return table
+    return HfkTable(tuple(entries), half)
 
 
 def hfk_isomorphic(a: HfkTable, b: HfkTable) -> bool:

@@ -114,10 +114,10 @@ def band_prime_certificate(d: Diagram, rank_cap: int = DEFAULT_RANK_CAP) -> Cert
     """Certify that the knot of a special alternating diagram is band prime.
 
     Non-special (or non-alternating) inputs get verdict not_applicable.
-    A factor whose flow lattice fails definiteness, splits into several
-    summands, disagrees with the block count, or has the wrong signature
-    produces verdict 'inconsistency' (the underlying theory forbids all of
-    those, so they indicate a bug, not a property of the knot).
+    A factor whose flow lattice splits into several summands, disagrees
+    with the block count, or has the wrong signature produces verdict
+    'inconsistency' (the underlying theory forbids all of those, so they
+    indicate a bug, not a property of the knot).
     """
     rep = classify_special(d)
     if not (rep.is_special and rep.is_alternating):
@@ -157,9 +157,6 @@ def band_prime_certificate(d: Diagram, rank_cap: int = DEFAULT_RANK_CAP) -> Cert
             continue
         # a prime diagram is its own single factor: reuse the whole's lattice
         dec = dec_full if f is d else indecomposable_summands(gram, rank_cap=rank_cap)
-        # indecomposable_summands' one elimination refuses a form that is not
-        # definite, and a definite form's diagonal entries all carry its sign
-        kind = "positive_definite" if dec.summands[0].matrix[0][0] > 0 else "negative_definite"
         sig = gl_signature(f)
         record = FactorRecord(
             pd=f.pd_text(),
@@ -168,14 +165,13 @@ def band_prime_certificate(d: Diagram, rank_cap: int = DEFAULT_RANK_CAP) -> Cert
             tait_edges=g.num_edges,
             cycle_rank=g.cycle_rank(),
             gram=gram,
-            lattice_definiteness=kind,
+            # entry (0, 0) is a walk length > 0 and indecomposable_summands found gram definite
+            lattice_definiteness="positive_definite",
             decomposition=dec,
             signature=sig,
             genus=rank // 2,
         )
         factors.append(record)
-        if kind != "positive_definite":
-            problems.append(f"factor flow lattice is {kind}, expected positive definite")
         if len(dec.summands) != 1:
             problems.append(f"factor flow lattice split into {len(dec.summands)} summands")
         nblocks = blocks_full if f is d else _positive_rank_blocks(g)
@@ -186,8 +182,6 @@ def band_prime_certificate(d: Diagram, rank_cap: int = DEFAULT_RANK_CAP) -> Cert
                 f"factor signature {sig} != {-frep.uniform_sign * rank} "
                 f"(sign {frep.uniform_sign}, rank {rank})"
             )
-        if sig == 0:
-            problems.append("factor signature is zero")
 
     # whole-diagram cross-check: summands of the full flow lattice match the
     # number of nontrivial factors

@@ -24,10 +24,12 @@ the Seifert matrix takes its basis from those face boundaries.
 
 The flow lattice of the graph is the integer cycle space with the Gram form
 inherited from the edge basis; its basis is the fundamental cycles of a
-spanning tree, kept as closed walks.  The form (`flow_lattice`) and the walks
-(`fundamental_cycles`) are memoised on the graph.  Its determinant is the
-number of spanning trees, which for an alternating diagram equals the knot
-determinant; the acceptance suite leans on that cross-check.
+spanning tree, kept as closed walks: a cotree edge and the tree paths from
+its ends to their lowest common ancestor, simple and closed by construction.
+Its determinant is the number of spanning trees, which for an alternating
+diagram equals the knot determinant; the acceptance suite leans on that
+cross-check.  The form (`flow_lattice`), the walks (`fundamental_cycles`)
+and the blocks are memoised on the graph.
 
 The same fundamental cycles give the blocks.  Each is a simple cycle, so it
 lies inside one block, and those inside a 2-connected block span its cycle
@@ -172,13 +174,12 @@ def fundamental_cycles(g: TaitGraph) -> tuple[Walk, ...]:
     if len(seen) != nv:
         raise DiagramError("Tait graph is disconnected")
 
-    def climb(v: int) -> list[tuple[int, int, int]]:
-        # steps (edge, dir, next_vertex) from v toward the root
+    def climb(v: int) -> list[tuple[int, int]]:
+        # steps (edge, dir) from v toward the root
         steps = []
         while parent[v] is not None:
-            pv, ei, direction = parent[v]
-            steps.append((ei, -direction, pv))
-            v = pv
+            v, ei, direction = parent[v]
+            steps.append((ei, -direction))
         return steps
 
     walks = []
@@ -193,23 +194,13 @@ def fundamental_cycles(g: TaitGraph) -> tuple[Walk, ...]:
             while up_v and up_u and up_v[-1][0] == up_u[-1][0]:
                 up_v.pop()
                 up_u.pop()
-            walk.extend((e, s) for (e, s, _) in up_v)
-            walk.extend((e, -s) for (e, s, _) in reversed(up_u))
-        if len({e for e, _ in walk}) != len(walk):
-            raise InconsistencyError("fundamental cycle is not simple")
-        cur = u  # closed-walk sanity: endpoints chain up
-        for e, s in walk:
-            a, b = g.edges[e]
-            tail, head = (a, b) if s == 1 else (b, a)
-            if tail != cur:
-                raise InconsistencyError("cycle walk is not connected")
-            cur = head
-        if cur != u:
-            raise InconsistencyError("cycle walk does not close up")
+            walk.extend(up_v)
+            walk.extend((e, -s) for (e, s) in reversed(up_u))
         walks.append(tuple(walk))
     return tuple(walks)
 
 
+@cached_on_instance
 def blocks(g: TaitGraph) -> tuple[tuple[int, ...], ...]:
     """Blocks of the underlying multigraph, each as its sorted edge indices,
     ordered by least edge: the classes of the edges that the fundamental

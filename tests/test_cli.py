@@ -19,7 +19,7 @@ from helpers import MISORIENTED, necklace, sparse_rows, theta
 from knotcert import cli, lattice, obstruct, tait
 from knotcert.cli import _json_text, main
 from knotcert.diagram import connected_sum_factors, mirror_diagram, parse_pd
-from knotcert.lattice import greedy_reduce
+from knotcert.lattice import Decomposition, GramForm, greedy_reduce
 from knotcert.corpus import corpus_entry, load_corpus
 from knotcert.medial import medial_diagram
 from knotcert.tait import flow_lattice, orientable_tait_graph
@@ -27,6 +27,7 @@ from knotcert.tait import flow_lattice, orientable_tait_graph
 TREFOIL = "X(1,4,2,3) X(3,6,4,5) X(5,2,6,1)"
 LEFT_TREFOIL = "X(1,4,2,5) X(3,6,4,1) X(5,2,6,3)"  # orientable color 0
 HOPF = "X(4,1,3,2) X(2,3,1,4)"
+FIG8 = "X(4,2,5,1) X(8,6,1,5) X(6,3,7,4) X(2,7,3,8)"
 GRANNY = "X(9,1,10,12) X(1,11,2,10) X(11,3,12,2) X(3,7,4,6) X(7,5,8,4) X(5,9,6,8)"
 
 
@@ -109,6 +110,74 @@ def test_analyze_special_non_alternating_is_not_applicable(capsys):
     assert code == 0
     assert "genus: 1 (upper bound)" in out
     assert "band primeness: not_applicable" in out
+
+
+# One fault per case in a function the certificate imports, each making one
+# of its checks fire on the left trefoil: (name in obstruct, the fault made
+# from the real function, the notes of the report).
+_NO_FACTOR = ["whole-diagram lattice has 1 summands but 0 nontrivial factors",
+              "whole-diagram block count disagrees with factor count"]
+CERTIFICATE_FAULTS = {
+    "signature-negated": (
+        "gl_signature", lambda real: lambda f: -real(f),
+        ["factor signature -2 != 2 (sign -1, rank 2)"]),
+    # rank > 0 and the sign is +-1, so a zero signature fails the one check
+    "signature-zero": (
+        "gl_signature", lambda real: lambda f: 0,
+        ["factor signature 0 != 2 (sign -1, rank 2)"]),
+    "factor-mirrored": (
+        "connected_sum_factors", lambda real: lambda d: (mirror_diagram(d),),
+        ["factor sign 1 differs from diagram sign -1", *_NO_FACTOR]),
+    "factor-not-special": (
+        "connected_sum_factors", lambda real: lambda d: (parse_pd(FIG8),),
+        [f"factor {FIG8!r} is not special", *_NO_FACTOR]),
+    "singleton-blocks": (
+        "blocks", lambda real: lambda g: tuple((e,) for e in range(g.num_edges)),
+        ["factor graph has 0 positive-rank blocks, expected 1", _NO_FACTOR[1]]),
+    "two-summands": (
+        "indecomposable_summands",
+        lambda real: lambda q, **kw: Decomposition(real(q, **kw).summands * 2, ()),
+        ["factor flow lattice split into 2 summands",
+         "whole-diagram lattice has 2 summands but 1 nontrivial factors"]),
+    "odd-flow-rank": (
+        "flow_lattice", lambda real: lambda g: GramForm(((1,),)),
+        [f"factor {LEFT_TREFOIL!r} has odd flow rank 1", *_NO_FACTOR]),
+}
+
+
+@pytest.mark.parametrize("fault", CERTIFICATE_FAULTS)
+def test_analyze_reports_a_certificate_inconsistency_exit_1(monkeypatch, capsys, fault):
+    """Each check of `band_prime_certificate` fires on its own fault: the
+    verdict is inconsistency with the notes of the checks that failed, and
+    `analyze --json` still prints the whole report, then exits 1."""
+    name, make, notes = CERTIFICATE_FAULTS[fault]
+    monkeypatch.setattr(obstruct, name, make(getattr(obstruct, name)))
+    rep = obstruct.band_prime_certificate(parse_pd(LEFT_TREFOIL))
+    assert (rep.verdict, list(rep.notes)) == ("inconsistency", notes)
+    code, out, err = run(capsys, "analyze", "--pd", LEFT_TREFOIL, "--json")
+    assert code == 1 and err == ""
+    report = json.loads(out)
+    assert report["band_primeness"] == rep.to_json()
+    assert report["minimality"]["verdict"] == "minimal_certified"
+
+
+def test_batch_counts_a_certificate_inconsistency_and_runs_on(monkeypatch, tmp_path, capsys):
+    """An entry whose certificate finds an inconsistency is counted as one,
+    its report is written, and the rows after it still run."""
+    real = obstruct.gl_signature
+    monkeypatch.setattr(
+        obstruct, "gl_signature", lambda f: -real(f) if f.pd_text() == LEFT_TREFOIL else real(f)
+    )
+    f = tmp_path / "c.csv"
+    f.write_text(f'name,pd\nleft,"{LEFT_TREFOIL}"\ngranny,"{GRANNY}"\nfig8,"{FIG8}"\n')
+    code, out, _ = run(capsys, "batch", str(f), "--json", "--out", str(tmp_path / "reports"))
+    assert code == 1
+    assert json.loads(out)["counts"] == {
+        "band_prime_certified": 1, "inconsistency": 1, "not_applicable": 1
+    }
+    status = {p.stem: json.loads(p.read_text())["status"] for p in (tmp_path / "reports").iterdir()}
+    assert status == {"left": "inconsistency", "granny": "band_prime_certified",
+                      "fig8": "not_applicable"}
 
 
 def _wrap_calls(monkeypatch, qualnames, wrap):
@@ -216,8 +285,8 @@ def test_analyze_builds_each_tait_graph_once(monkeypatch, capsys):
 def test_analyze_builds_each_cycle_basis_once(monkeypatch, capsys):
     """The certificate and the factor split read the blocks of the orientable
     color's Tait graph, so on the granny knot (orientable color 1) and its
-    two trefoil factors each orientable Tait graph gets one cycle basis and
-    one flow Gram, and no color-0 graph gets either."""
+    two trefoil factors each orientable Tait graph gets one cycle basis, one
+    flow Gram and one set of blocks, and no color-0 graph gets any."""
     color_of = {}  # id of each Tait graph built -> its color
     real = tait.tait_graph
 
@@ -227,7 +296,7 @@ def test_analyze_builds_each_cycle_basis_once(monkeypatch, capsys):
         return g
 
     monkeypatch.setattr(tait, "tait_graph", spy)
-    built = {"tait.fundamental_cycles": [], "tait.flow_lattice": []}
+    built = {"tait.fundamental_cycles": [], "tait.flow_lattice": [], "tait.blocks": []}
 
     def wrap(qualname, fn):
         memo = "_cached_" + qualname.rsplit(".", 1)[1]
@@ -246,6 +315,7 @@ def test_analyze_builds_each_cycle_basis_once(monkeypatch, capsys):
     assert len({id(g) for g in graphs}) == len(graphs) == 3
     assert [color_of[id(g)] for g in graphs] == [1, 1, 1]
     assert sorted(map(id, built["tait.flow_lattice"])) == sorted(map(id, graphs))
+    assert sorted(map(id, built["tait.blocks"])) == sorted(map(id, graphs))
 
 
 def test_analyze_eliminates_each_flow_lattice_once(monkeypatch, capsys):

@@ -175,7 +175,8 @@ def test_random_planar_medials_det_counts_trees():
     """Medial knots of random planar multigraphs are alternating, their
     determinant equals the number of spanning trees of the graph, and they
     are special exactly when one checkerboard graph is bipartite (the graph
-    itself or its plane dual)."""
+    itself or its plane dual).  On every draw, links included, the medial
+    walk's component count is that of the strand walk of `orient`."""
     from knotcert.tait import tait_graph
 
     knots = 0
@@ -183,6 +184,7 @@ def test_random_planar_medials_det_counts_trees():
         g.validate()
         assert d.n == len(edges)
         assert is_alternating(d)
+        assert comps == orient(d).components, (n, edges, sign)
         if comps != 1:
             continue
         knots += 1

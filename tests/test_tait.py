@@ -173,12 +173,25 @@ def test_blocks_are_the_same_for_both_colors():
 def test_fundamental_cycles_match_edge_scan():
     """The adjacency-list BFS grows the tree of the edge-scanning BFS, so
     the walks agree, and with them every Gram matrix and witness in a
-    report."""
+    report.  The scan shares the climb to the root, so each walk is also
+    checked on its own: it starts at the tail of its cotree edge, each step
+    leaves the vertex the one before reached, it ends where it started, and
+    it repeats no edge."""
     rng = random.Random(20261019)
     graphs = [make_tait(n, edges)
               for n, edges, *_ in itertools.islice(random_draws(rng, 20, 12, stage="graph"), 500)]
     for g in graphs + corpus_tait_graphs():
-        assert fundamental_cycles(g) == fundamental_cycles_scan(g), g.edges
+        walks = fundamental_cycles(g)
+        assert walks == fundamental_cycles_scan(g), g.edges
+        for walk in walks:
+            assert walk[0][1] == 1, (g.edges, walk)
+            start = cur = g.edges[walk[0][0]][0]
+            for e, s in walk:
+                tail, head = g.edges[e] if s == 1 else g.edges[e][::-1]
+                assert tail == cur, (g.edges, walk)
+                cur = head
+            assert cur == start, (g.edges, walk)
+            assert len({e for e, _ in walk}) == len(walk), (g.edges, walk)
 
 
 def test_fundamental_cycles_structure():
