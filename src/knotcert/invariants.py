@@ -18,9 +18,10 @@ Everything here is exact integer arithmetic:
 Both backends take one Laurent determinant (`_laurent_det`), and it works in
 integer arithmetic.  The matrix (the Fox matrix, or t V - V^T) is first
 Tietze-reduced over Z[t, t^-1]: eliminating on its unit entries +-t^e (least
-Markowitz cost first, taken from a heap of the unit entries' costs) changes
-the determinant by a unit only, so what is left is sized by the knot, not by
-the crossing count or the genus.  That residue is evaluated once, by
+Markowitz cost first, from a heap of the unit entries' costs; each step scales
+the pivot row once and updates the other rows' entries in place) changes the
+determinant by a unit only, so what is left is sized by the knot, not by the
+crossing count or the genus.  That residue is evaluated once, by
 Kronecker substitution: shift each row to a polynomial, bound every
 coefficient of the determinant by Hadamard's bound on the unit circle, take
 one fraction-free (Bareiss) determinant at t = 2^b with 2^b more than twice
@@ -319,59 +320,64 @@ def _unit_residue(rows: list[dict[int, dict[int, int]]]) -> list[list[dict[int, 
     original indices, and a heap holds a (cost, row, column) key per unit
     entry: each step pushes fresh keys for the rows it updated and for the
     pivot row's columns, whose counts changed, and a popped key that no
-    longer matches its entry is skipped.
+    longer matches its entry is skipped.  Each step scales the pivot row by
+    -(u t^lo)^-1 once and updates the entries of the other rows in place.
     """
     live = dict(enumerate(rows))
     in_col: dict[int, set[int]] = {}
     for i, row in live.items():
         for j in row:
             in_col.setdefault(j, set()).add(i)
-
-    def keys(i, entries):  # the (cost, row, column) keys of the units among row i's entries
-        n = len(live[i]) - 1
-        return [(n * (len(in_col[j]) - 1), i, j) for j, e in entries
-                if len(e) == 1 and abs(*e.values()) == 1]
-
-    heap = [key for i, row in live.items() for key in keys(i, row.items())]
+    heap = [((len(row) - 1) * (len(in_col[j]) - 1), i, j) for i, row in live.items()
+            for j, e in row.items() if len(e) == 1 and abs(*e.values()) == 1]
     heapq.heapify(heap)
     while heap:
-        _, i, j = key = heapq.heappop(heap)
-        if j not in live.get(i, ()) or keys(i, [(j, live[i][j])]) != [key]:
+        cost, i, j = heapq.heappop(heap)
+        row = live.get(i)
+        e = row.get(j) if row else None
+        if (e is None or len(e) != 1 or abs(*e.values()) != 1
+                or cost != (len(row) - 1) * (len(in_col[j]) - 1)):
             continue  # a key that a later step left stale
         pivot_row = live.pop(i)
         for k in pivot_row:
             in_col[k].discard(i)
         ((lo, u),) = pivot_row.pop(j).items()
         updated = in_col.pop(j)
+        # row -= f (u t^lo)^-1 pivot_row, that is row += f pivot
+        pivot = [(k, [(b - lo, -u * y) for b, y in g.items()]) for k, g in pivot_row.items()]
         for r in updated:
             row = live[r]
-            f = row.pop(j)
-            # row -= f (u t^lo)^-1 pivot_row
-            for k, g in pivot_row.items():
-                e = row.setdefault(k, {})
-                for a, x in f.items():
-                    for b, y in g.items():
-                        e[a + b - lo] = e.get(a + b - lo, 0) - u * x * y
-                e = {a: x for a, x in e.items() if x}
-                if e:
-                    row[k] = e
+            f = row.pop(j).items()
+            for k, g in pivot:
+                e = row.get(k)
+                if e is None:
+                    e = row[k] = {}
                     in_col[k].add(r)
-                else:
+                for a, x in f:
+                    for b, y in g:
+                        e[a + b] = c = e.get(a + b, 0) + x * y
+                        if not c:
+                            del e[a + b]
+                if not e:
                     del row[k]
                     in_col[k].discard(r)
         # costs changed in the updated rows and in the pivot row's columns
-        fresh = [key for r in updated for key in keys(r, live[r].items())]
-        fresh += [key for k in pivot_row for r in in_col[k] - updated
-                  for key in keys(r, [(k, live[r][k])])]
-        for key in fresh:
-            heapq.heappush(heap, key)
+        for r in updated:
+            row = live[r]
+            for k, e in row.items():
+                if len(e) == 1 and abs(*e.values()) == 1:
+                    heapq.heappush(heap, ((len(row) - 1) * (len(in_col[k]) - 1), r, k))
+        for k in pivot_row:
+            for r in in_col[k] - updated:
+                row = live[r]
+                e = row[k]
+                if len(e) == 1 and abs(*e.values()) == 1:
+                    heapq.heappush(heap, ((len(row) - 1) * (len(in_col[k]) - 1), r, k))
     rows = list(live.values())
     cols = sorted({j for row in rows for j in row})
     if len(cols) != len(rows) or not all(rows):
-        raise InconsistencyError(
-            f"Laurent residue of {len(rows)} rows on {len(cols)} columns "
-            "is not square or has a zero row"
-        )
+        raise InconsistencyError(f"Laurent residue of {len(rows)} rows on {len(cols)} "
+                                 "columns is not square or has a zero row")
     return [[row.get(j, {}) for j in cols] for row in rows]
 
 
@@ -413,6 +419,7 @@ def alexander_via_seifert(d: Diagram) -> LaurentPolynomial:
 # overstrand, incoming and outgoing understrand, per crossing sign.  Rows of
 # negative crossings are premultiplied by t to stay polynomial (a unit).
 _FOX_ROW = {1: ((1, -1), (0, 1), (-1, 0)), -1: ((-1, 1), (1, 0), (0, -1))}
+_FOX_ENTRIES = {s: [{k: x for k, x in enumerate(p) if x} for p in ps] for s, ps in _FOX_ROW.items()}
 
 
 def _fox_rows(d: Diagram) -> list[dict[int, dict[int, int]]]:
@@ -427,15 +434,14 @@ def _fox_rows(d: Diagram) -> list[dict[int, dict[int, int]]]:
             f"expected {n} overstrands for a knot diagram, found {max(col) + 1}"
         )
     rows: list[dict[int, dict[int, int]]] = []
-    for ci, c in enumerate(d.crossings[: n - 1]):
+    for c, sign in zip(d.crossings[: n - 1], signs):
         row: dict[int, dict[int, int]] = {}
-        for arc, (c0, c1) in zip((c[1], c[0], c[2]), _FOX_ROW[signs[ci]]):
-            entry = row.setdefault(col[arc - 1], {0: 0, 1: 0})
-            entry[0] += c0
-            entry[1] += c1
+        for j, entry in zip((col[c[1] - 1], col[c[0] - 1], col[c[2] - 1]), _FOX_ENTRIES[sign]):
+            if j in row:  # a kink: two of the arcs (all three only if n = 1) are one overstrand
+                entry = {k: x for k in (0, 1) if (x := row[j].get(k, 0) + entry.get(k, 0))}
+            row[j] = entry.copy()
         row.pop(n - 1, None)  # the deleted column
-        entries = {j: {k: x for k, x in e.items() if x} for j, e in row.items()}
-        rows.append({j: e for j, e in entries.items() if e})
+        rows.append(row)
     return rows
 
 

@@ -1,10 +1,11 @@
 """Exact arithmetic for integral quadratic forms.
 
 All arithmetic is on integers and exact, and nothing here uses `Fraction`.
-There are two fraction-free (Bareiss) elimination kernels, whose divisions
-are exact.  The dense one, `_bareiss`, runs in natural order and serves both
-`det_int` and the Fincke-Pohst weights, whose refusal is also the
-decomposition's definiteness test.  The sparse one, `_sylvester`, gives
+There are two fraction-free (Bareiss) elimination kernels.  Both rescale
+lazily, and every division is exact, since it yields a minor.  The dense one,
+`_bareiss`, runs in natural order and serves both `det_int` and the
+Fincke-Pohst weights, whose refusal is also the decomposition's
+definiteness test.  The sparse one, `_sylvester`, gives
 inertia: it eliminates sparse rows in least-degree order, so a Goeritz form
 of hundreds of faces, a sparse planar Laplacian, costs about its fill-in.
 The enumerations work on small definite Gram matrices (rank <= 12 by
@@ -113,9 +114,13 @@ def _bareiss(m) -> tuple[int, list[int], list[list[int]]]:
     it in its row, and after step k the rows below keep only the columns
     right of k.  With no swap, pivots[k] is the leading principal minor of
     order k + 1.  Stops early, with fewer pivots than rows, at a column that
-    has no nonzero entry left."""
+    has no nonzero entry left.  Rescaling is lazy: a row keeps the scale p_s
+    of the step s that last updated it (p_{-1} = 1).  Step k brings its pivot
+    row to scale p_{k-1}, and turns a row with f != 0 in its column into
+    (v p_k - f y) / p_s, a minor, so every division is exact."""
     n = len(m)
     a = [list(row) for row in m]
+    scale = [1] * n
     pivots: list[int] = []
     swaps = 0
     prev = 1
@@ -124,18 +129,19 @@ def _bareiss(m) -> tuple[int, list[int], list[list[int]]]:
             pivot = next((i for i in range(k + 1, n) if a[i][0] != 0), None)
             if pivot is None:
                 break
-            a[k], a[pivot] = a[pivot], a[k]
+            a[k], a[pivot], scale[k], scale[pivot] = a[pivot], a[k], scale[pivot], scale[k]
             swaps += 1
         rest = a[k]
+        if scale[k] != prev:
+            rest = a[k] = [x * prev // scale[k] for x in rest]
         p = rest.pop(0)
         pivots.append(p)
         for i in range(k + 1, n):
             row = a[i]
             f = row.pop(0)
             if f:
-                a[i] = [(x * p - f * y) // prev for x, y in zip(row, rest)]
-            elif p != prev:
-                a[i] = [x * p // prev for x in row]
+                a[i] = [(x * p - f * y) // scale[i] for x, y in zip(row, rest)]
+                scale[i] = p
         prev = p
     return swaps, pivots, a
 

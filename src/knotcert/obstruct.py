@@ -32,6 +32,7 @@ from typing import Optional
 from .diagram import (
     Diagram, SpecialityReport, cached_on_instance, classify_special, connected_sum_factors,
 )
+from .errors import DegenerateFormError
 from .hfk import HfkTable, hfk_isomorphic, thin_hfk
 from .invariants import InvariantBundle, gl_signature, invariant_bundle
 from .lattice import (
@@ -114,10 +115,10 @@ def band_prime_certificate(d: Diagram, rank_cap: int = DEFAULT_RANK_CAP) -> Cert
     """Certify that the knot of a special alternating diagram is band prime.
 
     Non-special (or non-alternating) inputs get verdict not_applicable.
-    A factor whose flow lattice splits into several summands, disagrees
-    with the block count, or has the wrong signature produces verdict
-    'inconsistency' (the underlying theory forbids all of those, so they
-    indicate a bug, not a property of the knot).
+    A factor whose flow lattice is not definite, splits into several
+    summands, disagrees with the block count, or has the wrong signature
+    produces verdict 'inconsistency' (the underlying theory forbids all of
+    those, so they indicate a bug, not a property of the knot).
     """
     rep = classify_special(d)
     if not (rep.is_special and rep.is_alternating):
@@ -128,14 +129,19 @@ def band_prime_certificate(d: Diagram, rank_cap: int = DEFAULT_RANK_CAP) -> Cert
     # input is refused before any lattice, factor or invariant work.
     g_full = orientable_tait_graph(d)
     check_rank_cap(g_full.cycle_rank(), rank_cap)
-    dec_full = indecomposable_summands(flow_lattice(g_full), rank_cap=rank_cap)
-    blocks_full = _positive_rank_blocks(g_full)
-
     notes: list[str] = []
     problems: list[str] = []
     factors: list[FactorRecord] = []
     trivial = 0
 
+    def decompose(f: Diagram, gram: GramForm) -> Optional[Decomposition]:  # None if refused
+        try:  # a flow lattice is positive definite, so a refusal is a bug
+            return indecomposable_summands(gram, rank_cap=rank_cap)
+        except (ValueError, DegenerateFormError) as ex:
+            problems.append(f"flow lattice of {f.pd_text()!r} refused: {ex}")
+
+    dec_full = decompose(d, flow_lattice(g_full))
+    blocks_full = _positive_rank_blocks(g_full)
     for f in connected_sum_factors(d):
         frep = classify_special(f)
         if not frep.is_special:
@@ -156,7 +162,9 @@ def band_prime_certificate(d: Diagram, rank_cap: int = DEFAULT_RANK_CAP) -> Cert
             problems.append(f"factor {f.pd_text()!r} has odd flow rank {rank}")
             continue
         # a prime diagram is its own single factor: reuse the whole's lattice
-        dec = dec_full if f is d else indecomposable_summands(gram, rank_cap=rank_cap)
+        dec = dec_full if f is d else decompose(f, gram)
+        if dec is None:
+            continue
         sig = gl_signature(f)
         record = FactorRecord(
             pd=f.pd_text(),
@@ -185,7 +193,7 @@ def band_prime_certificate(d: Diagram, rank_cap: int = DEFAULT_RANK_CAP) -> Cert
 
     # whole-diagram cross-check: summands of the full flow lattice match the
     # number of nontrivial factors
-    if len(dec_full.summands) != len(factors):
+    if dec_full is not None and len(dec_full.summands) != len(factors):
         problems.append(
             f"whole-diagram lattice has {len(dec_full.summands)} summands "
             f"but {len(factors)} nontrivial factors"

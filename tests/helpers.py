@@ -448,6 +448,18 @@ def necklace(sides):
     return PlaneGraph(tuple(edges), rotations)
 
 
+def trefoil_chain(k):
+    """A path of k bundles of three parallel edges, each nested as in
+    `theta`: its medial diagram is the connected sum of k trefoils."""
+    edges = tuple((i, i + 1) for i in range(k) for _ in range(3))
+    rotations = tuple(
+        tuple([(3 * (v - 1) + j, 1) for j in (2, 1, 0) if v > 0]
+              + [(3 * v + j, 0) for j in (0, 1, 2) if v < k])
+        for v in range(k + 1)
+    )
+    return PlaneGraph(edges, rotations)
+
+
 def wide_necklace(rng: random.Random):
     """A seeded necklace knot of 25-41 crossings, as the wide-diagrams
     benchmark draws them."""
@@ -853,6 +865,37 @@ def sylvester_dense(matrix):
     return pos, neg, n - pos - neg, prev
 
 
+def bareiss_eager(m):
+    """The Bareiss elimination of `lattice._bareiss` with eager rescaling:
+    every step brings every row below it to the step's scale, so a row with
+    a 0 in the pivot column is multiplied by p_k / p_{k-1}.  Returns (swaps,
+    pivots, rows) as `_bareiss` does."""
+    n = len(m)
+    a = [list(row) for row in m]
+    pivots = []
+    swaps = 0
+    prev = 1
+    for k in range(n):
+        if a[k][0] == 0:
+            pivot = next((i for i in range(k + 1, n) if a[i][0] != 0), None)
+            if pivot is None:
+                break
+            a[k], a[pivot] = a[pivot], a[k]
+            swaps += 1
+        rest = a[k]
+        p = rest.pop(0)
+        pivots.append(p)
+        for i in range(k + 1, n):
+            row = a[i]
+            f = row.pop(0)
+            if f:
+                a[i] = [(x * p - f * y) // prev for x, y in zip(row, rest)]
+            elif p != prev:
+                a[i] = [x * p // prev for x in row]
+        prev = p
+    return swaps, pivots, a
+
+
 def unit_residue_rescan(rows):
     """The unit elimination of `invariants._unit_residue` without its heap:
     every step rescans all unit entries for the least (cost, row, column).
@@ -933,37 +976,40 @@ def laurent_det_leibniz(m):
     return {a: x for a, x in out.items() if x}
 
 
+def fox_matrix_dense(d):
+    """The dense n x n Fox matrix of the Wirtinger presentation of a knot
+    diagram, entries {exponent: coefficient} without zeros: row c holds the
+    Fox derivatives of crossing c's relation by the overstrands."""
+    from knotcert.invariants import _FOX_ROW
+    from knotcert.diagram import orient
+    from knotcert.lattice import connected_classes
+
+    n = d.n
+    col = connected_classes(2 * n, ((c[1] - 1, c[3] - 1) for c in d.crossings))
+    assert max(col, default=-1) + 1 == n
+    m = [[[0, 0] for _ in range(n)] for _ in range(n)]
+    for ci, c in enumerate(d.crossings):
+        for arc, (c0, c1) in zip((c[1], c[0], c[2]), _FOX_ROW[orient(d).signs[ci]]):
+            entry = m[ci][col[arc - 1]]
+            entry[0] += c0
+            entry[1] += c1
+    return [[{k: x for k, x in enumerate(e) if x} for e in row] for row in m]
+
+
 def alexander_dense_wirtinger(d):
     """Alexander polynomial from the dense (n-1)x(n-1) Fox matrix of the
     Wirtinger presentation (last row and column deleted), one determinant per
     interpolation point."""
-    from knotcert.invariants import _FOX_ROW, LaurentPolynomial, _normalize_alexander
-    from knotcert.diagram import orient
-    from knotcert.lattice import connected_classes, det_int
+    from knotcert.invariants import LaurentPolynomial, _normalize_alexander
+    from knotcert.lattice import det_int
 
-    n = d.n
-    if n <= 1:
+    if d.n <= 1:
         return LaurentPolynomial.from_string("1")
-    col = connected_classes(2 * n, ((c[1] - 1, c[3] - 1) for c in d.crossings))
-    assert max(col) + 1 == n
-    rows = []
-    for ci, c in enumerate(d.crossings):
-        row = {}
-        for arc, (c0, c1) in zip((c[1], c[0], c[2]), _FOX_ROW[orient(d).signs[ci]]):
-            entry = row.setdefault(col[arc - 1], [0, 0])
-            entry[0] += c0
-            entry[1] += c1
-        rows.append(row)
-    size = n - 1
+    size = d.n - 1
+    rows = [row[:size] for row in fox_matrix_dense(d)[:size]]
     xs = list(range(2, 2 + size + 1))
-    ys = []
-    for x in xs:
-        mat = [[0] * size for _ in range(size)]
-        for mrow, row in zip(mat, rows):
-            for j, (c0, c1) in row.items():
-                if j < size:
-                    mrow[j] = c0 + c1 * x
-        ys.append(det_int(mat))
+    ys = [det_int([[sum(c * x ** k for k, c in e.items()) for e in row] for row in rows])
+          for x in xs]
     coeffs = interpolate_int_poly(xs, ys)
     raw = LaurentPolynomial.from_dict(dict(enumerate(coeffs)))
     return _normalize_alexander(raw, "dense wirtinger")

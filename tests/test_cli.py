@@ -142,6 +142,15 @@ CERTIFICATE_FAULTS = {
     "odd-flow-rank": (
         "flow_lattice", lambda real: lambda g: GramForm(((1,),)),
         [f"factor {LEFT_TREFOIL!r} has odd flow rank 1", *_NO_FACTOR]),
+    # a flow Gram that `indecomposable_summands` refuses, as indefinite or degenerate
+    "indefinite-flow-gram": (
+        "flow_lattice", lambda real: lambda g: GramForm(((1, 2), (2, 1))),
+        [f"flow lattice of {LEFT_TREFOIL!r} refused: "
+         "indecomposable_summands requires a definite form", _NO_FACTOR[1]]),
+    "degenerate-flow-gram": (
+        "flow_lattice", lambda real: lambda g: GramForm(((1, 1), (1, 1))),
+        [f"flow lattice of {LEFT_TREFOIL!r} refused: cannot decompose a degenerate form",
+         _NO_FACTOR[1]]),
 }
 
 
@@ -177,6 +186,28 @@ def test_batch_counts_a_certificate_inconsistency_and_runs_on(monkeypatch, tmp_p
     }
     status = {p.stem: json.loads(p.read_text())["status"] for p in (tmp_path / "reports").iterdir()}
     assert status == {"left": "inconsistency", "granny": "band_prime_certified",
+                      "fig8": "not_applicable"}
+
+
+def test_batch_counts_a_refused_flow_gram_as_inconsistency_and_runs_on(
+        monkeypatch, tmp_path, capsys):
+    """A flow Gram that `indecomposable_summands` refuses makes its entry an
+    inconsistency, not a traceback or an input error; the rows after it
+    still run."""
+    real = obstruct.flow_lattice
+    monkeypatch.setattr(  # the trefoil's orientable Tait graph has three edges
+        obstruct, "flow_lattice",
+        lambda g: GramForm(((1, 2), (2, 1))) if g.num_edges == 3 else real(g))
+    t25 = medial_diagram(theta(5), 1)[0].pd_text()
+    f = tmp_path / "c.csv"
+    f.write_text(f'name,pd\nleft,"{LEFT_TREFOIL}"\nt25,"{t25}"\nfig8,"{FIG8}"\n')
+    code, out, _ = run(capsys, "batch", str(f), "--json", "--out", str(tmp_path / "reports"))
+    assert code == 1
+    assert json.loads(out)["counts"] == {
+        "band_prime_certified": 1, "inconsistency": 1, "not_applicable": 1
+    }
+    status = {p.stem: json.loads(p.read_text())["status"] for p in (tmp_path / "reports").iterdir()}
+    assert status == {"left": "inconsistency", "t25": "band_prime_certified",
                       "fig8": "not_applicable"}
 
 

@@ -15,6 +15,7 @@ from helpers import (
     alexander_dense_wirtinger,
     crossing_changed,
     face_vectors,
+    fox_matrix_dense,
     goeritz_by_corner_pairs,
     interpolate_int_poly,
     laurent_det_leibniz,
@@ -25,6 +26,7 @@ from helpers import (
     seifert_disk_classes,
     seifert_matrix_chords,
     theta,
+    trefoil_chain,
     two_coloring,
     unit_residue_rescan,
     wide_necklace,
@@ -385,6 +387,24 @@ def test_seifert_matches_closed_form_on_torus_knots():
                 assert alexander_dense_seifert(d) == want
 
 
+def test_fox_rows_are_the_dense_fox_matrix_entries():
+    """`_fox_rows` holds exactly the nonzero entries of the dense Fox matrix
+    without its last row and column, kinks (where two arcs of a crossing
+    are one overstrand and their entries merge) included: on the corpus and
+    its mirrors, random medial knots and wide necklaces."""
+    rng = random.Random(25)
+    diagrams = [o for e in load_corpus() for o in (parse_pd(e.pd), mirror_diagram(parse_pd(e.pd)))]
+    diagrams += [draw.d for draw in itertools.islice(random_draws(rng, 9, links=False), 300)]
+    diagrams += [wide_necklace(rng) for _ in range(25)]
+    kinks = 0
+    for d in diagrams:
+        m = fox_matrix_dense(d)
+        want = [{j: e for j, e in enumerate(row[:-1]) if e} for row in m[:-1]]
+        assert _fox_rows(d) == want, d.pd_text()
+        kinks += any(len(list(filter(None, row))) < 3 for row in m)
+    assert kinks > 200
+
+
 def _residue_rows(monkeypatch, backend, d):
     """Rows of the unit residue that `backend` evaluates for d."""
     sizes = []
@@ -469,6 +489,10 @@ def test_unit_residue_heap_matches_rescan():
                 yield _seifert_rows(d)
         for _ in range(2000):
             yield _random_laurent_rows(rng)
+        # the Fox rows of two CI rows: a 301-crossing necklace, and the
+        # connected sum of 30 trefoils
+        yield _fox_rows(medial_diagram(necklace([61, 59, 61, 59, 61]), 1)[0])
+        yield _fox_rows(medial_diagram(trefoil_chain(30), 1)[0])
         # dense: T(2,21) and T(2,41) in the chord basis, where t V - V^T has
         # no zero entry and the first pivots' rows and columns are full
         for k in (21, 41):

@@ -9,6 +9,7 @@ from collections import Counter
 import pytest
 
 from helpers import (
+    bareiss_eager,
     congruent_scramble,
     crossing_changed,
     cycle_vectors,
@@ -27,6 +28,7 @@ from helpers import (
     summand_sublattices_shortvectors,
     sylvester_dense,
     theta,
+    trefoil_chain,
 )
 import knotcert.lattice
 from knotcert.errors import DegenerateFormError, InconsistencyError, RankCapExceededError
@@ -38,6 +40,7 @@ from knotcert.lattice import (
     dot,
     det_int,
     greedy_reduce,
+    _bareiss,
     _indecomposable_generators,
     indecomposable_summands,
     inertia,
@@ -50,8 +53,9 @@ from knotcert.lattice import (
     transpose,
 )
 from knotcert.corpus import load_corpus
-from knotcert.diagram import parse_pd
-from knotcert.invariants import goeritz_matrix
+from knotcert import invariants
+from knotcert.diagram import classify_special, parse_pd
+from knotcert.invariants import alexander_via_wirtinger, goeritz_matrix
 from knotcert.medial import medial_diagram
 from knotcert.tait import (
     TaitGraph, flow_lattice, fundamental_cycles, orientable_tait_graph, tait_graph,
@@ -373,6 +377,50 @@ def test_det_int_on_sparse_fox_like_rows():
                                    ((1, -1), (0, 1), (-1, 0))):
                 row[j] += c0 + c1 * x
         assert det_int(m) == det_fraction(m)
+
+
+def test_bareiss_matches_eager_oracle(monkeypatch):
+    """Lazy rescaling changes no step of `_bareiss`: it gives the swaps, the
+    pivots and the pivot rows of the eager oracle, on seeded random matrices
+    of size 0-8 (zero pivot columns, forced swaps, early stops), on the flow
+    Grams of the corpus, their negatives and greedy-reduced forms, and on
+    the Fox residue of the connected sum of 30 trefoils at its Kronecker
+    point (checked last: a wrong scale makes its entries blow up)."""
+    counts = Counter()
+
+    def check(m):
+        swaps, pivots, rows = bareiss_eager(m)
+        lazy = _bareiss(m)
+        assert lazy[:2] == (swaps, pivots) and lazy[2][: len(pivots)] == rows[: len(pivots)], m
+        counts.update(matrices=1, swapped=swaps > 0, stopped=len(pivots) < len(m))
+
+    rng = random.Random(31)
+    for trial in range(3000):
+        n = rng.randint(0, 8)
+        m = _random_int_matrix(rng, n, rng.choice((0.2, 0.4, 0.7, 1.0)), -3, 3)
+        if trial % 3 == 0 and n > 1:  # zero leading pivot: forces a row swap
+            m[0][0] = 0
+        if trial % 5 == 0 and n > 2:  # rank deficient: stops early
+            m[-1] = [a - b for a, b in zip(m[0], m[1])]
+        if trial % 7 == 0 and n:  # a zero column
+            c = rng.randrange(n)
+            for row in m:
+                row[c] = 0
+        check(m)
+    for entry in load_corpus():
+        d = parse_pd(entry.pd)
+        if classify_special(d).is_special:
+            gram = [list(row) for row in flow_lattice(orientable_tait_graph(d)).matrix]
+            for m in (gram, [[-x for x in row] for row in gram], greedy_reduce(gram)[0]):
+                check(m)
+    assert counts["matrices"] > 3080 and counts["swapped"] > 1000 and counts["stopped"] > 1000
+    kronecker = []
+    monkeypatch.setattr(invariants, "det_int", lambda m: kronecker.append(m) or det_int(m))
+    alexander_via_wirtinger(medial_diagram(trefoil_chain(30), 1)[0])
+    monkeypatch.undo()
+    (m,) = kronecker
+    assert len(m) == 30 and max(abs(x) for row in m for x in row).bit_length() > 400
+    check(m)
 
 
 def _random_definite(rng, n):
