@@ -6,13 +6,21 @@ strand.  Arc labels run 1..2n and each label appears exactly twice.  The
 cyclic order at every crossing is a rotation system, so the code determines a
 4-valent graph embedded in the sphere; we validate that the induced face count
 satisfies Euler's formula (faces = crossings + 2) and reject anything else.
-Strands are oriented by one walk per component from the incoming
-under-strands (`_strands`); a code they cannot orient is rejected.  The PD
-code fixes the orientation, so `orient(d)` is memoised on the diagram like its
-faces, checkerboard, Seifert circles and speciality: every layer takes the
-`Diagram` itself and derives each of these once.  The checkerboard is just the
-faces split into their two color classes; `tait.tait_graph` reads each class
-and checks that the colors alternate around every crossing.
+
+Half-edge (c, s), slot s of crossing c, is the integer h = 4c + s, so h
+increases in (crossing, slot) order, and `_mates(d)` is one flat list of 4n
+entries: mate[h] is the other end of the arc at h.  Faces, strands and
+Seifert circles are orbits of three maps on it, where m = mate[h]: the face
+successor h -> (m & ~3) | ((m + 1) & 3); the strand step h -> mate[h ^ 2],
+leaving by the opposite slot; and the Seifert step h -> m ^ 1 or m ^ 3, the
+smoothing partner of slot m as the over-strand enters at slot 3 or 1.  Faces
+and strands are returned as tuples of (crossing, slot) pairs.  A code whose
+strand walks (`_strands`) cannot orient it is rejected.  The mates, faces,
+orientation (`orient`), checkerboard, Seifert circles and speciality are
+memoised on the diagram: every layer takes the `Diagram` itself and derives
+each once.  The checkerboard is the faces split into their two color
+classes; `tait.tait_graph` reads each class and checks that the colors
+alternate around every crossing.
 
 Grammar for the text form (whitespace/comma separated, case-insensitive `X`)::
 
@@ -46,7 +54,9 @@ import functools
 import json
 import operator
 import re
+from collections import Counter
 from dataclasses import dataclass
+from itertools import chain
 
 from .errors import ClassificationError, DiagramError, InconsistencyError, PDSyntaxError
 from .lattice import connected_classes
@@ -87,7 +97,10 @@ class Diagram:
         return self.pd_text() or "<unknot>"
 
 
-_CROSSING_RE = re.compile(r"[Xx]\s*\(\s*(\d+)\s*,\s*(\d+)\s*,\s*(\d+)\s*,\s*(\d+)\s*\)")
+_CROSSING = r"[Xx]\s*\(\s*(\d+)\s*,\s*(\d+)\s*,\s*(\d+)\s*,\s*(\d+)\s*\)"
+_CROSSING_RE = re.compile(_CROSSING)
+# a whole PD text: crossings, separated by any run of whitespace and commas
+_PD_RE = re.compile(r"[\s,]*(?:%s[\s,]*)*" % _CROSSING.replace(r"(\d+)", r"\d+"))
 
 
 def parse_pd(text: str) -> Diagram:
@@ -114,12 +127,10 @@ def parse_pd(text: str) -> Diagram:
             raise PDSyntaxError("JSON PD code must be an array of [a,b,c,d] quadruples")
         crossings = tuple(tuple(q) for q in data)
     else:
-        crossings = tuple(
-            tuple(int(g) for g in m.groups()) for m in _CROSSING_RE.finditer(stripped)
-        )
-        leftover = _CROSSING_RE.sub("", stripped).replace(",", " ").strip()
-        if leftover:
+        if not _PD_RE.fullmatch(stripped):
+            leftover = _CROSSING_RE.sub("", stripped).replace(",", " ").strip()
             raise PDSyntaxError(f"unparsable PD fragment: {leftover!r}")
+        crossings = [tuple(map(int, g)) for g in _CROSSING_RE.findall(stripped)]
     try:
         return build_diagram(crossings)
     except DiagramError as primary_err:
@@ -150,63 +161,60 @@ def _validate(d: Diagram):
     n = d.n
     if n == 0:
         return
-    counts = _occurrences(d)
-    expected = set(range(1, 2 * n + 1))
-    if set(counts) != expected:
-        bad = sorted(set(counts) ^ expected)
-        raise DiagramError(f"arc labels must be 1..{2*n}; problems at {bad}")
-    for a, occ in counts.items():
-        if len(occ) != 2:
-            raise DiagramError(f"arc {a} appears {len(occ)} times (want 2)")
+    mate = _mates(d)
     # connectivity of the 4-valent graph
-    if max(connected_classes(n, ((c1, c2) for (c1, _), (c2, _) in counts.values()))):
+    if max(connected_classes(n, ((h >> 2, m >> 2) for h, m in enumerate(mate) if h < m))):
         raise DiagramError("diagram is disconnected")
     # Euler check: tracing faces of the rotation system must give n + 2
-    if len(_trace_faces(d)) != n + 2:
-        raise DiagramError(
-            f"rotation system is not planar: {len(_trace_faces(d))} faces "
-            f"instead of {n + 2}"
-        )
+    faces = len(_trace_faces(d))
+    if faces != n + 2:
+        raise DiagramError(f"rotation system is not planar: {faces} faces instead of {n + 2}")
 
 
 @cached_on_instance
-def _occurrences(d: Diagram) -> dict[int, tuple[HalfEdge, HalfEdge]]:
-    occ: dict[int, list[HalfEdge]] = {}
-    for ci, c in enumerate(d.crossings):
-        for slot, a in enumerate(c):
-            occ.setdefault(a, []).append((ci, slot))
-    return {a: tuple(v) for a, v in occ.items()}
-
-
-def _mate(d: Diagram, he: HalfEdge) -> HalfEdge:
-    ci, slot = he
-    a = d.crossings[ci][slot]
-    u, v = _occurrences(d)[a]
-    return v if he == u else u
+def _mates(d: Diagram) -> list[int]:
+    """mate[h], the other end of the arc at half-edge h = 4c + s, checking in
+    the same pass that the arc labels are 1..2n, each used twice."""
+    labels = list(chain.from_iterable(d.crossings))
+    top = len(labels) // 2
+    first = [-1] * (top + 1)  # the first half-edge of each label, by label
+    mate = [-1] * len(labels)
+    if labels and min(labels) > 0 and max(labels) <= top:
+        for h, a in enumerate(labels):
+            g = first[a]
+            if g < 0:
+                first[a] = h
+            else:
+                mate[g], mate[h] = h, g
+    # every label in 1..2n is there and none is used once: so each is used twice
+    if -1 in mate or first.count(-1) > 1:
+        counts = Counter(labels)  # labels in order of first use
+        bad = sorted(set(counts) ^ set(range(1, top + 1)))
+        if bad:
+            raise DiagramError(f"arc labels must be 1..{top}; problems at {bad}")
+        a, k = next((a, k) for a, k in counts.items() if k != 2)
+        raise DiagramError(f"arc {a} appears {k} times (want 2)")
+    return mate
 
 
 @cached_on_instance
 def _trace_faces(d: Diagram) -> tuple[Face, ...]:
-    """Faces of the underlying 4-valent plane graph.
-
-    Orbits of the map (c, s) -> rotate(mate(c, s)); the face owning half-edge
-    (c, s) occupies corner (s - 1) mod 4 at crossing c.
-    """
+    """Faces of the underlying 4-valent plane graph: the orbits of the face
+    successor, each from its least half-edge; the face owning half-edge
+    (c, s) occupies corner (s - 1) mod 4 at crossing c."""
+    mate = _mates(d)
+    seen = bytearray(len(mate))
     faces = []
-    seen: set[HalfEdge] = set()
-    for ci in range(d.n):
-        for slot in range(4):
-            he = (ci, slot)
-            if he in seen:
-                continue
-            face = []
-            cur = he
-            while cur not in seen:
-                seen.add(cur)
-                face.append(cur)
-                mc, ms = _mate(d, cur)
-                cur = (mc, (ms + 1) % 4)
-            faces.append(tuple(face))
+    for h in range(len(mate)):
+        if seen[h]:
+            continue
+        face = []
+        while not seen[h]:
+            seen[h] = 1
+            face.append((h >> 2, h & 3))
+            m = mate[h]
+            h = (m & ~3) | ((m + 1) & 3)
+        faces.append(tuple(face))
     return tuple(faces)
 
 
@@ -238,33 +246,29 @@ def checkerboard(d: Diagram) -> tuple[tuple[Face, ...], tuple[Face, ...]]:
 @cached_on_instance
 def _strands(d: Diagram) -> tuple[tuple[HalfEdge, ...], ...]:
     """The strand components, each as the half-edges through which it enters
-    its crossings, in travel order.
+    its crossings, in travel order: orbits of the strand step.
 
-    A walk entering through (c, s) leaves through (c, s + 2) and next enters
-    the mate of that half-edge.  Walks start at each unvisited slot 0 (an
-    incoming under-strand), so they follow the orientation the PD code fixes;
-    a component that passes under nowhere (only in a link) starts at its
-    highest unvisited half-edge.  Walks are orbits of a permutation, and a
+    Walks start at each unvisited slot 0 (an incoming under-strand), so they
+    follow the orientation the PD code fixes; a component that passes under
+    nowhere (only in a link) starts at its highest unvisited half-edge.  A
     walk's exits are the entries of its reverse, so walks close up without
     meeting; the code cannot be oriented exactly when a walk enters an
     under-strand at slot 2, which raises ClassificationError.
     """
-    seen: set[HalfEdge] = set()
+    mate = _mates(d)
+    seen = bytearray(len(mate))
     walks = []
-    half_edges = [(ci, s) for ci in range(d.n) for s in range(4)]
-    for start in half_edges[::4] + half_edges[::-1]:  # slots 0, then highest first
-        if start in seen:
+    for start in chain(range(0, len(mate), 4), reversed(range(len(mate)))):  # slots 0, then highest first
+        if seen[start]:
             continue
-        walk, cur = [], start
+        walk, h = [], start
         while True:
-            ci, s = cur
-            if s == 2:
-                raise ClassificationError(f"strand enters the under-strand of crossing {ci} at slot 2")
-            out = (ci, (s + 2) % 4)
-            walk.append(cur)
-            seen.update((cur, out))
-            cur = _mate(d, out)
-            if cur == start:
+            if h & 3 == 2:
+                raise ClassificationError(f"strand enters the under-strand of crossing {h >> 2} at slot 2")
+            walk.append((h >> 2, h & 3))
+            seen[h] = seen[h ^ 2] = 1
+            h = mate[h ^ 2]
+            if h == start:
                 break
         walks.append(tuple(walk))
     return tuple(walks)
@@ -292,11 +296,8 @@ class Orientation:
 
 @cached_on_instance
 def orient(d: Diagram) -> Orientation:
-    """Orient the strands by walking them (`_strands`).
-
-    The over-strand enters each crossing at slot 1 or slot 3, and the walks
-    are the components.
-    """
+    """Orient the strands by walking them (`_strands`): the over-strand
+    enters each crossing at slot 1 or slot 3, and the walks are the components."""
     if d.n == 0:
         return Orientation((), (), 1)
     walks = _strands(d)
@@ -320,21 +321,24 @@ def is_alternating(d: Diagram) -> bool:
 
 @cached_on_instance
 def seifert_circle_partition(d: Diagram) -> frozenset[frozenset[int]]:
-    """Partition of arcs into Seifert circles (oriented smoothing)."""
-    over_in_slot = orient(d).over_in_slot
-    # channels through corners 0 and 2 when the over-strand enters at slot 3,
-    # through corners 1 and 3 otherwise
-    pairs = []
-    for ci, c in enumerate(d.crossings):
-        if over_in_slot[ci] == 3:
-            pairs += [(c[0], c[1]), (c[3], c[2])]
-        else:
-            pairs += [(c[0], c[3]), (c[1], c[2])]
-    labels = connected_classes(2 * d.n, ((x - 1, y - 1) for x, y in pairs))
-    groups: dict[int, set[int]] = {}
-    for a, label in enumerate(labels, 1):
-        groups.setdefault(label, set()).add(a)
-    return frozenset(frozenset(g) for g in groups.values())
+    """Partition of arcs into Seifert circles (oriented smoothing): orbits
+    of the Seifert step, the other end of each arc marked as it is passed."""
+    mate = _mates(d)
+    labels = list(chain.from_iterable(d.crossings))
+    flip = [1 if s == 3 else 3 for s in orient(d).over_in_slot]
+    seen = bytearray(len(mate))
+    circles = []
+    for h in range(len(mate)):
+        if seen[h]:
+            continue
+        circle = []
+        while not seen[h]:
+            m = mate[h]
+            seen[h] = seen[m] = 1
+            circle.append(labels[h])
+            h = m ^ flip[m >> 2]
+        circles.append(frozenset(circle))
+    return frozenset(circles)
 
 
 def seifert_stats(d: Diagram) -> tuple[int, int]:

@@ -11,9 +11,10 @@ opposite choice gives -1).  Applied to every edge uniformly this yields the
 two alternating diagrams whose Tait graph (for the vertex color) is the input
 graph.
 
-Corners are indexed (vertex, i): the gap after the i-th dart in the rotation
-at that vertex.  A corner is incident to exactly two crossing slots, so the
-corners are literally the PD arcs.  The medial's faces are the graph's
+Corner (vertex, i) is the gap after the i-th dart in the rotation at that
+vertex, numbered vertex by vertex.  A corner is incident to exactly two
+crossing slots, so the corners are literally the PD arcs, and the strands
+are walked as in `diagram`, on slots h = 4 e + s of edge (crossing) e.  The medial's faces are the graph's
 vertices and faces, so its Euler check in `build_diagram` (E + 2 faces) is
 the graph's (V - E + F = 2): the one test that a rotation system is spherical.
 
@@ -25,7 +26,7 @@ from __future__ import annotations
 
 from .diagram import Diagram, build_diagram, is_alternating, orient
 from .errors import DiagramError, InconsistencyError
-from .tait import Dart, PlaneGraph, blocks, tait_graphs
+from .tait import PlaneGraph, blocks, tait_graphs
 
 
 def medial_diagram(g: PlaneGraph, vertex_sign: int) -> tuple[Diagram, int]:
@@ -41,57 +42,47 @@ def medial_diagram(g: PlaneGraph, vertex_sign: int) -> tuple[Diagram, int]:
         raise ValueError("vertex_sign must be +1 or -1")
     if g.num_edges == 0:
         raise DiagramError("medial of an edgeless graph is not a diagram")
-    pos: dict[Dart, tuple[int, int]] = {}
-    for v, rot in enumerate(g.rotations):
-        for i, dart in enumerate(rot):
-            pos[dart] = (v, i)
-
-    def corner_before(dart: Dart) -> tuple[int, int]:
-        v, i = pos[dart]
-        return (v, (i - 1) % len(g.rotations[v]))
-
-    # slots[e] lists the corners at slots (A1, A2, A3, A4) = ccw order
-    slots = []
-    for ei in range(g.num_edges):
-        d0, d1 = (ei, 0), (ei, 1)
-        slots.append((pos[d0], corner_before(d0), pos[d1], corner_before(d1)))
-    # each corner occurs at exactly two slots overall
-    corner_slots: dict[tuple[int, int], list[tuple[int, int]]] = {}
-    for ei, quad in enumerate(slots):
-        for si, corner in enumerate(quad):
-            corner_slots.setdefault(corner, []).append((ei, si))
+    # corner_of[4 e + s]: the corner at slot s of crossing e, slots (A1, A2,
+    # A3, A4) in ccw order; corners numbered vertex by vertex in rotation order
+    corner_of = [0] * (4 * g.num_edges)
+    base = 0
+    for rot in g.rotations:
+        for i, (ei, end) in enumerate(rot):
+            corner_of[4 * ei + 2 * end] = base + i
+            corner_of[4 * ei + 2 * end + 1] = base + (i - 1) % len(rot)
+        base += len(rot)
+    # each corner occurs at exactly two slots overall: mate joins them
+    first, mate = [-1] * base, [0] * len(corner_of)
+    for h, corner in enumerate(corner_of):
+        if first[corner] < 0:
+            first[corner] = h
+        else:
+            mate[first[corner]], mate[h] = h, first[corner]
     # strands pair opposite slots; under-strand = slots {0, 2} iff the SW-NE
     # strand {1, 3} is over iff vertex faces take the sweep pair (sign +1)
-    under_slots = (0, 2) if vertex_sign == 1 else (1, 3)
-    labels: dict[tuple[int, int], int] = {}
-    entry_of: dict[int, list[int]] = {ei: [] for ei in range(g.num_edges)}
-    next_label = 1
-    components = 0
-    consumed: set[tuple[int, int]] = set()
-    for e0 in range(g.num_edges):
-        for s0 in range(4):
-            start = (e0, s0)
-            if start in consumed:
-                continue
-            components += 1
-            cur = start
-            while cur not in consumed:
-                consumed.add(cur)
-                ei, si = cur
-                entry_of[ei].append(si)
-                out_slot = (si + 2) % 4
-                consumed.add((ei, out_slot))
-                corner = slots[ei][out_slot]
-                occ1, occ2 = corner_slots[corner]
-                if corner not in labels:
-                    labels[corner] = next_label
-                    next_label += 1
-                cur = occ2 if occ1 == (ei, out_slot) else occ1
-    crossings = []
-    for ei in range(g.num_edges):
-        under_in = next(s for s in entry_of[ei] if s in under_slots)
-        quad = slots[ei]
-        crossings.append(tuple(labels[quad[(under_in + k) % 4]] for k in range(4)))
+    under_parity = 0 if vertex_sign == 1 else 1
+    labels = [0] * base  # corners labelled 1, 2, ... as the strands first leave by them
+    under_in = [0] * g.num_edges
+    seen = bytearray(len(corner_of))
+    components = next_label = 0
+    for start in range(len(corner_of)):
+        if seen[start]:
+            continue
+        components += 1
+        h = start
+        while not seen[h]:
+            seen[h] = seen[h ^ 2] = 1
+            if h & 1 == under_parity:
+                under_in[h >> 2] = h & 3
+            corner = corner_of[h ^ 2]
+            if not labels[corner]:
+                next_label += 1
+                labels[corner] = next_label
+            h = mate[h ^ 2]
+    crossings = [
+        tuple(labels[corner_of[4 * ei + (u + k) % 4]] for k in range(4))
+        for ei, u in enumerate(under_in)
+    ]
     return build_diagram(crossings), components
 
 

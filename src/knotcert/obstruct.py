@@ -30,7 +30,8 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .diagram import (
-    Diagram, SpecialityReport, cached_on_instance, classify_special, connected_sum_factors,
+    Diagram, SpecialityReport, cached_on_instance, checkerboard, classify_special,
+    connected_sum_factors,
 )
 from .errors import DegenerateFormError
 from .hfk import HfkTable, hfk_isomorphic, thin_hfk
@@ -125,19 +126,22 @@ def band_prime_certificate(d: Diagram, rank_cap: int = DEFAULT_RANK_CAP) -> Cert
         why = "not alternating" if not rep.is_alternating else "alternating but not special"
         return CertificateReport(_pd_hash(d), rep, (), 0, "not_applicable", (why,))
 
-    # The whole diagram's cycle rank bounds every factor's, so an over-cap
-    # input is refused before any lattice, factor or invariant work.
+    # The whole diagram's cycle rank (n edges, one vertex per orientable face)
+    # bounds every factor's: an over-cap input is refused before any other work.
+    check_rank_cap(d.n + 1 - len(checkerboard(d)[rep.orientable_color]), rank_cap)
     g_full = orientable_tait_graph(d)
-    check_rank_cap(g_full.cycle_rank(), rank_cap)
     notes: list[str] = []
     problems: list[str] = []
     factors: list[FactorRecord] = []
     trivial = 0
+    refused = False
 
     def decompose(f: Diagram, gram: GramForm) -> Optional[Decomposition]:  # None if refused
+        nonlocal refused
         try:  # a flow lattice is positive definite, so a refusal is a bug
             return indecomposable_summands(gram, rank_cap=rank_cap)
         except (ValueError, DegenerateFormError) as ex:
+            refused = True
             problems.append(f"flow lattice of {f.pd_text()!r} refused: {ex}")
 
     dec_full = decompose(d, flow_lattice(g_full))
@@ -191,14 +195,15 @@ def band_prime_certificate(d: Diagram, rank_cap: int = DEFAULT_RANK_CAP) -> Cert
                 f"(sign {frep.uniform_sign}, rank {rank})"
             )
 
-    # whole-diagram cross-check: summands of the full flow lattice match the
-    # number of nontrivial factors
-    if dec_full is not None and len(dec_full.summands) != len(factors):
+    # whole-diagram cross-check: summands of the full flow lattice and blocks
+    # of its graph match the number of nontrivial factors; after a refusal
+    # the factor count is short by the refused ones, so nothing is compared
+    if not refused and len(dec_full.summands) != len(factors):
         problems.append(
             f"whole-diagram lattice has {len(dec_full.summands)} summands "
             f"but {len(factors)} nontrivial factors"
         )
-    if blocks_full != len(factors):
+    if not refused and blocks_full != len(factors):
         problems.append("whole-diagram block count disagrees with factor count")
 
     if problems:

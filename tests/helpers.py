@@ -955,6 +955,94 @@ def unit_residue_rescan(rows):
     return [[row.get(j, {}) for j in cols] for row in rows]
 
 
+def occurrences(d) -> dict[int, tuple[tuple[int, int], tuple[int, int]]]:
+    """The two half-edges (crossing, slot) of each arc label, by label in
+    order of first use: `diagram._mates` as a dict of tuple pairs."""
+    occ: dict[int, list[tuple[int, int]]] = {}
+    for ci, c in enumerate(d.crossings):
+        for slot, a in enumerate(c):
+            occ.setdefault(a, []).append((ci, slot))
+    return {a: tuple(v) for a, v in occ.items()}
+
+
+def mate_of(d, occ, he):
+    """The other end of the arc at half-edge `he`, looked up in `occ`."""
+    u, v = occ[d.crossings[he[0]][he[1]]]
+    return v if he == u else u
+
+
+def trace_faces_by_tuples(d):
+    """`diagram._trace_faces` on (crossing, slot) tuples and a set: the
+    orbits of (c, s) -> rotate(mate(c, s)), each from its least half-edge."""
+    occ = occurrences(d)
+    faces = []
+    seen = set()
+    for ci in range(d.n):
+        for slot in range(4):
+            he = (ci, slot)
+            if he in seen:
+                continue
+            face = []
+            cur = he
+            while cur not in seen:
+                seen.add(cur)
+                face.append(cur)
+                mc, ms = mate_of(d, occ, cur)
+                cur = (mc, (ms + 1) % 4)
+            faces.append(tuple(face))
+    return tuple(faces)
+
+
+def strands_by_tuples(d):
+    """`diagram._strands` on (crossing, slot) tuples and a set: walks from
+    each unvisited slot 0, then from the highest unvisited half-edge, each
+    leaving through (c, s + 2); a walk entering at slot 2 raises
+    ClassificationError."""
+    from knotcert.errors import ClassificationError
+
+    occ = occurrences(d)
+    seen = set()
+    walks = []
+    half_edges = [(ci, s) for ci in range(d.n) for s in range(4)]
+    for start in half_edges[::4] + half_edges[::-1]:
+        if start in seen:
+            continue
+        walk, cur = [], start
+        while True:
+            ci, s = cur
+            if s == 2:
+                raise ClassificationError(
+                    f"strand enters the under-strand of crossing {ci} at slot 2")
+            out = (ci, (s + 2) % 4)
+            walk.append(cur)
+            seen.update((cur, out))
+            cur = mate_of(d, occ, out)
+            if cur == start:
+                break
+        walks.append(tuple(walk))
+    return tuple(walks)
+
+
+def seifert_partition_by_union_find(d):
+    """`diagram.seifert_circle_partition` by a union-find over the 2n arcs,
+    joined through the corners the oriented smoothing passes."""
+    from knotcert.diagram import orient
+    from knotcert.lattice import connected_classes
+
+    over_in_slot = orient(d).over_in_slot
+    pairs = []
+    for ci, c in enumerate(d.crossings):
+        if over_in_slot[ci] == 3:
+            pairs += [(c[0], c[1]), (c[3], c[2])]
+        else:
+            pairs += [(c[0], c[3]), (c[1], c[2])]
+    labels = connected_classes(2 * d.n, ((x - 1, y - 1) for x, y in pairs))
+    groups: dict[int, set[int]] = {}
+    for a, label in enumerate(labels, 1):
+        groups.setdefault(label, set()).add(a)
+    return frozenset(frozenset(g) for g in groups.values())
+
+
 def laurent_det_leibniz(m):
     """Determinant of a dense square matrix of Laurent entries {exponent:
     coefficient} by the Leibniz expansion over all permutations, as a dict

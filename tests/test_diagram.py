@@ -11,12 +11,22 @@ from helpers import (
     MISORIENTED,
     canonical_pd,
     check_orientation,
+    crossing_changed,
+    occurrences,
     orientable_by_parity,
     random_draws,
+    seifert_partition_by_union_find,
+    strands_by_tuples,
+    trace_faces_by_tuples,
+    wide_necklace,
 )
 from knotcert.corpus import load_corpus
 from knotcert.diagram import (
     Diagram,
+    Orientation,
+    _mates,
+    _strands,
+    _trace_faces,
     build_diagram,
     checkerboard,
     classify_special,
@@ -116,6 +126,85 @@ def test_disconnected_error():
 def test_nonplanar_error():
     with pytest.raises(DiagramError, match="not planar"):
         parse_pd("X(1,4,2,5) X(3,6,4,1) X(5,6,2,3)")
+
+
+# One case per input error: the text, and the exception type and exact
+# message it raises (parse_pd, or orient for the last).
+INPUT_ERRORS = {
+    "label-out-of-range": ("X(1,4,2,7) X(3,6,4,1) X(5,2,6,3)", DiagramError,
+                           "arc labels must be 1..6; problems at [7]"),
+    "label-negative": ("[[-1,4,2,5],[3,6,4,1],[5,2,6,3]]", DiagramError,
+                       "arc labels must be 1..6; problems at [-1]"),
+    "label-missing": ("X(1,2,3,4)", DiagramError, "arc labels must be 1..2; problems at [3, 4]"),
+    "label-seen-once": ("X(3,4,2,5) X(1,6,4,1) X(5,2,6,1)", DiagramError,
+                        "arc 3 appears 1 times (want 2)"),
+    "label-seen-three-times": ("X(1,4,2,5) X(3,6,4,1) X(5,2,6,1)", DiagramError,
+                               "arc 1 appears 3 times (want 2)"),
+    "disconnected": ("X(1,4,2,5) X(3,6,4,1) X(5,2,6,3) X(7,10,8,11) X(9,12,10,7) X(11,8,12,9)",
+                     DiagramError, "diagram is disconnected"),
+    # its dialect reading fails too, so the standard reading's error stands
+    "non-planar": ("X(1,4,2,5) X(3,6,4,1) X(5,6,2,3)", DiagramError,
+                   "rotation system is not planar: 3 faces instead of 5"),
+    "unparsable-suffix": ("X(1,4,2,5) X(3,6,4,1) X(5,2,6,3) junk", PDSyntaxError,
+                          "unparsable PD fragment: 'junk'"),
+    "unparsable-crossing": ("X(1,2,3,X(4,5,6,7), x", PDSyntaxError,
+                            "unparsable PD fragment: 'X(1 2 3   x'"),
+    "unparsable-sign": ("X(-1,4,2,5) X(3,6,4,1) X(5,2,6,3)", PDSyntaxError,
+                        "unparsable PD fragment: 'X(-1 4 2 5)'"),
+    "enters-at-slot-2": (MISORIENTED[0], ClassificationError,
+                         "strand enters the under-strand of crossing 2 at slot 2"),
+}
+
+
+@pytest.mark.parametrize("case", INPUT_ERRORS)
+def test_input_error_messages(case):
+    text, exc, message = INPUT_ERRORS[case]
+    with pytest.raises(exc) as ex:
+        orient(parse_pd(text))
+    assert type(ex.value) is exc and str(ex.value) == message
+
+
+def test_non_planar_code_read_in_the_dialect():
+    """A code that is not planar under the standard reading raises there,
+    and parse_pd accepts its valid dialect reading instead."""
+    crossings = parse_pd(RIGHT_TREFOIL_ROTATED).crossings
+    assert crossings == ((1, 3, 4, 2), (3, 5, 6, 4), (5, 1, 2, 6))
+    with pytest.raises(DiagramError) as ex:
+        build_diagram([(1, 4, 2, 3), (3, 6, 4, 5), (5, 2, 6, 1)])
+    assert str(ex.value) == "rotation system is not planar: 3 faces instead of 5"
+
+
+def test_flat_kernels_match_the_tuple_kernels():
+    """The mate array, faces (in order), strand walks, orientations and
+    Seifert partitions read off one flat half-edge array are those of the
+    (crossing, slot) tuple kernels, on knots, links, non-alternating and
+    wide diagrams; a code that cannot be oriented raises the same error."""
+    rng = random.Random(26)
+    diagrams = [parse_pd(e.pd) for e in load_corpus()]
+    for draw in itertools.islice(random_draws(rng, 9), 200):
+        diagrams += [draw.d, crossing_changed(draw.d, rng)]
+    diagrams += [wide_necklace(rng) for _ in range(10)]
+    for d in diagrams:
+        mate = _mates(d)
+        for u, v in occurrences(d).values():
+            assert mate[4 * u[0] + u[1]] == 4 * v[0] + v[1]
+            assert mate[4 * v[0] + v[1]] == 4 * u[0] + u[1]
+        assert _trace_faces(d) == trace_faces_by_tuples(d)
+        walks = strands_by_tuples(d)
+        assert _strands(d) == walks
+        over_in = [0] * d.n
+        for ci, s in (he for walk in walks for he in walk if he[1] % 2):
+            over_in[ci] = s
+        signs = tuple(1 if s == 3 else -1 for s in over_in)
+        assert orient(d) == Orientation(tuple(over_in), signs, len(walks) if d.n else 1)
+        assert seifert_circle_partition(d) == seifert_partition_by_union_find(d)
+    for text in MISORIENTED:
+        d = parse_pd(text)
+        with pytest.raises(ClassificationError) as flat:
+            _strands(d)
+        with pytest.raises(ClassificationError) as tuples:
+            strands_by_tuples(d)
+        assert str(flat.value) == str(tuples.value)
 
 
 def test_rotated_tuple_dialect():

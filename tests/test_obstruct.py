@@ -1,11 +1,14 @@
 """Certificates: band primeness, minimality evidence, pairwise obstructions."""
 
+import itertools
 import json
+import random
 
 import pytest
 
+from helpers import random_draws, wide_necklace
 from knotcert.corpus import corpus_entry, load_corpus
-from knotcert.diagram import parse_pd
+from knotcert.diagram import checkerboard, classify_special, parse_pd
 from knotcert.errors import ClassificationError, RankCapExceededError
 from knotcert.hfk import thin_hfk
 from knotcert.invariants import invariant_bundle
@@ -16,6 +19,7 @@ from knotcert.obstruct import (
     minimality_evidence,
     _is_prime_power,
 )
+from knotcert.tait import orientable_tait_graph
 
 LEFT_TREFOIL = "X(1,4,2,5) X(3,6,4,1) X(5,2,6,3)"
 FIG8 = "X(4,2,5,1) X(8,6,1,5) X(6,3,7,4) X(2,7,3,8)"
@@ -28,6 +32,22 @@ def _bundle_hfk(pd):
 
 
 # -- band primeness ----------------------------------------------------------
+
+
+def test_rank_read_off_the_faces_is_the_orientable_cycle_rank():
+    """The certificate refuses an over-cap input on n + 1 minus the number of
+    orientable faces, before any Tait graph: that is the orientable Tait
+    graph's cycle rank, as it has one edge per crossing and one vertex per
+    face of its color."""
+    rng = random.Random(26)
+    diagrams = [parse_pd(e.pd) for e in load_corpus()]
+    diagrams += [draw.d for draw in itertools.islice(random_draws(rng, 9, links=False), 200)]
+    diagrams += [wide_necklace(rng) for _ in range(10)]
+    special = [d for d in diagrams if classify_special(d).is_special]
+    assert len(special) > 120
+    for d in special:
+        color = classify_special(d).orientable_color
+        assert d.n + 1 - len(checkerboard(d)[color]) == orientable_tait_graph(d).cycle_rank()
 
 
 def test_trefoil_certificate():
