@@ -10,8 +10,8 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 from .invariants import LaurentPolynomial
 
@@ -26,8 +26,7 @@ _STORED_COLUMNS = (
 )
 
 
-@dataclass(frozen=True)
-class CorpusEntry:
+class CorpusEntry(NamedTuple):
     name: str
     pd: str
     sigma: int

@@ -17,10 +17,11 @@ smoothing partner of slot m as the over-strand enters at slot 3 or 1.  Faces
 and strands are returned as tuples of (crossing, slot) pairs.  A code whose
 strand walks (`_strands`) cannot orient it is rejected.  The mates, faces,
 orientation (`orient`), checkerboard, Seifert circles and speciality are
-memoised on the diagram: every layer takes the `Diagram` itself and derives
-each once.  The checkerboard is the faces split into their two color
-classes; `tait.tait_graph` reads each class and checks that the colors
-alternate around every crossing.
+memoised in the diagram's ``__dict__`` (a `Diagram` is an immutable named
+tuple's subclass): every layer takes the `Diagram` itself and derives each
+once.  The checkerboard is the faces split into their two color classes;
+`tait.tait_graph` reads each class and checks that the colors alternate
+around every crossing.
 
 Grammar for the text form (whitespace/comma separated, case-insensitive `X`)::
 
@@ -55,8 +56,8 @@ import json
 import operator
 import re
 from collections import Counter
-from dataclasses import dataclass
 from itertools import chain
+from typing import NamedTuple
 
 from .errors import ClassificationError, DiagramError, InconsistencyError, PDSyntaxError
 from .lattice import connected_classes
@@ -67,8 +68,8 @@ Face = tuple[HalfEdge, ...]  # the half-edges around a face, in travel order
 
 
 def cached_on_instance(fn):
-    """Memoise fn(obj) in the frozen instance obj's own ``__dict__``, so the
-    result is freed with obj; equal but distinct instances do not share it."""
+    """Memoise fn(obj) in obj's own ``__dict__`` (obj subclasses an immutable
+    named tuple), freed with obj; equal instances and `_replace` copies do not share it."""
     key = f"_cached_{fn.__name__}"
 
     @functools.wraps(fn)
@@ -80,11 +81,12 @@ def cached_on_instance(fn):
     return wrapper
 
 
-@dataclass(frozen=True)
-class Diagram:
-    """A validated PD code.  Immutable; everything else is derived from it."""
-
+class _DiagramFields(NamedTuple):
     crossings: tuple[Crossing, ...]
+
+
+class Diagram(_DiagramFields):
+    """A validated PD code.  Immutable; everything else is derived from it."""
 
     @property
     def n(self) -> int:
@@ -274,8 +276,7 @@ def _strands(d: Diagram) -> tuple[tuple[HalfEdge, ...], ...]:
     return tuple(walks)
 
 
-@dataclass(frozen=True)
-class Orientation:
+class Orientation(NamedTuple):
     """The strand orientations a diagram's PD code fixes.
 
     `over_in_slot[ci]` is 1 or 3: the slot where the over-strand enters, so
@@ -352,20 +353,14 @@ def seifert_stats(d: Diagram) -> tuple[int, int]:
     return circles, num // 2
 
 
-@dataclass(frozen=True)
-class SpecialityReport:
+class SpecialityReport(NamedTuple):
     is_alternating: bool
     is_special: bool
     orientable_color: int | None
     uniform_sign: int | None
 
     def to_json(self) -> dict:
-        return {
-            "is_alternating": self.is_alternating,
-            "is_special": self.is_special,
-            "orientable_color": self.orientable_color,
-            "uniform_sign": self.uniform_sign,
-        }
+        return self._asdict()
 
 
 @cached_on_instance
@@ -387,15 +382,16 @@ def classify_special(d: Diagram) -> SpecialityReport:
         return SpecialityReport(True, True, 0, 1)
     seifert = seifert_circle_partition(d)
     orientable_color: int | None = None
+    crossings = d.crossings
     for color, faces in enumerate(checkerboard(d)):
         faces_arcs = frozenset(
-            frozenset(d.crossings[ci][slot] for ci, slot in face) for face in faces
+            frozenset(crossings[ci][slot] for ci, slot in face) for face in faces
         )
         if faces_arcs == seifert:
             orientable_color = color
             break
     special_a = orientable_color is not None
-    uniform = ori.signs[0] if all(s == ori.signs[0] for s in ori.signs) else None
+    uniform = ori.signs[0] if len(set(ori.signs)) == 1 else None
     if alt:
         special_b = uniform is not None
         if special_a != special_b:
@@ -425,22 +421,24 @@ def mirror_diagram(d: Diagram) -> Diagram:
 
 
 # ---------------------------------------------------------------------------
-# connected sum factorization (implementation continues in this module but
-# depends on the Tait graph; imported lazily to avoid a cycle)
+# connected sum factorization (continued in `tait` and `medial`; imported when called)
 
 
 def connected_sum_factors(d: Diagram) -> tuple[Diagram, ...]:
     """Split an alternating diagram into its diagrammatic prime summands.
 
-    Factors correspond to the blocks of a Tait graph; each factor diagram is
-    rebuilt from its block's plane subgraph with the parent's alternating
-    handedness, so factors of a special alternating diagram stay special with
-    the same uniform sign.  Crossing counts add up to the input's.
+    Factors correspond to the blocks of a Tait graph (`tait.factor_blocks`).
+    A prime diagram is its own factor, and `medial` is imported only to
+    rebuild those of a composite one, each from its block's plane subgraph
+    with the parent's alternating handedness: factors of a special alternating
+    diagram stay special with the same uniform sign, and crossing counts add up.
     """
-    from .medial import rebuild_factors
+    from .tait import factor_blocks
 
     if not is_alternating(d):
         raise ClassificationError("connected-sum factorization requires an alternating diagram")
-    if d.n == 0:
+    if d.n == 0 or len(factor_blocks(d)) <= 1:
         return (d,)
+    from .medial import rebuild_factors
+
     return rebuild_factors(d)

@@ -14,14 +14,13 @@ checked again here.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import InconsistencyError
 from .invariants import LaurentPolynomial
 
 
-@dataclass(frozen=True)
-class HfkTable:
+class HfkTable(NamedTuple):
     # (alexander grading, maslov grading) -> rank, sorted by alexander desc
     entries: tuple[tuple[int, int, int], ...]
     delta_grading: int

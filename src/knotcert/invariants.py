@@ -34,7 +34,7 @@ from __future__ import annotations
 import heapq
 import math
 import re
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .diagram import (
     Diagram,
@@ -53,8 +53,7 @@ from .tait import TaitGraph, orientable_tait_graph, tait_graphs
 # Laurent polynomials over the integers
 
 
-@dataclass(frozen=True)
-class LaurentPolynomial:
+class LaurentPolynomial(NamedTuple):
     """An integer Laurent polynomial, coefficients stored sparsely.
 
     coeffs is a tuple of (exponent, coefficient) pairs with nonzero
@@ -467,8 +466,7 @@ def alexander(d: Diagram) -> LaurentPolynomial:
 # bundled invariants
 
 
-@dataclass(frozen=True)
-class InvariantBundle:
+class InvariantBundle(NamedTuple):
     speciality: SpecialityReport
     signature: int
     alexander: LaurentPolynomial
@@ -480,15 +478,10 @@ class InvariantBundle:
 
     def to_json(self) -> dict:
         return {
+            **self._asdict(),
             "speciality": self.speciality.to_json(),
-            "signature": self.signature,
             "alexander": self.alexander.to_json(),
             "alexander_str": str(self.alexander),
-            "determinant": self.determinant,
-            "genus": self.genus,
-            "genus_is_exact": self.genus_is_exact,
-            "leading_coefficient": self.leading_coefficient,
-            "fibered": self.fibered,
         }
 
 

@@ -31,10 +31,10 @@ The integer basis-change witness is re-verified before it is handed back.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 import heapq
 import math
 from operator import index, mul
+from typing import NamedTuple
 
 from .errors import (
     DegenerateFormError,
@@ -47,8 +47,11 @@ DEFAULT_RANK_CAP = 12
 Matrix = tuple[tuple[int, ...], ...]
 
 
-@dataclass(frozen=True)
-class GramForm:
+class _GramFields(NamedTuple):
+    matrix: Matrix
+
+
+class GramForm(_GramFields):
     """Symmetric integer Gram matrix.
 
     The matrix is stored row-major as nested tuples and validated on
@@ -56,26 +59,26 @@ class GramForm:
     is not truncated) and symmetry.
     """
 
-    matrix: Matrix
+    __slots__ = ()
+    _make = classmethod(lambda cls, iterable: cls(*iterable))  # so `_replace` checks too
 
-    def __post_init__(self):
+    def __new__(cls, matrix):
         try:
-            m = tuple(tuple(map(index, row)) for row in self.matrix)
+            m = tuple(tuple(map(index, row)) for row in matrix)
         except TypeError as exc:
             raise ValueError(f"Gram matrix entries must be integers: {exc}") from None
-        object.__setattr__(self, "matrix", m)
         if any(len(row) != len(m) for row in m):
             raise ValueError("Gram matrix must be square")
         if m != tuple(zip(*m)):
             raise ValueError("Gram matrix must be symmetric")
+        return super().__new__(cls, m)
 
     @property
     def rank(self) -> int:
         return len(self.matrix)
 
 
-@dataclass(frozen=True)
-class Decomposition:
+class Decomposition(NamedTuple):
     """Orthogonal splitting of a definite form.
 
     `witness` is a unimodular integer matrix U (rows of tuples, columns = new

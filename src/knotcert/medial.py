@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from .diagram import Diagram, build_diagram, is_alternating, orient
 from .errors import DiagramError, InconsistencyError
-from .tait import PlaneGraph, blocks, tait_graphs
+from .tait import PlaneGraph, factor_blocks, tait_graphs
 
 
 def medial_diagram(g: PlaneGraph, vertex_sign: int) -> tuple[Diagram, int]:
@@ -97,9 +97,10 @@ def subgraph_plane(g: PlaneGraph, edge_subset) -> tuple[PlaneGraph, dict[int, in
     """
     keep = sorted(edge_subset)
     new_of_old = {old: new for new, old in enumerate(keep)}
-    verts = sorted({w for ei in keep for w in g.edges[ei]})
+    kept = [g.edges[ei] for ei in keep]
+    verts = sorted({w for e in kept for w in e})
     vmap = {old: new for new, old in enumerate(verts)}
-    edges = tuple((vmap[g.edges[ei][0]], vmap[g.edges[ei][1]]) for ei in keep)
+    edges = tuple((vmap[u], vmap[v]) for u, v in kept)
     rotations = tuple(
         tuple(
             (new_of_old[ei], end)
@@ -112,18 +113,14 @@ def subgraph_plane(g: PlaneGraph, edge_subset) -> tuple[PlaneGraph, dict[int, in
 
 
 def rebuild_factors(d: Diagram) -> tuple[Diagram, ...]:
-    """Diagrammatic prime factors of an alternating diagram via Tait blocks,
-    read off the color whose edge sign is the first crossing's sign (on a
-    special diagram the orientable color, whose cycle basis the certificate
-    reads; both colors have the same blocks), each rebuilt from color 0."""
-    g = tait_graphs(d)[0]
-    sign0 = g.edge_signs[0]
-    if any(s != sign0 for s in g.edge_signs):
-        raise InconsistencyError("alternating diagram with non-constant edge sign")
-    signs = orient(d).signs
-    parts = blocks(tait_graphs(d)[sign0 != signs[0]])
+    """Diagrammatic prime factors of a nonempty alternating diagram, one per
+    block of `tait.factor_blocks`, each rebuilt from color 0's Tait graph."""
+    parts = factor_blocks(d)
     if len(parts) <= 1:
         return (d,)
+    g = tait_graphs(d)[0]
+    sign0 = g.edge_signs[0]
+    signs = orient(d).signs
     factors = []
     for blk in parts:
         sub, old_edge = subgraph_plane(g, blk)

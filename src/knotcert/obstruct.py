@@ -26,8 +26,7 @@ from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple
 
 from .diagram import (
     Diagram, SpecialityReport, cached_on_instance, checkerboard, classify_special,
@@ -55,15 +54,15 @@ def _pd_hash(d: Diagram) -> str:
 
 def _positive_rank_blocks(g: TaitGraph) -> int:
     # a block's cycle rank, edges - vertices + 1, is positive when edges >= vertices
-    return sum(len(b) >= len({w for ei in b for w in g.edges[ei]}) for b in blocks(g))
+    edges = g.edges
+    return sum(len(b) >= len({w for ei in b for w in edges[ei]}) for b in blocks(g))
 
 
 # ---------------------------------------------------------------------------
 # band primeness
 
 
-@dataclass(frozen=True)
-class FactorRecord:
+class FactorRecord(NamedTuple):
     pd: str
     crossings: int
     tait_vertices: int
@@ -90,8 +89,7 @@ class FactorRecord:
         }
 
 
-@dataclass(frozen=True)
-class CertificateReport:
+class CertificateReport(NamedTuple):
     pd_sha256: str
     speciality: SpecialityReport
     factors: tuple[FactorRecord, ...]
@@ -136,7 +134,7 @@ def band_prime_certificate(d: Diagram, rank_cap: int = DEFAULT_RANK_CAP) -> Cert
     trivial = 0
     refused = False
 
-    def decompose(f: Diagram, gram: GramForm) -> Optional[Decomposition]:  # None if refused
+    def decompose(f: Diagram, gram: GramForm) -> Decomposition | None:  # None if refused
         nonlocal refused
         try:  # a flow lattice is positive definite, so a refusal is a bug
             return indecomposable_summands(gram, rank_cap=rank_cap)
@@ -223,14 +221,13 @@ def band_prime_certificate(d: Diagram, rank_cap: int = DEFAULT_RANK_CAP) -> Cert
 # anisotropy and minimality
 
 
-@dataclass(frozen=True)
-class AnisotropyResult:
+class AnisotropyResult(NamedTuple):
     holds: bool
     sigma: int
     span: int
 
     def to_json(self) -> dict:
-        return {"holds": self.holds, "sigma": self.sigma, "span": self.span}
+        return self._asdict()
 
 
 def anisotropy_check(bundle: InvariantBundle) -> AnisotropyResult:
@@ -249,13 +246,12 @@ def _is_prime_power(n: int) -> bool:
     return n == 1
 
 
-@dataclass(frozen=True)
-class MinimalityEvidence:
+class MinimalityEvidence(NamedTuple):
     pd_sha256: str
     bundle: InvariantBundle
-    hfk: Optional[HfkTable]
+    hfk: HfkTable | None
     anisotropy: AnisotropyResult
-    fibered: Optional[bool]
+    fibered: bool | None
     prime_power_leading: bool
     two_bridge_asserted: bool
     verdict: str  # minimal_certified / evidence_only / not_applicable
@@ -317,20 +313,19 @@ def minimality_evidence(d: Diagram, assert_two_bridge: bool = False) -> Minimali
 # pairwise obstructions
 
 
-@dataclass(frozen=True)
-class Finding:
+class Finding(NamedTuple):
     code: str
     detail: str
 
     def to_json(self) -> dict:
-        return {"code": self.code, "detail": self.detail}
+        return self._asdict()
 
 
 def concordance_pair_obstructions(
     lower: InvariantBundle,
-    lower_hfk: Optional[HfkTable],
+    lower_hfk: HfkTable | None,
     upper: InvariantBundle,
-    upper_hfk: Optional[HfkTable],
+    upper_hfk: HfkTable | None,
     upper_is_special_alternating: bool,
 ) -> tuple[Finding, ...]:
     """Violated necessary conditions for `lower <= upper` under a ribbon

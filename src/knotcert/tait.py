@@ -18,9 +18,9 @@ through that color's corners.
 
 `tait_graphs` builds both colors' graphs once per diagram, memoised on it.
 The Goeritz matrices, the signature correction, the Seifert matrix and the
-connected-sum split (`blocks`, edge sets of the 2-connected blocks) all read
-them.  The faces of one color's graph are the faces of the other color, and
-the Seifert matrix takes its basis from those face boundaries.
+connected-sum split (`factor_blocks`, edge sets of the 2-connected blocks)
+all read them.  The faces of one color's graph are the faces of the other
+color, and the Seifert matrix takes its basis from those face boundaries.
 
 The flow lattice of the graph is the integer cycle space with the Gram form
 inherited from the edge basis; its basis is the fundamental cycles of a
@@ -41,26 +41,27 @@ certificate's lattice summands and graph blocks stay two derivations.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
-from .diagram import Diagram, cached_on_instance, checkerboard, classify_special
+from .diagram import Diagram, cached_on_instance, checkerboard, classify_special, orient
 from .errors import ClassificationError, DiagramError, InconsistencyError
 from .lattice import GramForm, connected_classes
 
 Dart = tuple[int, int]  # (edge index, end 0 or 1)
 
 
-@dataclass(frozen=True)
-class PlaneGraph:
+class _PlaneGraphFields(NamedTuple):
+    edges: tuple[tuple[int, int], ...]
+    rotations: tuple[tuple[Dart, ...], ...]
+
+
+class PlaneGraph(_PlaneGraphFields):
     """A connected plane multigraph given by edges and vertex rotations.
 
     `rotations[v]` lists the darts (edge, end) around vertex v in consistent
     cyclic order; dart (e, 0) lives at edges[e][0] and (e, 1) at edges[e][1].
     Loops contribute both of their darts to the same rotation.
     """
-
-    edges: tuple[tuple[int, int], ...]
-    rotations: tuple[tuple[Dart, ...], ...]
 
     @property
     def num_vertices(self) -> int:
@@ -95,12 +96,15 @@ class PlaneGraph:
             raise DiagramError("plane graph is disconnected")
 
 
-@dataclass(frozen=True)
-class TaitGraph(PlaneGraph):
+class _TaitGraphFields(NamedTuple):
+    edges: tuple[tuple[int, int], ...]
+    rotations: tuple[tuple[Dart, ...], ...]
+    edge_signs: tuple[int, ...]
+
+
+class TaitGraph(_TaitGraphFields, PlaneGraph):
     """A Tait graph: vertex i is the i-th face of its color and edge i is
     crossing i."""
-
-    edge_signs: tuple[int, ...]
 
     def cycle_rank(self) -> int:
         return self.num_edges - self.num_vertices + 1
@@ -218,6 +222,18 @@ def blocks(g: TaitGraph) -> tuple[tuple[int, ...], ...]:
     for e, label in enumerate(labels):
         parts.setdefault(label, []).append(e)
     return tuple(map(tuple, parts.values()))
+
+
+@cached_on_instance
+def factor_blocks(d: Diagram) -> tuple[tuple[int, ...], ...]:
+    """The blocks, one per prime factor, of a nonempty alternating diagram: those
+    of the color whose edge sign is the first crossing's sign (orientable if special;
+    both colors have the same blocks), once color 0's edge signs are checked constant."""
+    g = tait_graphs(d)[0]
+    sign0 = g.edge_signs[0]
+    if any(s != sign0 for s in g.edge_signs):
+        raise InconsistencyError("alternating diagram with non-constant edge sign")
+    return blocks(tait_graphs(d)[sign0 != orient(d).signs[0]])
 
 
 @cached_on_instance

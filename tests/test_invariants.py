@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import copy
-import dataclasses
 import itertools
 import random
 from fractions import Fraction
@@ -697,7 +696,7 @@ def test_checkerboard_and_seifert_disk_classes_match_a_two_coloring():
     assert special >= 200 and non_alternating >= 50, (special, non_alternating)
     d = parse_pd(LEFT_TREFOIL)
     g = orientable_tait_graph(d)
-    looped = dataclasses.replace(g, edges=g.edges[:-1] + ((0, 0),))  # a band from disk 0 to itself
+    looped = g._replace(edges=g.edges[:-1] + ((0, 0),))  # a band from disk 0 to itself
     with pytest.raises(InconsistencyError, match="not bipartite"):
         seifert_disk_classes(d, looped)
 

@@ -24,9 +24,10 @@ from knotcert.diagram import (
     orient,
     parse_pd,
 )
-from knotcert.errors import DiagramError
+from knotcert.errors import DiagramError, InconsistencyError
 from knotcert.invariants import invariant_bundle
 from knotcert.medial import PlaneGraph, medial_diagram, rebuild_factors, subgraph_plane
+from knotcert.tait import tait_graphs
 
 RIGHT_TREFOIL_ROTATED = "X(1,4,2,3) X(3,6,4,5) X(5,2,6,1)"
 GRANNY = "X(9,1,10,12) X(1,11,2,10) X(11,3,12,2) X(3,7,4,6) X(7,5,8,4) X(5,9,6,8)"
@@ -156,6 +157,22 @@ def test_rebuild_factors_granny():
     assert sorted(f.n for f in facs) == [3, 3]
     rt = canonical_pd(parse_pd(RIGHT_TREFOIL_ROTATED))
     assert all(canonical_pd(f) == rt for f in facs)
+
+
+@pytest.mark.parametrize("pd", [RIGHT_TREFOIL_ROTATED, GRANNY], ids=["prime", "composite"])
+def test_factor_split_checks_edge_signs_on_every_diagram(pd):
+    """A color-0 edge sign that differs from the rest is a bug; the split
+    checks for it before it knows whether the diagram is prime, so it fires
+    on a prime diagram too, which is its own factor and is not rebuilt."""
+    d = parse_pd(pd)
+    g0, g1 = tait_graphs(d)
+    d.__dict__["_cached_tait_graphs"] = (
+        g0._replace(edge_signs=(-g0.edge_signs[0],) + g0.edge_signs[1:]), g1
+    )
+    with pytest.raises(InconsistencyError, match="non-constant edge sign"):
+        connected_sum_factors(d)
+    with pytest.raises(InconsistencyError, match="non-constant edge sign"):
+        rebuild_factors(d)
 
 
 def test_three_summand_chain():
