@@ -421,7 +421,7 @@ def mirror_diagram(d: Diagram) -> Diagram:
 
 
 # ---------------------------------------------------------------------------
-# connected sum factorization (continued in `tait` and `medial`; imported when called)
+# connected sum factorization (continued in `tait` and `medial`, which import this module)
 
 
 def connected_sum_factors(d: Diagram) -> tuple[Diagram, ...]:
