@@ -8,9 +8,10 @@ Fincke-Pohst weights, whose refusal is also the decomposition's
 definiteness test.  The sparse one, `_sylvester`, gives
 inertia: it eliminates sparse rows in least-degree order, so a Goeritz form
 of hundreds of faces, a sparse planar Laplacian, costs about its fill-in.
-The enumerations work on small definite Gram matrices (rank <= 12 by
-default).  The one nontrivial operation is `indecomposable_summands`, which
-splits a definite lattice L into its orthogonally indecomposable summands.
+The enumerations work on definite Gram matrices; the search is a loop, not
+a recursion, so its depth, the rank, is bounded only by time.  The one
+nontrivial operation is `indecomposable_summands`, which splits a definite
+lattice L into its orthogonally indecomposable summands.
 
 Call a nonzero v *decomposable* if v = x + y with x, y nonzero and x.y = 0.
 Then u = x - y lies in the coset v + 2L and |u|^2 = |x|^2 + |y|^2 = |v|^2;
@@ -33,7 +34,7 @@ from __future__ import annotations
 
 import heapq
 import math
-from operator import index, mul
+from operator import index, itemgetter, mul
 from typing import NamedTuple
 
 from .errors import (
@@ -366,40 +367,50 @@ def _fincke_pohst(gram):
     return pivots, [scale // d for d in dens], scale, cols
 
 
-def _enumerate(fp, bound: int, leaf, parity=None) -> bool:
-    """Call leaf(x, scale * (bound - x^T G x)) on each nonzero x with
+def _enumerate(fp, bound: int, parity=None):
+    """Yield (x, scale * (bound - x^T G x)) for each nonzero x with
     x^T G x <= bound, one of every +-pair (its last nonzero coordinate
-    positive), and with x = parity (mod 2) when `parity` is given; stop, and
-    return True, as soon as leaf returns a true value.  `x` is reused."""
+    positive), and with x = parity (mod 2) when `parity` is given, depth
+    first from coordinate n-1 down to 0.  `x` is one list, changed in place
+    after each yield: a caller copies it before it advances the generator."""
     pivots, w, scale, cols = fp
     n = len(pivots)
+    step = 1 if parity is None else 2
     x = [0] * n
-
-    def rec(i: int, remaining: int, top: bool) -> bool:
-        # top: x_j = 0 for all j > i, so x_i >= 0 visits each +-pair once
+    # level i: centre s[i] = sum_{j>i} b_ji x_j and last value hi[i] of x_i;
+    # rem[i + 1] is the budget left for levels <= i, and top[i + 1] says
+    # x_j = 0 for all j > i, so that x_i >= 0 visits each +-pair once;
+    # fresh: level i is entered from above, not resumed from below
+    s, hi = [0] * n, [0] * n
+    rem = [0] * n + [bound * scale]
+    top = [False] * n + [True]
+    i, fresh = n - 1, True
+    while i < n:
         if i < 0:
-            return not top and leaf(x, remaining)
-        s = sum(map(mul, cols[i], x))
+            if not top[0]:
+                yield x, rem[0]
+            i, fresh = 0, False
+            continue
         p = pivots[i]
-        # w_i z_i^2 <= remaining  <=>  |z_i| <= t, since z_i is an integer
-        t = math.isqrt(remaining // w[i])
-        lo = 0 if top else -((t + s) // p)
-        step = 1
-        if parity is not None:
-            lo += (lo - parity[i]) % 2
-            step = 2
-        for xi in range(lo, (t - s) // p + 1, step):
-            z = xi * p + s
-            x[i] = xi
-            if rec(i - 1, remaining - w[i] * z * z, top and not xi):
-                return True
-        x[i] = 0
-        return False
-
-    try:
-        return rec(n - 1, bound * scale, True)
-    finally:
-        del rec  # the closure refers to itself: free it without the cyclic collector
+        if fresh:
+            s[i] = sum(map(mul, cols[i], x))
+            # w_i z_i^2 <= rem  <=>  |z_i| <= t, since z_i is an integer
+            t = math.isqrt(rem[i + 1] // w[i])
+            xi = 0 if top[i + 1] else -((t + s[i]) // p)
+            if parity is not None:
+                xi += (xi - parity[i]) % 2
+            hi[i] = (t - s[i]) // p
+        else:
+            xi = x[i] + step
+        if xi > hi[i]:
+            x[i] = 0
+            i, fresh = i + 1, False
+            continue
+        x[i] = xi
+        z = xi * p + s[i]
+        rem[i] = rem[i + 1] - w[i] * z * z
+        top[i] = top[i + 1] and not xi
+        i, fresh = i - 1, True
 
 
 def short_vectors(gram, bound: int) -> list[tuple[tuple[int, ...], int]]:
@@ -409,16 +420,9 @@ def short_vectors(gram, bound: int) -> list[tuple[tuple[int, ...], int]]:
     if not gram or bound <= 0:
         return []
     fp = _fincke_pohst(gram)
-    scale = fp[2]
-    out: list[tuple[tuple[int, ...], int]] = []
-
-    def leaf(x, remaining):
-        v = tuple(x) if next(filter(None, x)) > 0 else tuple(-c for c in x)
-        out.append((v, bound - remaining // scale))
-
-    _enumerate(fp, bound, leaf)
-    out.sort(key=lambda p: (p[1], p[0]))
-    return out
+    return sorted([(tuple(x) if next(filter(None, x)) > 0 else tuple(-c for c in x),
+                    bound - remaining // fp[2]) for x, remaining in _enumerate(fp, bound)],
+                  key=itemgetter(1, 0))
 
 
 # ---------------------------------------------------------------------------
@@ -463,17 +467,10 @@ def _orthogonal_split(fp, gram, v):
     v + 2L with |u|^2 = |v|^2 (module docstring); None if v is indecomposable."""
     nv = dot(gram_image(gram, v), v)
     neg = [-c for c in v]
-    found: list[int] = []
-
-    def leaf(u, remaining):
+    for u, remaining in _enumerate(fp, nv, parity=v):
         if remaining == 0 and u != v and u != neg:
-            found.extend(u)
-            return True
-        return False
-
-    if not _enumerate(fp, nv, leaf, parity=v):
-        return None
-    return [(a + b) // 2 for a, b in zip(v, found)], [(a - b) // 2 for a, b in zip(v, found)]
+            return [(a + b) // 2 for a, b in zip(v, u)], [(a - b) // 2 for a, b in zip(v, u)]
+    return None
 
 
 def _indecomposable_generators(gram) -> list[tuple[int, ...]]:

@@ -765,6 +765,44 @@ def short_vectors_fraction(gram, bound):
     return out
 
 
+def enumerate_recursive(fp, bound: int, leaf, parity=None) -> bool:
+    """The coset search `lattice._enumerate` as one recursive call per level:
+    call leaf(x, scale * (bound - x^T G x)) on each nonzero x with
+    x^T G x <= bound, one of every +-pair (its last nonzero coordinate
+    positive), and with x = parity (mod 2) when `parity` is given; stop, and
+    return True, as soon as leaf returns a true value.  `x` is reused.  Its
+    depth is the rank, so it stays below Python's recursion limit."""
+    import math
+    from operator import mul
+
+    pivots, w, scale, cols = fp
+    n = len(pivots)
+    x = [0] * n
+
+    def rec(i: int, remaining: int, top: bool) -> bool:
+        # top: x_j = 0 for all j > i, so x_i >= 0 visits each +-pair once
+        if i < 0:
+            return not top and leaf(x, remaining)
+        s = sum(map(mul, cols[i], x))
+        p = pivots[i]
+        # w_i z_i^2 <= remaining  <=>  |z_i| <= t, since z_i is an integer
+        t = math.isqrt(remaining // w[i])
+        lo = 0 if top else -((t + s) // p)
+        step = 1
+        if parity is not None:
+            lo += (lo - parity[i]) % 2
+            step = 2
+        for xi in range(lo, (t - s) // p + 1, step):
+            z = xi * p + s
+            x[i] = xi
+            if rec(i - 1, remaining - w[i] * z * z, top and not xi):
+                return True
+        x[i] = 0
+        return False
+
+    return rec(n - 1, bound * scale, True)
+
+
 def inertia_fraction(matrix):
     """(positive, negative, zero) counts by congruence diagonalization over
     Fractions: a symmetric pivot swap, or e_i += e_j when the remaining

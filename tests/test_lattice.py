@@ -15,6 +15,7 @@ from helpers import (
     cycle_vectors,
     decomposable_bruteforce,
     det_fraction,
+    enumerate_recursive,
     indecomposable_vectors,
     inertia_fraction,
     inverse_fraction,
@@ -41,7 +42,10 @@ from knotcert.lattice import (
     det_int,
     greedy_reduce,
     _bareiss,
+    _enumerate,
+    _fincke_pohst,
     _indecomposable_generators,
+    _orthogonal_split,
     indecomposable_summands,
     inertia,
     _sylvester,
@@ -531,6 +535,52 @@ def test_short_vectors_match_fraction_ldl_on_knot_lattices():
         for g in (gram, greedy_reduce(gram)[0]):
             bound = max(g[i][i] for i in range(len(g)))
             assert short_vectors(g, bound) == short_vectors_fraction(g, bound)
+
+
+def _same_visits(gram, bound, parity=None):
+    """The coset search yields the (x, remaining) pairs of the recursive
+    oracle in the same order; returns how many."""
+    fp = _fincke_pohst(gram)
+    want = []
+    enumerate_recursive(fp, bound, lambda x, r: want.append((tuple(x), r)), parity)
+    assert [(tuple(x), r) for x, r in _enumerate(fp, bound, parity)] == want, (gram, bound, parity)
+    return len(want)
+
+
+def test_coset_search_visits_in_the_recursive_order_on_random_forms():
+    rng = random.Random(29)
+    plain = coset = 0
+    for trial in range(540):
+        gram, bound = _random_form_and_bound(rng, trial)
+        n = len(gram)
+        i = rng.randrange(n)
+        plain += _same_visits(gram, bound)
+        coset += _same_visits(gram, 2 * bound, [rng.randint(-1, 1) for _ in range(n)])
+        coset += _same_visits(gram, gram[i][i], [int(i == j) for j in range(n)])
+    assert plain > 5_000 and coset > 1_000, (plain, coset)
+
+
+def test_coset_search_visits_in_the_recursive_order_on_knot_lattices():
+    for form in _knot_flow_lattices():
+        if not form.rank:
+            continue
+        gram = greedy_reduce([list(r) for r in form.matrix])[0]
+        n = len(gram)
+        _same_visits(gram, max(gram[i][i] for i in range(n)))
+        for i in range(n):
+            _same_visits(gram, gram[i][i], [int(i == j) for j in range(n)])
+
+
+def test_coset_search_is_not_bounded_by_the_recursion_limit():
+    """2I of rank 1,100 is deeper than Python's default recursion limit:
+    e_0 does not split, and e_0 + e_1 splits into e_0 and e_1."""
+    n = 1100
+    gram = [[2 * (i == j) for j in range(n)] for i in range(n)]
+    fp = _fincke_pohst(gram)
+    e = [[int(i == j) for j in range(n)] for i in range(2)]
+    assert _orthogonal_split(fp, gram, e[0]) is None
+    parts = _orthogonal_split(fp, gram, [a + b for a, b in zip(*e)])
+    assert sorted(parts) == sorted(e)
 
 
 def _filter_agrees(gram):

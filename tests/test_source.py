@@ -31,3 +31,36 @@ def test_public_names_are_listed_once_and_bound():
     namespace: dict = {}
     exec("from knotcert import *", namespace)
     assert set(names) <= set(namespace)
+
+
+def _functions(node, prefix):
+    """(qualified name, def node) of every function under `node`, nested
+    ones included."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            name = f"{prefix}.{child.name}"
+            if not isinstance(child, ast.ClassDef):
+                yield name, child
+            yield from _functions(child, name)
+        else:
+            yield from _functions(child, prefix)
+
+
+def test_no_package_function_calls_itself():
+    """The package's depth of Python frames does not grow with its input:
+    no function calls itself, by name or as a method, from its own body or
+    from a function nested in it.  `cli._json` is the exception: its depth
+    is the nesting of a report, which the report schema fixes."""
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for name, fn in _functions(ast.parse(path.read_text("utf-8"), str(path)), path.stem):
+            calls = set()
+            for call in ast.walk(fn):
+                f = call.func if isinstance(call, ast.Call) else None
+                if isinstance(f, ast.Name):
+                    calls.add(f.id)
+                elif isinstance(f, ast.Attribute) and getattr(f.value, "id", None) in ("self", "cls"):
+                    calls.add(f.attr)
+            if fn.name in calls:
+                found.append(name)
+    assert found == ["cli._json"], found
