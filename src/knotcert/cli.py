@@ -11,7 +11,9 @@ Three subcommands:
 Exit statuses (stable): 0 success, 1 inconsistency detected, 2 input error,
 3 resource cap exceeded.  JSON output is byte-identical across runs for
 identical inputs: keys are sorted and all report content is derived by pure
-functions of the input text.
+functions of the input text.  The report format (`SCHEMA`) is defined here
+alone: the library's records carry data, and each section is built from
+their fields.
 """
 
 from __future__ import annotations
@@ -34,14 +36,17 @@ from .errors import (
     PDSyntaxError,
     RankCapExceededError,
 )
+from .hfk import HfkTable
 from .invariants import InvariantBundle
 from .lattice import DEFAULT_RANK_CAP
 from .obstruct import (
-    SCHEMA,
+    CertificateReport,
     band_prime_certificate,
     concordance_pair_obstructions,
     minimality_evidence,
 )
+
+SCHEMA = "knotcert-report/3"
 
 EXIT_OK = 0
 EXIT_INCONSISTENT = 1
@@ -77,21 +82,81 @@ def _json_text(obj) -> str:
     return _json(obj, "\n") + "\n"
 
 
+def _rows(m) -> list:
+    return [list(r) for r in m]
+
+
+def _invariants(b: InvariantBundle) -> dict:
+    """The `invariants` section: the bundle's fields, with the Alexander
+    polynomial as [exponent, coefficient] pairs and as text."""
+    return {**b._asdict(), "speciality": b.speciality._asdict(),
+            "alexander": _rows(b.alexander.coeffs), "alexander_str": str(b.alexander)}
+
+
+def _hfk(t: HfkTable | None) -> dict | None:
+    if t is None:
+        return None
+    return {"delta_grading": t.delta_grading,
+            "entries": [{"alexander": a, "maslov": m, "rank": r} for a, m, r in t.entries]}
+
+
+def _certificate(c: CertificateReport, speciality: dict) -> dict:
+    """The `band_primeness` section, sharing the report's `speciality` dict."""
+    return {
+        "schema": SCHEMA,
+        "kind": "band_prime_certificate",
+        "pd_sha256": c.pd_sha256,
+        "speciality": speciality,
+        "factors": [{
+            "pd": f.pd,
+            "crossings": f.crossings,
+            "tait": {"vertices": f.tait_vertices, "edges": f.tait_edges,
+                     "cycle_rank": f.cycle_rank},
+            "gram": _rows(f.gram.matrix),
+            "lattice_definiteness": f.lattice_definiteness,
+            "summands": [_rows(s.matrix) for s in f.decomposition.summands],
+            "witness": _rows(f.decomposition.witness),
+            "signature": f.signature,
+            "genus": f.genus,
+        } for f in c.factors],
+        "trivial_factors": c.trivial_factors,
+        "verdict": c.verdict,
+        "notes": list(c.notes),
+    }
+
+
 def _analysis(d: Diagram, rank_cap: int, assert_two_bridge: bool) -> tuple[dict, InvariantBundle]:
     """The report of one diagram and its invariant bundle.  The certificate
-    runs first, so an over-cap lattice is refused before any invariant work."""
+    runs first, so an over-cap lattice is refused before any invariant work.
+    Each section is built once: the `speciality`, `invariants` and `hfk`
+    dicts are shared wherever the report repeats them."""
     cert = band_prime_certificate(d, rank_cap=rank_cap)
     ev = minimality_evidence(d, assert_two_bridge=assert_two_bridge)
+    inv = _invariants(ev.bundle)
+    hfk = _hfk(ev.hfk)
     rep = {
         "schema": SCHEMA,
         "kind": "analysis",
         "pd": d.pd_text(),
         "pd_sha256": cert.pd_sha256,
-        "speciality": ev.bundle.speciality.to_json(),
-        "invariants": ev.bundle.to_json(),
-        "hfk": ev.hfk.to_json() if ev.hfk is not None else None,
-        "band_primeness": cert.to_json(),
-        "minimality": ev.to_json(),
+        "speciality": inv["speciality"],
+        "invariants": inv,
+        "hfk": hfk,
+        "band_primeness": _certificate(cert, inv["speciality"]),
+        "minimality": {
+            "schema": SCHEMA,
+            "kind": "minimality_evidence",
+            "pd_sha256": ev.pd_sha256,
+            "bundle": inv,
+            "hfk": hfk,
+            "anisotropy": ev.anisotropy._asdict(),
+            "conditions": {
+                "fibered": ev.fibered,
+                "prime_power_leading": ev.prime_power_leading,
+                "two_bridge_asserted": ev.two_bridge_asserted,
+            },
+            "verdict": ev.verdict,
+        },
     }
     return rep, ev.bundle
 
@@ -278,10 +343,10 @@ def cmd_pair(args) -> int:
     rep = {
         "schema": SCHEMA,
         "kind": "pair_obstructions",
-        "lower": {"pd": lo_d.pd_text(), "invariants": lo.bundle.to_json()},
-        "upper": {"pd": up_d.pd_text(), "invariants": up.bundle.to_json()},
+        "lower": {"pd": lo_d.pd_text(), "invariants": _invariants(lo.bundle)},
+        "upper": {"pd": up_d.pd_text(), "invariants": _invariants(up.bundle)},
         "upper_is_special_alternating": upper_special,
-        "findings": [f.to_json() for f in findings],
+        "findings": [f._asdict() for f in findings],
         "verdict": "obstructed" if findings else "no_obstruction_found",
     }
     if args.json:

@@ -359,9 +359,6 @@ class SpecialityReport(NamedTuple):
     orientable_color: int | None
     uniform_sign: int | None
 
-    def to_json(self) -> dict:
-        return self._asdict()
-
 
 @cached_on_instance
 def classify_special(d: Diagram) -> SpecialityReport:

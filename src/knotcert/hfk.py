@@ -35,15 +35,6 @@ class HfkTable(NamedTuple):
             coeffs[a] = coeffs.get(a, 0) + sign * r
         return LaurentPolynomial.from_dict(coeffs)
 
-    def to_json(self) -> dict:
-        return {
-            "delta_grading": self.delta_grading,
-            "entries": [
-                {"alexander": a, "maslov": m, "rank": r}
-                for a, m, r in self.entries
-            ],
-        }
-
 
 def thin_hfk(delta: LaurentPolynomial, sigma: int) -> HfkTable:
     """Thin table for a knot with Alexander polynomial `delta`, signature `sigma`.

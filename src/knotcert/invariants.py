@@ -164,9 +164,6 @@ class LaurentPolynomial(NamedTuple):
             d[exp] = d.get(exp, 0) + coeff
         return cls.from_dict(d)
 
-    def to_json(self) -> list[list[int]]:
-        return [[e, c] for e, c in self.coeffs]
-
 
 # ---------------------------------------------------------------------------
 # Goeritz matrices and the signature
@@ -475,14 +472,6 @@ class InvariantBundle(NamedTuple):
     genus_is_exact: bool
     leading_coefficient: int
     fibered: bool | None
-
-    def to_json(self) -> dict:
-        return {
-            **self._asdict(),
-            "speciality": self.speciality.to_json(),
-            "alexander": self.alexander.to_json(),
-            "alexander_str": str(self.alexander),
-        }
 
 
 def invariant_bundle(d: Diagram) -> InvariantBundle:

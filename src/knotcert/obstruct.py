@@ -24,9 +24,16 @@ Three kinds of verdict come out of here:
 
 from __future__ import annotations
 
-import hashlib
 import math
 from typing import NamedTuple
+
+try:  # hashlib loads OpenSSL; the interpreter's own sha256 module is lighter
+    from _sha2 import sha256  # Python 3.12+
+except ImportError:
+    try:
+        from _sha256 import sha256  # Python 3.10-3.11
+    except ImportError:
+        from hashlib import sha256
 
 from .diagram import (
     Diagram, SpecialityReport, cached_on_instance, checkerboard, classify_special,
@@ -44,12 +51,10 @@ from .lattice import (
 )
 from .tait import TaitGraph, blocks, flow_lattice, orientable_tait_graph
 
-SCHEMA = "knotcert-report/3"
-
 
 @cached_on_instance
 def _pd_hash(d: Diagram) -> str:
-    return hashlib.sha256(d.pd_text().encode("utf-8")).hexdigest()
+    return sha256(d.pd_text().encode("utf-8")).hexdigest()
 
 
 def _positive_rank_blocks(g: TaitGraph) -> int:
@@ -74,20 +79,6 @@ class FactorRecord(NamedTuple):
     signature: int
     genus: int
 
-    def to_json(self) -> dict:
-        return {
-            "pd": self.pd,
-            "crossings": self.crossings,
-            "tait": {"vertices": self.tait_vertices, "edges": self.tait_edges,
-                     "cycle_rank": self.cycle_rank},
-            "gram": [list(r) for r in self.gram.matrix],
-            "lattice_definiteness": self.lattice_definiteness,
-            "summands": [[list(r) for r in s.matrix] for s in self.decomposition.summands],
-            "witness": [list(r) for r in self.decomposition.witness],
-            "signature": self.signature,
-            "genus": self.genus,
-        }
-
 
 class CertificateReport(NamedTuple):
     pd_sha256: str
@@ -96,18 +87,6 @@ class CertificateReport(NamedTuple):
     trivial_factors: int
     verdict: str  # band_prime_certified / not_applicable / inconsistency
     notes: tuple[str, ...]
-
-    def to_json(self) -> dict:
-        return {
-            "schema": SCHEMA,
-            "kind": "band_prime_certificate",
-            "pd_sha256": self.pd_sha256,
-            "speciality": self.speciality.to_json(),
-            "factors": [f.to_json() for f in self.factors],
-            "trivial_factors": self.trivial_factors,
-            "verdict": self.verdict,
-            "notes": list(self.notes),
-        }
 
 
 def band_prime_certificate(d: Diagram, rank_cap: int = DEFAULT_RANK_CAP) -> CertificateReport:
@@ -226,9 +205,6 @@ class AnisotropyResult(NamedTuple):
     sigma: int
     span: int
 
-    def to_json(self) -> dict:
-        return self._asdict()
-
 
 def anisotropy_check(bundle: InvariantBundle) -> AnisotropyResult:
     """|signature| = span(Alexander): definiteness of the middle-cover form."""
@@ -255,22 +231,6 @@ class MinimalityEvidence(NamedTuple):
     prime_power_leading: bool
     two_bridge_asserted: bool
     verdict: str  # minimal_certified / evidence_only / not_applicable
-
-    def to_json(self) -> dict:
-        return {
-            "schema": SCHEMA,
-            "kind": "minimality_evidence",
-            "pd_sha256": self.pd_sha256,
-            "bundle": self.bundle.to_json(),
-            "hfk": self.hfk.to_json() if self.hfk is not None else None,
-            "anisotropy": self.anisotropy.to_json(),
-            "conditions": {
-                "fibered": self.fibered,
-                "prime_power_leading": self.prime_power_leading,
-                "two_bridge_asserted": self.two_bridge_asserted,
-            },
-            "verdict": self.verdict,
-        }
 
 
 def minimality_evidence(d: Diagram, assert_two_bridge: bool = False) -> MinimalityEvidence:
@@ -316,9 +276,6 @@ def minimality_evidence(d: Diagram, assert_two_bridge: bool = False) -> Minimali
 class Finding(NamedTuple):
     code: str
     detail: str
-
-    def to_json(self) -> dict:
-        return self._asdict()
 
 
 def concordance_pair_obstructions(

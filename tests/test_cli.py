@@ -10,7 +10,6 @@ import sys
 import tracemalloc
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
-from types import SimpleNamespace
 
 import pytest
 
@@ -166,7 +165,7 @@ def test_analyze_reports_a_certificate_inconsistency_exit_1(monkeypatch, capsys,
     code, out, err = run(capsys, "analyze", "--pd", LEFT_TREFOIL, "--json")
     assert code == 1 and err == ""
     report = json.loads(out)
-    assert report["band_primeness"] == rep.to_json()
+    assert report["band_primeness"] == cli._certificate(rep, rep.speciality._asdict())
     assert report["minimality"]["verdict"] == "minimal_certified"
 
 
@@ -580,7 +579,7 @@ def test_analyze_hashes_the_pd_once(monkeypatch, capsys):
         hashed.append(data)
         return hashlib.sha256(data)
 
-    monkeypatch.setattr(obstruct, "hashlib", SimpleNamespace(sha256=sha256))
+    monkeypatch.setattr(obstruct, "sha256", sha256)
     code, out, _ = run(capsys, "analyze", "--pd", GRANNY, "--json")
     assert code == 0
     assert hashed == [GRANNY.encode()]
@@ -589,6 +588,18 @@ def test_analyze_hashes_the_pd_once(monkeypatch, capsys):
     code, _, err = run(capsys, "analyze", "--pd", GRANNY, "--rank-cap", "3")
     assert code == 3 and "cap" in err
     assert hashed == []
+
+
+def test_analyze_builds_each_repeated_section_once():
+    """The report repeats its speciality, invariants and HFK sections; each
+    is one dict, built once and shared wherever it appears."""
+    rep, _ = cli._analysis(parse_pd(GRANNY), lattice.DEFAULT_RANK_CAP, False)
+    assert rep["invariants"] is rep["minimality"]["bundle"]
+    assert rep["hfk"] is rep["minimality"]["hfk"] and rep["hfk"] is not None
+    sp = rep["speciality"]
+    assert sp is rep["invariants"]["speciality"]
+    assert sp is rep["band_primeness"]["speciality"]
+    assert sp is rep["minimality"]["bundle"]["speciality"]
 
 
 def test_analyze_out_dir(tmp_path, capsys):

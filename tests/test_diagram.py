@@ -20,6 +20,7 @@ from helpers import (
     trace_faces_by_tuples,
     wide_necklace,
 )
+from knotcert.cli import _invariants
 from knotcert.corpus import load_corpus
 from knotcert.diagram import (
     Diagram,
@@ -39,6 +40,7 @@ from knotcert.diagram import (
     seifert_stats,
 )
 from knotcert.errors import ClassificationError, DiagramError, PDSyntaxError
+from knotcert.invariants import invariant_bundle
 
 # Standard-table left trefoil and figure eight, in the usual conventions
 # (first entry = incoming understrand, then counterclockwise).
@@ -345,7 +347,8 @@ def test_classify_special():
     rep0 = classify_special(parse_pd(""))
     assert rep0.is_special and rep0.uniform_sign == 1
 
-    j = rep.to_json()
+    j = _invariants(invariant_bundle(parse_pd(LEFT_TREFOIL)))["speciality"]
+    assert j == rep._asdict()
     assert j["is_special"] is True and "orientable_color" in j
 
 

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from knotcert.cli import _hfk
 from knotcert.errors import InconsistencyError
 from knotcert.hfk import hfk_isomorphic, thin_hfk
 from knotcert.invariants import LaurentPolynomial, invariant_bundle
@@ -90,7 +91,7 @@ def test_isomorphism_predicate():
 
 def test_json_shape():
     t = thin_hfk(TREFOIL_DELTA, -2)
-    j = t.to_json()
+    j = _hfk(t)
     assert j["delta_grading"] == -1
     assert j["entries"][0] == {"alexander": 1, "maslov": 0, "rank": 1}
     assert len(j["entries"]) == 3

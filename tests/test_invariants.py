@@ -31,7 +31,8 @@ from helpers import (
     wide_necklace,
 )
 from knotcert import invariants
-from knotcert.corpus import load_corpus
+from knotcert.cli import _invariants
+from knotcert.corpus import corpus_entry, load_corpus
 from knotcert.diagram import (
     _trace_faces,
     checkerboard,
@@ -119,7 +120,9 @@ def test_laurent_divides():
 
 
 def test_laurent_to_json():
-    assert L("2t - 3 + 2t^-1").to_json() == [[1, 2], [0, -3], [-1, 2]]
+    b = invariant_bundle(parse_pd(corpus_entry("5_2").pd))
+    assert b.alexander == L("2t - 3 + 2t^-1")
+    assert _invariants(b)["alexander"] == [[1, 2], [0, -3], [-1, 2]]
 
 
 # ---------------------------------------------------------------------------
@@ -600,7 +603,7 @@ def test_bundle_trefoil():
     assert b.genus == 1 and b.genus_is_exact
     assert b.leading_coefficient == 1 and b.fibered is True
     assert b.speciality.is_special
-    j = b.to_json()
+    j = _invariants(b)
     assert j["alexander_str"] == "t - 1 + t^-1"
     assert j["determinant"] == 3
 

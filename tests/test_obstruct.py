@@ -7,11 +7,13 @@ import random
 import pytest
 
 from helpers import random_draws, wide_necklace
+from knotcert.cli import _analysis, _json_text
 from knotcert.corpus import corpus_entry, load_corpus
 from knotcert.diagram import checkerboard, classify_special, parse_pd
 from knotcert.errors import ClassificationError, RankCapExceededError
 from knotcert.hfk import thin_hfk
 from knotcert.invariants import invariant_bundle
+from knotcert.lattice import DEFAULT_RANK_CAP
 from knotcert.obstruct import (
     anisotropy_check,
     band_prime_certificate,
@@ -110,11 +112,16 @@ def test_rank_cap_propagates():
         band_prime_certificate(parse_pd(corpus_entry("3_1#3_1").pd), rank_cap=3)
 
 
+def _report(pd):
+    """The `analyze` report of a PD text, as built by the CLI."""
+    return _analysis(parse_pd(pd), DEFAULT_RANK_CAP, False)[0]
+
+
 def test_certificate_json_is_deterministic():
-    a = json.dumps(band_prime_certificate(parse_pd(LEFT_TREFOIL)).to_json(), sort_keys=True)
-    b = json.dumps(band_prime_certificate(parse_pd(LEFT_TREFOIL)).to_json(), sort_keys=True)
+    a = _json_text(_report(LEFT_TREFOIL))
+    b = _json_text(_report(LEFT_TREFOIL))
     assert a == b
-    j = json.loads(a)
+    j = json.loads(a)["band_primeness"]
     assert j["schema"] == "knotcert-report/3"
     assert j["kind"] == "band_prime_certificate"
     assert j["verdict"] == "band_prime_certified"
@@ -150,13 +157,13 @@ def test_anisotropy_reported_on_every_special_alternating_entry():
     2g and span differ, so the anisotropy field of every such report holds."""
     seen = 0
     for e in load_corpus():
-        ev = minimality_evidence(parse_pd(e.pd))
-        sp = ev.bundle.speciality
+        rep, bundle = _analysis(parse_pd(e.pd), DEFAULT_RANK_CAP, False)
+        sp = bundle.speciality
         if sp.is_special and sp.is_alternating:
-            assert ev.to_json()["anisotropy"] == {
+            assert rep["minimality"]["anisotropy"] == {
                 "holds": True,
-                "sigma": ev.bundle.signature,
-                "span": ev.bundle.alexander.span(),
+                "sigma": bundle.signature,
+                "span": bundle.alexander.span(),
             }, e.name
             seen += 1
     assert seen == 29
@@ -204,7 +211,7 @@ def test_minimality_not_applicable_for_non_special():
 
 
 def test_minimality_json_shape():
-    j = minimality_evidence(parse_pd(LEFT_TREFOIL)).to_json()
+    j = _report(LEFT_TREFOIL)["minimality"]
     assert j["kind"] == "minimality_evidence"
     assert j["conditions"] == {
         "fibered": True, "prime_power_leading": True, "two_bridge_asserted": False,

@@ -7,6 +7,7 @@ own ``__dict__``, which equality ignores and `_replace` does not copy.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import subprocess
@@ -121,9 +122,39 @@ def _run(script: str) -> list:
 
 
 def test_importing_the_cli_loads_no_dataclasses_inspect_or_medial():
-    loaded = _run("import json, sys, knotcert.cli; print(json.dumps(sorted(sys.modules)))")
-    assert "knotcert.obstruct" in loaded
-    assert [m for m in ("dataclasses", "inspect", "knotcert.medial") if m in loaded] == []
+    """Nor OpenSSL's `hashlib`, neither at import nor to hash a report's PD."""
+    script = f"""
+import contextlib, io, json, sys, knotcert.cli
+loaded = [sorted(sys.modules)]
+with contextlib.redirect_stdout(io.StringIO()):
+    code = knotcert.cli.main(["analyze", "--pd", {TREFOIL!r}, "--json"])
+print(json.dumps([code, *loaded, sorted(sys.modules)]))
+"""
+    code, loaded, after_analyze = _run(script)
+    assert code == 0 and "knotcert.obstruct" in loaded
+    heavy = ("dataclasses", "inspect", "knotcert.medial", "hashlib", "_hashlib")
+    assert [m for m in heavy if m in loaded] == []
+    assert [m for m in ("hashlib", "_hashlib") if m in after_analyze] == []
+
+
+_PD_HASH = """
+import contextlib, io, json, sys
+{prelude}
+from knotcert import cli
+out = io.StringIO()
+with contextlib.redirect_stdout(out):
+    code = cli.main(["analyze", "--pd", {pd!r}, "--json"])
+print(json.dumps([code, json.loads(out.getvalue())["pd_sha256"], "hashlib" in sys.modules]))
+"""
+
+
+def test_without_a_builtin_sha256_module_the_pd_hash_comes_from_hashlib():
+    """On a build with neither `_sha2` nor `_sha256`, `hashlib` gives the
+    same `pd_sha256`."""
+    digest = hashlib.sha256(GRANNY.encode()).hexdigest()
+    assert _run(_PD_HASH.format(prelude="", pd=GRANNY)) == [0, digest, False]
+    blocked = 'sys.modules["_sha2"] = sys.modules["_sha256"] = None'
+    assert _run(_PD_HASH.format(prelude=blocked, pd=GRANNY)) == [0, digest, True]
 
 
 def test_medial_is_imported_only_to_split_a_composite_diagram():
