@@ -125,10 +125,10 @@ def test_importing_the_cli_loads_no_dataclasses_inspect_or_medial():
     """Nor OpenSSL's `hashlib`, neither at import nor to hash a report's PD."""
     script = f"""
 import contextlib, io, json, sys, knotcert.cli
-loaded = [sorted(sys.modules)]
+loaded = sorted(sys.modules)
 with contextlib.redirect_stdout(io.StringIO()):
     code = knotcert.cli.main(["analyze", "--pd", {TREFOIL!r}, "--json"])
-print(json.dumps([code, *loaded, sorted(sys.modules)]))
+print(json.dumps([code, loaded, sorted(sys.modules)]))
 """
     code, loaded, after_analyze = _run(script)
     assert code == 0 and "knotcert.obstruct" in loaded
