@@ -11,7 +11,6 @@ from __future__ import annotations
 
 __version__ = "0.1.0"
 
-from .corpus import CorpusEntry, corpus_entry, load_corpus
 from .diagram import (
     classify_special,
     connected_sum_factors,
@@ -61,7 +60,6 @@ __all__ = [
     "AnisotropyResult",
     "CertificateReport",
     "ClassificationError",
-    "CorpusEntry",
     "DEFAULT_RANK_CAP",
     "Decomposition",
     "DegenerateFormError",
@@ -84,7 +82,6 @@ __all__ = [
     "classify_special",
     "concordance_pair_obstructions",
     "connected_sum_factors",
-    "corpus_entry",
     "definiteness",
     "flow_lattice",
     "gl_signature",
@@ -92,7 +89,6 @@ __all__ = [
     "hfk_isomorphic",
     "indecomposable_summands",
     "invariant_bundle",
-    "load_corpus",
     "minimality_evidence",
     "mirror_diagram",
     "orient",

@@ -111,13 +111,14 @@ def _certificate(c: CertificateReport, speciality: dict) -> dict:
             "pd": f.pd,
             "crossings": f.crossings,
             "tait": {"vertices": f.tait_vertices, "edges": f.tait_edges,
-                     "cycle_rank": f.cycle_rank},
+                     "cycle_rank": f.gram.rank},
             "gram": _rows(f.gram.matrix),
-            "lattice_definiteness": f.lattice_definiteness,
+            # only a lattice that indecomposable_summands found positive definite makes a factor
+            "lattice_definiteness": "positive_definite",
             "summands": [_rows(s.matrix) for s in f.decomposition.summands],
             "witness": _rows(f.decomposition.witness),
             "signature": f.signature,
-            "genus": f.genus,
+            "genus": f.gram.rank // 2,
         } for f in c.factors],
         "trivial_factors": c.trivial_factors,
         "verdict": c.verdict,
@@ -151,7 +152,7 @@ def _analysis(d: Diagram, rank_cap: int, assert_two_bridge: bool) -> tuple[dict,
             "hfk": hfk,
             "anisotropy": ev.anisotropy._asdict(),
             "conditions": {
-                "fibered": ev.fibered,
+                "fibered": ev.bundle.fibered,
                 "prime_power_leading": ev.prime_power_leading,
                 "two_bridge_asserted": ev.two_bridge_asserted,
             },
@@ -262,12 +263,14 @@ def cmd_batch(args) -> int:
             row = next(rows)
         except StopIteration:
             break
-        except (OSError, ValueError, csv.Error) as ex:  # a read error, not a bad row
+        except (OSError, ValueError, csv.Error, RecursionError) as ex:  # a read error, not a bad row
             print(f"error: cannot read corpus: {ex}", file=sys.stderr)
             return EXIT_INPUT
         name = f"entry{entries}"
         entries += 1
         try:
+            if isinstance(row, csv.Error):  # a row the CSV reader refused
+                raise row
             if not isinstance(row, dict):
                 raise ValueError(f"corpus row is not an object: {row!r}")
             name = str(row.get("name") or "").strip() or name
@@ -286,7 +289,7 @@ def cmd_batch(args) -> int:
                     raise ValueError(f"entry name {name!r} is used by an earlier row")
                 names_used.add(name)
             pd, stored = row_values(row)
-        except ValueError as ex:
+        except (ValueError, csv.Error) as ex:
             give_up(name, "failed", ex)
             continue
         try:

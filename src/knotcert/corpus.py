@@ -11,7 +11,6 @@ from __future__ import annotations
 import csv
 import json
 from pathlib import Path
-from typing import NamedTuple
 
 from .invariants import LaurentPolynomial
 
@@ -26,22 +25,22 @@ _STORED_COLUMNS = (
 )
 
 
-class CorpusEntry(NamedTuple):
-    name: str
-    pd: str
-    sigma: int
-    det: int
-    alexander: LaurentPolynomial
-    genus: int
-
-
 def corpus_rows(path: Path):
     """The rows of a corpus file as they are read: a CSV one row at a time,
-    a JSON list after parsing it whole."""
+    a JSON list after parsing it whole.  A CSV row that `csv` refuses (a
+    field over its size limit) comes as that csv.Error, and reading goes on
+    at the next line; a header line it refuses raises the csv.Error."""
     with path.open(newline="", encoding="utf-8-sig") as fh:
         if path.suffix.lower() != ".json":
-            yield from csv.DictReader(fh)
-            return
+            rows = csv.DictReader(fh)
+            rows.fieldnames  # reads the header line
+            while True:
+                try:
+                    yield next(rows)
+                except StopIteration:
+                    return
+                except csv.Error as ex:
+                    yield ex
         rows = json.load(fh)
         if not isinstance(rows, list):
             raise ValueError("a JSON corpus must be a list of objects")
@@ -63,20 +62,3 @@ def row_values(row: dict) -> tuple[str, list[tuple[str, str, object]]]:
             except ValueError as ex:
                 raise ValueError(f"bad stored {column} {row[column]!r}: {ex}") from None
     return str(row["pd"]), stored
-
-
-def load_corpus() -> tuple[CorpusEntry, ...]:
-    """The bundled corpus, read by `corpus_rows` and `row_values` as `batch`
-    reads it."""
-    entries = []
-    for row in corpus_rows(BUNDLED):
-        pd, stored = row_values(row)
-        entries.append(CorpusEntry(row["name"], pd, **{c: v for c, _, v in stored}))
-    return tuple(entries)
-
-
-def corpus_entry(name: str) -> CorpusEntry:
-    for e in load_corpus():
-        if e.name == name:
-            return e
-    raise KeyError(name)

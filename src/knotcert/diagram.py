@@ -120,7 +120,7 @@ def parse_pd(text: str) -> Diagram:
     if stripped.startswith("["):
         try:
             data = json.loads(stripped)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: nested too deep
             raise PDSyntaxError(f"bad JSON PD code: {exc}") from exc
         if not isinstance(data, list) or not all(
             isinstance(q, list) and len(q) == 4 and all(type(x) is int for x in q)

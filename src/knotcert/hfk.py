@@ -25,16 +25,6 @@ class HfkTable(NamedTuple):
     entries: tuple[tuple[int, int, int], ...]
     delta_grading: int
 
-    def total_rank(self) -> int:
-        return sum(r for _, _, r in self.entries)
-
-    def euler_characteristic(self) -> LaurentPolynomial:
-        coeffs: dict[int, int] = {}
-        for a, m, r in self.entries:
-            sign = -1 if m % 2 else 1
-            coeffs[a] = coeffs.get(a, 0) + sign * r
-        return LaurentPolynomial.from_dict(coeffs)
-
 
 def thin_hfk(delta: LaurentPolynomial, sigma: int) -> HfkTable:
     """Thin table for a knot with Alexander polynomial `delta`, signature `sigma`.

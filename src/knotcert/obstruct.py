@@ -72,12 +72,9 @@ class FactorRecord(NamedTuple):
     crossings: int
     tait_vertices: int
     tait_edges: int
-    cycle_rank: int
     gram: GramForm
-    lattice_definiteness: str
     decomposition: Decomposition
     signature: int
-    genus: int
 
 
 class CertificateReport(NamedTuple):
@@ -147,20 +144,9 @@ def band_prime_certificate(d: Diagram, rank_cap: int = DEFAULT_RANK_CAP) -> Cert
         if dec is None:
             continue
         sig = gl_signature(f)
-        record = FactorRecord(
-            pd=f.pd_text(),
-            crossings=f.n,
-            tait_vertices=g.num_vertices,
-            tait_edges=g.num_edges,
-            cycle_rank=g.cycle_rank(),
-            gram=gram,
-            # entry (0, 0) is a walk length > 0 and indecomposable_summands found gram definite
-            lattice_definiteness="positive_definite",
-            decomposition=dec,
-            signature=sig,
-            genus=rank // 2,
-        )
-        factors.append(record)
+        factors.append(FactorRecord(
+            pd=f.pd_text(), crossings=f.n, tait_vertices=g.num_vertices, tait_edges=g.num_edges,
+            gram=gram, decomposition=dec, signature=sig))
         if len(dec.summands) != 1:
             problems.append(f"factor flow lattice split into {len(dec.summands)} summands")
         nblocks = blocks_full if f is d else _positive_rank_blocks(g)
@@ -227,7 +213,6 @@ class MinimalityEvidence(NamedTuple):
     bundle: InvariantBundle
     hfk: HfkTable | None
     anisotropy: AnisotropyResult
-    fibered: bool | None
     prime_power_leading: bool
     two_bridge_asserted: bool
     verdict: str  # minimal_certified / evidence_only / not_applicable
@@ -262,7 +247,6 @@ def minimality_evidence(d: Diagram, assert_two_bridge: bool = False) -> Minimali
         bundle=bundle,
         hfk=table,
         anisotropy=aniso,
-        fibered=bundle.fibered,
         prime_power_leading=ppl,
         two_bridge_asserted=assert_two_bridge,
         verdict=verdict,

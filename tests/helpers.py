@@ -7,7 +7,9 @@ from __future__ import annotations
 import random
 from typing import NamedTuple
 
+from knotcert.corpus import BUNDLED, corpus_rows, row_values
 from knotcert.diagram import Diagram
+from knotcert.invariants import LaurentPolynomial
 from knotcert.lattice import identity, mat_mul, transpose
 from knotcert.medial import PlaneGraph, medial_diagram
 
@@ -1321,3 +1323,47 @@ def face_vectors(d):
                 x[c] = x.get(c, 0) + (1 if (s - 1) % 4 == ccw else -1)
             vectors.append({c: v for c, v in x.items() if v})
     return vectors
+
+
+def total_rank(table) -> int:
+    """The total rank of an `HfkTable`: |Delta(-1)|, the determinant, for a
+    thin knot."""
+    return sum(r for _, _, r in table.entries)
+
+
+def euler_characteristic(table):
+    """The graded Euler characteristic of an `HfkTable`, sum over gradings of
+    (-1)^maslov rank t^alexander: Delta for a thin knot."""
+    coeffs: dict[int, int] = {}
+    for a, m, r in table.entries:
+        sign = -1 if m % 2 else 1
+        coeffs[a] = coeffs.get(a, 0) + sign * r
+    return LaurentPolynomial.from_dict(coeffs)
+
+
+class CorpusEntry(NamedTuple):
+    """One row of the bundled corpus, its stored values parsed."""
+
+    name: str
+    pd: str
+    sigma: int
+    det: int
+    alexander: LaurentPolynomial
+    genus: int
+
+
+def load_corpus() -> tuple[CorpusEntry, ...]:
+    """The bundled corpus, read by `corpus_rows` and `row_values` as `batch`
+    reads it."""
+    entries = []
+    for row in corpus_rows(BUNDLED):
+        pd, stored = row_values(row)
+        entries.append(CorpusEntry(row["name"], pd, **{c: v for c, _, v in stored}))
+    return tuple(entries)
+
+
+def corpus_entry(name: str) -> CorpusEntry:
+    for e in load_corpus():
+        if e.name == name:
+            return e
+    raise KeyError(name)

@@ -12,13 +12,16 @@ import time
 from helpers import (
     block_partition_oracle,
     congruent_scramble,
+    corpus_entry,
+    euler_characteristic,
     isometric,
+    load_corpus,
     random_draws,
     spanning_tree_count,
+    total_rank,
 )
 from test_tait import make_tait
 
-from knotcert.corpus import corpus_entry, load_corpus
 from knotcert.diagram import (
     classify_special,
     mirror_diagram,
@@ -153,8 +156,8 @@ def test_criterion_4_hfk_rank_and_euler():
     for e in CORPUS:
         b = invariant_bundle(parse_pd(e.pd))
         table = thin_hfk(b.alexander, b.signature)
-        assert table.total_rank() == b.determinant, e.name
-        assert table.euler_characteristic() == b.alexander, e.name
+        assert total_rank(table) == b.determinant, e.name
+        assert euler_characteristic(table) == b.alexander, e.name
     print(f"criterion 4: PASS -- {len(CORPUS)} corpus entries, rank=det and Euler=Delta")
 
 
@@ -186,17 +189,17 @@ def test_criterion_6_minimality_dispatch():
     coefficient 2; 9_5 (leading coefficient 6, non-monic) is evidence_only
     without the two-bridge assertion."""
     tre = minimality_evidence(parse_pd(corpus_entry("3_1").pd))
-    assert tre.verdict == "minimal_certified" and tre.fibered is True
+    assert tre.verdict == "minimal_certified" and tre.bundle.fibered is True
 
     five2 = minimality_evidence(parse_pd(corpus_entry("5_2").pd))
     assert five2.verdict == "minimal_certified"
-    assert five2.fibered is False and five2.prime_power_leading
+    assert five2.bundle.fibered is False and five2.prime_power_leading
     assert abs(five2.bundle.leading_coefficient) == 2
 
     nine5 = minimality_evidence(parse_pd(corpus_entry("9_5").pd))
     assert nine5.verdict == "evidence_only"
     assert abs(nine5.bundle.leading_coefficient) == 6
-    assert not nine5.prime_power_leading and nine5.fibered is False
+    assert not nine5.prime_power_leading and nine5.bundle.fibered is False
     asserted = minimality_evidence(parse_pd(corpus_entry("9_5").pd), assert_two_bridge=True)
     assert asserted.verdict == "minimal_certified"
     print("criterion 6: PASS -- trefoil fibered, 5_2 prime-power, 9_5 evidence_only")

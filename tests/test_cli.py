@@ -14,12 +14,11 @@ from pathlib import Path
 import pytest
 
 import knotcert
-from helpers import MISORIENTED, necklace, sparse_rows, theta
+from helpers import MISORIENTED, corpus_entry, load_corpus, necklace, sparse_rows, theta
 from knotcert import cli, lattice, obstruct, tait
 from knotcert.cli import _json_text, main
 from knotcert.diagram import connected_sum_factors, mirror_diagram, parse_pd
 from knotcert.lattice import Decomposition, GramForm, greedy_reduce
-from knotcert.corpus import corpus_entry, load_corpus
 from knotcert.medial import medial_diagram
 from knotcert.tait import flow_lattice, orientable_tait_graph
 
@@ -741,6 +740,53 @@ def test_batch_csv_that_is_not_utf8_is_an_input_error(tmp_path, capsys, before):
     code, out, err = run(capsys, "batch", str(f), "--json")
     assert code == 2 and out == ""
     assert err.startswith("error: cannot read corpus: ") and err.count("\n") == 1
+
+
+DEEP = "[" * 100_000  # JSON nested past the parser's recursion limit
+
+
+@pytest.mark.parametrize("how", ["pd-file", "pd", "pair"])
+def test_deeply_nested_json_pd_is_a_syntax_error(tmp_path, capsys, how):
+    """Exit 2 and one stderr line, not a RecursionError traceback."""
+    f = tmp_path / "deep.pd"
+    f.write_text(DEEP)
+    argv = {"pd-file": ["analyze", "--pd-file", str(f)], "pd": ["analyze", "--pd", DEEP],
+            "pair": ["pair", "--lower", DEEP, "--upper", TREFOIL]}[how]
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error: bad JSON PD code: ") and err.count("\n") == 1
+
+
+def test_batch_deeply_nested_json_corpus_is_a_read_error(tmp_path, capsys):
+    f = tmp_path / "deep.json"
+    f.write_text(DEEP)
+    code, out, err = run(capsys, "batch", str(f), "--json")
+    assert code == 2 and out == ""
+    assert err.startswith("error: cannot read corpus: ") and err.count("\n") == 1
+
+
+def test_batch_csv_row_with_a_deeply_nested_pd_fails_only_that_row(tmp_path, capsys):
+    f = tmp_path / "c.csv"
+    f.write_text(f'name,pd\ndeep,{DEEP}\ngood,"{TREFOIL}"\n')
+    code, out, err = run(capsys, "batch", str(f), "--json")
+    assert code == 0
+    assert err.startswith("warning: deep: bad JSON PD code: ") and err.count("\n") == 1
+    assert json.loads(out)["counts"] == {"band_prime_certified": 1, "failed": 1}
+
+
+def test_batch_csv_field_over_the_csv_limit_fails_only_that_row(tmp_path, capsys):
+    """The PD text of T(2,6001) is 139,814 characters, over `csv`'s 131,072
+    per field.  The row fails under its number, as its name is not read,
+    and the reader goes on at the next line; `csv.field_size_limit` stays."""
+    long_pd = medial_diagram(theta(6001), 1)[0].pd_text()
+    f = tmp_path / "c.csv"
+    f.write_text(f'name,pd\ntrefoil,"{TREFOIL}"\ntorus,"{long_pd}"\nfig8,"{FIG8}"\n')
+    code, out, err = run(capsys, "batch", str(f), "--json")
+    assert code == 0
+    assert err == "warning: entry1: field larger than field limit (131072)\n"
+    summary = json.loads(out)
+    assert summary["entries"] == 3
+    assert summary["counts"] == {"band_prime_certified": 1, "failed": 1, "not_applicable": 1}
 
 
 def _batch_cyclic_garbage(tmp_path, capsys, copies):

@@ -1,7 +1,8 @@
 """The bundled corpus: shape, naming, and stored-vs-recomputed invariants."""
 
+from helpers import corpus_entry, load_corpus
 from knotcert import cli
-from knotcert.corpus import corpus_entry, load_corpus, row_values
+from knotcert.corpus import row_values
 from knotcert.diagram import classify_special, connected_sum_factors, parse_pd
 from knotcert.invariants import invariant_bundle
 

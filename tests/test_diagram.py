@@ -12,6 +12,7 @@ from helpers import (
     canonical_pd,
     check_orientation,
     crossing_changed,
+    load_corpus,
     occurrences,
     orientable_by_parity,
     random_draws,
@@ -21,7 +22,6 @@ from helpers import (
     wide_necklace,
 )
 from knotcert.cli import _invariants
-from knotcert.corpus import load_corpus
 from knotcert.diagram import (
     Diagram,
     Orientation,

@@ -14,11 +14,11 @@ import pytest
 
 from helpers import (
     check_orientation,
+    load_corpus,
     orientable_by_parity,
     random_draws,
 )
 from knotcert.cli import _analysis, _json_text
-from knotcert.corpus import load_corpus
 from knotcert.diagram import is_alternating, orient, parse_pd
 from knotcert.errors import ClassificationError, InconsistencyError, KnotCertError
 

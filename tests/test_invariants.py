@@ -12,12 +12,14 @@ import pytest
 from helpers import (
     alexander_dense_seifert,
     alexander_dense_wirtinger,
+    corpus_entry,
     crossing_changed,
     face_vectors,
     fox_matrix_dense,
     goeritz_by_corner_pairs,
     interpolate_int_poly,
     laurent_det_leibniz,
+    load_corpus,
     necklace,
     plane_graph_from_multigraph,
     poly_value,
@@ -32,7 +34,6 @@ from helpers import (
 )
 from knotcert import invariants
 from knotcert.cli import _invariants
-from knotcert.corpus import corpus_entry, load_corpus
 from knotcert.diagram import (
     _trace_faces,
     checkerboard,

@@ -20,6 +20,7 @@ from helpers import (
     inertia_fraction,
     inverse_fraction,
     isometric,
+    load_corpus,
     necklace,
     random_draws,
     random_unimodular,
@@ -56,7 +57,6 @@ from knotcert.lattice import (
     signature_det,
     transpose,
 )
-from knotcert.corpus import load_corpus
 from knotcert import invariants
 from knotcert.diagram import classify_special, parse_pd
 from knotcert.invariants import alexander_via_wirtinger, goeritz_matrix

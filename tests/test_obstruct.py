@@ -6,14 +6,13 @@ import random
 
 import pytest
 
-from helpers import random_draws, wide_necklace
+from helpers import corpus_entry, load_corpus, random_draws, total_rank, wide_necklace
 from knotcert.cli import _analysis, _json_text
-from knotcert.corpus import corpus_entry, load_corpus
 from knotcert.diagram import checkerboard, classify_special, parse_pd
 from knotcert.errors import ClassificationError, RankCapExceededError
 from knotcert.hfk import thin_hfk
 from knotcert.invariants import invariant_bundle
-from knotcert.lattice import DEFAULT_RANK_CAP
+from knotcert.lattice import DEFAULT_RANK_CAP, definiteness
 from knotcert.obstruct import (
     anisotropy_check,
     band_prime_certificate,
@@ -58,10 +57,10 @@ def test_trefoil_certificate():
     assert len(rep.factors) == 1 and rep.trivial_factors == 0
     f = rep.factors[0]
     assert f.gram.matrix == ((2, 1), (1, 2))
-    assert f.lattice_definiteness == "positive_definite"
+    assert definiteness(f.gram) == "positive_definite"
     assert len(f.decomposition.summands) == 1
     assert f.signature == 2  # left-handed
-    assert f.genus == 1
+    assert f.gram.rank // 2 == 1
     assert len(rep.pd_sha256) == 64
 
 
@@ -98,7 +97,7 @@ def test_kinked_trefoil_ignores_genus_zero_factor():
     assert rep.verdict == "band_prime_certified"
     assert len(rep.factors) == 1
     assert rep.trivial_factors == 1
-    assert rep.factors[0].genus == 1
+    assert rep.factors[0].gram.rank // 2 == 1
     assert any("genus-zero" in n for n in rep.notes)
 
 
@@ -133,7 +132,7 @@ def test_all_corpus_specials_certify():
         if rep.speciality.is_special and rep.speciality.is_alternating:
             assert rep.verdict == "band_prime_certified", e.name
             for f in rep.factors:
-                assert f.lattice_definiteness == "positive_definite", e.name
+                assert definiteness(f.gram) == "positive_definite", e.name
                 assert len(f.decomposition.summands) == 1, e.name
                 assert f.signature != 0, e.name
         else:
@@ -181,15 +180,15 @@ def test_prime_power_helper():
 def test_minimality_trefoil_fibered():
     ev = minimality_evidence(parse_pd(LEFT_TREFOIL))
     assert ev.verdict == "minimal_certified"
-    assert ev.fibered is True
+    assert ev.bundle.fibered is True
     assert ev.anisotropy.holds
-    assert ev.hfk is not None and ev.hfk.total_rank() == 3
+    assert ev.hfk is not None and total_rank(ev.hfk) == 3
 
 
 def test_minimality_5_2_prime_power_leading():
     ev = minimality_evidence(parse_pd(corpus_entry("5_2").pd))
     assert ev.verdict == "minimal_certified"
-    assert ev.fibered is False
+    assert ev.bundle.fibered is False
     assert ev.prime_power_leading  # leading coefficient 2
 
 

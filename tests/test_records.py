@@ -20,7 +20,6 @@ import knotcert
 from knotcert import (
     band_prime_certificate,
     concordance_pair_obstructions,
-    load_corpus,
     minimality_evidence,
     orient,
     parse_pd,
@@ -46,12 +45,11 @@ def _records():
         d, orient(d), cert.speciality, g, PlaneGraph(g.edges, g.rotations),
         factor.gram, factor.decomposition, factor, cert,
         ev.bundle, ev.bundle.alexander, ev.hfk, ev.anisotropy, ev, finding,
-        load_corpus()[0],
     ]
 
 
 def test_every_record_type_is_covered():
-    assert len({type(r) for r in _records()}) == 16
+    assert len({type(r) for r in _records()}) == 15
 
 
 @pytest.mark.parametrize("record", _records(), ids=lambda r: type(r).__name__)

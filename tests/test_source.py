@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import knotcert
@@ -64,3 +65,52 @@ def test_no_package_function_calls_itself():
             if fn.name in calls:
                 found.append(name)
     assert found == ["cli._json"], found
+
+
+
+def _definitions(tree, module):
+    """(qualified name, name, node) of each module-level function and class,
+    and of each method of such a class but the dunder ones."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield f"{module}.{node.name}", node.name, node
+            for m in node.body if isinstance(node, ast.ClassDef) else ():
+                if isinstance(m, (ast.FunctionDef, ast.AsyncFunctionDef)) and not (
+                    m.name.startswith("__") and m.name.endswith("__")
+                ):
+                    yield f"{module}.{node.name}.{m.name}", m.name, m
+
+
+def _references(tree) -> Counter:
+    """How often `tree` reads each identifier, as a name or as an attribute."""
+    return Counter(
+        node.id if isinstance(node, ast.Name) else node.attr
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Name, ast.Attribute))
+    )
+
+
+def test_no_package_function_is_reached_only_from_tests():
+    """Each module-level function and class of the package, and each method
+    but the dunder ones, is referenced from package code outside its own
+    definition and outside `__init__.py`, or from `tools/`: code that only
+    the tests call lives in tests/helpers.py.  The exceptions are the three
+    functions that the benchmark's per-layer metrics name."""
+    trees = {
+        path.stem: ast.parse(path.read_text("utf-8"), str(path))
+        for path in sorted(PACKAGE.glob("*.py"))
+        if path.name != "__init__.py"
+    }
+    package = sum((_references(tree) for tree in trees.values()), Counter())
+    tools = sum((
+        _references(ast.parse(path.read_text("utf-8"), str(path)))
+        for path in sorted((PACKAGE.parents[1] / "tools").glob("*.py"))
+    ), Counter())
+    found = [
+        qualified
+        for module, tree in trees.items()
+        for qualified, name, node in _definitions(tree, module)
+        if not tools[name] and package[name] == _references(node)[name]
+    ]
+    held = ["invariants.goeritz_matrix", "lattice.definiteness", "lattice.short_vectors"]
+    assert found == held, found

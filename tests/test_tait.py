@@ -11,10 +11,10 @@ from helpers import (
     block_partition_oracle,
     cycle_vectors,
     fundamental_cycles_scan,
+    load_corpus,
     random_draws,
     spanning_tree_count,
 )
-from knotcert.corpus import load_corpus
 from knotcert.diagram import checkerboard, classify_special, parse_pd
 from knotcert.errors import DiagramError, InconsistencyError
 from knotcert.lattice import definiteness, det_int
