@@ -18,10 +18,12 @@ their fields.
 
 from __future__ import annotations
 
+import _thread
 import argparse
 import csv
 import functools
 from json.encoder import encode_basestring_ascii as _quote
+import marshal
 import os
 import sys
 from pathlib import Path
@@ -240,33 +242,32 @@ def cmd_analyze(args) -> int:
     return EXIT_OK
 
 
-def cmd_batch(args) -> int:
-    path = BUNDLED if args.corpus == "bundled" else Path(args.corpus)
-    if not path.exists() or path.is_dir():  # before --out makes a directory
-        print(f"error: corpus file not found: {path}", file=sys.stderr)
-        return EXIT_INPUT
-    outdir = Path(args.out) if args.out else None
-    if outdir is not None:
-        outdir.mkdir(parents=True, exist_ok=True)
+def _batch_rows(path: Path, outdir: Path | None, rank_cap: int, stripe: int, stripes: int):
+    """The outcomes of a corpus's rows, in order, as stripe `stripe` of
+    `stripes` runs them: row i is stripe i % stripes's.  Every stripe reads,
+    numbers and names every row, so each settles a row whose name is
+    refused alike; only a row's owner runs the rest of it.  Yields (owner,
+    outcome) per row: owner None for a row that every stripe settles, and
+    outcome (status, stderr line or None), or None for another stripe's
+    row.  A read error ends the rows with (None, (None, its stderr line))."""
     rows = corpus_rows(path)
     entries = 0
-    counts: dict[str, int] = {}
     names_used: set[str] = set()  # with --out: one report file per name
 
-    def give_up(name: str, status: str, ex: Exception) -> None:
-        counts[status] = counts.get(status, 0) + 1
+    def give_up(name: str, status: str, ex: Exception) -> tuple[str, str]:
         level = "error" if status == "inconsistency" else "warning"
-        print(f"{level}: {name}: {ex}", file=sys.stderr)
+        return status, f"{level}: {name}: {ex}"
 
     while True:
         try:
             row = next(rows)
         except StopIteration:
-            break
+            return
         except (OSError, ValueError, csv.Error, RecursionError) as ex:  # a read error, not a bad row
-            print(f"error: cannot read corpus: {ex}", file=sys.stderr)
-            return EXIT_INPUT
+            yield None, (None, f"error: cannot read corpus: {ex}")
+            return
         name = f"entry{entries}"
+        owner = entries % stripes
         entries += 1
         try:
             if isinstance(row, csv.Error):  # a row the CSV reader refused
@@ -288,12 +289,19 @@ def cmd_batch(args) -> int:
                 if name in names_used:
                     raise ValueError(f"entry name {name!r} is used by an earlier row")
                 names_used.add(name)
-            pd, stored = row_values(row)
         except (ValueError, csv.Error) as ex:
-            give_up(name, "failed", ex)
+            yield None, give_up(name, "failed", ex)
+            continue
+        if owner != stripe:
+            yield owner, None
             continue
         try:
-            rep, bundle = _analysis(parse_pd(pd), args.rank_cap, False)
+            pd, stored = row_values(row)
+        except ValueError as ex:
+            yield owner, give_up(name, "failed", ex)
+            continue
+        try:
+            rep, bundle = _analysis(parse_pd(pd), rank_cap, False)
             mism = [
                 f"{column}: stored {value}, computed {getattr(bundle, attr)}"
                 for column, attr, value in stored
@@ -305,19 +313,100 @@ def cmd_batch(args) -> int:
                 rep["expected_mismatches"] = mism
             rep["name"] = name
             rep["status"] = status
+            outcome = status, None
             if outdir is not None:
                 try:
                     (outdir / f"{name}.json").write_text(_json_text(rep), "utf-8")
                 except OSError as ex:  # this report only; later rows still run
-                    give_up(name, "failed", ex)
-                    continue
-            counts[status] = counts.get(status, 0) + 1
+                    outcome = give_up(name, "failed", ex)
         except (PDSyntaxError, DiagramError, ClassificationError) as ex:
-            give_up(name, "failed", ex)
+            outcome = give_up(name, "failed", ex)
         except RankCapExceededError as ex:
-            give_up(name, "rank_capped", ex)
+            outcome = give_up(name, "rank_capped", ex)
         except InconsistencyError as ex:
-            give_up(name, "inconsistency", ex)
+            outcome = give_up(name, "inconsistency", ex)
+        yield owner, outcome
+
+
+def cmd_batch(args) -> int:
+    """Runs the rows in one process per CPU that this one may run on,
+    striped as `_batch_rows` says: stripe 0 here, each other in a forked
+    child that sends this process one marshal record, (status, stderr line
+    or None), per row it owns.  This process writes every line and count
+    in row order, reading another stripe's record when it reaches that row.
+    It stays one process where it cannot fork, or where other threads run,
+    which a forked child could deadlock on."""
+    path = BUNDLED if args.corpus == "bundled" else Path(args.corpus)
+    if not path.exists() or path.is_dir():  # before --out makes a directory
+        print(f"error: corpus file not found: {path}", file=sys.stderr)
+        return EXIT_INPUT
+    outdir = Path(args.out) if args.out else None
+    if outdir is not None:
+        outdir.mkdir(parents=True, exist_ok=True)
+    stripes = 1
+    if hasattr(os, "fork") and hasattr(os, "sched_getaffinity") and not _thread._count():
+        stripes = len(os.sched_getaffinity(0))
+        sys.stdout.flush()
+        sys.stderr.flush()
+    entries = 0
+    counts: dict[str, int] = {}
+    pids: list[int] = []
+    pipes: list = []  # the read end of stripe k's pipe at k - 1
+    try:
+        for stripe in range(1, stripes):
+            r, w = os.pipe()
+            pipes.append(open(r, "rb"))
+            try:
+                pid = os.fork()
+            except BaseException:
+                os.close(w)
+                raise
+            if pid == 0:  # the child: it writes only to its pipe, and never returns
+                try:
+                    for fh in pipes:
+                        fh.close()
+                    with open(w, "wb") as out:
+                        try:
+                            for owner, outcome in _batch_rows(
+                                path, outdir, args.rank_cap, stripe, stripes
+                            ):
+                                if owner == stripe:
+                                    out.write(marshal.dumps(outcome))
+                                    out.flush()
+                        except BaseException:  # for the parent to raise
+                            import traceback
+
+                            out.write(marshal.dumps((None, traceback.format_exc())))
+                finally:
+                    os._exit(0)
+            os.close(w)
+            pids.append(pid)
+        for owner, outcome in _batch_rows(path, outdir, args.rank_cap, 0, stripes):
+            if outcome is None:  # another stripe's row
+                try:
+                    outcome = marshal.load(pipes[owner - 1])
+                except EOFError:
+                    outcome = None, f"batch stripe {owner} ended before its row {entries}"
+                if outcome[0] is None:
+                    raise RuntimeError(outcome[1])
+            status, line = outcome
+            if line is not None:
+                print(line, file=sys.stderr)
+            if status is None:  # the corpus could not be read
+                return EXIT_INPUT
+            entries += 1
+            counts[status] = counts.get(status, 0) + 1
+    except BaseException:
+        import signal
+
+        for pid in pids:  # a child may be deep in a row that no one will read
+            os.kill(pid, signal.SIGKILL)
+        raise
+    finally:
+        for fh in pipes:
+            fh.close()
+        for pid in pids:
+            os.waitpid(pid, 0)
 
     summary = {
         "schema": SCHEMA,

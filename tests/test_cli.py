@@ -500,6 +500,8 @@ def test_every_report_is_plain_json_data(tmp_path, capsys, monkeypatch):
         return _real(obj)
 
     monkeypatch.setattr(cli, "_json_text", spy)
+    # one CPU, so one process: a spy sees only the rows of its own process
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
     f = tmp_path / "c.csv"
     f.write_text(f'name,pd,det\nwrong,"{LEFT_TREFOIL}",99\nplain,"{GRANNY}",\n')
     assert run(capsys, "analyze", "--pd", TREFOIL, "--json")[0] == 0

@@ -1,5 +1,7 @@
 """The bundled corpus: shape, naming, and stored-vs-recomputed invariants."""
 
+import os
+
 from helpers import corpus_entry, load_corpus
 from knotcert import cli
 from knotcert.corpus import row_values
@@ -93,6 +95,8 @@ def test_batch_bundled_reads_what_load_corpus_reads(monkeypatch, capsys):
         return pd, stored
 
     monkeypatch.setattr(cli, "row_values", recorded)
+    # one CPU, so one process: a spy sees only the rows of its own process
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
     assert cli.main(["batch", "bundled", "--json"]) == 0
     capsys.readouterr()
     assert seen == [
