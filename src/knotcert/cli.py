@@ -328,6 +328,17 @@ def _batch_rows(path: Path, outdir: Path | None, rank_cap: int, stripe: int, str
         yield owner, outcome
 
 
+def _one_thread() -> bool:
+    """Whether this process runs no thread but its main one.  A thread that
+    C code started may hold a lock that a forked child then waits on for
+    ever, as a Python thread may, but `_thread._count()` counts Python's
+    threads alone; so the kernel's list of threads is read where it is."""
+    try:
+        return len(os.listdir("/proc/self/task")) == 1
+    except OSError:
+        return not _thread._count()
+
+
 def cmd_batch(args) -> int:
     """Runs the rows in one process per CPU that this one may run on,
     striped as `_batch_rows` says: stripe 0 here, each other in a forked
@@ -344,7 +355,7 @@ def cmd_batch(args) -> int:
     if outdir is not None:
         outdir.mkdir(parents=True, exist_ok=True)
     stripes = 1
-    if hasattr(os, "fork") and hasattr(os, "sched_getaffinity") and not _thread._count():
+    if hasattr(os, "fork") and hasattr(os, "sched_getaffinity") and _one_thread():
         stripes = len(os.sched_getaffinity(0))
         sys.stdout.flush()
         sys.stderr.flush()
@@ -358,29 +369,27 @@ def cmd_batch(args) -> int:
             pipes.append(open(r, "rb"))
             try:
                 pid = os.fork()
-            except BaseException:
-                os.close(w)
-                raise
-            if pid == 0:  # the child: it writes only to its pipe, and never returns
-                try:
-                    for fh in pipes:
-                        fh.close()
-                    with open(w, "wb") as out:
-                        try:
-                            for owner, outcome in _batch_rows(
-                                path, outdir, args.rank_cap, stripe, stripes
-                            ):
-                                if owner == stripe:
-                                    out.write(marshal.dumps(outcome))
-                                    out.flush()
-                        except BaseException:  # for the parent to raise
-                            import traceback
+                if pid == 0:  # the child: it writes only to its pipe, and never returns
+                    try:
+                        for fh in pipes:
+                            fh.close()
+                        with open(w, "wb") as out:
+                            try:
+                                for owner, outcome in _batch_rows(
+                                    path, outdir, args.rank_cap, stripe, stripes
+                                ):
+                                    if owner == stripe:
+                                        out.write(marshal.dumps(outcome))
+                                        out.flush()
+                            except BaseException:  # for the parent to raise
+                                import traceback
 
-                            out.write(marshal.dumps((None, traceback.format_exc())))
-                finally:
-                    os._exit(0)
-            os.close(w)
-            pids.append(pid)
+                                out.write(marshal.dumps((None, traceback.format_exc())))
+                    finally:
+                        os._exit(0)
+                pids.append(pid)
+            finally:
+                os.close(w)
         for owner, outcome in _batch_rows(path, outdir, args.rank_cap, 0, stripes):
             if outcome is None:  # another stripe's row
                 try:

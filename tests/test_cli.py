@@ -5,8 +5,10 @@ import gc
 import hashlib
 import json
 import os
+import shutil
 import subprocess
 import sys
+import time
 import tracemalloc
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
@@ -731,6 +733,192 @@ def test_batch_reads_csv_rows_as_they_run(tmp_path):
     code, big = _failing_rows_peak(tmp_path, 20_000)
     assert code == 0
     assert big - small < 100_000, (small, big)
+
+
+def _cpus(monkeypatch, n):
+    """Make `batch` see n CPUs in its affinity set, so it runs n stripes,
+    and count its forks."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
+    forks = []
+    real_fork = os.fork
+
+    def fork():
+        pid = real_fork()
+        forks.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", fork)
+    return forks
+
+
+# a stored-value mismatch, a bad stored value, a repeated name, a name with a
+# slash, a row over --rank-cap 2 (the granny), an unparsable PD, a report path
+# that is a directory, an unnamed row, then good rows, padded past the 8 KB
+# that the text reader decodes at a time
+MIXED = (
+    "name,pd,sigma,det,pad\n"
+    f't0,"{TREFOIL}",,\nwrong,"{LEFT_TREFOIL}",,99\nbadsigma,"{TREFOIL}",abc,\n'
+    f't0,"{TREFOIL}",,\nd/e,"{TREFOIL}",,\ngranny,"{GRANNY}",,\njunk,"X(1,2",,\n'
+    f'blocked,"{TREFOIL}",,\n,"{FIG8}",,\n'
+    + "".join(f't{i},"{TREFOIL}",,,{"." * 2000}\n' for i in range(1, 6))
+)
+
+
+@pytest.mark.parametrize("corpus", ["bundled", "mixed", "mixed-then-unreadable"])
+def test_batch_stripes_give_what_one_process_gives(tmp_path, capsys, monkeypatch, corpus):
+    """Three stripes give the exit status, stdout, stderr (lines and their
+    order) and report files of one process."""
+    if corpus == "bundled":
+        argv = ["batch", "bundled", "--json"]
+    else:
+        f = tmp_path / "c.csv"
+        tail = f'bad\xff,"{TREFOIL}",,,\nt9,"{TREFOIL}",,,\n'.encode("latin-1")
+        f.write_bytes(MIXED.encode() + (tail if corpus == "mixed-then-unreadable" else b""))
+        argv = ["batch", str(f), "--json", "--rank-cap", "2"]
+    seen = []
+    out = tmp_path / "out"
+    for cpus in (3, 1):
+        forks = _cpus(monkeypatch, cpus)
+        shutil.rmtree(out, ignore_errors=True)
+        (out / "blocked.json").mkdir(parents=True)
+        code, stdout, stderr = run(capsys, *argv, "--out", str(out))
+        assert len(forks) == cpus - 1
+        reports = {p.name: p.read_bytes() for p in sorted(out.iterdir()) if p.is_file()}
+        seen.append((code, stdout, stderr, reports))
+    assert seen[0] == seen[1]
+    code, stdout, stderr, reports = seen[0]
+    if corpus == "bundled":
+        assert code == 0 and len(reports) == 34
+    elif corpus == "mixed":
+        assert code == 1 and json.loads(stdout)["entries"] == 14
+        assert stderr.count("\n") == 6 and len(reports) == 8
+    else:
+        # the error comes partway: at the first row past the decoded text
+        assert code == 2 and stdout == "" and 3 < len(reports) < 8
+        assert stderr.count("\n") == 7
+        assert stderr.splitlines()[-1].startswith("error: cannot read corpus: ")
+
+
+def _no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("case", ["normal", "read-error", "parent-interrupt", "child-dies"])
+def test_batch_leaves_no_child_process(tmp_path, capsys, monkeypatch, case):
+    """Whatever ends a batch of three stripes, no child outlives main(): the
+    end of the rows, a read error, which every stripe meets at the same row,
+    a KeyboardInterrupt in the parent (in row 3, which stripe 0 owns), or a
+    child that dies without its record (in row 4, which stripe 1 owns)."""
+    rows = [TREFOIL] * 9
+    rows[3 if case == "parent-interrupt" else 4] = GRANNY
+    f = tmp_path / "c.csv"
+    tail = b"bad\xff,\n" if case == "read-error" else b""
+    f.write_bytes(("name,pd\n" + "".join(f't{i},"{pd}"\n' for i, pd in enumerate(rows))).encode() + tail)
+    granny = parse_pd(GRANNY).pd_text()
+
+    def analysis(d, *args, _real=cli._analysis):
+        if d.pd_text() == granny:
+            if case == "parent-interrupt":
+                raise KeyboardInterrupt
+            if case == "child-dies":
+                os._exit(3)
+        return _real(d, *args)
+
+    monkeypatch.setattr(cli, "_analysis", analysis)
+    forks = _cpus(monkeypatch, 3)
+    if case == "parent-interrupt":
+        with pytest.raises(KeyboardInterrupt):
+            main(["batch", str(f), "--json"])
+    elif case == "child-dies":
+        with pytest.raises(RuntimeError, match="^batch stripe 1 ended before its row 4$"):
+            main(["batch", str(f), "--json"])
+    else:
+        code, out, err = run(capsys, "batch", str(f), "--json")
+        assert (code, err.count("\n")) == ((0, 0) if case == "normal" else (2, 1))
+    assert len(forks) == 2
+    _no_child_left()
+
+
+def test_batch_child_exception_ends_the_batch_with_its_traceback(tmp_path):
+    """An exception that a child does not handle ends the batch as one in a
+    single process does: its traceback on stderr, once, and exit status 1,
+    with no child left."""
+    f = tmp_path / "c.csv"
+    f.write_text("name,pd\n" + "".join(f't{i},"{GRANNY if i == 4 else TREFOIL}"\n' for i in range(9)))
+    script = f"""
+import os, sys
+from knotcert import cli
+from knotcert.diagram import parse_pd
+
+granny = parse_pd({GRANNY!r}).pd_text()
+
+def analysis(d, *args, _real=cli._analysis):
+    if d.pd_text() == granny:
+        raise RuntimeError("stripe one fails on the granny")
+    return _real(d, *args)
+
+cli._analysis = analysis
+os.sched_getaffinity = lambda pid: {{0, 1, 2}}
+try:
+    cli.main(["batch", {str(f)!r}, "--json"])
+finally:
+    try:
+        os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        print("no child left")
+"""
+    env = dict(os.environ, PYTHONPATH=str(Path(knotcert.__file__).resolve().parents[1]))
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, timeout=60)
+    assert proc.returncode == 1
+    assert proc.stdout == "no child left\n"
+    assert proc.stderr.count("stripe one fails on the granny") == 1
+    assert proc.stderr.rstrip().endswith("RuntimeError: stripe one fails on the granny")
+
+
+@pytest.mark.parametrize("why", [
+    "a thread runs",
+    pytest.param("a C thread runs", marks=pytest.mark.skipif(
+        not os.path.isdir("/proc/self/task"), reason="no kernel list of threads")),
+    "no os.fork",
+])
+def test_batch_stays_in_one_process_where_it_should_not_fork(tmp_path, capsys, monkeypatch, why):
+    """With other threads running, or without os.fork, a batch runs in one
+    process whatever the CPU count.  faulthandler's watchdog is a thread
+    that C code starts, which `threading` does not count."""
+    import faulthandler
+    import threading
+
+    f = tmp_path / "c.csv"
+    f.write_text("name,pd\n" + "".join(f't{i},"{TREFOIL}"\n' for i in range(4)))
+    forks = _cpus(monkeypatch, 3)
+    done = threading.Event()
+    thread = threading.Thread(target=done.wait)
+    if why == "a thread runs":
+        thread.start()
+    elif why == "a C thread runs":
+        watchdog_out = open(os.devnull, "w")
+        faulthandler.dump_traceback_later(600, file=watchdog_out)
+        assert threading.active_count() == 1
+    else:
+        monkeypatch.delattr(os, "fork")
+    try:
+        code, out, err = run(capsys, "batch", str(f), "--json")
+    finally:
+        done.set()
+        if why == "a thread runs":
+            thread.join(10)
+            assert not thread.is_alive()
+        elif why == "a C thread runs":
+            faulthandler.cancel_dump_traceback_later()
+            watchdog_out.close()
+            for _ in range(1000):  # the watchdog's end, so later tests fork
+                if len(os.listdir("/proc/self/task")) == 1:
+                    break
+                time.sleep(0.01)
+    assert (code, json.loads(out)["entries"], err) == (0, 4, "")
+    assert forks == []
 
 
 @pytest.mark.parametrize("before", ["", f'good,"{TREFOIL}"\n'], ids=["first-row", "after-a-good-row"])
