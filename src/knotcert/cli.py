@@ -18,7 +18,6 @@ their fields.
 
 from __future__ import annotations
 
-import _thread
 import argparse
 import csv
 import functools
@@ -329,24 +328,76 @@ def _batch_rows(path: Path, outdir: Path | None, rank_cap: int, stripe: int, str
 
 
 def _one_thread() -> bool:
-    """Whether this process runs no thread but its main one.  A thread that
-    C code started may hold a lock that a forked child then waits on for
-    ever, as a Python thread may, but `_thread._count()` counts Python's
-    threads alone; so the kernel's list of threads is read where it is."""
+    """Whether this process runs no thread but its main one, as the kernel
+    counts them: a thread that C code started may hold a lock that a forked
+    child then waits on for ever, as a Python thread may.  False where the
+    kernel's list of threads cannot be read."""
     try:
         return len(os.listdir("/proc/self/task")) == 1
     except OSError:
-        return not _thread._count()
+        return False
+
+
+def _stripes(path: Path) -> int:
+    """How many processes run a batch of `path`: one per CPU that this one
+    may run on, but no more than the rows could fill, as a CSV row takes a
+    line after the header.  One where this process cannot fork, or runs
+    other threads, which a forked child could deadlock on; where the corpus
+    is not a regular file, as its processes would split one pipe's bytes;
+    and for a JSON corpus, which each process would parse whole."""
+    if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
+        return 1
+    if not path.is_file() or path.suffix.lower() == ".json" or not _one_thread():
+        return 1
+    cpus = len(os.sched_getaffinity(0))
+    if cpus == 1:
+        return 1
+    ends, last = 0, b"\n"  # line ends (a \r\n split by a block counts twice)
+    try:
+        with path.open("rb") as fh:
+            while ends <= cpus:
+                block = fh.read(1 << 16)
+                if not block:
+                    break
+                ends += block.count(b"\n") + block.count(b"\r") - block.count(b"\r\n")
+                last = block[-1:]
+    except OSError:  # for the batch's own read to report
+        return 1
+    lines = ends + (last not in b"\r\n")
+    return max(1, min(cpus, lines - 1))
+
+
+def _stripe_child(inherited: list, w: int, path: Path, outdir: Path | None, rank_cap: int,
+                  stripe: int, stripes: int):
+    """The forked child that runs stripe `stripe`: it closes the pipes it
+    inherited, sends pipe end `w` the outcome of each row it owns, or the
+    traceback of an exception it does not handle, and ends without
+    returning or writing anything else."""
+    try:
+        for fh in inherited:
+            fh.close()
+        with open(w, "wb") as out:
+            try:
+                for owner, outcome in _batch_rows(path, outdir, rank_cap, stripe, stripes):
+                    if owner == stripe:
+                        out.write(marshal.dumps(outcome))
+                        out.flush()
+            except BaseException:  # for the parent to raise
+                import traceback
+
+                out.write(marshal.dumps((None, traceback.format_exc())))
+    finally:
+        os._exit(0)
 
 
 def cmd_batch(args) -> int:
-    """Runs the rows in one process per CPU that this one may run on,
-    striped as `_batch_rows` says: stripe 0 here, each other in a forked
-    child that sends this process one marshal record, (status, stderr line
-    or None), per row it owns.  This process writes every line and count
-    in row order, reading another stripe's record when it reaches that row.
-    It stays one process where it cannot fork, or where other threads run,
-    which a forked child could deadlock on."""
+    """Runs the rows in the processes that `_stripes` counts, striped as
+    `_batch_rows` says: stripe 0 here, each other in a forked child that
+    sends this process one marshal record, (status, stderr line or None),
+    per row it owns.  This process writes every line and count in row
+    order, reading another stripe's record when it reaches that row.  Where
+    a fork or a pipe fails, the children made so far are ended and the
+    batch runs here alone."""
     path = BUNDLED if args.corpus == "bundled" else Path(args.corpus)
     if not path.exists() or path.is_dir():  # before --out makes a directory
         print(f"error: corpus file not found: {path}", file=sys.stderr)
@@ -354,42 +405,41 @@ def cmd_batch(args) -> int:
     outdir = Path(args.out) if args.out else None
     if outdir is not None:
         outdir.mkdir(parents=True, exist_ok=True)
-    stripes = 1
-    if hasattr(os, "fork") and hasattr(os, "sched_getaffinity") and _one_thread():
-        stripes = len(os.sched_getaffinity(0))
+    stripes = _stripes(path)
+    if stripes > 1:
         sys.stdout.flush()
         sys.stderr.flush()
     entries = 0
     counts: dict[str, int] = {}
     pids: list[int] = []
     pipes: list = []  # the read end of stripe k's pipe at k - 1
-    try:
-        for stripe in range(1, stripes):
-            r, w = os.pipe()
-            pipes.append(open(r, "rb"))
-            try:
-                pid = os.fork()
-                if pid == 0:  # the child: it writes only to its pipe, and never returns
-                    try:
-                        for fh in pipes:
-                            fh.close()
-                        with open(w, "wb") as out:
-                            try:
-                                for owner, outcome in _batch_rows(
-                                    path, outdir, args.rank_cap, stripe, stripes
-                                ):
-                                    if owner == stripe:
-                                        out.write(marshal.dumps(outcome))
-                                        out.flush()
-                            except BaseException:  # for the parent to raise
-                                import traceback
 
-                                out.write(marshal.dumps((None, traceback.format_exc())))
-                    finally:
-                        os._exit(0)
-                pids.append(pid)
-            finally:
-                os.close(w)
+    def end_children(kill: bool) -> None:
+        if kill:  # a child may be deep in a row that no one will read
+            import signal
+
+            for pid in pids:
+                os.kill(pid, signal.SIGKILL)
+        while pipes:
+            pipes.pop().close()
+        while pids:
+            os.waitpid(pids.pop(), 0)
+
+    try:
+        try:
+            for stripe in range(1, stripes):
+                r, w = os.pipe()
+                pipes.append(open(r, "rb"))
+                try:
+                    pid = os.fork()
+                    if pid == 0:
+                        _stripe_child(pipes, w, path, outdir, args.rank_cap, stripe, stripes)
+                    pids.append(pid)
+                finally:
+                    os.close(w)
+        except OSError:  # no process or pipe to be had: stripes are for speed alone
+            end_children(kill=True)
+            stripes = 1
         for owner, outcome in _batch_rows(path, outdir, args.rank_cap, 0, stripes):
             if outcome is None:  # another stripe's row
                 try:
@@ -406,16 +456,10 @@ def cmd_batch(args) -> int:
             entries += 1
             counts[status] = counts.get(status, 0) + 1
     except BaseException:
-        import signal
-
-        for pid in pids:  # a child may be deep in a row that no one will read
-            os.kill(pid, signal.SIGKILL)
+        end_children(kill=True)
         raise
     finally:
-        for fh in pipes:
-            fh.close()
-        for pid in pids:
-            os.waitpid(pid, 0)
+        end_children(kill=False)
 
     summary = {
         "schema": SCHEMA,

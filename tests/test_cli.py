@@ -1,6 +1,7 @@
 """CLI behavior: subcommands, exit statuses, determinism, batch handling."""
 
 import argparse
+import errno
 import gc
 import hashlib
 import json
@@ -877,21 +878,104 @@ finally:
     assert proc.stderr.rstrip().endswith("RuntimeError: stripe one fails on the granny")
 
 
+def test_batch_runs_alone_when_a_fork_fails(tmp_path, capsys, monkeypatch):
+    """Where the second of two forks fails (EAGAIN, as under a process
+    limit), the child forked so far is ended and the batch runs in this
+    process alone, with the output of a one-process run."""
+    f = tmp_path / "c.csv"
+    f.write_bytes(MIXED.encode())
+    seen = []
+    for cpus in (3, 1):
+        forks = _cpus(monkeypatch, cpus)
+        counted = os.fork
+
+        def fork():
+            if forks:
+                raise BlockingIOError(errno.EAGAIN, "Resource temporarily unavailable")
+            return counted()
+
+        monkeypatch.setattr(os, "fork", fork)
+        out = tmp_path / f"out{cpus}"
+        code, stdout, stderr = run(capsys, "batch", str(f), "--json", "--rank-cap", "2",
+                                   "--out", str(out))
+        assert len(forks) == min(1, cpus - 1)
+        _no_child_left()
+        seen.append((code, stdout, stderr, {p.name: p.read_bytes() for p in sorted(out.iterdir())}))
+    assert seen[0] == seen[1]
+    assert seen[0][0] == 1 and json.loads(seen[0][1])["entries"] == 14
+
+
+@pytest.mark.parametrize("text, stripes", [
+    ("name,pd\n", 1),
+    (f'name,pd\nt0,"{TREFOIL}"', 1),
+    (f'name,pd\nt0,"{TREFOIL}"\nt1,"{TREFOIL}"\n', 2),
+    (f'name,pd\r\nt0,"{TREFOIL}"\r\nt1,"{TREFOIL}"\r\n', 2),
+    (f'name,pd\nt0,"{TREFOIL}"\n\n\n\n', 4),  # blank lines may be rows, as far as a count of lines knows
+], ids=["no-row", "one-row", "two-rows", "two-rows-crlf", "blank-lines"])
+def test_batch_forks_no_more_stripes_than_rows(tmp_path, capsys, monkeypatch, text, stripes):
+    """With 8 CPUs, a batch runs no more stripes than its corpus has lines
+    after the header, and gives the output of one process."""
+    f = tmp_path / "c.csv"
+    f.write_bytes(text.encode())
+    seen = []
+    for cpus in (8, 1):
+        forks = _cpus(monkeypatch, cpus)
+        seen.append(run(capsys, "batch", str(f), "--json"))
+        assert len(forks) == min(stripes, cpus) - 1
+    assert seen[0] == seen[1]
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/stdin"), reason="no /dev/stdin")
+def test_batch_reads_a_pipe_in_one_process(tmp_path, capsys, monkeypatch):
+    """A corpus that is not a regular file, here a pipe read through
+    /dev/stdin, runs in one process whatever the CPU count, with the output
+    that the same bytes in a file give: stripes would split its bytes."""
+    f = tmp_path / "c.csv"
+    f.write_bytes(MIXED.encode())
+    script = f"""
+import os
+from knotcert import cli
+
+os.sched_getaffinity = lambda pid: {{0, 1, 2}}
+raise SystemExit(cli.main(["batch", "/dev/stdin", "--json", "--rank-cap", "2",
+                           "--out", {str(tmp_path / "piped")!r}]))
+"""
+    env = dict(os.environ, PYTHONPATH=str(Path(knotcert.__file__).resolve().parents[1]))
+    proc = subprocess.run([sys.executable, "-c", script], env=env, input=f.read_bytes(),
+                          capture_output=True, timeout=60)
+    _cpus(monkeypatch, 1)
+    code, out, err = run(capsys, "batch", str(f), "--json", "--rank-cap", "2",
+                         "--out", str(tmp_path / "file"))
+    assert (proc.returncode, proc.stdout.decode(), proc.stderr.decode()) == (code, out, err)
+    assert code == 1 and json.loads(out)["entries"] == 14
+
+    def reports(d):
+        return {p.name: p.read_bytes() for p in sorted(d.iterdir())}
+
+    assert reports(tmp_path / "piped") == reports(tmp_path / "file")
+
+
 @pytest.mark.parametrize("why", [
     "a thread runs",
     pytest.param("a C thread runs", marks=pytest.mark.skipif(
         not os.path.isdir("/proc/self/task"), reason="no kernel list of threads")),
     "no os.fork",
+    "a JSON corpus",
 ])
 def test_batch_stays_in_one_process_where_it_should_not_fork(tmp_path, capsys, monkeypatch, why):
-    """With other threads running, or without os.fork, a batch runs in one
-    process whatever the CPU count.  faulthandler's watchdog is a thread
-    that C code starts, which `threading` does not count."""
+    """With other threads running, without os.fork, or on a JSON corpus,
+    which each process would parse whole, a batch runs in one process
+    whatever the CPU count.  faulthandler's watchdog is a thread that C code
+    starts, which `threading` does not count."""
     import faulthandler
     import threading
 
-    f = tmp_path / "c.csv"
-    f.write_text("name,pd\n" + "".join(f't{i},"{TREFOIL}"\n' for i in range(4)))
+    if why == "a JSON corpus":
+        f = tmp_path / "c.json"
+        f.write_text(json.dumps([{"name": f"t{i}", "pd": TREFOIL} for i in range(4)], indent=1))
+    else:
+        f = tmp_path / "c.csv"
+        f.write_text("name,pd\n" + "".join(f't{i},"{TREFOIL}"\n' for i in range(4)))
     forks = _cpus(monkeypatch, 3)
     done = threading.Event()
     thread = threading.Thread(target=done.wait)
@@ -901,7 +985,7 @@ def test_batch_stays_in_one_process_where_it_should_not_fork(tmp_path, capsys, m
         watchdog_out = open(os.devnull, "w")
         faulthandler.dump_traceback_later(600, file=watchdog_out)
         assert threading.active_count() == 1
-    else:
+    elif why == "no os.fork":
         monkeypatch.delattr(os, "fork")
     try:
         code, out, err = run(capsys, "batch", str(f), "--json")
