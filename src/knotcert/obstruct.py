@@ -36,8 +36,8 @@ except ImportError:
         from hashlib import sha256
 
 from .diagram import (
-    Diagram, SpecialityReport, cached_on_instance, checkerboard, classify_special,
-    connected_sum_factors,
+    Diagram, SpecialityReport, cached_on_instance, classify_special, connected_sum_factors,
+    is_alternating, orient, seifert_circle_partition,
 )
 from .errors import DegenerateFormError
 from .hfk import HfkTable, hfk_isomorphic, thin_hfk
@@ -94,15 +94,23 @@ def band_prime_certificate(d: Diagram, rank_cap: int = DEFAULT_RANK_CAP) -> Cert
     summands, disagrees with the block count, or has the wrong signature
     produces verdict 'inconsistency' (the underlying theory forbids all of
     those, so they indicate a bug, not a property of the knot).
+
+    A knot diagram that is alternating with one crossing sign is special,
+    its Seifert circles being the faces of one color, so the whole
+    diagram's flow rank is n + 1 minus the number of Seifert circles.  It
+    bounds every factor's, and an input above `rank_cap` is refused on it
+    (RankCapExceededError) before the checkerboard, the speciality
+    cross-check or any lattice work.  Links, the 0-crossing unknot and
+    non-alternating or mixed-sign input go straight to `classify_special`.
     """
+    ori = orient(d)
+    if ori.components == 1 and len(set(ori.signs)) == 1 and is_alternating(d):
+        check_rank_cap(d.n + 1 - len(seifert_circle_partition(d)), rank_cap)
     rep = classify_special(d)
     if not (rep.is_special and rep.is_alternating):
         why = "not alternating" if not rep.is_alternating else "alternating but not special"
         return CertificateReport(_pd_hash(d), rep, (), 0, "not_applicable", (why,))
 
-    # The whole diagram's cycle rank (n edges, one vertex per orientable face)
-    # bounds every factor's: an over-cap input is refused before any other work.
-    check_rank_cap(d.n + 1 - len(checkerboard(d)[rep.orientable_color]), rank_cap)
     g_full = orientable_tait_graph(d)
     notes: list[str] = []
     problems: list[str] = []

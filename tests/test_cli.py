@@ -113,6 +113,32 @@ def test_analyze_special_non_alternating_is_not_applicable(capsys):
     assert "band primeness: not_applicable" in out
 
 
+def test_over_cap_knot_is_refused_before_the_checkerboard(monkeypatch, capsys):
+    """T(2,25) and its mirror, one crossing sign each, are refused at cap 12
+    on n + 1 minus their Seifert circles, with exit 3 and one stderr line,
+    before any checkerboard coloring or speciality cross-check."""
+    names = ("diagram.classify_special", "diagram.checkerboard")
+    counts = _count_calls(monkeypatch, *names)
+    t225, _ = medial_diagram(theta(25), 1)
+    for d in (t225, mirror_diagram(t225)):
+        code, out, err = run(capsys, "analyze", "--pd", d.pd_text(), "--rank-cap", "12")
+        assert (code, out, err) == (3, "", "error: lattice rank 24 exceeds cap 12\n")
+    assert counts == dict.fromkeys(names, 0)
+
+
+@pytest.mark.parametrize("pd", ["X(6,4,3,1) X(2,5,6,1) X(4,5,2,3)", FIG8],
+                         ids=["special-non-alternating", "figure-eight"])
+def test_rank_cap_zero_leaves_non_special_input_not_applicable(capsys, pd):
+    """The cap gate reads only one-sign alternating knots: a special
+    non-alternating diagram and the mixed-sign figure eight get their report
+    even at cap 0, and a link is still an input error."""
+    code, out, _ = run(capsys, "analyze", "--pd", pd, "--rank-cap", "0", "--json")
+    assert code == 0
+    assert json.loads(out)["band_primeness"]["verdict"] == "not_applicable"
+    code, out, err = run(capsys, "analyze", "--pd", HOPF, "--rank-cap", "0")
+    assert code == 2 and out == "" and "components" in err
+
+
 # One fault per case in a function the certificate imports, each making one
 # of its checks fire on the left trefoil: (name in obstruct, the fault made
 # from the real function, the notes of the report).

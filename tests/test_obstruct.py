@@ -6,9 +6,12 @@ import random
 
 import pytest
 
-from helpers import corpus_entry, load_corpus, random_draws, total_rank, wide_necklace
+from helpers import corpus_entry, crossing_changed, load_corpus, random_draws, total_rank, wide_necklace
 from knotcert.cli import _analysis, _json_text
-from knotcert.diagram import checkerboard, classify_special, parse_pd
+from knotcert.diagram import (
+    checkerboard, classify_special, is_alternating, mirror_diagram, orient, parse_pd,
+    seifert_circle_partition,
+)
 from knotcert.errors import ClassificationError, RankCapExceededError
 from knotcert.hfk import thin_hfk
 from knotcert.invariants import invariant_bundle
@@ -36,10 +39,11 @@ def _bundle_hfk(pd):
 
 
 def test_rank_read_off_the_faces_is_the_orientable_cycle_rank():
-    """The certificate refuses an over-cap input on n + 1 minus the number of
-    orientable faces, before any Tait graph: that is the orientable Tait
-    graph's cycle rank, as it has one edge per crossing and one vertex per
-    face of its color."""
+    """On a special diagram, n + 1 minus the number of orientable faces is
+    the orientable Tait graph's cycle rank, as it has one edge per crossing
+    and one vertex per face of its color.  The certificate's cap reads the
+    same rank off the Seifert circles, which are those faces
+    (`test_rank_cap_gate_is_exactly_special_alternating`)."""
     rng = random.Random(26)
     diagrams = [parse_pd(e.pd) for e in load_corpus()]
     diagrams += [draw.d for draw in itertools.islice(random_draws(rng, 9, links=False), 200)]
@@ -49,6 +53,38 @@ def test_rank_read_off_the_faces_is_the_orientable_cycle_rank():
     for d in special:
         color = classify_special(d).orientable_color
         assert d.n + 1 - len(checkerboard(d)[color]) == orientable_tait_graph(d).cycle_rank()
+
+
+def test_rank_cap_gate_is_exactly_special_alternating():
+    """The certificate refuses an over-cap input before `classify_special`
+    when the diagram has one component and one crossing sign and is
+    alternating.  That holds exactly when `classify_special` reports special
+    alternating, and there n + 1 minus the number of Seifert circles is the
+    orientable Tait graph's cycle rank, the rank the cap bounds.  Links
+    never reach the gate's rank: `classify_special` refuses them."""
+    rng = random.Random(33)
+    diagrams = [parse_pd(e.pd) for e in load_corpus()]
+    diagrams += [mirror_diagram(d) for d in diagrams]
+    draws = [draw.d for draw in itertools.islice(random_draws(rng, 9, links=False), 200)]
+    diagrams += draws + [wide_necklace(rng) for _ in range(10)]
+    # the corpus and the draws are alternating: some crossings switched, most are not
+    diagrams += [crossing_changed(d, rng) for d in draws[:60]]
+    gated = 0
+    for d in diagrams:
+        ori = orient(d)
+        gate = ori.components == 1 and len(set(ori.signs)) == 1 and is_alternating(d)
+        rep = classify_special(d)
+        assert gate == (d.n > 0 and rep.is_special and rep.is_alternating), d.pd_text()
+        if gate:
+            gated += 1
+            rank = d.n + 1 - len(seifert_circle_partition(d))
+            assert rank == orientable_tait_graph(d).cycle_rank(), d.pd_text()
+    assert 120 < gated < len(diagrams) - 60
+    hopf = parse_pd(HOPF)  # alternating with one sign, but a link
+    assert orient(hopf).components == 2 and set(orient(hopf).signs) == {-1}
+    assert is_alternating(hopf)
+    with pytest.raises(ClassificationError):
+        classify_special(hopf)
 
 
 def test_trefoil_certificate():
