@@ -67,7 +67,7 @@ def test_rank_cap_gate_is_exactly_special_alternating():
     diagrams += [mirror_diagram(d) for d in diagrams]
     draws = [draw.d for draw in itertools.islice(random_draws(rng, 9, links=False), 200)]
     diagrams += draws + [wide_necklace(rng) for _ in range(10)]
-    # the corpus and the draws are alternating: some crossings switched, most are not
+    # the corpus and the draws are alternating; a switched crossing makes most not
     diagrams += [crossing_changed(d, rng) for d in draws[:60]]
     gated = 0
     for d in diagrams:
