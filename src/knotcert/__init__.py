@@ -37,15 +37,9 @@ from .invariants import (
     invariant_bundle,
     seifert_matrix_special,
 )
-from .lattice import (
-    DEFAULT_RANK_CAP,
-    Decomposition,
-    GramForm,
-    definiteness,
-    indecomposable_summands,
-)
+from .lattice import Decomposition, GramForm, definiteness, indecomposable_summands
 from .obstruct import (
-    AnisotropyResult,
+    DEFAULT_RANK_CAP,
     CertificateReport,
     Finding,
     MinimalityEvidence,
@@ -57,7 +51,6 @@ from .obstruct import (
 from .tait import TaitGraph, blocks, flow_lattice, tait_graph
 
 __all__ = [
-    "AnisotropyResult",
     "CertificateReport",
     "ClassificationError",
     "DEFAULT_RANK_CAP",

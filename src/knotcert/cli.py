@@ -27,6 +27,14 @@ import os
 import sys
 from pathlib import Path
 
+try:  # hashlib loads OpenSSL; the interpreter's own sha256 module is lighter
+    from _sha2 import sha256  # Python 3.12+
+except ImportError:
+    try:
+        from _sha256 import sha256  # Python 3.10-3.11
+    except ImportError:
+        from hashlib import sha256
+
 from .corpus import BUNDLED, corpus_rows, row_values
 from .diagram import Diagram, parse_pd
 from .errors import (
@@ -39,8 +47,8 @@ from .errors import (
 )
 from .hfk import HfkTable
 from .invariants import InvariantBundle
-from .lattice import DEFAULT_RANK_CAP
 from .obstruct import (
+    DEFAULT_RANK_CAP,
     CertificateReport,
     band_prime_certificate,
     concordance_pair_obstructions,
@@ -101,17 +109,17 @@ def _hfk(t: HfkTable | None) -> dict | None:
             "entries": [{"alexander": a, "maslov": m, "rank": r} for a, m, r in t.entries]}
 
 
-def _certificate(c: CertificateReport, speciality: dict) -> dict:
+def _certificate(c: CertificateReport, speciality: dict, pd_sha256: str) -> dict:
     """The `band_primeness` section, sharing the report's `speciality` dict."""
     return {
         "schema": SCHEMA,
         "kind": "band_prime_certificate",
-        "pd_sha256": c.pd_sha256,
+        "pd_sha256": pd_sha256,
         "speciality": speciality,
         "factors": [{
             "pd": f.pd,
             "crossings": f.crossings,
-            "tait": {"vertices": f.tait_vertices, "edges": f.tait_edges,
+            "tait": {"vertices": f.tait_vertices, "edges": f.crossings,  # an edge per crossing
                      "cycle_rank": f.gram.rank},
             "gram": _rows(f.gram.matrix),
             # only a lattice that indecomposable_summands found positive definite makes a factor
@@ -129,29 +137,33 @@ def _certificate(c: CertificateReport, speciality: dict) -> dict:
 
 def _analysis(d: Diagram, rank_cap: int, assert_two_bridge: bool) -> tuple[dict, InvariantBundle]:
     """The report of one diagram and its invariant bundle.  The certificate
-    runs first, so an over-cap lattice is refused before any invariant work.
-    Each section is built once: the `speciality`, `invariants` and `hfk`
-    dicts are shared wherever the report repeats them."""
+    runs first, so an over-cap lattice is refused before any invariant work
+    or the PD hash.  Each section is built once: the PD hash and the
+    `speciality`, `invariants` and `hfk` dicts are shared wherever the
+    report repeats them."""
     cert = band_prime_certificate(d, rank_cap=rank_cap)
     ev = minimality_evidence(d, assert_two_bridge=assert_two_bridge)
+    pd = d.pd_text()
+    pd_sha256 = sha256(pd.encode("utf-8")).hexdigest()
     inv = _invariants(ev.bundle)
     hfk = _hfk(ev.hfk)
     rep = {
         "schema": SCHEMA,
         "kind": "analysis",
-        "pd": d.pd_text(),
-        "pd_sha256": cert.pd_sha256,
+        "pd": pd,
+        "pd_sha256": pd_sha256,
         "speciality": inv["speciality"],
         "invariants": inv,
         "hfk": hfk,
-        "band_primeness": _certificate(cert, inv["speciality"]),
+        "band_primeness": _certificate(cert, inv["speciality"], pd_sha256),
         "minimality": {
             "schema": SCHEMA,
             "kind": "minimality_evidence",
-            "pd_sha256": ev.pd_sha256,
+            "pd_sha256": pd_sha256,
             "bundle": inv,
             "hfk": hfk,
-            "anisotropy": ev.anisotropy._asdict(),
+            "anisotropy": {"holds": ev.anisotropy, "sigma": ev.bundle.signature,
+                           "span": ev.bundle.alexander.span()},
             "conditions": {
                 "fibered": ev.bundle.fibered,
                 "prime_power_leading": ev.prime_power_leading,

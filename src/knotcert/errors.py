@@ -31,7 +31,8 @@ class DegenerateFormError(KnotCertError):
 
 
 class RankCapExceededError(KnotCertError):
-    """A lattice computation was refused because the rank exceeds the cap."""
+    """`band_prime_certificate` refused a diagram because its flow rank
+    exceeds the cap (`--rank-cap`)."""
 
     def __init__(self, rank: int, cap: int):
         super().__init__(f"lattice rank {rank} exceeds cap {cap}")

@@ -37,13 +37,7 @@ import math
 from operator import index, itemgetter, mul
 from typing import NamedTuple
 
-from .errors import (
-    DegenerateFormError,
-    InconsistencyError,
-    RankCapExceededError,
-)
-
-DEFAULT_RANK_CAP = 12
+from .errors import DegenerateFormError, InconsistencyError
 
 Matrix = tuple[tuple[int, ...], ...]
 
@@ -498,15 +492,7 @@ def _indecomposable_generators(gram) -> list[tuple[int, ...]]:
     return kept
 
 
-def check_rank_cap(rank: int, rank_cap: int):
-    """Refuse a lattice of rank above `rank_cap` (RankCapExceededError)."""
-    if rank > rank_cap:
-        raise RankCapExceededError(rank, rank_cap)
-
-
-def indecomposable_summands(
-    q: GramForm, rank_cap: int = DEFAULT_RANK_CAP
-) -> Decomposition:
+def indecomposable_summands(q: GramForm) -> Decomposition:
     """Split a definite form into its indecomposable orthogonal summands.
 
     Accepts positive or negative definite input: the form times the sign of
@@ -517,11 +503,11 @@ def indecomposable_summands(
     form of its sublattice in the coordinates of `greedy_reduce`'s basis,
     and the summands are ordered by those forms, so a form with one summand
     has `greedy_reduce`'s U as its witness.  A refused form raises
-    DegenerateFormError if its determinant is 0, else ValueError; a rank
-    above the cap raises RankCapExceededError.
+    DegenerateFormError if its determinant is 0, else ValueError.  Any rank
+    is accepted: a caller that bounds the work checks the rank first, as
+    `band_prime_certificate` does.
     """
     n = q.rank
-    check_rank_cap(n, rank_cap)
     if n == 0:
         return Decomposition(summands=(), witness=())
     sign = 1 if q.matrix[0][0] > 0 else -1

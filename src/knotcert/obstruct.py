@@ -27,34 +27,17 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
-try:  # hashlib loads OpenSSL; the interpreter's own sha256 module is lighter
-    from _sha2 import sha256  # Python 3.12+
-except ImportError:
-    try:
-        from _sha256 import sha256  # Python 3.10-3.11
-    except ImportError:
-        from hashlib import sha256
-
 from .diagram import (
-    Diagram, SpecialityReport, cached_on_instance, classify_special, connected_sum_factors,
-    is_alternating, orient, seifert_circle_partition,
+    Diagram, SpecialityReport, classify_special, connected_sum_factors, is_alternating, orient,
+    seifert_circle_partition,
 )
-from .errors import DegenerateFormError
+from .errors import DegenerateFormError, RankCapExceededError
 from .hfk import HfkTable, hfk_isomorphic, thin_hfk
 from .invariants import InvariantBundle, gl_signature, invariant_bundle
-from .lattice import (
-    DEFAULT_RANK_CAP,
-    Decomposition,
-    GramForm,
-    check_rank_cap,
-    indecomposable_summands,
-)
+from .lattice import Decomposition, GramForm, indecomposable_summands
 from .tait import TaitGraph, blocks, flow_lattice, orientable_tait_graph
 
-
-@cached_on_instance
-def _pd_hash(d: Diagram) -> str:
-    return sha256(d.pd_text().encode("utf-8")).hexdigest()
+DEFAULT_RANK_CAP = 12
 
 
 def _positive_rank_blocks(g: TaitGraph) -> int:
@@ -71,14 +54,12 @@ class FactorRecord(NamedTuple):
     pd: str
     crossings: int
     tait_vertices: int
-    tait_edges: int
     gram: GramForm
     decomposition: Decomposition
     signature: int
 
 
 class CertificateReport(NamedTuple):
-    pd_sha256: str
     speciality: SpecialityReport
     factors: tuple[FactorRecord, ...]
     trivial_factors: int
@@ -100,16 +81,20 @@ def band_prime_certificate(d: Diagram, rank_cap: int = DEFAULT_RANK_CAP) -> Cert
     diagram's flow rank is n + 1 minus the number of Seifert circles.  It
     bounds every factor's, and an input above `rank_cap` is refused on it
     (RankCapExceededError) before the checkerboard, the speciality
-    cross-check or any lattice work.  Links, the 0-crossing unknot and
-    non-alternating or mixed-sign input go straight to `classify_special`.
+    cross-check or any lattice work.  This gate is the package's one cap
+    check: `indecomposable_summands` takes any rank.  Links, the 0-crossing
+    unknot and non-alternating or mixed-sign input go straight to
+    `classify_special`.
     """
     ori = orient(d)
     if ori.components == 1 and len(set(ori.signs)) == 1 and is_alternating(d):
-        check_rank_cap(d.n + 1 - len(seifert_circle_partition(d)), rank_cap)
+        rank = d.n + 1 - len(seifert_circle_partition(d))
+        if rank > rank_cap:
+            raise RankCapExceededError(rank, rank_cap)
     rep = classify_special(d)
     if not (rep.is_special and rep.is_alternating):
         why = "not alternating" if not rep.is_alternating else "alternating but not special"
-        return CertificateReport(_pd_hash(d), rep, (), 0, "not_applicable", (why,))
+        return CertificateReport(rep, (), 0, "not_applicable", (why,))
 
     g_full = orientable_tait_graph(d)
     notes: list[str] = []
@@ -121,7 +106,7 @@ def band_prime_certificate(d: Diagram, rank_cap: int = DEFAULT_RANK_CAP) -> Cert
     def decompose(f: Diagram, gram: GramForm) -> Decomposition | None:  # None if refused
         nonlocal refused
         try:  # a flow lattice is positive definite, so a refusal is a bug
-            return indecomposable_summands(gram, rank_cap=rank_cap)
+            return indecomposable_summands(gram)
         except (ValueError, DegenerateFormError) as ex:
             refused = True
             problems.append(f"flow lattice of {f.pd_text()!r} refused: {ex}")
@@ -153,8 +138,8 @@ def band_prime_certificate(d: Diagram, rank_cap: int = DEFAULT_RANK_CAP) -> Cert
             continue
         sig = gl_signature(f)
         factors.append(FactorRecord(
-            pd=f.pd_text(), crossings=f.n, tait_vertices=g.num_vertices, tait_edges=g.num_edges,
-            gram=gram, decomposition=dec, signature=sig))
+            pd=f.pd_text(), crossings=f.n, tait_vertices=g.num_vertices, gram=gram,
+            decomposition=dec, signature=sig))
         if len(dec.summands) != 1:
             problems.append(f"factor flow lattice split into {len(dec.summands)} summands")
         nblocks = blocks_full if f is d else _positive_rank_blocks(g)
@@ -178,32 +163,21 @@ def band_prime_certificate(d: Diagram, rank_cap: int = DEFAULT_RANK_CAP) -> Cert
         problems.append("whole-diagram block count disagrees with factor count")
 
     if problems:
-        return CertificateReport(
-            _pd_hash(d), rep, tuple(factors), trivial, "inconsistency", tuple(problems)
-        )
+        return CertificateReport(rep, tuple(factors), trivial, "inconsistency", tuple(problems))
     if not factors:
         notes.append("no nontrivial factors: the knot is trivial, certificate is vacuous")
     if trivial:
         notes.append(f"{trivial} genus-zero factor(s) ignored")
-    return CertificateReport(
-        _pd_hash(d), rep, tuple(factors), trivial, "band_prime_certified", tuple(notes)
-    )
+    return CertificateReport(rep, tuple(factors), trivial, "band_prime_certified", tuple(notes))
 
 
 # ---------------------------------------------------------------------------
 # anisotropy and minimality
 
 
-class AnisotropyResult(NamedTuple):
-    holds: bool
-    sigma: int
-    span: int
-
-
-def anisotropy_check(bundle: InvariantBundle) -> AnisotropyResult:
+def anisotropy_check(bundle: InvariantBundle) -> bool:
     """|signature| = span(Alexander): definiteness of the middle-cover form."""
-    span = bundle.alexander.span()
-    return AnisotropyResult(abs(bundle.signature) == span, bundle.signature, span)
+    return abs(bundle.signature) == bundle.alexander.span()
 
 
 def _is_prime_power(n: int) -> bool:
@@ -217,10 +191,9 @@ def _is_prime_power(n: int) -> bool:
 
 
 class MinimalityEvidence(NamedTuple):
-    pd_sha256: str
     bundle: InvariantBundle
     hfk: HfkTable | None
-    anisotropy: AnisotropyResult
+    anisotropy: bool
     prime_power_leading: bool
     two_bridge_asserted: bool
     verdict: str  # minimal_certified / evidence_only / not_applicable
@@ -251,7 +224,6 @@ def minimality_evidence(d: Diagram, assert_two_bridge: bool = False) -> Minimali
     else:
         verdict = "evidence_only"
     return MinimalityEvidence(
-        pd_sha256=_pd_hash(d),
         bundle=bundle,
         hfk=table,
         anisotropy=aniso,

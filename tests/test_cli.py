@@ -192,7 +192,8 @@ def test_analyze_reports_a_certificate_inconsistency_exit_1(monkeypatch, capsys,
     code, out, err = run(capsys, "analyze", "--pd", LEFT_TREFOIL, "--json")
     assert code == 1 and err == ""
     report = json.loads(out)
-    assert report["band_primeness"] == cli._certificate(rep, rep.speciality._asdict())
+    pd_sha256 = hashlib.sha256(LEFT_TREFOIL.encode()).hexdigest()
+    assert report["band_primeness"] == cli._certificate(rep, rep.speciality._asdict(), pd_sha256)
     assert report["minimality"]["verdict"] == "minimal_certified"
 
 
@@ -608,7 +609,7 @@ def test_analyze_hashes_the_pd_once(monkeypatch, capsys):
         hashed.append(data)
         return hashlib.sha256(data)
 
-    monkeypatch.setattr(obstruct, "sha256", sha256)
+    monkeypatch.setattr(cli, "sha256", sha256)
     code, out, _ = run(capsys, "analyze", "--pd", GRANNY, "--json")
     assert code == 0
     assert hashed == [GRANNY.encode()]
@@ -621,14 +622,18 @@ def test_analyze_hashes_the_pd_once(monkeypatch, capsys):
 
 def test_analyze_builds_each_repeated_section_once():
     """The report repeats its speciality, invariants and HFK sections; each
-    is one dict, built once and shared wherever it appears."""
-    rep, _ = cli._analysis(parse_pd(GRANNY), lattice.DEFAULT_RANK_CAP, False)
+    is one dict, built once and shared wherever it appears, and its three
+    PD hashes are one string, the sha256 of its PD text."""
+    rep, _ = cli._analysis(parse_pd(GRANNY), knotcert.DEFAULT_RANK_CAP, False)
     assert rep["invariants"] is rep["minimality"]["bundle"]
     assert rep["hfk"] is rep["minimality"]["hfk"] and rep["hfk"] is not None
     sp = rep["speciality"]
     assert sp is rep["invariants"]["speciality"]
     assert sp is rep["band_primeness"]["speciality"]
     assert sp is rep["minimality"]["bundle"]["speciality"]
+    digest = rep["pd_sha256"]
+    assert digest is rep["band_primeness"]["pd_sha256"] is rep["minimality"]["pd_sha256"]
+    assert digest == hashlib.sha256(rep["pd"].encode()).hexdigest()
 
 
 def test_analyze_out_dir(tmp_path, capsys):

@@ -33,7 +33,7 @@ from helpers import (
     trefoil_chain,
 )
 import knotcert.lattice
-from knotcert.errors import DegenerateFormError, InconsistencyError, RankCapExceededError
+from knotcert.errors import DegenerateFormError, InconsistencyError
 from knotcert.lattice import (
     GramForm,
     congruence,
@@ -330,12 +330,12 @@ def test_isometric_distinguishes_forms_with_equal_det():
     assert not ok
 
 
-def test_rank_cap():
+def test_any_rank_is_decomposed():
+    """`indecomposable_summands` takes no cap: a rank-13 form, above the
+    certificate's default cap, is decomposed.  The cap is the certificate's
+    (`test_obstruct.py::test_rank_cap_propagates`)."""
     big = GramForm(tuple(tuple(2 if i == j else 0 for j in range(13)) for i in range(13)))
-    with pytest.raises(RankCapExceededError):
-        indecomposable_summands(big)
-    # explicit override allows it
-    dec = indecomposable_summands(big, rank_cap=13)
+    dec = indecomposable_summands(big)
     assert len(dec.summands) == 13
 
 
@@ -623,7 +623,7 @@ def test_indecomposable_filter_matches_definition_on_knot_lattices(graph):
 def _summand_sublattices(gram):
     """The summands of `indecomposable_summands`, each as the Hermite normal
     form of its witness columns (original coordinates), sorted."""
-    dec = indecomposable_summands(GramForm(tuple(map(tuple, gram))), rank_cap=len(gram))
+    dec = indecomposable_summands(GramForm(tuple(map(tuple, gram))))
     cols = transpose(dec.witness)
     out, off = [], 0
     for s in dec.summands:
@@ -691,7 +691,7 @@ def test_summand_bases_are_hermite_normal_forms_in_the_reduced_basis():
 def test_one_summand_witness_is_the_reduced_basis():
     seen = 0
     for form in _knot_flow_lattices():
-        dec = indecomposable_summands(form, rank_cap=max(form.rank, 1))
+        dec = indecomposable_summands(form)
         if len(dec.summands) == 1:
             g_red, u_red = greedy_reduce(form.matrix)
             assert [list(r) for r in dec.witness] == u_red

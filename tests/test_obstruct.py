@@ -15,8 +15,9 @@ from knotcert.diagram import (
 from knotcert.errors import ClassificationError, RankCapExceededError
 from knotcert.hfk import thin_hfk
 from knotcert.invariants import invariant_bundle
-from knotcert.lattice import DEFAULT_RANK_CAP, definiteness
+from knotcert.lattice import definiteness
 from knotcert.obstruct import (
+    DEFAULT_RANK_CAP,
     anisotropy_check,
     band_prime_certificate,
     concordance_pair_obstructions,
@@ -97,7 +98,7 @@ def test_trefoil_certificate():
     assert len(f.decomposition.summands) == 1
     assert f.signature == 2  # left-handed
     assert f.gram.rank // 2 == 1
-    assert len(rep.pd_sha256) == 64
+    assert len(_report(LEFT_TREFOIL)["band_primeness"]["pd_sha256"]) == 64
 
 
 def test_granny_certificate_two_factors():
@@ -180,11 +181,9 @@ def test_all_corpus_specials_certify():
 
 def test_anisotropy():
     b, _ = _bundle_hfk(LEFT_TREFOIL)
-    r = anisotropy_check(b)
-    assert r.holds and r.span == 2
+    assert anisotropy_check(b) is True and b.alexander.span() == 2
     b, _ = _bundle_hfk(FIG8)
-    r = anisotropy_check(b)
-    assert not r.holds and (r.sigma, r.span) == (0, 2)
+    assert anisotropy_check(b) is False and (b.signature, b.alexander.span()) == (0, 2)
 
 
 def test_anisotropy_reported_on_every_special_alternating_entry():
@@ -217,7 +216,7 @@ def test_minimality_trefoil_fibered():
     ev = minimality_evidence(parse_pd(LEFT_TREFOIL))
     assert ev.verdict == "minimal_certified"
     assert ev.bundle.fibered is True
-    assert ev.anisotropy.holds
+    assert ev.anisotropy is True
     assert ev.hfk is not None and total_rank(ev.hfk) == 3
 
 

@@ -114,3 +114,42 @@ def test_no_package_function_is_reached_only_from_tests():
     ]
     held = ["invariants.goeritz_matrix", "lattice.definiteness", "lattice.short_vectors"]
     assert found == held, found
+
+
+def _trees():
+    return {
+        path.stem: ast.parse(path.read_text("utf-8"), str(path))
+        for path in sorted(PACKAGE.glob("*.py"))
+    }
+
+
+def test_the_rank_cap_is_checked_in_one_place():
+    """The package raises RankCapExceededError once, in the certificate's
+    gate in `obstruct`: a second cap check fails here."""
+    found = [
+        f"{module}:{node.lineno}"
+        for module, tree in _trees().items()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Raise) and "RankCapExceededError" in _references(node)
+    ]
+    assert [site.split(":")[0] for site in found] == ["obstruct"], found
+
+
+def test_only_the_cli_hashes_the_pd():
+    """`cli` makes a report's one PD hash: no other module binds `sha256` or
+    imports a module that provides it."""
+    found = set()
+    for module, tree in _trees().items():
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                bound = {n for a in node.names for n in (a.name, a.asname)}
+                bound.add(getattr(node, "module", None))
+            elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+                bound = {node.id}
+            elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                bound = {node.name}
+            else:
+                continue
+            if bound & {"sha256", "hashlib", "_sha2", "_sha256"}:
+                found.add(module)
+    assert found == {"cli"}, found
